@@ -27,23 +27,16 @@ from .hyperdual import HyperDual, partial_deriv, seed_jets, value_of
 from .identities import (
     CheckReport,
     Tolerances,
-    integral_check,
-    residual_aux,
-    residual_companion,
-    residual_main,
+    integral_checks_batch,
+    pointwise_checks,
+    pointwise_fields,
 )
 from .splitting import (
     SplitContext,
     SplitStructure,
     SubsetIndex,
-    adapted_frame,
     coordinate_split,
-    fundamental_data,
-    mixed_curvature_pair,
     pair_predicates,
-    partial_divergence,
-    smix,
-    smix_pairsplit,
     subsets,
 )
 
@@ -68,20 +61,13 @@ __all__ = [
     "value_of",
     "CheckReport",
     "Tolerances",
-    "integral_check",
-    "residual_aux",
-    "residual_companion",
-    "residual_main",
+    "integral_checks_batch",
+    "pointwise_checks",
+    "pointwise_fields",
     "SplitContext",
     "SplitStructure",
     "SubsetIndex",
-    "adapted_frame",
     "coordinate_split",
-    "fundamental_data",
-    "mixed_curvature_pair",
     "pair_predicates",
-    "partial_divergence",
-    "smix",
-    "smix_pairsplit",
     "subsets",
 ]

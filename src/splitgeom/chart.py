@@ -40,6 +40,7 @@ __all__ = [
     "div_grad",
     "laplacian_geom",
     "integrate",
+    "rectangle_rule",
     "grid_points",
     "sample_points",
     "map_batched",
@@ -268,7 +269,6 @@ class ChartFrame:
         self._gamma = None
         self._riemann = None
         self._g_val = None
-        self._sqrt_detg = None
 
     @property
     def g(self):
@@ -295,15 +295,6 @@ class ChartFrame:
         if self._ginv is None:
             self._ginv = invert_matrix(self.g)
         return self._ginv
-
-    @property
-    def sqrt_detg(self):
-        if self._sqrt_detg is None:
-            det = np.linalg.det(self.g_val)
-            if np.any(det <= 0.0):
-                raise GeometryError("metric determinant not positive")
-            self._sqrt_detg = np.sqrt(det)
-        return self._sqrt_detg
 
     @property
     def gamma(self):
@@ -417,7 +408,7 @@ def connection_at(m, p):
     """Metric, Christoffel symbols and curvature values at ``p`` ``(..., n)``."""
     frame = ChartFrame(m, p)
     # triggers SPD failure early with a clear error
-    _ = frame.sqrt_detg
+    _volume_element(frame.g_val, frame.points)
     return PointFrameData(point=frame.points, g=frame.g_val,
                           gamma=frame.gamma_val, riemann=frame.riemann)
 
@@ -447,30 +438,58 @@ def laplacian_geom(m, f, p):
     return -div_grad(m, f, p)
 
 
-def integrate(m, f, grid, chunk=DEFAULT_CHUNK, threads=1):
-    """Integral of the scalar field over a closed chart.
+def _volume_element(g, points):
+    """``sqrt(det g)`` of metric values ``g`` ``(..., n, n)`` at ``points``.
 
-    ``f`` maps a ``(N, n)`` point array to ``(N,)`` values.  Uses the
-    rectangle rule on each periodic axis (spectrally accurate for analytic
-    integrands) with the metric volume element; the final reduction is a
-    compensated sum in fixed order.
+    Raises :class:`GeometryError` naming the first point where ``det g`` is
+    not positive (or not a number), instead of returning ``nan``.
+    """
+    det = np.linalg.det(g)
+    bad = np.flatnonzero(~(det > 0.0))
+    if bad.size:
+        node = np.asarray(points, dtype=float).reshape(-1, g.shape[-1])[bad[0]]
+        raise GeometryError(f"metric determinant {det.flat[bad[0]]:.3e} not positive "
+                            f"at {node.tolist()}")
+    return np.sqrt(det)
+
+
+def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1):
+    """Rectangle-rule integrals over the closed chart ``m``.
+
+    ``integrand`` maps an ``(N, n)`` chunk of nodes to ``(values, g)``:
+    ``values`` an ``(N,)`` array or a dict of them, ``g`` the metric values
+    ``(N, n, n)`` at the nodes.  ``mapper`` is :func:`map_batched` as bound by
+    the caller's module.  The rule is spectrally accurate for analytic
+    periodic integrands; each integral is a compensated sum in fixed node
+    order, so it does not depend on ``chunk`` or ``threads``.  Returns the
+    per-axis grid and the integral (or dict of integrals).
     """
     if not m.closed:
         raise NonClosedChartError("integration requires all axes periodic")
     if isinstance(grid, (int, np.integer)):
         grid = [int(grid)] * m.dim
-    if any(g < 4 for g in grid):
+    if any(res < 4 for res in grid):
         raise GeometryError("grid resolution must be at least 4 per axis")
-    pts = grid_points(m, grid)
-    cell = 1.0
-    for ax, res in zip(m.axes, grid):
-        cell *= ax.period / res
+    cell = math.prod(ax.period / res for ax, res in zip(m.axes, grid))
 
-    def weighted(chunk_pts):
-        vals = np.asarray(f(chunk_pts), dtype=float)
-        g = m.metric_values(chunk_pts)
-        det = np.linalg.det(g)
-        return vals * np.sqrt(det)
+    def weighted(nodes):
+        values, g = integrand(nodes)
+        w = _volume_element(g, nodes)
+        if isinstance(values, dict):
+            return {key: np.asarray(v, dtype=float) * w for key, v in values.items()}
+        return np.asarray(values, dtype=float) * w
 
-    contributions = map_batched(weighted, pts, chunk=chunk, threads=threads)
-    return math.fsum(contributions.tolist()) * cell
+    acc = mapper(weighted, grid_points(m, grid), chunk=chunk, threads=threads)
+    if isinstance(acc, dict):
+        return grid, {key: math.fsum(v.tolist()) * cell for key, v in acc.items()}
+    return grid, math.fsum(acc.tolist()) * cell
+
+
+def integrate(m, f, grid, chunk=DEFAULT_CHUNK, threads=1):
+    """Integral of a scalar field over a closed chart (see :func:`rectangle_rule`).
+
+    ``f`` maps a ``(N, n)`` point array to ``(N,)`` values, or to a dict of
+    such arrays; a dict gives a dict of integrals from one sweep of the grid.
+    """
+    return rectangle_rule(m, grid, lambda p: (f(p), m.metric_values(p)),
+                          map_batched, chunk=chunk, threads=threads)[1]

@@ -41,7 +41,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from .chart import Axis, ChartManifold, GeometryError
+from .chart import Axis, ChartManifold, GeometryError, integrate
 from .expr import parse_expr
 from .hypersurface import (
     GapError,
@@ -54,11 +54,13 @@ from .hypersurface import (
     shape_data,
 )
 from .identities import (
+    INTEGRAL,
+    POINTWISE,
     CheckReport,
     Tolerances,
-    available_identities,
     integral_checks_batch,
-    pointwise_fields,
+    pointwise_checks,
+    select_identities,
 )
 from .scenarios import (
     WarpedSpec,
@@ -264,41 +266,20 @@ def run_scenario(scn, samples, seed, grid_override, tols, extra_tols, threads,
         return reports
 
     pts = scn.sample(samples, rng)
-    idents = available_identities(scn.k)
-    if identities_filter is not None:
-        from .identities import _parse_identity
-        for name in identities_filter:
-            _parse_identity(name, scn.k)  # raises ValueError on bad names
-        idents = [i for i in identities_filter]
-
-    t0 = time.perf_counter()
-    fields = pointwise_fields(scn.chart, scn.split, pts, idents, threads=threads)
-    elapsed = time.perf_counter() - t0
-    flat = pts.reshape(-1, pts.shape[-1])
-    for ident in idents:
-        res = fields[ident]
-        max_term = fields["max_term:" + ident]
-        rel = np.abs(res) / (1.0 + max_term)
-        idx = int(np.argmax(np.abs(res)))
-        verdict = "pass" if float(np.max(rel)) <= tols.pointwise else "fail"
-        reports.append(CheckReport(
-            identity=ident, scenario=scn.name, kind="pointwise",
-            n_points=int(res.size), tolerance=tols.pointwise, verdict=verdict,
-            max_abs_residual=float(np.max(np.abs(res))),
-            max_rel_residual=float(np.max(rel)),
-            note=f"worst point {flat[idx].tolist()}",
-            wall_time=elapsed / len(idents)))
+    pointwise = select_identities(scn.k, POINTWISE, identities_filter)
+    if pointwise:
+        checks, fields = pointwise_checks(scn.chart, scn.split, pts, pointwise,
+                                          scenario=scn.name, tol=tols, threads=threads)
+        reports.extend(checks)
         if csv_rows is not None:
-            store = csv_rows.setdefault(scn.name, {"points": flat, "columns": {}})
-            store["columns"][ident] = res
+            store = csv_rows.setdefault(
+                scn.name, {"points": pts.reshape(-1, pts.shape[-1]), "columns": {}})
+            store["columns"].update((name, fields[name]) for name in pointwise)
 
     if scn.closed and not scn.meta.get("no_integral", False):
-        grid = grid_override or scn.meta.get("integral_grid", 16)
-        integrals = [i for i in idents if i != "smix_lemma"]
-        if scn.k == 3 and (identities_filter is None or
-                           "ck2_k3_display" in identities_filter):
-            integrals.append("ck2_k3_display")
+        integrals = select_identities(scn.k, INTEGRAL, identities_filter)
         if integrals:
+            grid = grid_override or scn.meta.get("integral_grid", 16)
             reports.extend(integral_checks_batch(
                 scn.chart, scn.split, grid, integrals, scenario=scn.name,
                 tol=tols, threads=threads))
@@ -309,12 +290,14 @@ def run_scenario(scn, samples, seed, grid_override, tols, extra_tols, threads,
         keys = ["mean_curvature", "base_totally_geodesic"]
         if res["sec2_exact"]:
             keys += ["div_mean_curvature", "smix_warped"]
+        # one warped_checks call serves every key: charge its time once
+        share = (time.perf_counter() - t1) / len(keys)
         for key in keys:
             verdict = "pass" if res[key] <= tols.predicate else "fail"
             reports.append(CheckReport(
                 identity=f"warped_{key}", scenario=scn.name, kind="predicate",
                 n_points=samples, tolerance=tols.predicate, verdict=verdict,
-                max_abs_residual=res[key], wall_time=time.perf_counter() - t1))
+                max_abs_residual=res[key], wall_time=share))
         t1 = time.perf_counter()
         worst_h = 0.0
         ok = True
@@ -409,17 +392,16 @@ def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
 
     if scn.closed and scn.chart.dim == 2 and selected("total_curvature"):
         t0 = time.perf_counter()
-        from .chart import integrate
 
-        def k_field(qq):
+        def fields(qq):
             # intrinsic curvature of a surface in a space form
-            return scn.ambient_curv + np.linalg.det(shape_data(scn, qq)["A"])
+            k = scn.ambient_curv + np.linalg.det(shape_data(scn, qq)["A"])
+            return {"total": k, "norm": np.abs(k), "area": np.ones(qq.shape[0])}
 
         grid = scn.meta.get("integral_grid", [32, 8])
-        total = integrate(scn.chart, k_field, grid)
-        norm = integrate(scn.chart, lambda q: np.abs(k_field(q)), grid)
-        area = integrate(scn.chart, lambda q: np.ones(q.shape[0]), grid)
-        denom = max(norm, area)
+        sums = integrate(scn.chart, fields, grid)
+        total = sums["total"]
+        denom = max(sums["norm"], sums["area"])
         ratio = abs(total) / denom if denom > 0 else 0.0
         reports.append(CheckReport(
             identity="total_curvature", scenario=scn.name, kind="integral",

@@ -29,18 +29,25 @@ Implemented identities (``k`` distributions, ``S(r, k)`` the r-subsets):
   An alternative form of this right-hand side that is sometimes quoted
   (``+|H_q|^2`` and a factor ``r`` on the ``H_q`` coupling, without the
   ``C`` term) does not balance; it is exposed as ``aux_printed:r`` for
-  reference, reported but never asserted.
+  reference, checked only when a filter names it.
 
 * ``companion``: ``2 Div(sum_i H_i)`` against the main right side minus the
   ``aux:k-1`` right side.
 
 * ``smix_lemma``: ``2 S_mix = sum_i S_mix(D_i, D_i^perp)``.
 
+* ``ck2_k3_display``: for k = 3, the rewriting of half the companion
+  integrand; it balances only after integration.
+
 Integral checks quadrate the right-hand sides over closed charts; by the
 divergence theorem every integral vanishes.  Ratios are reported against
 ``max(L1(integrand), L1(largest constituent term))`` so that integrands
 which cancel pointwise (the twisted flat tori) are judged against the size
 of what cancelled rather than against float noise.
+
+One registry, ``_FAMILIES``, says which check kinds (pointwise, integral)
+each identity has, for which k it is defined and whether it runs by
+default; name parsing, the default lists and every check path read it.
 """
 
 from __future__ import annotations
@@ -51,22 +58,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import grid_points, map_batched, DEFAULT_CHUNK
+from .chart import DEFAULT_CHUNK, map_batched, rectangle_rule
 from .splitting import SplitContext, SubsetIndex, subsets
 
 __all__ = [
     "CheckReport",
     "Tolerances",
-    "residual_main",
-    "residual_aux",
-    "residual_companion",
+    "POINTWISE",
+    "INTEGRAL",
     "pointwise_fields",
-    "pointwise_check",
-    "integral_check",
+    "pointwise_checks",
     "integral_checks_batch",
     "propagation_suprema",
     "umbilicity_residual",
     "available_identities",
+    "select_identities",
 ]
 
 
@@ -124,7 +130,13 @@ def _rset(k):
 
 
 class _Evaluator:
-    """Identity terms over one shared :class:`SplitContext` (memoized)."""
+    """Identity terms over one shared :class:`SplitContext` (memoized).
+
+    Every identity method returns ``{"residual", "div", "rhs", "max_term"}``
+    arrays: ``div`` the jet-differentiated left side, ``rhs`` the frame-tensor
+    right side, ``residual = div - rhs`` and ``max_term`` the largest
+    constituent term at each point.
+    """
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -183,16 +195,17 @@ class _Evaluator:
         max_term = np.maximum(max_term, np.abs(div))
         return {"residual": div - rhs, "div": div, "rhs": rhs, "max_term": max_term}
 
-    # -- auxiliary identity ----------------------------------------------------
+    # -- auxiliary identity and its as-printed variant ------------------------
 
     def aux(self, r):
-        return self._cached(("aux", r), lambda: self._aux(r))
+        return self._cached(("aux", r), lambda: self._aux(r))[0]
+
+    def aux_printed(self, r):
+        return self._cached(("aux", r), lambda: self._aux(r))[1]
 
     def _aux(self, r):
         ctx = self.ctx
         k = self.k
-        if not 2 <= r <= k - 1:
-            raise ValueError(f"r out of range: need 2 <= r <= k-1, got r={r}, k={k}")
         C = float(math.comb(k - 2, r - 1))
         qs = subsets(r, k)
         singles = subsets(1, k)
@@ -218,13 +231,9 @@ class _Evaluator:
         sum_h2 = np.sum([ctx.fundamental(q).H_norm2 for q in singles], axis=0)
         rhs = rhs + C * sum_h2
         max_term = np.maximum(max_term, C * np.abs(sum_h2))
-        return {
-            "residual": div - rhs,
-            "residual_printed": div - rhs_printed,
-            "div": div,
-            "rhs": rhs,
-            "max_term": max_term,
-        }
+        return ({"residual": div - rhs, "div": div, "rhs": rhs, "max_term": max_term},
+                {"residual": div - rhs_printed, "div": div, "rhs": rhs_printed,
+                 "max_term": max_term})
 
     # -- companion --------------------------------------------------------------
 
@@ -232,10 +241,7 @@ class _Evaluator:
         return self._cached("companion", self._companion)
 
     def _companion(self):
-        ctx = self.ctx
         k = self.k
-        if k < 3:
-            raise ValueError("companion identity needs k >= 3")
         singles = subsets(1, k)
         div2 = 2.0 * self.div_field([(1.0, q) for q in singles])
         m = self.main()
@@ -259,12 +265,13 @@ class _Evaluator:
     # -- k=3 display of the last integral corollary ------------------------------
 
     def ck2_k3_display(self):
-        """Pointwise value of the k=3 rewriting of the companion integrand
-        (half scale): S_mix - sum |H_i|^2 - sum_{i<j} <H_i, H_j>
-        + (1/2) sum (|h|^2 - |T|^2) over single and pair subsets."""
+        """The k=3 rewriting of the companion integrand (half scale),
+        S_mix - sum |H_i|^2 - sum_{i<j} <H_i, H_j>
+        + (1/2) sum (|h|^2 - |T|^2) over single and pair subsets, as ``rhs``.
+
+        Its left side is zero: the display holds only as an integral.
+        """
         ctx = self.ctx
-        if self.k != 3:
-            raise ValueError("this display is the k=3 instance")
         singles = subsets(1, 3)
         pairs = subsets(2, 3)
         val = ctx.smix()
@@ -278,49 +285,91 @@ class _Evaluator:
         for q in pairs:
             d = ctx.fundamental(q)
             val = val + 0.5 * (d.h_norm2 - d.t_norm2)
-        return val
+        return {"residual": -val, "div": np.zeros_like(val), "rhs": val,
+                "max_term": np.abs(val)}
 
 
-def _evaluator_at(chart, split, points):
-    return _Evaluator(SplitContext(chart, split, points))
+# -- the identity registry ------------------------------------------------------
+
+POINTWISE = "pointwise"
+INTEGRAL = "integral"
 
 
-# -- operation-level API ------------------------------------------------------
+@dataclass(frozen=True)
+class _Family:
+    """One identity family: the :class:`_Evaluator` method of that name, the
+    check kinds it supports and the split counts it is defined for.  Ranged
+    families are named ``name:r`` with ``2 <= r <= k-1``."""
 
-def residual_main(chart, split, p):
-    return _evaluator_at(chart, split, p).main()["residual"]
+    name: str
+    kinds: tuple
+    default: bool = True          # run when no identity filter is given
+    ranged: bool = False
+    min_k: int = 2
+    max_k: int | None = None
 
-
-def residual_aux(chart, split, r, p):
-    return _evaluator_at(chart, split, p).aux(r)["residual"]
-
-
-def residual_companion(chart, split, p):
-    return _evaluator_at(chart, split, p).companion()["residual"]
-
-
-def available_identities(k):
-    names = ["main", "smix_lemma"]
-    for r in range(2, k):
-        names.append(f"aux:{r}")
-    if k >= 3:
-        names.append("companion")
-    return names
+    def names(self, k):
+        if self.ranged:
+            return [f"{self.name}:{r}" for r in range(2, k)]
+        if self.min_k <= k <= (self.max_k or k):
+            return [self.name]
+        return []
 
 
-def _parse_identity(name, k):
-    if name in ("main", "companion", "smix_lemma", "ck2_k3_display"):
-        return name, None
-    if name.startswith("aux:") or name.startswith("aux_printed:"):
-        head, _, rtxt = name.partition(":")
+# this order is the order of the default checks in reports
+_FAMILIES = {f.name: f for f in (
+    _Family("main", (POINTWISE, INTEGRAL)),
+    _Family("smix_lemma", (POINTWISE,)),
+    _Family("aux", (POINTWISE, INTEGRAL), ranged=True),
+    _Family("companion", (POINTWISE, INTEGRAL), min_k=3),
+    # the alternative aux right-hand side, reported for reference only
+    _Family("aux_printed", (POINTWISE,), default=False, ranged=True),
+    # the display balances only after integration
+    _Family("ck2_k3_display", (INTEGRAL,), min_k=3, max_k=3),
+)}
+
+
+def _parse_identity(name, k, kind=None):
+    """The family of the identity ``name`` for ``k`` distributions and the
+    arguments of its evaluator method, checked against the check ``kind`` if
+    given; raises ``ValueError``."""
+    head, sep, rtxt = name.partition(":")
+    fam = _FAMILIES.get(head)
+    if fam is None or bool(sep) != fam.ranged:
+        raise ValueError(f"unknown identity {name!r}")
+    args = ()
+    if fam.ranged:
         try:
             r = int(rtxt)
         except ValueError:
             raise ValueError(f"malformed identity name {name!r}")
         if not 2 <= r <= k - 1:
             raise ValueError(f"r out of range: need 2 <= r <= k-1, got r={r}, k={k}")
-        return head, r
-    raise ValueError(f"unknown identity {name!r}")
+        args = (r,)
+    elif not fam.names(k):
+        raise ValueError(f"identity {name!r} is not defined for k={k}")
+    if kind is not None and kind not in fam.kinds:
+        raise ValueError(f"{name!r} has no {kind} check")
+    return fam, args
+
+
+def select_identities(k, kind, requested=None):
+    """Names of the ``kind`` checks to run for ``k`` distributions.
+
+    Without ``requested``, every default identity that has a ``kind`` check;
+    otherwise the requested names that have one, in their order (every
+    requested name is validated, whatever its kinds).
+    """
+    if requested is None:
+        return [name for fam in _FAMILIES.values()
+                if fam.default and kind in fam.kinds for name in fam.names(k)]
+    parsed = [(name, _parse_identity(name, k)[0]) for name in requested]
+    return [name for name, fam in parsed if kind in fam.kinds]
+
+
+def available_identities(k):
+    """The pointwise identities checked by default for ``k`` distributions."""
+    return select_identities(k, POINTWISE)
 
 
 def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1):
@@ -329,29 +378,13 @@ def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1
     Returns ``{name: residual_array}`` plus ``{"max_term:" + name: array}``;
     evaluation shares one frame context per chunk across all identities.
     """
-    k = split.k
-    parsed = [(name,) + _parse_identity(name, k) for name in which]
+    parsed = [(name,) + _parse_identity(name, split.k, POINTWISE) for name in which]
 
     def eval_chunk(pts):
-        ev = _evaluator_at(chart, split, pts)
+        ev = _Evaluator(SplitContext(chart, split, pts))
         out = {}
-        for name, head, r in parsed:
-            if head == "main":
-                data = ev.main()
-            elif head == "companion":
-                data = ev.companion()
-            elif head == "smix_lemma":
-                data = ev.smix_lemma()
-            elif head == "ck2_k3_display":
-                val = ev.ck2_k3_display()
-                out[name] = val
-                out["max_term:" + name] = np.abs(val)
-                continue
-            elif head == "aux":
-                data = ev.aux(r)
-            elif head == "aux_printed":
-                data = {"residual": ev.aux(r)["residual_printed"],
-                        "max_term": ev.aux(r)["max_term"]}
+        for name, fam, args in parsed:
+            data = getattr(ev, fam.name)(*args)
             out[name] = data["residual"]
             out["max_term:" + name] = data["max_term"]
         return out
@@ -359,25 +392,32 @@ def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1
     return map_batched(eval_chunk, points, chunk=chunk, threads=threads)
 
 
-def pointwise_check(chart, split, points, identity, scenario="", tol=None,
-                    chunk=DEFAULT_CHUNK, threads=1):
-    """One pointwise CheckReport for ``identity`` over ``points``."""
+def pointwise_checks(chart, split, points, which, scenario="", tol=None,
+                     chunk=DEFAULT_CHUNK, threads=1):
+    """One pointwise CheckReport per identity in ``which`` over ``points``.
+
+    The verdict compares ``|residual| / (1 + max |term|)`` against the
+    pointwise tolerance; the note names the point of largest ``|residual|``.
+    Returns ``(reports, fields)`` with ``fields`` from :func:`pointwise_fields`.
+    """
     tols = tol or Tolerances()
     t0 = time.perf_counter()
-    fields = pointwise_fields(chart, split, points, [identity], chunk=chunk,
-                              threads=threads)
-    res = fields[identity]
-    max_term = fields["max_term:" + identity]
-    max_abs = float(np.max(np.abs(res)))
-    rel = np.abs(res) / (1.0 + max_term)
-    max_rel = float(np.max(rel))
-    verdict = "pass" if max_rel <= tols.pointwise else "fail"
-    return CheckReport(
-        identity=identity, scenario=scenario, kind="pointwise",
-        n_points=int(res.size), tolerance=tols.pointwise, verdict=verdict,
-        max_abs_residual=max_abs, max_rel_residual=max_rel,
-        wall_time=time.perf_counter() - t0,
-    )
+    fields = pointwise_fields(chart, split, points, which, chunk=chunk, threads=threads)
+    elapsed = time.perf_counter() - t0
+    flat = np.asarray(points, dtype=float).reshape(-1, split.n)
+    reports = []
+    for name in which:
+        res = fields[name]
+        rel = np.abs(res) / (1.0 + fields["max_term:" + name])
+        max_rel = float(np.max(rel))
+        reports.append(CheckReport(
+            identity=name, scenario=scenario, kind=POINTWISE,
+            n_points=int(res.size), tolerance=tols.pointwise,
+            verdict="pass" if max_rel <= tols.pointwise else "fail",
+            max_abs_residual=float(np.max(np.abs(res))), max_rel_residual=max_rel,
+            note=f"worst point {flat[int(np.argmax(np.abs(res)))].tolist()}",
+            wall_time=elapsed / len(which)))
+    return reports, fields
 
 
 def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
@@ -390,58 +430,28 @@ def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
     identities share one frame context per chunk, so adding identities to a
     sweep is nearly free.
     """
-    from .chart import NonClosedChartError
-
-    if not chart.closed:
-        raise NonClosedChartError("integral checks need a fully periodic chart")
     tols = tol or Tolerances()
-    k = split.k
-    parsed = []
-    for identity in identities:
-        head, r = _parse_identity(identity, k)
-        if head in ("smix_lemma",):
-            raise ValueError("smix_lemma is a pointwise check")
-        parsed.append((identity, head, r))
-    if isinstance(grid, (int, np.integer)):
-        grid = [int(grid)] * chart.dim
+    parsed = [(name,) + _parse_identity(name, split.k, INTEGRAL) for name in identities]
     t0 = time.perf_counter()
-    pts = grid_points(chart, grid)
-    cell = 1.0
-    for ax, res in zip(chart.axes, grid):
-        cell *= ax.period / res
 
     def eval_chunk(p):
-        ev = _evaluator_at(chart, split, p)
-        w = ev.ctx.frame.sqrt_detg
+        ev = _Evaluator(SplitContext(chart, split, p))
         out = {}
-        for identity, head, r in parsed:
-            if head == "main":
-                data = ev.main()
-            elif head == "companion":
-                data = ev.companion()
-            elif head == "aux":
-                data = ev.aux(r)
-            elif head == "ck2_k3_display":
-                val = ev.ck2_k3_display()
-                data = {"rhs": val, "div": np.zeros_like(val),
-                        "max_term": np.abs(val)}
-            else:
-                raise ValueError(f"unknown integral identity {identity!r}")
-            out[identity + "/rhs_w"] = data["rhs"] * w
-            out[identity + "/abs_rhs_w"] = np.abs(data["rhs"]) * w
-            out[identity + "/term_w"] = data["max_term"] * w
-            out[identity + "/div_w"] = data["div"] * w
-        return out
+        for name, fam, args in parsed:
+            data = getattr(ev, fam.name)(*args)
+            out[name + "/rhs"] = data["rhs"]
+            out[name + "/abs_rhs"] = np.abs(data["rhs"])
+            out[name + "/term"] = data["max_term"]
+            out[name + "/div"] = data["div"]
+        return out, ev.ctx.frame.g_val
 
-    acc = map_batched(eval_chunk, pts, chunk=chunk, threads=threads)
+    grid, sums = rectangle_rule(chart, grid, eval_chunk, map_batched,
+                                chunk=chunk, threads=threads)
     elapsed = time.perf_counter() - t0
     reports = []
-    for identity, head, r in parsed:
-        integral = math.fsum(acc[identity + "/rhs_w"].tolist()) * cell
-        l1 = math.fsum(acc[identity + "/abs_rhs_w"].tolist()) * cell
-        l1_terms = math.fsum(acc[identity + "/term_w"].tolist()) * cell
-        stokes = math.fsum(acc[identity + "/div_w"].tolist()) * cell
-        normalizer = max(l1, l1_terms)
+    for name, _, _ in parsed:
+        integral, stokes = sums[name + "/rhs"], sums[name + "/div"]
+        normalizer = max(sums[name + "/abs_rhs"], sums[name + "/term"])
         ratio = 0.0 if integral == 0.0 else (abs(integral) / normalizer
                                              if normalizer > 0.0 else float("inf"))
         stokes_ratio = 0.0 if stokes == 0.0 else (abs(stokes) / normalizer
@@ -449,20 +459,13 @@ def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
         verdict = ("pass" if ratio <= tols.integral and stokes_ratio <= tols.integral
                    else "fail")
         reports.append(CheckReport(
-            identity=identity, scenario=scenario, kind="integral",
+            identity=name, scenario=scenario, kind=INTEGRAL,
             n_points=int(np.prod(grid)), tolerance=tols.integral, verdict=verdict,
             integral_value=integral, normalizer=normalizer, integral_ratio=ratio,
             stokes_value=stokes, stokes_ratio=stokes_ratio, grid=list(grid),
             wall_time=elapsed / len(parsed),
         ))
     return reports
-
-
-def integral_check(chart, split, grid, identity, scenario="", tol=None,
-                   chunk=DEFAULT_CHUNK, threads=1):
-    """Single-identity convenience wrapper over :func:`integral_checks_batch`."""
-    return integral_checks_batch(chart, split, grid, [identity], scenario=scenario,
-                                 tol=tol, chunk=chunk, threads=threads)[0]
 
 
 # -- propagation and umbilicity checks ----------------------------------------

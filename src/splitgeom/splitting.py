@@ -14,7 +14,7 @@ jet-capable callback returning ``n`` vector fields in block order (the first
   the skew integrability tensor ``T_q``, the mean curvature vector ``H_q``
   (trace of ``h_q``, expanded in the orthogonal complement) and their squared
   norms, summed over ordered orthonormal argument pairs,
-* pairwise mixed sectional curvature sums and their total,
+* the sectional curvature matrix of frame planes and its block sums,
 * divergences restricted to the frame blocks of a subset.
 
 The squared-norm convention counts ordered pairs: ``|h_q|^2`` sums the
@@ -42,12 +42,6 @@ __all__ = [
     "SplitContext",
     "FundamentalData",
     "coordinate_split",
-    "adapted_frame",
-    "fundamental_data",
-    "mixed_curvature_pair",
-    "smix",
-    "smix_pairsplit",
-    "partial_divergence",
     "pair_predicates",
 ]
 
@@ -197,7 +191,7 @@ class SplitContext:
         self._fund = {}
         self._cov = None
         self._dE = None
-        self._K_pairs = {}
+        self._K = None
 
         if frame_values is not None:
             raw = [[np.asarray(frame_values[..., v, a], dtype=float)
@@ -357,22 +351,30 @@ class SplitContext:
 
     # -- curvature sums -------------------------------------------------------
 
+    @property
+    def sectional(self):
+        """``K[..., a, b] = R(E_a, E_b, E_a, E_b)``: the sectional curvature of
+        every frame plane (cached); the curvature sums below add its blocks."""
+        if self._K is None:
+            E = self.E_val
+            self._K = np.einsum("...abcd,...xa,...yb,...xc,...yd->...xy",
+                                self.frame.riemann, E, E, E, E)
+        return self._K
+
+    def _block_sum(self, rows, cols):
+        K = self.sectional
+        total = np.zeros(self.points.shape[:-1])
+        for a in rows:
+            for b in cols:
+                total = total + K[..., a, b]
+        return total
+
     def mixed_curvature(self, i, j):
         """Sum of sectional curvatures over mixed frame pairs of ``D_i, D_j``."""
         if i == j:
             raise ValueError("mixed curvature needs two distinct distributions")
-        key = (min(i, j), max(i, j))
-        if key not in self._K_pairs:
-            R = self.frame.riemann
-            E = self.E_val
-            total = np.zeros(self.points.shape[:-1])
-            for a in self.split.block(key[0]):
-                for b in self.split.block(key[1]):
-                    total = total + np.einsum("...abcd,...a,...b,...c,...d->...",
-                                              R, E[..., a, :], E[..., b, :],
-                                              E[..., a, :], E[..., b, :])
-            self._K_pairs[key] = total
-        return self._K_pairs[key]
+        i, j = min(i, j), max(i, j)
+        return self._block_sum(self.split.block(i), self.split.block(j))
 
     def smix(self):
         total = np.zeros(self.points.shape[:-1])
@@ -383,18 +385,8 @@ class SplitContext:
 
     def smix_pairsplit(self, i):
         """Mixed scalar curvature of the 2-split ``(D_i, D_i^perp)``."""
-        R = self.frame.riemann
-        E = self.E_val
-        block = set(self.split.block(i))
-        total = np.zeros(self.points.shape[:-1])
-        for a in block:
-            for b in range(self.n):
-                if b in block:
-                    continue
-                total = total + np.einsum("...abcd,...a,...b,...c,...d->...",
-                                          R, E[..., a, :], E[..., b, :],
-                                          E[..., a, :], E[..., b, :])
-        return total
+        block = self.split.block(i)
+        return self._block_sum(block, [b for b in range(self.n) if b not in block])
 
     # -- divergences ----------------------------------------------------------
 
@@ -418,37 +410,6 @@ class SplitContext:
             # <nabla_{E_a} X, E_a>
             total = total + np.einsum("...c,...dc,...de,...e->...", Ea, nabla, g, Ea)
         return total
-
-
-# -- convenience wrappers matching the operation-level API -------------------
-
-def adapted_frame(chart, split, p):
-    """Adapted orthonormal frame values and projectors at ``p``."""
-    ctx = SplitContext(chart, split, p)
-    return ctx.E_val, ctx.projectors()
-
-
-def fundamental_data(chart, split, q, p):
-    ctx = SplitContext(chart, split, p)
-    return ctx.fundamental(q)
-
-
-def mixed_curvature_pair(chart, split, i, j, p):
-    return SplitContext(chart, split, p).mixed_curvature(i, j)
-
-
-def smix(chart, split, p):
-    return SplitContext(chart, split, p).smix()
-
-
-def smix_pairsplit(chart, split, i, p):
-    return SplitContext(chart, split, p).smix_pairsplit(i)
-
-
-def partial_divergence(chart, split, q, X, p):
-    ctx = SplitContext(chart, split, p)
-    comps = [hd.as_jet(c, ctx.frame.coords[0]) for c in X(ctx.frame.coords)]
-    return ctx.partial_divergence(q, comps)
 
 
 def pair_predicates(chart, split, i, j, sample_pts, tol=1e-9):

@@ -24,7 +24,7 @@ from splitgeom.hypersurface import (
 )
 from splitgeom.identities import (
     _Evaluator,
-    integral_check,
+    integral_checks_batch,
     pointwise_fields,
     propagation_suprema,
 )
@@ -104,10 +104,12 @@ def test_criterion_3_smix_pair_split_lemma_everywhere():
 
 def test_criterion_4_integral_formula_and_grid_convergence():
     scn = kproduct_catalog()["twisted_torus_k3"]()
-    rep = integral_check(scn.chart, scn.split, 64, "main", scenario=scn.name)
+    [rep] = integral_checks_batch(scn.chart, scn.split, 64, ["main"], scenario=scn.name)
     conv = kproduct_catalog()["warped_t3_conv"]()
-    r8 = integral_check(conv.chart, conv.split, [8, 4, 4], "main").integral_ratio
-    r16 = integral_check(conv.chart, conv.split, [16, 4, 4], "main").integral_ratio
+    r8 = integral_checks_batch(conv.chart, conv.split, [8, 4, 4],
+                                ["main"])[0].integral_ratio
+    r16 = integral_checks_batch(conv.chart, conv.split, [16, 4, 4],
+                                ["main"])[0].integral_ratio
     converged = r8 <= 1e-12 or r16 <= r8 / 100.0
     report(4, rep.integral_ratio <= 1e-10 and rep.stokes_ratio <= 1e-10 and converged,
            f"closed twisted T^3 at 64^3: ratio = {rep.integral_ratio:.3e}, "
@@ -126,8 +128,8 @@ def test_criterion_5_auxiliary_identity_and_integrals():
         pts = scn.sample(100, rng)
         fields = pointwise_fields(scn.chart, scn.split, pts, [f"aux:{r}"])
         worst_pt = max(worst_pt, float(np.max(np.abs(fields[f"aux:{r}"]))))
-        rep = integral_check(scn.chart, scn.split, scn.meta["integral_grid"],
-                             f"aux:{r}", scenario=name)
+        [rep] = integral_checks_batch(scn.chart, scn.split, scn.meta["integral_grid"],
+                                      [f"aux:{r}"], scenario=name)
         worst_int = max(worst_int, rep.integral_ratio, rep.stokes_ratio)
     report(5, worst_pt <= 1e-8 and worst_int <= 1e-10,
            f"auxiliary identity (k,r) in {{(3,2),(4,2),(4,3)}}: pointwise "
@@ -149,8 +151,8 @@ def test_criterion_6_companion_identity_and_consistency():
         worst = max(worst, float(np.max(np.abs(comp["residual"]))))
         combo = comp["residual"] - (main["residual"] - aux["residual"])
         worst_combo = max(worst_combo, float(np.max(np.abs(combo))))
-        rep = integral_check(scn.chart, scn.split, scn.meta["integral_grid"],
-                             "companion", scenario=name)
+        [rep] = integral_checks_batch(scn.chart, scn.split, scn.meta["integral_grid"],
+                                      ["companion"], scenario=name)
         worst_int = max(worst_int, rep.integral_ratio)
     report(6, worst <= 1e-8 and worst_combo <= 1e-9 and worst_int <= 1e-10,
            f"companion identity: residual {worst:.3e}, linear-combination "

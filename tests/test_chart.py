@@ -211,6 +211,17 @@ def test_integration_deterministic_under_threads():
     a = integrate(m, f, 16, chunk=64, threads=1)
     b = integrate(m, f, 16, chunk=64, threads=4)
     assert a == b
+    # a dict-valued integrand gives the same integrals from one sweep
+    both = integrate(m, lambda p: {"f": f(p), "one": np.ones(p.shape[0])}, 16,
+                     chunk=64, threads=4)
+    assert both == {"f": a, "one": integrate(m, lambda p: np.ones(p.shape[0]), 16)}
+
+
+def test_integrate_rejects_non_positive_volume_element():
+    # det g = sin(x1) vanishes at the first node and is negative on half the grid
+    m = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["sin(x1)", "0"], ["0", "1"]])
+    with pytest.raises(GeometryError, match=r"not positive at \[0\.0, 0\.0\]"):
+        integrate(m, lambda p: np.ones(p.shape[0]), 8)
 
 
 def test_grid_points_shape():

@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from splitgeom import cli
 from splitgeom.cli import main
 
 
@@ -85,6 +87,57 @@ def test_verify_identities_filter(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aux:2" in out
     assert "companion" not in out
+
+
+@pytest.mark.parametrize("scenario, wanted", [
+    ("warped_twisted_t3", ["ck2_k3_display"]),
+    ("twisted_torus_k3", ["main", "ck2_k3_display"]),
+])
+def test_verify_filter_runs_ck2_display_once_as_integral(tmp_path, scenario, wanted):
+    cfg = tmp_path / "ck2.json"
+    out = tmp_path / "ck2_report.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "identities": wanted,
+                               "samples": 4, "out": str(out)}))
+    assert run(["verify", "--scenario", str(cfg)]) == 0
+    reports = json.loads(out.read_text())
+    ck2 = [r for r in reports if r["identity"] == "ck2_k3_display"]
+    assert [r["kind"] for r in ck2] == ["integral"]
+    assert {r["identity"] for r in reports} == set(wanted)
+
+
+def test_verify_filter_aux_printed_is_pointwise(tmp_path):
+    cfg = tmp_path / "printed.json"
+    out = tmp_path / "printed_report.json"
+    cfg.write_text(json.dumps({"scenario": "twisted_torus_k3",
+                               "identities": ["aux_printed:2"],
+                               "samples": 4, "out": str(out)}))
+    code = run(["verify", "--scenario", str(cfg)])
+    [rep] = json.loads(out.read_text())
+    assert (rep["identity"], rep["kind"], rep["n_points"]) == ("aux_printed:2", "pointwise", 4)
+    assert code == (0 if rep["verdict"] == "pass" else 1)
+
+
+def test_timing_sidecar_does_not_exceed_wall_time(tmp_path, monkeypatch):
+    # a clock that advances one unit per reading: every timed interval
+    # inside run_scenario is charged to the sidecar at most once
+    ticks = itertools.count()
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+    walls = []
+    run_scenario = cli.run_scenario
+
+    def timed(*args, **kwargs):
+        t0 = cli.time.perf_counter()
+        reports = run_scenario(*args, **kwargs)
+        walls.append(cli.time.perf_counter() - t0)
+        return reports
+
+    monkeypatch.setattr(cli, "run_scenario", timed)
+    out = tmp_path / "warped.json"
+    assert run(["verify", "--scenario", "warped_t2", "--samples", "4",
+                "--out", str(out)]) == 0
+    timing = json.loads((tmp_path / "warped.json.timing.json").read_text())
+    assert "warped_t2:warped_smix_warped" in timing
+    assert sum(timing.values()) <= walls[0]
 
 
 def test_verify_inline_scenario(tmp_path):

@@ -8,13 +8,11 @@ from splitgeom.identities import (
     Tolerances,
     _Evaluator,
     available_identities,
-    integral_check,
-    pointwise_check,
+    integral_checks_batch,
+    pointwise_checks,
     pointwise_fields,
     propagation_suprema,
-    residual_aux,
-    residual_companion,
-    residual_main,
+    select_identities,
     umbilicity_residual,
 )
 from splitgeom.scenarios import kproduct_catalog
@@ -32,25 +30,25 @@ def test_product_metric_all_residuals_zero():
     m = flat3()
     split = coordinate_split((1, 1, 1))
     pts = sample_points(m, 10, np.random.default_rng(0))
-    assert np.max(np.abs(residual_main(m, split, pts))) == 0.0
-    assert np.max(np.abs(residual_aux(m, split, 2, pts))) == 0.0
-    assert np.max(np.abs(residual_companion(m, split, pts))) == 0.0
+    fields = pointwise_fields(m, split, pts, ["main", "aux:2", "companion"])
+    assert np.max(np.abs(fields["main"])) == 0.0
+    assert np.max(np.abs(fields["aux:2"])) == 0.0
+    assert np.max(np.abs(fields["companion"])) == 0.0
 
 
 def test_main_residual_twisted_k3():
     scn = kproduct_catalog()["twisted_torus_k3"]()
     pts = scn.sample(20, np.random.default_rng(1))
-    res = residual_main(scn.chart, scn.split, pts)
-    assert np.max(np.abs(res)) <= 1e-8
-    # the right side is a cancellation of genuinely non-zero terms
     fields = pointwise_fields(scn.chart, scn.split, pts, ["main"])
+    assert np.max(np.abs(fields["main"])) <= 1e-8
+    # the right side is a cancellation of genuinely non-zero terms
     assert np.max(fields["max_term:main"]) > 1e-2
 
 
 def test_main_residual_warped_k4():
     scn = kproduct_catalog()["warped_t4_k4"]()
     pts = scn.sample(50, np.random.default_rng(2))
-    res = residual_main(scn.chart, scn.split, pts)
+    res = pointwise_fields(scn.chart, scn.split, pts, ["main"])["main"]
     assert np.max(np.abs(res)) <= 1e-8
 
 
@@ -90,7 +88,7 @@ def test_aux_residuals_all_required_cases():
     for name, r in cases:
         scn = kproduct_catalog()[name]()
         pts = scn.sample(30, rng)
-        res = residual_aux(scn.chart, scn.split, r, pts)
+        res = pointwise_fields(scn.chart, scn.split, pts, [f"aux:{r}"])[f"aux:{r}"]
         assert np.max(np.abs(res)) <= 1e-8, (name, r)
 
 
@@ -108,9 +106,9 @@ def test_aux_r_out_of_range():
     scn = kproduct_catalog()["twisted_torus_k3"]()
     pts = scn.sample(3, np.random.default_rng(7))
     with pytest.raises(ValueError, match="r out of range"):
-        residual_aux(scn.chart, scn.split, 3, pts)
+        pointwise_fields(scn.chart, scn.split, pts, ["aux:3"])
     with pytest.raises(ValueError, match="r out of range"):
-        residual_aux(scn.chart, scn.split, 1, pts)
+        pointwise_fields(scn.chart, scn.split, pts, ["aux:1"])
 
 
 def test_companion_residual_and_linear_combination():
@@ -131,7 +129,8 @@ def test_smix_lemma_everywhere():
     for name, builder in kproduct_catalog().items():
         scn = builder()
         pts = scn.sample(25, rng)
-        rep = pointwise_check(scn.chart, scn.split, pts, "smix_lemma", scenario=name)
+        [rep], _ = pointwise_checks(scn.chart, scn.split, pts, ["smix_lemma"],
+                                    scenario=name)
         assert rep.max_abs_residual <= 1e-10, name
 
 
@@ -182,7 +181,7 @@ def test_bm_rewriting_of_companion_k3():
         scn = kproduct_catalog()[name]()
         pts = scn.sample(25, np.random.default_rng(12))
         ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
-        bm = ev.ck2_k3_display()
+        bm = ev.ck2_k3_display()["rhs"]
         m = ev.main()
         a = ev.aux(2)
         scale = 1.0 + np.max(m["max_term"])
@@ -192,7 +191,7 @@ def test_bm_rewriting_of_companion_k3():
 def test_integral_checks_product_exactly_zero():
     m = flat3()
     split = coordinate_split((1, 1, 1))
-    rep = integral_check(m, split, 4, "main", scenario="product")
+    [rep] = integral_checks_batch(m, split, 4, ["main"], scenario="product")
     assert rep.integral_value == 0.0
     assert rep.integral_ratio == 0.0
     assert rep.verdict == "pass"
@@ -203,7 +202,8 @@ def test_integral_checks_catalog_closed_scenarios():
         scn = kproduct_catalog()[name]()
         grid = scn.meta["integral_grid"]
         for ident in ["main", "aux:2", "companion"]:
-            rep = integral_check(scn.chart, scn.split, grid, ident, scenario=name)
+            [rep] = integral_checks_batch(scn.chart, scn.split, grid, [ident],
+                                          scenario=name)
             assert rep.verdict == "pass", (name, ident, rep.integral_ratio)
             assert rep.integral_ratio <= 1e-10
             assert rep.stokes_ratio <= 1e-10
@@ -211,19 +211,22 @@ def test_integral_checks_catalog_closed_scenarios():
 
 def test_integral_ck2_display_k3():
     scn = kproduct_catalog()["warped_twisted_t3"]()
-    rep = integral_check(scn.chart, scn.split, scn.meta["integral_grid"],
-                         "ck2_k3_display", scenario=scn.name)
+    [rep] = integral_checks_batch(scn.chart, scn.split, scn.meta["integral_grid"],
+                                  ["ck2_k3_display"], scenario=scn.name)
     assert rep.verdict == "pass"
     assert rep.integral_ratio <= 1e-10
 
 
 def test_integral_grid_convergence():
     scn = kproduct_catalog()["warped_t3_conv"]()
-    r8 = integral_check(scn.chart, scn.split, [8, 4, 4], "main").integral_ratio
-    r16 = integral_check(scn.chart, scn.split, [16, 4, 4], "main").integral_ratio
+    r8 = integral_checks_batch(scn.chart, scn.split, [8, 4, 4],
+                                ["main"])[0].integral_ratio
+    r16 = integral_checks_batch(scn.chart, scn.split, [16, 4, 4],
+                                ["main"])[0].integral_ratio
     assert r8 > 1e-12  # the residue is visible at the coarse grid
     assert r16 <= r8 / 100.0
-    r32 = integral_check(scn.chart, scn.split, [32, 4, 4], "main").integral_ratio
+    r32 = integral_checks_batch(scn.chart, scn.split, [32, 4, 4],
+                                ["main"])[0].integral_ratio
     assert r32 <= 1e-10
 
 
@@ -231,7 +234,7 @@ def test_integral_requires_closed_chart():
     m = ChartManifold([Axis(0.0, TWO_PI), Axis(0.0, 1.0, periodic=False)],
                       [["1", "0"], ["0", "1"]])
     with pytest.raises(NonClosedChartError):
-        integral_check(m, coordinate_split((1, 1)), 8, "main")
+        integral_checks_batch(m, coordinate_split((1, 1)), 8, ["main"])
 
 
 def test_propagation_on_warped_k4():
@@ -253,7 +256,7 @@ def test_umbilicity_identity_on_orthogonal_warped():
 def test_pointwise_check_report_shape():
     scn = kproduct_catalog()["twisted_torus_k3"]()
     pts = scn.sample(10, np.random.default_rng(15))
-    rep = pointwise_check(scn.chart, scn.split, pts, "main", scenario=scn.name)
+    [rep], _ = pointwise_checks(scn.chart, scn.split, pts, ["main"], scenario=scn.name)
     assert rep.verdict == "pass"
     assert rep.kind == "pointwise"
     assert rep.n_points == 10
@@ -265,12 +268,24 @@ def test_pointwise_check_report_shape():
 def test_available_identities():
     assert available_identities(2) == ["main", "smix_lemma"]
     assert available_identities(4) == ["main", "smix_lemma", "aux:2", "aux:3", "companion"]
+    assert select_identities(3, "integral") == ["main", "aux:2", "companion",
+                                                "ck2_k3_display"]
+    assert select_identities(4, "integral") == ["main", "aux:2", "aux:3", "companion"]
+    # a filter keeps its order and drops the names without a check of that kind
+    wanted = ["ck2_k3_display", "aux_printed:2", "smix_lemma", "main"]
+    assert select_identities(3, "pointwise", wanted) == ["aux_printed:2", "smix_lemma",
+                                                         "main"]
+    assert select_identities(3, "integral", wanted) == ["ck2_k3_display", "main"]
+    with pytest.raises(ValueError, match="not defined for k=2"):
+        select_identities(2, "integral", ["ck2_k3_display"])
+    with pytest.raises(ValueError, match="unknown identity"):
+        select_identities(3, "pointwise", ["aux"])
 
 
 def test_deterministic_under_threads():
     scn = kproduct_catalog()["warped_t3_k3"]()
     grid = [16, 4, 4]
-    a = integral_check(scn.chart, scn.split, grid, "main", chunk=64, threads=1)
-    b = integral_check(scn.chart, scn.split, grid, "main", chunk=64, threads=4)
+    [a] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=64, threads=1)
+    [b] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=64, threads=4)
     assert a.integral_value == b.integral_value
     assert a.normalizer == b.normalizer
