@@ -3,7 +3,7 @@ manifolds equipped with k mutually orthogonal distributions.
 
 Submodules:
 
-* ``hyperdual``    -- exact second-order forward differentiation scalars
+* ``hyperdual``    -- exact second-order forward-mode scalar and tensor jets
 * ``expr``         -- small closed-form expression language (metrics, warps)
 * ``chart``        -- coordinate charts, connection, curvature, quadrature
 * ``splitting``    -- adapted frames, fundamental tensors of sub-distributions
@@ -23,7 +23,7 @@ from .chart import (
     laplacian_geom,
 )
 from .expr import DomainError, ExprError, ParseError, eval_jet, evaluate, parse_expr, to_source
-from .hyperdual import HyperDual, partial_deriv, seed_jets, value_of
+from .hyperdual import HyperDual, seed_jets, value_of
 from .identities import (
     CheckReport,
     Tolerances,
@@ -56,7 +56,6 @@ __all__ = [
     "parse_expr",
     "to_source",
     "HyperDual",
-    "partial_deriv",
     "seed_jets",
     "value_of",
     "CheckReport",

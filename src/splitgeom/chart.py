@@ -26,7 +26,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .expr import parse_expr, evaluate
-from .hyperdual import HyperDual, partial_deriv, seed_jets, value_of
+from .hyperdual import HyperDual, seed_jets
 
 __all__ = [
     "Axis",
@@ -66,42 +66,6 @@ class Axis:
     @property
     def period(self):
         return self.hi - self.lo
-
-
-def _zero_like(s):
-    if isinstance(s, HyperDual):
-        return hd.constant_like(s, 0.0)
-    return np.zeros_like(np.asarray(s, dtype=float))
-
-
-def _one_like(s):
-    if isinstance(s, HyperDual):
-        return hd.constant_like(s, 1.0)
-    return np.ones_like(np.asarray(s, dtype=float))
-
-
-def invert_matrix(M):
-    """Inverse of a small matrix of generic scalars (Gauss-Jordan, no pivoting).
-
-    Intended for SPD metric matrices, whose leading minors never vanish.
-    """
-    n = len(M)
-    A = [list(row) for row in M]
-    B = [[_one_like(M[0][0]) if i == j else _zero_like(M[0][0]) for j in range(n)]
-         for i in range(n)]
-    for i in range(n):
-        inv_piv = 1.0 / A[i][i] if not isinstance(A[i][i], HyperDual) else A[i][i] ** (-1)
-        for j in range(n):
-            A[i][j] = A[i][j] * inv_piv
-            B[i][j] = B[i][j] * inv_piv
-        for r in range(n):
-            if r == i:
-                continue
-            factor = A[r][i]
-            for j in range(n):
-                A[r][j] = A[r][j] - factor * A[i][j]
-                B[r][j] = B[r][j] - factor * B[i][j]
-    return B
 
 
 class ChartManifold:
@@ -156,12 +120,8 @@ class ChartManifold:
             coords = [points[..., a] for a in range(self.dim)]
         else:
             coords = seed_jets(points)
-        g = self.metric_at(coords)
-        out = np.empty(points.shape[:-1] + (self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(self.dim):
-                out[..., a, b] = np.broadcast_to(value_of(g[a][b]), points.shape[:-1])
-        return out
+        g = hd.value_of(hd.stack(self.metric_at(coords)))
+        return np.array(np.broadcast_to(g, points.shape[:-1] + (self.dim, self.dim)))
 
     def contains(self, points):
         points = np.asarray(points, dtype=float)
@@ -180,12 +140,7 @@ class ChartManifold:
         asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
         if asym > 1e-12:
             raise GeometryError(f"metric not symmetric (max asymmetry {asym:.2e})")
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            bad = np.where(np.linalg.eigvalsh(g)[..., 0] <= 0.0)
-            where = pts.reshape(-1, self.dim)[bad[0][0]] if bad[0].size else "?"
-            raise GeometryError(f"metric not positive definite near {where}")
+        check_positive_definite(g, pts)
         rng = rng or np.random.default_rng(0)
         sample = sample_points(self, 16, rng)
         g0 = self.metric_values(sample)
@@ -253,10 +208,11 @@ def map_batched(fn, points, chunk=DEFAULT_CHUNK, threads=1):
 class ChartFrame:
     """Cached jet data of a chart at a batch of points.
 
-    Exposes the metric, its inverse and the Christoffel symbols as jets with
-    exact gradients, plus the curvature tensor at value level.  Shared by the
-    splitting machinery so that every identity evaluated at the same points
-    reuses one set of metric derivatives.
+    Exposes the metric ``g`` (order 2), its inverse and the Christoffel
+    symbols (order 1) as tensor jets with exact gradients, plus the
+    curvature tensor at value level.  Shared by the splitting machinery so
+    that every identity evaluated at the same points reuses one set of
+    metric derivatives.
     """
 
     def __init__(self, chart, points):
@@ -268,74 +224,34 @@ class ChartFrame:
         self._ginv = None
         self._gamma = None
         self._riemann = None
-        self._g_val = None
 
     @property
     def g(self):
+        """Metric ``(..., a, b)`` jet."""
         if self._g is None:
-            raw = self.chart.metric_at(self.coords)
-            ref = self.coords[0]
-            self._g = [[hd.as_jet(raw[a][b], ref) for b in range(self.n)]
-                       for a in range(self.n)]
+            self._g = hd.stack(self.chart.metric_at(self.coords), ref=self.coords[0])
         return self._g
 
     @property
-    def g_val(self):
-        if self._g_val is None:
-            g = self.g
-            out = np.empty(self.points.shape[:-1] + (self.n, self.n))
-            for a in range(self.n):
-                for b in range(self.n):
-                    out[..., a, b] = g[a][b].val
-            self._g_val = out
-        return self._g_val
-
-    @property
     def ginv(self):
+        """Inverse metric ``(..., a, b)`` jet, from ``d(g^-1) = -g^-1 dg g^-1``."""
         if self._ginv is None:
-            self._ginv = invert_matrix(self.g)
+            inv = np.linalg.inv(self.g.val)
+            self._ginv = HyperDual(
+                inv, -np.einsum("...ab,...bcz,...cd->...adz", inv, self.g.grad, inv,
+                                optimize=True))
         return self._ginv
 
     @property
     def gamma(self):
-        """``gamma[c][a][b]`` = Christoffel symbol of the second kind (jet)."""
+        """Christoffel symbols of the second kind, ``(..., c, a, b)`` jet:
+        ``Gamma^c_ab = g^cd (d_a g_bd + d_b g_ad - d_d g_ab) / 2``."""
         if self._gamma is None:
-            n = self.n
-            g, ginv = self.g, self.ginv
-            dg = [[[partial_deriv(g[a][b], c) for c in range(n)] for b in range(n)]
-                  for a in range(n)]  # dg[a][b][c] = d_c g_ab
-            gamma = []
-            for c in range(n):
-                rows = []
-                for a in range(n):
-                    row = []
-                    for b in range(a + 1):
-                        total = None
-                        for d in range(n):
-                            combo = dg[b][d][a] + dg[a][d][b] - dg[a][b][d]
-                            term = ginv[c][d] * combo
-                            total = term if total is None else total + term
-                        row.append(total * 0.5)
-                    rows.append(row)
-                gamma.append(rows)
-            # symmetric storage: fetch via helper
-            self._gamma = gamma
+            dg = hd.differential(self.g)  # (..., a, b, d) = d_d g_ab
+            combo = (hd.einsum("...bda->...abd", dg) + hd.einsum("...adb->...abd", dg)
+                     - dg)
+            self._gamma = 0.5 * hd.einsum("...cd,...abd->...cab", self.ginv, combo)
         return self._gamma
-
-    def gamma_at(self, c, a, b):
-        if b > a:
-            a, b = b, a
-        return self.gamma[c][a][b]
-
-    @property
-    def gamma_val(self):
-        n = self.n
-        out = np.empty(self.points.shape[:-1] + (n, n, n))
-        for c in range(n):
-            for a in range(n):
-                for b in range(n):
-                    out[..., c, a, b] = self.gamma_at(c, a, b).val
-        return out
 
     @property
     def riemann(self):
@@ -343,57 +259,25 @@ class ChartFrame:
         orientation: contraction with orthonormal ``E_a, E_b`` in slots
         ``(a,b,a,b)`` gives the sectional curvature of their plane."""
         if self._riemann is None:
-            n = self.n
-            gval = self.g_val
-            gam = np.empty(self.points.shape[:-1] + (n, n, n))
-            dgam = np.empty(self.points.shape[:-1] + (n, n, n, n))
-            for c in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        jet = self.gamma_at(c, a, b)
-                        gam[..., c, a, b] = jet.val
-                        dgam[..., c, a, b, :] = jet.grad
-            # up[e,c,a,b] = d_a Gamma^e_bc - d_b Gamma^e_ac
-            #             + Gamma^e_af Gamma^f_bc - Gamma^e_bf Gamma^f_ac
-            up = np.zeros(self.points.shape[:-1] + (n, n, n, n))
-            for e in range(n):
-                for c in range(n):
-                    for a in range(n):
-                        for b in range(n):
-                            val = dgam[..., e, b, c, a] - dgam[..., e, a, c, b]
-                            for f in range(n):
-                                val = val + gam[..., e, a, f] * gam[..., f, b, c]
-                                val = val - gam[..., e, b, f] * gam[..., f, a, c]
-                            up[..., e, c, a, b] = val
-            self._riemann = -np.einsum("...de,...ecab->...abcd", gval, up)
+            gam = self.gamma
+            # half[e,c,a,b] = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc; the
+            # curvature endomorphism is half minus half with a and b swapped
+            half = (np.einsum("...ebca->...ecab", gam.grad)
+                    + np.einsum("...eaf,...fbc->...ecab", gam.val, gam.val))
+            up = half - np.swapaxes(half, -1, -2)
+            self._riemann = -np.einsum("...de,...ecab->...abcd", self.g.val, up)
         return self._riemann
 
     # -- differential operators at value level ----------------------------
 
-    def divergence_of(self, comps):
-        """Divergence of a vector field given by jet components (valid grads)."""
-        n = self.n
-        out = None
-        for a in range(n):
-            term = comps[a].grad[..., a]
-            out = term if out is None else out + term
-        for a in range(n):
-            for b in range(n):
-                out = out + self.gamma_at(a, a, b).val * value_of(comps[b])
-        return out
+    def divergence_of(self, X):
+        """Divergence of a vector field given as a ``(..., a)`` jet (valid grads)."""
+        return (np.einsum("...aa->...", X.grad)
+                + np.einsum("...aab,...b->...", self.gamma.val, X.val))
 
     def grad_field(self, f_jet):
-        """Contravariant gradient components of a scalar jet (order-1 jets)."""
-        n = self.n
-        df = [partial_deriv(f_jet, b) for b in range(n)]
-        return [sum_jets([self.ginv[a][b] * df[b] for b in range(n)]) for a in range(n)]
-
-
-def sum_jets(items):
-    total = items[0]
-    for it in items[1:]:
-        total = total + it
-    return total
+        """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)`` jet."""
+        return hd.einsum("...ab,...b->...a", self.ginv, hd.differential(f_jet))
 
 
 @dataclass
@@ -408,9 +292,9 @@ def connection_at(m, p):
     """Metric, Christoffel symbols and curvature values at ``p`` ``(..., n)``."""
     frame = ChartFrame(m, p)
     # triggers SPD failure early with a clear error
-    _volume_element(frame.g_val, frame.points)
-    return PointFrameData(point=frame.points, g=frame.g_val,
-                          gamma=frame.gamma_val, riemann=frame.riemann)
+    _volume_element(frame.g.val, frame.points)
+    return PointFrameData(point=frame.points, g=frame.g.val,
+                          gamma=frame.gamma.val, riemann=frame.riemann)
 
 
 def divergence(m, X, p):
@@ -420,8 +304,7 @@ def divergence(m, X, p):
     from the coordinate jets (so the engine can differentiate them exactly).
     """
     frame = ChartFrame(m, p)
-    comps = [hd.as_jet(c, frame.coords[0]) for c in X(frame.coords)]
-    return frame.divergence_of(comps)
+    return frame.divergence_of(hd.stack(X(frame.coords), ref=frame.coords[0]))
 
 
 def div_grad(m, f, p):
@@ -429,13 +312,29 @@ def div_grad(m, f, p):
     the round sphere's ``l=1`` mode."""
     frame = ChartFrame(m, p)
     f_jet = hd.as_jet(f(frame.coords), frame.coords[0])
-    comps = frame.grad_field(f_jet)
-    return frame.divergence_of(comps)
+    return frame.divergence_of(frame.grad_field(f_jet))
 
 
 def laplacian_geom(m, f, p):
     """Geometers' Laplacian ``-Div(grad f)`` (positive spectrum)."""
     return -div_grad(m, f, p)
+
+
+def check_positive_definite(g, points):
+    """Raise :class:`GeometryError` naming the first of ``points`` ``(..., n)``
+    where the metric values ``g`` ``(..., n, n)`` are not positive definite."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        n = g.shape[-1]
+        for node, gp in zip(np.asarray(points, dtype=float).reshape(-1, n),
+                            g.reshape(-1, n, n)):
+            try:
+                np.linalg.cholesky(gp)
+            except np.linalg.LinAlgError:
+                raise GeometryError(
+                    f"metric not positive definite at {node.tolist()}") from None
+        raise
 
 
 def _volume_element(g, points):

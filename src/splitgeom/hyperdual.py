@@ -1,27 +1,36 @@
 """Second-order forward-mode scalars (value, gradient, Hessian).
 
-A :class:`HyperDual` carries the 2-jet of a scalar quantity with respect to
-the chart coordinates: its value, its gradient and its (symmetric) Hessian.
+A :class:`HyperDual` carries the 2-jet of a quantity with respect to the
+chart coordinates: its value, its gradient and its (symmetric) Hessian.
 Arithmetic implements the exact product and chain rules, so any quantity
 built from seeded coordinates carries machine-precision first and second
 derivatives -- no truncation error.
 
-Values may be scalars or numpy arrays of any shape ``S`` (a batch of
-evaluation points); then ``grad`` has shape ``S + (n,)`` and ``hess``
-``S + (n, n)``.  All arithmetic broadcasts over the batch.
+Values may be scalars or numpy arrays of any shape: a batch of evaluation
+points ``B`` followed by tensor axes ``T``.  Then ``grad`` has shape
+``B + T + (n,)`` and ``hess`` ``B + T + (n, n)``.  Elementwise arithmetic
+combines jets of one value shape with each other and with plain numbers.
+One jet thus carries a whole tensor field with
+its derivatives (the vector forward mode of Griewank & Walther, *Evaluating
+Derivatives*, on the hyper-dual numbers of Fike & Alonso):
 
-``partial_deriv(f, a)`` turns the 2-jet of ``f`` into the 1-jet of the
-coordinate derivative ``df/dx_a``: its value comes from ``f.grad`` and its
-gradient from ``f.hess``.  The result has no Hessian slot (``hess=None``):
-one derivative order is consumed and second derivatives of the result are
-not available.  Value and gradient slots of any downstream expression stay
-exact because binary/unary rules never read an operand's Hessian when
-producing the value or gradient of the result.  Taking ``partial_deriv`` of
-an order-1 jet raises: that would be a third metric derivative, which this
-engine never needs.
+* :func:`stack` builds a tensor jet from (nested) lists of scalar jets,
+* :func:`einsum` contracts jets and plain arrays with the product rule,
+* :func:`differential` turns the 2-jet of ``f`` into the 1-jet of all its
+  partial derivatives, the derivative index as a new last value axis.
+
+A jet without a Hessian slot (``hess=None``) has order 1.  Value and
+gradient slots of any expression stay exact when an operand has order 1,
+because no rule reads an operand's Hessian to produce the value or gradient
+of the result; the result simply has order 1 as well.  Taking the
+differential of an order-1 jet raises: that would be a third metric
+derivative, which this engine never needs.
 """
 
 from __future__ import annotations
+
+import itertools
+import string
 
 import numpy as np
 
@@ -30,7 +39,9 @@ __all__ = [
     "seed_jets",
     "constant_like",
     "as_jet",
-    "partial_deriv",
+    "stack",
+    "einsum",
+    "differential",
     "value_of",
     "sin",
     "cos",
@@ -48,6 +59,9 @@ class JetOrderError(RuntimeError):
 
 class JetDomainError(ValueError):
     """Raised when a primitive is evaluated outside its domain."""
+
+
+_LETTERS = string.ascii_letters
 
 
 def _outer(u, v):
@@ -73,6 +87,15 @@ class HyperDual:
 
     def __repr__(self):
         return f"HyperDual(val={self.val!r}, order={self.order})"
+
+    def __getitem__(self, idx):
+        """Index the value axes; ``idx`` must start with ``...`` so that it
+        addresses the trailing (tensor) axes, e.g. ``E[..., a, :]``."""
+        if not (isinstance(idx, tuple) and idx and idx[0] is Ellipsis):
+            raise IndexError("jet indices must start with '...'")
+        return HyperDual(self.val[idx], self.grad[idx + (slice(None),)],
+                         None if self.hess is None
+                         else self.hess[idx + (slice(None), slice(None))])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -204,14 +227,88 @@ def as_jet(x, ref):
         return x
     return constant_like(ref, x)
 
-def partial_deriv(f, axis):
-    """First-order jet of the coordinate derivative ``df/dx_axis``."""
+def _depth(items):
+    return 1 + _depth(items[0]) if isinstance(items, (list, tuple)) else 0
+
+
+def stack(items, axis=-1, ref=None):
+    """One jet from a sequence of jets or constants of one value shape.
+
+    Like ``np.stack`` with the new axis at ``axis < 0``, counted from the end
+    of the value shape (so the batch shape is free).  Nested sequences give
+    one axis per level, in nesting order, the innermost at ``axis``: an
+    ``n x n`` nested list of scalar jets becomes a ``(..., n, n)`` jet.
+    Constants become constant jets like ``ref`` (default: the first jet
+    among the stacked items); with no jet at all the result is a plain
+    array.  The result has order 2 only if every jet has.
+    """
+    if axis >= 0:
+        raise ValueError("stack axis must be negative")
+    new = axis - (_depth(items) - 1)
+    parts = [stack(it, axis, ref) if isinstance(it, (list, tuple)) else it
+             for it in items]
+    if ref is None:
+        ref = next((p for p in parts if isinstance(p, HyperDual)), None)
+    if ref is None:
+        return np.stack(np.broadcast_arrays(*[np.asarray(p, dtype=float) for p in parts]),
+                        axis=new)
+    jets = [as_jet(p, ref) for p in parts]
+    shape = np.broadcast_shapes(*(j.val.shape for j in jets))
+    n = ref.dim
+    val = np.stack([np.broadcast_to(j.val, shape) for j in jets], axis=new)
+    grad = np.stack([np.broadcast_to(j.grad, shape + (n,)) for j in jets], axis=new - 1)
+    hess = None
+    if all(j.hess is not None for j in jets):
+        hess = np.stack([np.broadcast_to(j.hess, shape + (n, n)) for j in jets],
+                        axis=new - 2)
+    return HyperDual(val, grad, hess)
+
+
+def einsum(spec, *ops):
+    """``np.einsum(spec, *ops)`` over jets and plain arrays, with the product rule.
+
+    ``spec`` names its output (``"...ab,...b->...a"``).  The gradient is the
+    sum over jet operands of the same contraction with that operand's
+    gradient in place of its value, the derivative axis appended; the
+    Hessian adds the symmetrised cross terms of every pair of gradients.
+    The result has order 2 only if every jet operand has; with no jet
+    operand it is a plain array.
+    """
+    ins, out = spec.replace(" ", "").split("->")
+    ins = ins.split(",")
+    d1, d2 = [c for c in _LETTERS if c not in spec][:2]
+    vals = [value_of(o) for o in ops]
+    jets = [k for k, o in enumerate(ops) if isinstance(o, HyperDual)]
+
+    def term(swap, extra):
+        # ``swap`` maps operand index -> (array, its appended derivative axes)
+        subs = ",".join(ins[k] + swap[k][1] if k in swap else ins[k]
+                        for k in range(len(ops)))
+        arrays = [swap[k][0] if k in swap else vals[k] for k in range(len(ops))]
+        return np.einsum(f"{subs}->{out}{extra}", *arrays, optimize=True)
+
+    val = term({}, "")
+    if not jets:
+        return val
+    grad = sum(term({k: (ops[k].grad, d1)}, d1) for k in jets)
+    hess = None
+    if all(ops[k].hess is not None for k in jets):
+        hess = sum(term({k: (ops[k].hess, d1 + d2)}, d1 + d2) for k in jets)
+        for a, b in itertools.combinations(jets, 2):
+            cross = term({a: (ops[a].grad, d1), b: (ops[b].grad, d2)}, d1 + d2)
+            hess = hess + cross + np.swapaxes(cross, -1, -2)
+    return HyperDual(val, grad, hess)
+
+
+def differential(f):
+    """First-order jet of all partial derivatives of ``f``: value ``f.grad``,
+    gradient ``f.hess``; the derivative index is the new last value axis."""
     if not isinstance(f, HyperDual):
-        raise TypeError("partial_deriv needs a HyperDual")
+        raise TypeError("differential needs a HyperDual")
     if f.hess is None:
         raise JetOrderError(
             "second-order information exhausted: cannot differentiate an order-1 jet")
-    return HyperDual(f.grad[..., axis], f.hess[..., axis, :], None)
+    return HyperDual(f.grad, f.hess, None)
 
 def value_of(x):
     """Plain value of a jet or passthrough for arrays/floats."""

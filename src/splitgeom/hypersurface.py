@@ -290,8 +290,8 @@ def _nabla_A(scn, p):
     Y = bundle["Y"][0]
     mu = bundle["mu"][0]
     cf = ChartFrame(scn.chart, p)
-    gamma = cf.gamma_val  # (n, n, n): Gamma^c_ab
-    if np.max(np.abs(cf.g_val - g)) > 1e-9 * (1.0 + np.max(np.abs(g))):
+    gamma = cf.gamma.val  # (n, n, n): Gamma^c_ab
+    if np.max(np.abs(cf.g.val - g)) > 1e-9 * (1.0 + np.max(np.abs(g))):
         raise GeometryError("closed-form metric disagrees with the immersion metric")
 
     def A_at(x):
@@ -466,7 +466,7 @@ def hypersurface_identity(scn, p):
     mu_hat = _group_means(bundle["mu"], dims)[0]
     ginv = np.linalg.inv(g)
     cf = ChartFrame(scn.chart, p)
-    gamma = cf.gamma_val
+    gamma = cf.gamma.val
 
     def V_at(x):
         return _identity_field(scn, x)

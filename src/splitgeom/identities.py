@@ -150,22 +150,16 @@ class _Evaluator:
 
     # -- building blocks ---------------------------------------------------
 
-    def H_jets(self, q):
-        return self.ctx.fundamental(q).H_jets
-
     def H_vals(self, q):
         return self.ctx.H_values(q)
 
     def field_from(self, coef_qs):
-        """Coordinate jet components of ``sum coef * H_q``."""
-        comps = None
+        """Coordinate vector jet of ``sum coef * H_q``."""
+        field = None
         for coef, q in coef_qs:
-            jets = self.H_jets(q)
-            if comps is None:
-                comps = [coef * j for j in jets]
-            else:
-                comps = [c + coef * j for c, j in zip(comps, jets)]
-        return comps
+            term = coef * self.ctx.fundamental(q).H
+            field = term if field is None else field + term
+        return field
 
     def div_field(self, coef_qs):
         return self.ctx.divergence_values(self.field_from(coef_qs))
@@ -443,7 +437,7 @@ def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
             out[name + "/abs_rhs"] = np.abs(data["rhs"])
             out[name + "/term"] = data["max_term"]
             out[name + "/div"] = data["div"]
-        return out, ev.ctx.frame.g_val
+        return out, ev.ctx.frame.g.val
 
     grid, sums = rectangle_rule(chart, grid, eval_chunk, map_batched,
                                 chunk=chunk, threads=threads)
@@ -481,17 +475,9 @@ def propagation_suprema(chart, split, points, chunk=DEFAULT_CHUNK, threads=1):
         sup_t = np.zeros(pts.shape[0])
         for r in range(3, k):
             for q in subsets(r, k):
-                d = ctx.fundamental(q)
-                arg = d.arg_idx
-                blocks = [ctx.split.block_of(a) for a in arg]
-                for ia in range(len(arg)):
-                    for ib in range(len(arg)):
-                        if blocks[ia] == blocks[ib]:
-                            continue
-                        sup_h = np.maximum(sup_h, np.max(
-                            np.abs(d.h_frame[..., ia, ib, :]), axis=-1))
-                        sup_t = np.maximum(sup_t, np.max(
-                            np.abs(d.t_frame[..., ia, ib, :]), axis=-1))
+                h, t = ctx.cross_block_sup(q)
+                sup_h = np.maximum(sup_h, h)
+                sup_t = np.maximum(sup_t, t)
         return {"sup_h": sup_h, "sup_t": sup_t}
 
     out = map_batched(eval_chunk, points, chunk=chunk, threads=threads)

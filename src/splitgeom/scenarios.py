@@ -292,11 +292,9 @@ def warped_checks(scenario, points):
         u = hd.as_jet(evaluate(ast, coords), coords[0])
         grad_log = ctx.frame.grad_field(hd.log(u))
         data = ctx.fundamental(SubsetIndex((fiber,)))
-        for d in range(ctx.n):
-            delta = value_of(data.H_jets[d]) + ni * value_of(grad_log[d])
-            res_H = max(res_H, float(np.max(np.abs(delta))))
+        res_H = max(res_H, float(np.max(np.abs(data.H.val + ni * grad_log.val))))
 
-        div_H = ctx.divergence_values(data.H_jets)
+        div_H = ctx.divergence_values(data.H)
         lap_u = np.sum(np.stack([u.hess[..., a, a] for a in range(n1)], axis=-1), axis=-1)
         grad_u2 = np.sum(u.grad[..., :n1] ** 2, axis=-1)
         rhs = -ni * lap_u / u.val - (ni * ni - ni) * grad_u2 / (u.val * u.val)

@@ -9,7 +9,8 @@ jet-capable callback returning ``n`` vector fields in block order (the first
 
 * the adapted orthonormal frame (blockwise Gram-Schmidt in fixed order, run
   on jets so frame derivatives are exact),
-* covariant derivatives ``cov[a][b] = nabla_{E_a} E_b`` of frame fields,
+* the frame components ``cov[a, b, c] = <nabla_{E_a} E_b, E_c>`` of the
+  covariant derivatives of frame fields, as one order-1 jet,
 * for any index subset ``q``: the symmetric second fundamental form ``h_q``,
   the skew integrability tensor ``T_q``, the mean curvature vector ``H_q``
   (trace of ``h_q``, expanded in the orthogonal complement) and their squared
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import ChartFrame, GeometryError
-from .hyperdual import HyperDual, partial_deriv, value_of
+from .chart import ChartFrame, GeometryError, check_positive_definite
 
 __all__ = [
     "SubsetIndex",
@@ -115,40 +115,29 @@ def coordinate_split(dims, name="coordinate"):
     n = sum(dims)
 
     def frame(coords):
-        ref = coords[0]
-        basis = []
-        for a in range(n):
-            basis.append([hd.as_jet(1.0 if b == a else 0.0, ref) for b in range(n)])
-        return basis
+        return np.eye(n).tolist()
 
     return SplitStructure(dims, frame, name=name)
 
 
-def _inner(g, u, v):
-    total = None
-    n = len(u)
-    for a in range(n):
-        for b in range(n):
-            term = g[a][b] * u[a] * v[b]
-            total = term if total is None else total + term
-    return total
-
-
-def gram_schmidt(g, vectors):
-    """Sequential modified Gram-Schmidt in the metric ``g`` (generic scalars)."""
+def gram_schmidt(g, vectors, points):
+    """Sequential modified Gram-Schmidt of the rows of ``vectors``
+    ``(..., v, a)`` in the metric ``g`` ``(..., a, b)``; the same code runs
+    on jets and on plain arrays.  Raises :class:`GeometryError` naming the
+    first of ``points`` where the rows are linearly dependent."""
     out = []
-    for v in vectors:
-        w = list(v)
+    for v in range(hd.value_of(vectors).shape[-2]):
+        w = vectors[..., v, :]
         for e in out:
-            c = _inner(g, w, e)
-            w = [w[a] - c * e[a] for a in range(len(w))]
-        nrm2 = _inner(g, w, w)
-        nrm2_val = value_of(nrm2)
-        if np.any(nrm2_val <= 1e-24):
-            raise GeometryError("spanning frame is rank deficient at a sampled point")
-        nrm = hd.sqrt(nrm2)
-        out.append([w[a] / nrm for a in range(len(w))])
-    return out
+            c = hd.einsum("...a,...ab,...b->...", w, g, e)
+            w = w - hd.einsum("...,...a->...a", c, e)
+        nrm2 = hd.einsum("...a,...ab,...b->...", w, g, w)
+        bad = np.flatnonzero(hd.value_of(nrm2) <= 1e-24)
+        if bad.size:
+            node = points.reshape(-1, points.shape[-1])[bad[0]]
+            raise GeometryError(f"spanning frame is rank deficient at {node.tolist()}")
+        out.append(hd.einsum("...,...a->...a", 1.0 / hd.sqrt(nrm2), w))
+    return hd.stack(out, axis=-2)
 
 
 @dataclass
@@ -157,8 +146,8 @@ class FundamentalData:
 
     ``h_frame``/``t_frame`` have shape ``batch + (nq, nq, nc)``: component of
     ``h_q(E_a, E_b)`` (resp. ``T_q``) along the complement frame vector
-    ``E_c``.  ``H_frame`` has shape ``batch + (nc,)``; ``H_jets`` are the
-    coordinate components of the mean curvature vector as jets with exact
+    ``E_c``.  ``H_frame`` has shape ``batch + (nc,)``; ``H`` is the mean
+    curvature vector in coordinates, a ``batch + (n,)`` jet with exact
     gradients (differentiable once).
     """
 
@@ -168,7 +157,7 @@ class FundamentalData:
     h_frame: np.ndarray
     t_frame: np.ndarray
     H_frame: np.ndarray
-    H_jets: list
+    H: hd.HyperDual
     h_norm2: np.ndarray
     t_norm2: np.ndarray
     H_norm2: np.ndarray
@@ -190,54 +179,46 @@ class SplitContext:
         self._value_only = frame_values is not None
         self._fund = {}
         self._cov = None
-        self._dE = None
         self._K = None
 
         if frame_values is not None:
-            raw = [[np.asarray(frame_values[..., v, a], dtype=float)
-                    for a in range(self.n)] for v in range(self.n)]
+            raw = np.asarray(frame_values, dtype=float)
+            g = self.frame.g.val
         else:
             if split.frame is None:
                 raise GeometryError("split structure has no spanning frame")
-            raw = [[hd.as_jet(c, self.frame.coords[0]) for c in vec]
-                   for vec in split.frame(self.frame.coords)]
-            if len(raw) != self.n:
+            vecs = split.frame(self.frame.coords)
+            if len(vecs) != self.n:
                 raise GeometryError("spanning frame must supply n vector fields")
-        self._raw = raw
+            raw = hd.stack(vecs, ref=self.frame.coords[0])
+            g = self.frame.g
+        check_positive_definite(self.frame.g.val, self.points)
         if validate:
-            self._validate_raw_blocks()
-        g = self.frame.g if not self._value_only else self._g_value_matrix()
-        self.E = gram_schmidt(g, raw)
+            self._validate_raw_blocks(hd.value_of(raw))
+        self.E = gram_schmidt(g, raw, self.points)
 
-    def _g_value_matrix(self):
-        gv = self.frame.g_val
-        return [[gv[..., a, b] for b in range(self.n)] for a in range(self.n)]
-
-    def _validate_raw_blocks(self, tol=1e-9):
-        g = self.frame.g if not self._value_only else self._g_value_matrix()
-        scale = 1.0 + np.max(np.abs(self.frame.g_val))
+    def _validate_raw_blocks(self, raw, tol=1e-9):
+        gv = self.frame.g.val
+        gram = np.einsum("...va,...ab,...wb->...vw", raw, gv, raw)
+        scale = 1.0 + np.max(np.abs(gv))
         for i in range(1, self.k + 1):
             for j in range(i + 1, self.k + 1):
-                for a in self.split.block(i):
-                    for b in self.split.block(j):
-                        ip = np.max(np.abs(value_of(_inner(g, self._raw[a], self._raw[b]))))
-                        if ip > tol * scale:
-                            raise GeometryError(
-                                f"spanning blocks {i} and {j} are not orthogonal "
-                                f"(inner product {ip:.2e})")
+                cross = gram[..., self.split.block(i), :][..., self.split.block(j)]
+                ip = np.max(np.abs(cross))
+                if ip > tol * scale:
+                    raise GeometryError(
+                        f"spanning blocks {i} and {j} are not orthogonal "
+                        f"(inner product {ip:.2e})")
 
     # -- frame-level data ---------------------------------------------------
 
     @property
     def E_val(self):
-        out = np.empty(self.points.shape[:-1] + (self.n, self.n))
-        for v in range(self.n):
-            for a in range(self.n):
-                out[..., v, a] = value_of(self.E[v][a])
-        return out
+        """Adapted frame values ``(..., v, a)``: row ``v`` is ``E_v``."""
+        return hd.value_of(self.E)
 
     def orthonormality_residual(self):
-        g = self.frame.g_val
+        g = self.frame.g.val
         E = self.E_val
         gram = np.einsum("...va,...ab,...wb->...vw", E, g, E)
         eye = np.eye(self.n)
@@ -245,7 +226,7 @@ class SplitContext:
 
     def projectors(self):
         """Value-level orthoprojector matrices ``P_i``, shape ``(..., k, n, n)``."""
-        g = self.frame.g_val
+        g = self.frame.g.val
         E = self.E_val
         flat = np.einsum("...ab,...vb->...va", g, E)  # lowered frame vectors
         out = np.zeros(self.points.shape[:-1] + (self.k, self.n, self.n))
@@ -256,36 +237,18 @@ class SplitContext:
 
     @property
     def cov(self):
-        """``cov[a][b]`` = coordinate components (jets) of ``nabla_{E_a} E_b``."""
+        """``cov[..., a, b, c] = <nabla_{E_a} E_b, E_c>``: order-1 jet of the
+        frame components of the covariant derivatives of frame fields."""
         if self._value_only:
             raise GeometryError("covariant derivatives need a jet-capable frame")
         if self._cov is None:
-            n = self.n
-            fr = self.frame
-            dE = [[[partial_deriv(self.E[b][d], c) for c in range(n)]
-                   for d in range(n)] for b in range(n)]
-            cov = []
-            for a in range(n):
-                row = []
-                for b in range(n):
-                    comps = []
-                    for d in range(n):
-                        total = None
-                        for c in range(n):
-                            term = self.E[a][c] * dE[b][d][c]
-                            total = term if total is None else total + term
-                        for c in range(n):
-                            for e in range(n):
-                                term = fr.gamma_at(d, c, e) * (self.E[a][c] * self.E[b][e])
-                                total = total + term
-                        comps.append(total)
-                    row.append(comps)
-                cov.append(row)
-            self._cov = cov
+            fr, E = self.frame, self.E
+            dE = hd.differential(E)  # (..., b, d, x) = d_x E_b^d
+            # coordinate components (..., a, b, d) of nabla_{E_a} E_b
+            nabla = (hd.einsum("...ax,...bdx->...abd", E, dE)
+                     + hd.einsum("...dxy,...ax,...by->...abd", fr.gamma, E, E))
+            self._cov = hd.einsum("...abd,...de,...ce->...abc", nabla, fr.g, E)
         return self._cov
-
-    def inner_jets(self, u, v):
-        return _inner(self.frame.g, u, v)
 
     # -- fundamental tensors -------------------------------------------------
 
@@ -300,35 +263,14 @@ class SplitContext:
         arg_idx = self.split.block_indices(q)
         comp_labels = [i for i in range(1, self.k + 1) if i not in q]
         perp_idx = self.split.block_indices(comp_labels)
-        cov = self.cov
-        batch = self.points.shape[:-1]
-        na, nc = len(arg_idx), len(perp_idx)
-
-        h_frame = np.empty(batch + (na, na, nc))
-        t_frame = np.empty(batch + (na, na, nc))
-        # trace of h_q in complement-frame coefficients (jets)
-        trace_coef = [None] * nc
-        for ia, a in enumerate(arg_idx):
-            for ib, b in enumerate(arg_idx):
-                for ic, c in enumerate(perp_idx):
-                    dab = self.inner_jets(cov[a][b], self.E[c])
-                    dba = self.inner_jets(cov[b][a], self.E[c])
-                    h_frame[..., ia, ib, ic] = 0.5 * (dab.val + dba.val)
-                    t_frame[..., ia, ib, ic] = 0.5 * (dab.val - dba.val)
-                    if a == b:
-                        trace_coef[ic] = dab if trace_coef[ic] is None else trace_coef[ic] + dab
-
-        H_frame = np.stack([tc.val for tc in trace_coef], axis=-1) if nc else \
-            np.zeros(batch + (0,))
-        H_jets = []
-        for d in range(self.n):
-            total = None
-            for ic, c in enumerate(perp_idx):
-                term = trace_coef[ic] * self.E[c][d]
-                total = term if total is None else total + term
-            if total is None:  # q = {1..k}: complement empty, H vanishes
-                total = hd.constant_like(self.frame.coords[0], 0.0)
-            H_jets.append(total)
+        # d[a, b, c] = <nabla_{E_a} E_b, E_c>, arguments a, b in q, c in the complement
+        d = self.cov[(Ellipsis,) + np.ix_(arg_idx, arg_idx, perp_idx)]
+        dT = np.swapaxes(d.val, -3, -2)
+        h_frame = 0.5 * (d.val + dT)
+        t_frame = 0.5 * (d.val - dT)
+        # the trace of h_q, expanded in the complement frame
+        H = hd.einsum("...aac,...cd->...d", d, self.E[..., perp_idx, :])
+        H_frame = np.einsum("...aac->...c", d.val)
 
         # ordered-pair norm convention
         h_norm2 = np.sum(h_frame ** 2, axis=(-3, -2, -1))
@@ -337,17 +279,25 @@ class SplitContext:
 
         data = FundamentalData(q=q, arg_idx=arg_idx, perp_idx=perp_idx,
                                h_frame=h_frame, t_frame=t_frame, H_frame=H_frame,
-                               H_jets=H_jets, h_norm2=h_norm2, t_norm2=t_norm2,
+                               H=H, h_norm2=h_norm2, t_norm2=t_norm2,
                                H_norm2=H_norm2)
         self._fund[q.q] = data
         return data
 
     def H_values(self, q):
-        data = self.fundamental(q)
-        return np.stack([value_of(c) for c in data.H_jets], axis=-1)
+        return self.fundamental(q).H.val
 
     def inner_values(self, u_vals, v_vals):
-        return np.einsum("...ab,...a,...b->...", self.frame.g_val, u_vals, v_vals)
+        return np.einsum("...ab,...a,...b->...", self.frame.g.val, u_vals, v_vals)
+
+    def cross_block_sup(self, q):
+        """Per-point sup of ``|h_q|`` and ``|T_q|`` components over argument
+        pairs ``(E_a, E_b)`` from different blocks of ``q``."""
+        data = self.fundamental(q)
+        blocks = np.array([self.split.block_of(a) for a in data.arg_idx])
+        cross = blocks[:, None] != blocks[None, :]
+        return tuple(np.max(np.abs(t[..., cross, :]), axis=(-2, -1), initial=0.0)
+                     for t in (data.h_frame, data.t_frame))
 
     # -- curvature sums -------------------------------------------------------
 
@@ -390,26 +340,20 @@ class SplitContext:
 
     # -- divergences ----------------------------------------------------------
 
-    def divergence_values(self, comps):
-        return self.frame.divergence_of(comps)
+    def divergence_values(self, X):
+        return self.frame.divergence_of(X)
 
-    def partial_divergence(self, q, comps):
-        """``Div_q X``: the frame-block part of the divergence, at value level."""
+    def partial_divergence(self, q, X):
+        """``Div_q X`` of a ``(..., a)`` vector jet: the frame-block part of
+        the divergence, at value level."""
         if isinstance(q, tuple):
             q = SubsetIndex(q)
-        idx = self.split.block_indices(q)
-        g = self.frame.g_val
-        gam = self.frame.gamma_val
-        E = self.E_val
-        X_val = np.stack([value_of(c) for c in comps], axis=-1)
-        dX = np.stack([c.grad for c in comps], axis=-2)  # (..., d, c) = d_c X^d
-        nabla = dX + np.einsum("...dce,...e->...dc", gam, X_val)
-        total = np.zeros(self.points.shape[:-1])
-        for a in idx:
-            Ea = E[..., a, :]
-            # <nabla_{E_a} X, E_a>
-            total = total + np.einsum("...c,...dc,...de,...e->...", Ea, nabla, g, Ea)
-        return total
+        E = self.E_val[..., self.split.block_indices(q), :]
+        # nabla[d, c] = d_c X^d + Gamma^d_ce X^e
+        nabla = X.grad + np.einsum("...dce,...e->...dc", self.frame.gamma.val, X.val)
+        # sum over a in q of <nabla_{E_a} X, E_a>
+        return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, self.frame.g.val, E,
+                         optimize=True)
 
 
 def pair_predicates(chart, split, i, j, sample_pts, tol=1e-9):
@@ -421,18 +365,8 @@ def pair_predicates(chart, split, i, j, sample_pts, tol=1e-9):
     if i == j:
         raise ValueError("pair predicates need two distinct distributions")
     ctx = SplitContext(chart, split, sample_pts)
-    q = SubsetIndex(tuple(sorted((i, j))))
-    data = ctx.fundamental(q)
-    ni = ctx.split.dims[q.q[0] - 1]
-    sup_h = 0.0
-    sup_t = 0.0
-    for ia in range(len(data.arg_idx)):
-        for ib in range(len(data.arg_idx)):
-            # cross-block argument pairs only
-            if (ia < ni) == (ib < ni):
-                continue
-            sup_h = max(sup_h, float(np.max(np.abs(data.h_frame[..., ia, ib, :]), initial=0.0)))
-            sup_t = max(sup_t, float(np.max(np.abs(data.t_frame[..., ia, ib, :]), initial=0.0)))
+    sup_h, sup_t = (float(np.max(s, initial=0.0))
+                    for s in ctx.cross_block_sup(SubsetIndex(tuple(sorted((i, j))))))
     return {
         "mixed_tg": sup_h <= tol,
         "mixed_int": sup_t <= tol,

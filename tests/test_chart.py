@@ -118,6 +118,46 @@ def test_riemann_symmetries_and_bianchi():
         assert np.max(np.abs(bianchi)) <= 1e-10
 
 
+def test_christoffel_and_riemann_match_symbolic_oracle():
+    # independent oracle: sympy differentiates a small non-diagonal metric
+    # symbolically; nothing here shares code with the jet engine
+    sp = pytest.importorskip("sympy")
+    src = [["2 + sin(x2)", "0.5*cos(x3)", "0"],
+           ["0.5*cos(x3)", "3", "0.4*sin(x1)"],
+           ["0", "0.4*sin(x1)", "2 + cos(x2)"]]
+    n = 3
+    x = sp.symbols("x1:4")
+    names = {f"x{a + 1}": x[a] for a in range(n)}
+    G = sp.Matrix(n, n, lambda a, b: sp.sympify(src[a][b], locals=names))
+    Ginv = G.adjugate() / G.det()
+    gam = [[[sum(Ginv[c, d] * (sp.diff(G[b, d], x[a]) + sp.diff(G[a, d], x[b])
+                               - sp.diff(G[a, b], x[d])) for d in range(n)) / 2
+             for b in range(n)] for a in range(n)] for c in range(n)]
+    dgam = [[[[sp.diff(gam[c][a][b], x[e]) for e in range(n)] for b in range(n)]
+              for a in range(n)] for c in range(n)]
+    f_g = sp.lambdify(x, G.tolist(), "math")
+    f_gam = sp.lambdify(x, gam, "math", cse=True)
+    f_dgam = sp.lambdify(x, dgam, "math", cse=True)
+
+    pts = np.random.default_rng(21).uniform(0.0, TWO_PI, size=(4, n))
+    frame = ChartFrame(ChartManifold([Axis(0.0, TWO_PI)] * n, src), pts)
+    for i, p in enumerate(pts):
+        g = np.array(f_g(*p), dtype=float)
+        Gam = np.array(f_gam(*p), dtype=float)     # Gam[c, a, b] = Gamma^c_ab
+        dGam = np.array(f_dgam(*p), dtype=float)   # dGam[c, a, b, e] = d_e Gamma^c_ab
+        # R[e, c, a, b] = d_a Gamma^e_bc - d_b Gamma^e_ac
+        #               + Gamma^e_af Gamma^f_bc - Gamma^e_bf Gamma^f_ac
+        R = np.zeros((n,) * 4)
+        for e, c, a, b in np.ndindex(*R.shape):
+            R[e, c, a, b] = dGam[e, b, c, a] - dGam[e, a, c, b] + sum(
+                Gam[e, a, f] * Gam[f, b, c] - Gam[e, b, f] * Gam[f, a, c] for f in range(n))
+        # engine orientation: riemann[a, b, c, d] = -g_de R^e_cab
+        want = -np.einsum("de,ecab->abcd", g, R)
+        np.testing.assert_allclose(frame.gamma.val[i], Gam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frame.gamma.grad[i], dGam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frame.riemann[i], want, rtol=0, atol=1e-12)
+
+
 def test_non_spd_metric_rejected():
     m = ChartManifold([Axis(0.0, TWO_PI)], [["sin(x1)"]])
     with pytest.raises(GeometryError):

@@ -70,9 +70,9 @@ def test_main_k2_is_the_two_distribution_identity_bit_for_bit():
 
     # classical form, replicated with the same primitives and summation order
     q1, q2 = subsets(1, 2)
-    comps = [1.0 * j for j in ctx.fundamental(q1).H_jets]
-    comps = [c + 1.0 * j for c, j in zip(comps, ctx.fundamental(q2).H_jets)]
-    div = ctx.divergence_values(comps)
+    field = 1.0 * ctx.fundamental(q1).H
+    field = field + 1.0 * ctx.fundamental(q2).H
+    div = ctx.divergence_values(field)
     rhs = 1 * ctx.smix()
     for q in (q1, q2):
         d = ctx.fundamental(q)

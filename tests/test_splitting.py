@@ -6,6 +6,7 @@ import pytest
 from splitgeom import hyperdual as hd
 from splitgeom.chart import Axis, ChartManifold, GeometryError, divergence, sample_points
 from splitgeom.expr import parse_expr
+from splitgeom.identities import pointwise_fields
 from splitgeom.scenarios import (
     WarpedSpec,
     build_twisted_torus,
@@ -281,7 +282,7 @@ def test_partial_divergence_consistency():
                 hd.cos(coords[0]) * hd.cos(coords[2])]
 
     ctx = SplitContext(m, split, pts)
-    comps = [hd.as_jet(c, ctx.frame.coords[0]) for c in field(ctx.frame.coords)]
+    comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
     full = ctx.partial_divergence(SubsetIndex((1, 2, 3)), comps)
     coord_formula = divergence(m, field, pts)
     np.testing.assert_allclose(full, coord_formula, atol=1e-10)
@@ -300,8 +301,8 @@ def test_partial_divergence_mean_curvature_identity():
         for i in range(1, scn.k + 1):
             q = SubsetIndex((i,))
             data = ctx.fundamental(q)
-            div_full = ctx.divergence_values(data.H_jets)
-            div_comp = ctx.partial_divergence(q.complement(scn.k), data.H_jets)
+            div_full = ctx.divergence_values(data.H)
+            div_comp = ctx.partial_divergence(q.complement(scn.k), data.H)
             np.testing.assert_allclose(div_comp, div_full + data.H_norm2, atol=1e-9)
 
 
@@ -321,7 +322,7 @@ def test_divergence_frame_independence():
                            + c[2] * hd.sin(coords[2]) + hd.as_jet(c[3], coords[0]))
             return out
 
-        comps = [hd.as_jet(c, ctx.frame.coords[0]) for c in field(ctx.frame.coords)]
+        comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
         frame_sum = ctx.partial_divergence(SubsetIndex((1, 2, 3)), comps)
         coord = ctx.divergence_values(comps)
         assert np.max(np.abs(frame_sum - coord)) <= 1e-10
@@ -414,3 +415,24 @@ def test_rank_deficient_frame_rejected():
     with pytest.raises(GeometryError):
         SplitContext(flat, SplitStructure((1, 1), bad),
                      sample_points(flat, 3, np.random.default_rng(18)), validate=False)
+
+
+def test_rank_deficient_frame_names_its_point():
+    flat = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["1", "0"], ["0", "1"]])
+
+    def degenerate(coords):
+        # orthogonal blocks, but the second vector vanishes where sin(x1) = 0
+        return [[1.0, 0.0], [0.0, hd.sin(coords[0])]]
+
+    pts = np.array([[1.0, 2.0], [0.0, 0.5], [2.0, 1.0]])
+    with pytest.raises(GeometryError, match=r"rank deficient at \[0\.0, 0\.5\]"):
+        SplitContext(flat, SplitStructure((1, 1), degenerate), pts)
+
+
+def test_non_spd_metric_names_its_point():
+    chart = ChartManifold([Axis(0.0, TWO_PI)] * 3,
+                          [["sin(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    pts = np.array([[1.0, 0.5, 0.5], [4.0, 0.5, 0.25], [5.0, 1.0, 1.0]])
+    with pytest.raises(GeometryError,
+                       match=r"metric not positive definite at \[4\.0, 0\.5, 0\.25\]"):
+        pointwise_fields(chart, coordinate_split((1, 2)), pts, ["main"])
