@@ -320,9 +320,10 @@ def laplacian_geom(m, f, p):
     return -div_grad(m, f, p)
 
 
-def check_positive_definite(g, points):
-    """Raise :class:`GeometryError` naming the first of ``points`` ``(..., n)``
-    where the metric values ``g`` ``(..., n, n)`` are not positive definite."""
+def check_positive_definite(g, points, what="metric not positive definite"):
+    """Raise :class:`GeometryError` ``"<what> at [x...]"`` naming the first of
+    ``points`` ``(..., n)`` where the metric values ``g`` ``(..., n, n)`` are
+    not positive definite."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -332,8 +333,7 @@ def check_positive_definite(g, points):
             try:
                 np.linalg.cholesky(gp)
             except np.linalg.LinAlgError:
-                raise GeometryError(
-                    f"metric not positive definite at {node.tolist()}") from None
+                raise GeometryError(f"{what} at {node.tolist()}") from None
         raise
 
 

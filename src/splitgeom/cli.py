@@ -244,7 +244,7 @@ def scenario_rng(seed, name):
 
 def _tolerances_from(config_tols):
     tols = Tolerances()
-    extra = {"codazzi": 1e-5, "kmix": 1e-8}
+    extra = {"codazzi": 1e-11, "kmix": 1e-8, "surface_identity": 1e-11}
     if config_tols:
         for key in ("pointwise", "integral", "predicate"):
             if key in config_tols:
@@ -348,11 +348,8 @@ def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
 
     if selected("codazzi"):
         t0 = time.perf_counter()
-        worst = 0.0
-        for p in pts:
-            res = codazzi_checks(scn, p)
-            worst = max(worst, res["total_symmetry"], res["eigen_offdiag"],
-                        res["eigen_diag"], res["exchange"])
+        res = codazzi_checks(scn, pts)
+        worst = max(float(np.max(v)) for key, v in res.items() if key != "scale")
         reports.append(CheckReport(
             identity="codazzi", scenario=scn.name, kind="pointwise",
             n_points=count, tolerance=extra_tols["codazzi"],
@@ -361,14 +358,9 @@ def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
 
     if selected("surface_identity"):
         t0 = time.perf_counter()
-        tol = extra_tols.get("surface_identity",
-                             1e-6 if scn.expected_k == 2 else 1e-4)
-        worst = 0.0
-        rows = []
-        for p in pts:
-            out = hypersurface_identity(scn, p)
-            worst = max(worst, abs(out["residual"]))
-            rows.append(out["residual"])
+        tol = extra_tols["surface_identity"]
+        rows = hypersurface_identity(scn, pts)["residual"]
+        worst = float(np.max(np.abs(rows)))
         reports.append(CheckReport(
             identity="surface_identity", scenario=scn.name, kind="pointwise",
             n_points=count, tolerance=tol,
@@ -377,7 +369,7 @@ def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
         if csv_rows is not None:
             store = csv_rows.setdefault(scn.name,
                                         {"points": pts, "columns": {}})
-            store["columns"]["surface_identity"] = np.asarray(rows)
+            store["columns"]["surface_identity"] = rows
 
     if scn.expected_k >= 3 and selected("dperp"):
         t0 = time.perf_counter()

@@ -19,6 +19,7 @@ and exact differentiation.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "parse_expr",
     "evaluate",
     "eval_jet",
+    "diff",
     "to_source",
 ]
 
@@ -294,6 +296,91 @@ def eval_jet(node, point):
     if not isinstance(result, HyperDual):
         result = hd.as_jet(result, xs[0])
     return result
+
+
+# -- symbolic differentiation ----------------------------------------------
+
+def _const(node):
+    """Value of a constant leaf (``Num`` or negated ``Num``), else ``None``."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Neg) and isinstance(node.child, Num):
+        return -node.child.value
+    return None
+
+
+def _num(v):
+    # negative constants as Neg(Num), the form the parser gives them
+    v = float(v)
+    return Num(abs(v)) if v >= 0.0 else Neg(Num(-v))
+
+
+def _neg(a):
+    ca = _const(a)
+    if ca is not None:
+        return _num(-ca)
+    return a.child if isinstance(a, Neg) else Neg(a)
+
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _bin(op, a, b):
+    """``Bin(op, a, b)`` with constants folded and units and zeros dropped."""
+    ca, cb = _const(a), _const(b)
+    if ca is not None and cb is not None and not (op == "/" and cb == 0.0):
+        return _num(_FOLD[op](ca, cb))
+    if (op in "+-" and cb == 0.0) or (op in "*/" and cb == 1.0):
+        return a
+    if (op == "+" and ca == 0.0) or (op == "*" and ca == 1.0):
+        return b
+    if op == "-" and ca == 0.0:
+        return _neg(b)
+    if (op in "*/" and ca == 0.0) or (op == "*" and cb == 0.0):
+        return Num(0.0)
+    return Bin(op, a, b)
+
+
+def _pow(a, p):
+    if p == 0.0:
+        return Num(1.0)
+    return a if p == 1.0 else Bin("^", a, _num(p))
+
+
+def diff(node, i):
+    """AST of the partial derivative of ``node`` with respect to ``x<i>``.
+
+    Sums, products and quotients follow the usual rules, functions the chain
+    rule, and ``u ^ p`` (constant ``p``) becomes ``p * u ^ (p - 1) * u'``.
+    Constant subtrees are folded, so derivatives of polynomials terminate in
+    ``Num(0.0)``.  The result evaluates like any parsed AST (its domain is
+    checked at evaluation: ``diff(sqrt(x1))`` raises :class:`DomainError` at
+    ``x1 = 0``) and round-trips through :func:`to_source`.
+    """
+    if isinstance(node, Num):
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0 if node.index == i else 0.0)
+    if isinstance(node, Neg):
+        return _neg(diff(node.child, i))
+    if isinstance(node, Call):
+        u = node.child
+        outer = {"sin": Call("cos", u), "cos": Neg(Call("sin", u)), "exp": node,
+                 "log": _bin("/", Num(1.0), u), "sqrt": _bin("/", Num(0.5), node)}
+        return _bin("*", outer[node.fn], diff(u, i))
+    if isinstance(node, Bin):
+        a, b = node.left, node.right
+        if node.op == "^":
+            p = float(evaluate(b, ()))
+            return _bin("*", _bin("*", _num(p), _pow(a, p - 1.0)), diff(a, i))
+        da, db = diff(a, i), diff(b, i)
+        if node.op in "+-":
+            return _bin(node.op, da, db)
+        if node.op == "*":
+            return _bin("+", _bin("*", da, b), _bin("*", a, db))
+        if node.op == "/":
+            return _bin("-", _bin("/", da, b), _bin("/", _bin("*", a, db), _pow(b, 2.0)))
+    raise ExprError(f"unknown node {node!r}")
 
 
 # -- canonical printer -----------------------------------------------------

@@ -13,26 +13,39 @@ with ``N`` the unit normal from the generalized cross product of the
 coordinate tangents (and of ``F`` itself for a sphere immersion, keeping
 ``N`` tangent to the sphere).  Principal curvatures are the eigenvalues of
 ``A`` (ascending), obtained from the symmetric-definite eigenproblem
-``II v = mu g v``; eigenvector sign is fixed against a reference frame.
+``II v = mu g v``; each eigenvector is signed so that its largest component
+is positive.
 
-Derivatives of eigen-derived fields use central finite differences with one
-Richardson halving; ``A`` itself is exact at every stencil point, so the
-curvature-derivative checks are limited only by the stencil, not by nested
-differencing.
+Every derivative is exact.  Symbolic derivatives of the immersion
+(:func:`~splitgeom.expr.diff`) evaluated on coordinate jets give ``d^2 F``,
+``d^3 F`` and ``d^4 F``, hence ``g`` and ``II`` as second-order jets.  Two
+independent routes then differentiate the principal data:
+
+* the Codazzi side assembles ``nabla A`` from immersion derivative values by
+  the Weingarten equation ``d_c N = -A^d_c d_d F``;
+* the eigen side applies first- and second-order eigenvalue perturbation
+  formulas (Magnus, Econometric Theory 1985) to the jets of ``II`` and ``g``,
+  giving the curvatures as second-order jets and the frame as a first-order
+  jet.
+
+The checks compare the two, one batched evaluation over all sample points.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import hyperdual as hd
-from .chart import Axis, ChartFrame, ChartManifold, GeometryError, sample_points
-from .expr import evaluate, parse_expr
-from .hyperdual import seed_jets
+from .chart import (Axis, ChartFrame, ChartManifold, GeometryError,
+                    check_positive_definite, sample_points)
+from .expr import diff, evaluate, parse_expr
+from .hyperdual import HyperDual, seed_jets
 
 __all__ = [
     "GapError",
@@ -52,8 +65,6 @@ __all__ = [
     "build_round_sphere",
     "hypersurface_catalog",
 ]
-
-EPS_CBRT = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 class GapError(GeometryError):
@@ -101,124 +112,147 @@ class HypersurfaceScenario:
         }
 
 
-def _generalized_cross(rows):
-    """Vector orthogonal to ``m-1`` row vectors in ``R^m`` (batched)."""
-    m = rows.shape[-1]
-    out = np.empty(rows.shape[:-2] + (m,))
-    cols = np.arange(m)
-    for j in range(m):
-        minor = rows[..., :, cols != j]
-        out[..., j] = (-1.0) ** j * np.linalg.det(minor)
-    return out
+def _levi_civita(m):
+    eps = np.zeros((m,) * m)
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        eps[perm] = -1.0 if inversions % 2 else 1.0
+    return eps
 
 
 def shape_data(scn, points):
-    """First and second fundamental data of the immersion at ``points``.
+    """First and second fundamental data of the immersion at ``points`` ``(..., n)``.
 
-    Returns a dict with ``F`` (ambient position), ``J`` (tangents,
-    ``(..., n, m)``), ``g``, ``II``, ``A`` and the unit normal ``N``.
+    Values: ``F`` (ambient position), ``J`` (tangents ``d_a F``,
+    ``(..., n, m)``), ``g``, ``II``, ``A`` and the unit normal ``N``.  Jets:
+    ``g_jet`` and ``II_jet`` (order 2), and ``DDF``, the order-2 jet of
+    ``d_a d_b F^m`` laid out ``(..., m, a, b)``, whose gradient and Hessian
+    are the third and fourth derivatives of the immersion.
     """
     points = np.asarray(points, dtype=float)
     n = scn.chart.dim
     m = len(scn.immersion)
     xs = seed_jets(points)
-    Fj = [hd.as_jet(evaluate(ast, xs), xs[0]) for ast in scn.immersion]
-    F = np.stack([f.val for f in Fj], axis=-1)
-    J = np.stack([np.stack([Fj[j].grad[..., a] for j in range(m)], axis=-1)
-                  for a in range(n)], axis=-2)  # (..., n, m)
-    DDF = np.stack([f.hess for f in Fj], axis=-1)  # (..., n, n, m)
+    F = hd.stack([evaluate(f, xs) for f in scn.immersion], ref=xs[0])
+    ddf = {}
+    for j, f in enumerate(scn.immersion):
+        for a in range(n):
+            df = diff(f, a + 1)
+            for b in range(a, n):
+                ddf[j, a, b] = ddf[j, b, a] = evaluate(diff(df, b + 1), xs)
+    DDF = hd.stack([[[ddf[j, a, b] for b in range(n)] for a in range(n)]
+                    for j in range(m)], ref=xs[0])
+    # jet of d_a F^m: gradient d_a d_c F^m, Hessian d_a d_c d_d F^m
+    DF = HyperDual(F.grad, DDF.val, DDF.grad)
 
-    g = np.einsum("...am,...bm->...ab", J, J)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise GeometryError("immersion loses rank on the sampled region")
+    g = hd.einsum("...ma,...mb->...ab", DF, DF)
+    check_positive_definite(g.val, points, "immersion loses rank")
 
+    rows = [DF[..., :, a] for a in range(n)]
     if scn.ambient_curv == 1:
-        radius = np.sqrt(np.sum(F * F, axis=-1))
+        radius = np.sqrt(np.sum(F.val * F.val, axis=-1))
         if np.max(np.abs(radius - 1.0)) > 1e-12:
             raise GeometryError("sphere immersion does not lie on the unit sphere")
-        rows = np.concatenate([J, F[..., None, :]], axis=-2)
-    else:
-        rows = J
-    N = _generalized_cross(rows)
+        rows.append(F)
+    # generalized cross product: N_j = eps_{j k_1 .. k_{m-1}} r_1^{k_1} .. r_{m-1}^{k_{m-1}}
+    idx = string.ascii_lowercase[:m]
+    N = hd.einsum(f"{idx},{','.join('...' + c for c in idx[1:])}->...{idx[0]}",
+                  _levi_civita(m), *rows)
     if scn.normal_flip:
         N = -N
-    N = N / np.linalg.norm(N, axis=-1, keepdims=True)
+    N = hd.einsum("...j,...->...j", N, hd.einsum("...j,...j->...", N, N) ** -0.5)
 
-    II = np.einsum("...abm,...m->...ab", DDF, N)
-    A = np.linalg.solve(g, II)
-    return {"F": F, "J": J, "g": g, "II": II, "A": A, "N": N}
-
-
-def _fix_orientation(Y, g, ref):
-    """Flip eigenvector columns so each pairs positively with the reference."""
-    n = Y.shape[-1]
-    for i in range(n):
-        ip = ref[:, i] @ g @ Y[:, i]
-        if ip < 0.0:
-            Y[:, i] = -Y[:, i]
-    return Y
+    II = hd.einsum("...mab,...m->...ab", DDF, N)
+    return {"F": F.val, "J": np.swapaxes(F.grad, -1, -2), "g": g.val, "II": II.val,
+            "A": np.linalg.solve(g.val, II.val), "N": N.val,
+            "g_jet": g, "II_jet": II, "DDF": DDF}
 
 
-def _default_orientation(Y):
-    n = Y.shape[-1]
-    for i in range(n):
-        j = int(np.argmax(np.abs(Y[:, i])))
-        if Y[j, i] < 0.0:
-            Y[:, i] = -Y[:, i]
-    return Y
+def principal_bundle(scn, points):
+    """Principal curvatures and frames at ``points`` ``(..., n)``, with exact
+    derivatives.
 
-
-def principal_bundle(scn, points, ref_frame=None, check_groups=True):
-    """Eigenvalues (ascending) and g-orthonormal eigenvector columns.
-
-    ``ref_frame`` fixes eigenvector signs by continuity (used by stencil
-    sweeps); otherwise a deterministic per-point convention applies.
-    Raises :class:`GapError` when the distinct-group structure expected by
-    the scenario is violated.
+    Returns the :func:`shape_data` fields plus ``mu`` (eigenvalues,
+    ascending), ``Y`` (g-orthonormal eigenvector columns), ``mu_hat`` (the
+    group means of ``mu`` as an order-2 ``(..., k)`` jet) and ``Y_jet`` (the
+    frame as an order-1 jet).  Raises :class:`GapError` naming the first
+    point where the distinct-group structure expected by the scenario is
+    violated.
     """
     points = np.asarray(points, dtype=float)
-    flat = points.reshape(-1, points.shape[-1])
-    data = shape_data(scn, flat)
-    n = scn.chart.dim
-    count = flat.shape[0]
-    mu = np.empty((count, n))
-    Y = np.empty((count, n, n))
-    for idx in range(count):
-        w, v = scipy.linalg.eigh(data["II"][idx], data["g"][idx])
-        if ref_frame is not None:
-            v = _fix_orientation(v, data["g"][idx], ref_frame)
-        else:
-            v = _default_orientation(v)
-        mu[idx] = w
-        Y[idx] = v
-    if check_groups:
-        _check_groups(scn, mu)
-    shape = points.shape[:-1]
-    return {"mu": mu.reshape(shape + (n,)), "Y": Y.reshape(shape + (n, n)),
-            "g": data["g"].reshape(shape + (n, n)),
-            "A": data["A"].reshape(shape + (n, n))}
+    data = shape_data(scn, points)
+    # Cholesky reduction g = L L^T of II v = mu g v to a standard eigenproblem
+    Linv_T = np.swapaxes(np.linalg.inv(np.linalg.cholesky(data["g"])), -1, -2)
+    mu, U = np.linalg.eigh(np.swapaxes(Linv_T, -1, -2) @ data["II"] @ Linv_T)
+    Y = Linv_T @ U
+    top = np.take_along_axis(Y, np.argmax(np.abs(Y), axis=-2)[..., None, :], axis=-2)
+    Y = np.where(top < 0.0, -Y, Y)
+    _check_groups(scn, mu, points)
+    mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.expected_dims)
+    return {**data, "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
-def _check_groups(scn, mu):
+def _check_groups(scn, mu, points):
     dims = scn.expected_dims
-    if sum(dims) != mu.shape[-1]:
+    n = mu.shape[-1]
+    if sum(dims) != n:
         raise GapError("expected multiplicities do not sum to the chart dimension")
     thresh = scn.gap_threshold
     if thresh is None:
         thresh = 1e-3 * max(1e-8, float(np.max(np.abs(mu))))
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    for row in np.atleast_2d(mu.reshape(-1, mu.shape[-1])):
-        groups = [row[starts[i]:starts[i + 1]] for i in range(len(dims))]
-        for grp in groups:
-            if grp.size > 1 and np.max(grp) - np.min(grp) > 0.1 * thresh:
-                raise GapError(
-                    f"principal curvatures within a group spread beyond tolerance: {row}")
-        for a in range(len(groups) - 1):
-            if groups[a + 1].min() - groups[a].max() < thresh:
-                raise GapError(
-                    f"principal curvature groups closer than the gap threshold: {row}")
+    rows = mu.reshape(-1, n)
+    ends = np.cumsum(dims)
+    starts = ends - np.asarray(dims)
+    spread = np.stack([rows[:, s:e].max(axis=-1) - rows[:, s:e].min(axis=-1)
+                       for s, e in zip(starts, ends)], axis=-1)
+    bad_spread = np.any(spread > 0.1 * thresh, axis=-1)
+    bad_gap = np.any(rows[:, starts[1:]] - rows[:, ends[:-1] - 1] < thresh, axis=-1)
+    bad = np.flatnonzero(bad_spread | bad_gap)
+    if bad.size:
+        i = bad[0]
+        where = f"at {points.reshape(-1, n)[i].tolist()} (curvatures {rows[i]})"
+        if bad_spread[i]:
+            raise GapError(f"principal curvatures within a group spread beyond "
+                           f"tolerance {where}")
+        raise GapError(f"principal curvature groups closer than the gap threshold {where}")
+
+
+def _perturbation_jets(data, mu, Y, dims):
+    """Exact derivatives of the principal data from the jets of ``II`` and ``g``.
+
+    In the frame ``Y`` at the point, ``K = Y^T II Y`` is ``diag(mu)`` and
+    ``M = Y^T g Y`` the identity.  Let ``lam_G`` be the mean of group ``G``
+    (size ``n_G``) and ``R_c = d_c K - lam d_c M`` with ``lam`` the mean of
+    the row's group.  Then
+
+        n_G d_c mu_G   = tr_G R_c,
+        n_G d_cd mu_G  = tr_G (d_cd K - lam_G d_cd M) - tr_G (R_c d_d M + R_d d_c M)
+                         + 2 sum_{i in G, j not in G} R_c,ij R_d,ij / (lam_G - lam_j),
+
+    and ``d_c Y = Y C_c`` with ``C_c,ji = R_c,ij / (lam_i - lam_j)`` across
+    groups and ``-d_c M_ji / 2`` within a group, which keeps ``Y``
+    g-orthonormal (a rotation within a group cancels from its projector).
+    For simple eigenvalues these are the classical formulas.  Returns the
+    order-2 jet of the group means and the order-1 jet of ``Y``.
+    """
+    k = len(dims)
+    grp = np.repeat(np.arange(k), dims)
+    same = (grp[:, None] == grp[None, :]).astype(float)
+    avg = (grp[:, None] == np.arange(k)) / np.asarray(dims, dtype=float)  # (n, k)
+    K = hd.einsum("...ai,...ab,...bj->...ij", Y, data["II_jet"], Y)
+    M = hd.einsum("...ai,...ab,...bj->...ij", Y, data["g_jet"], Y)
+    lam = (mu @ avg)[..., grp]
+    R = K.grad - lam[..., :, None, None] * M.grad                  # (..., i, j, c)
+    inv_gap = (1.0 - same) / (lam[..., :, None] - lam[..., None, :] + same)
+    d2 = (np.einsum("...iicd->...icd", K.hess)
+          - lam[..., None, None] * np.einsum("...iicd->...icd", M.hess)
+          + 2.0 * np.einsum("...ij,...ijc,...ijd->...icd", inv_gap, R, R))
+    within = np.einsum("ij,...ijc,...jid->...icd", same, R, M.grad)
+    d2 = d2 - within - np.swapaxes(within, -1, -2)
+    mu_hat = HyperDual(mu @ avg, np.einsum("...iic,ik->...kc", R, avg),
+                       np.einsum("...icd,ik->...kcd", d2, avg))
+    C = np.einsum("...ij,...ijc->...jic", inv_gap, R) - 0.5 * same[:, :, None] * M.grad
+    return mu_hat, HyperDual(Y, np.einsum("...aj,...jic->...aic", Y, C))
 
 
 @dataclass
@@ -232,200 +266,122 @@ class PrincipalData:
     grad_mu_distinct: np.ndarray    # (k, n) contravariant gradients
 
 
-def _group_means(mu, dims):
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    return np.stack([mu[..., starts[i]:starts[i + 1]].mean(axis=-1)
-                     for i in range(len(dims))], axis=-1)
-
-
-def _fd_gradient(func, x, h, richardson=True):
-    """Central-difference gradient of a vector-valued ``func`` along each axis.
-
-    Returns ``d[c] = d func / d x_c`` with one Richardson halving.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    out = []
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = 1.0
-        d1 = (func(x + h * e) - func(x - h * e)) / (2.0 * h)
-        if richardson:
-            d2 = (func(x + 0.5 * h * e) - func(x - 0.5 * h * e)) / h
-            out.append((4.0 * d2 - d1) / 3.0)
-        else:
-            out.append(d1)
-    return np.stack(out, axis=0)
-
-
 def principal_data(scn, p):
     """Full principal-curvature data at the single point ``p``."""
     p = np.asarray(p, dtype=float)
-    bundle = principal_bundle(scn, p[None, :])
-    mu = bundle["mu"][0]
-    Y = bundle["Y"][0]
-    g = bundle["g"][0]
-    dims = scn.expected_dims
-    mu_hat = _group_means(mu[None, :], dims)[0]
-
-    def mu_hat_at(x):
-        b = principal_bundle(scn, x[None, :], check_groups=False)
-        return _group_means(b["mu"], dims)[0]
-
-    dmu = _fd_gradient(mu_hat_at, p, h=EPS_CBRT)  # (n, k): d_c mu_hat_i
-    ginv = np.linalg.inv(g)
-    grad = np.einsum("ab,bk->ka", ginv, dmu)      # contravariant, (k, n)
-    return PrincipalData(point=p, mu=mu, mu_distinct=mu_hat,
-                         multiplicities=tuple(dims), frame=Y, g=g,
-                         grad_mu_distinct=grad)
+    b = principal_bundle(scn, p[None, :])
+    g = b["g"][0]
+    return PrincipalData(point=p, mu=b["mu"][0], mu_distinct=b["mu_hat"].val[0],
+                         multiplicities=tuple(scn.expected_dims), frame=b["Y"][0], g=g,
+                         grad_mu_distinct=np.linalg.solve(g, b["mu_hat"].grad[0].T).T)
 
 
 # -- curvature-derivative checks ----------------------------------------------
 
-def _nabla_A(scn, p):
-    """Covariant derivative of the shape operator at ``p`` plus frame data."""
-    p = np.asarray(p, dtype=float)
-    bundle = principal_bundle(scn, p[None, :])
-    g = bundle["g"][0]
-    Y = bundle["Y"][0]
-    mu = bundle["mu"][0]
-    cf = ChartFrame(scn.chart, p)
-    gamma = cf.gamma.val  # (n, n, n): Gamma^c_ab
+def _accepts_single_point(check):
+    """Let a batched check take one point ``(n,)``: its per-point arrays
+    become floats."""
+
+    @functools.wraps(check)
+    def wrapper(scn, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim > 1:
+            return check(scn, points)
+        return {key: float(v[0]) for key, v in check(scn, points[None, :]).items()}
+
+    return wrapper
+
+
+def _nabla_A(scn, points, data):
+    """Covariant derivative ``(..., c, a, b) = (nabla_c A)^a_b`` by Weingarten.
+
+    Reads only immersion derivative values of :func:`shape_data`, never the
+    eigen-side jets: ``d_c II_ab = <F_abc, N> - A^d_c <F_ab, F_d>`` (from
+    ``d_c N = -A^d_c F_d``, which also holds in the unit sphere) and
+    ``d_c g_ab = <F_ac, F_b> + <F_a, F_bc>``; ``Gamma`` is that of the
+    closed-form chart metric.  Returns ``(nabla, gamma)``.
+    """
+    cf = ChartFrame(scn.chart, points)
+    g, A, J, N = data["g"], data["A"], data["J"], data["N"]
     if np.max(np.abs(cf.g.val - g)) > 1e-9 * (1.0 + np.max(np.abs(g))):
         raise GeometryError("closed-form metric disagrees with the immersion metric")
-
-    def A_at(x):
-        return shape_data(scn, x[None, :])["A"][0]
-
-    dA = _fd_gradient(A_at, p, h=EPS_CBRT)  # (c, a, b) = d_c A^a_b
-    A = bundle["A"][0]
+    F2, F3 = data["DDF"].val, data["DDF"].grad
+    dII = (np.einsum("...mabc,...m->...cab", F3, N)
+           - np.einsum("...dc,...mab,...dm->...cab", A, F2, J))
+    dg = np.einsum("...mac,...bm->...cab", F2, J)
+    dg = dg + np.swapaxes(dg, -1, -2)
+    dA = np.linalg.solve(g[..., None, :, :], dII - dg @ A[..., None, :, :])
+    gamma = cf.gamma.val
     nabla = (dA
-             + np.einsum("acd,db->cab", gamma, A)
-             - np.einsum("dcb,ad->cab", gamma, A))  # (c, a, b) = (nabla_c A)^a_b
-    return {"nabla": nabla, "A": A, "g": g, "Y": Y, "mu": mu, "gamma": gamma}
+             + np.einsum("...acd,...db->...cab", gamma, A)
+             - np.einsum("...dcb,...ad->...cab", gamma, A))
+    return nabla, gamma
 
 
-def _calA(nabla, g, X, Yv, Z):
-    """``<(nabla_X A) Yv, Z>`` from the covariant derivative array."""
-    return np.einsum("c,cab,b,ad,d->", X, nabla, Yv, g, Z)
+def _frame_tensors(scn, points, b):
+    """The two sides in the eigenframe ``X_i`` (columns of ``Y``):
+    ``cal[i,j,l] = <(nabla_{X_i} A) X_j, X_l>`` from :func:`_nabla_A` and
+    ``conn[i,j,l] = <nabla_{X_i} X_j, X_l>`` from the frame jet."""
+    nabla, gamma = _nabla_A(scn, points, b)
+    Y, g = b["Y"], b["g"]
+    cal = np.einsum("...ci,...cab,...bj,...ad,...dl->...ijl", Y, nabla, Y, g, Y,
+                    optimize=True)
+    DY = b["Y_jet"].grad + np.einsum("...acd,...dj->...ajc", gamma, Y)
+    conn = np.einsum("...ci,...ajc,...ae,...el->...ijl", Y, DY, g, Y, optimize=True)
+    return cal, conn
 
 
-def _frame_derivatives(scn, p, ref_frame):
-    """FD derivatives of the sign-aligned eigenvector field at ``p``."""
-
-    def Y_at(x):
-        return principal_bundle(scn, x[None, :], ref_frame=ref_frame,
-                                check_groups=False)["Y"][0]
-
-    return _fd_gradient(Y_at, p, h=EPS_CBRT)  # (c, a, i) = d_c Y^a_i
+_TRIPLE = (-3, -2, -1)
 
 
-def codazzi_checks(scn, p):
-    """Residual bundle of the Codazzi-derived relations at ``p``.
+def _distinct(n):
+    i, j, l = np.indices((n, n, n))
+    return (i != j) & (j != l) & (i != l)
 
-    Keys: ``total_symmetry`` (all 6 permutations of the derivative
-    3-tensor), ``eigen_offdiag`` (its frame components against
-    ``(mu_j - mu_l) <nabla_{X_i} X_j, X_l>``), ``eigen_diag`` (against
+
+@_accepts_single_point
+def codazzi_checks(scn, points):
+    """Per-point residuals of the Codazzi-derived relations at ``points``.
+
+    With ``cal`` and ``conn`` as in :func:`_frame_tensors`, keys:
+    ``total_symmetry`` (all 6 permutations of ``cal``, relative to
+    ``scale = 1 + max |cal|``), ``eigen_offdiag`` (``cal[i,j,l]`` against
+    ``(mu_j - mu_l) conn[i,j,l]``), ``eigen_diag`` (``cal[i,j,j]`` against
     ``X_i(mu_j)``), ``exchange`` (the two-index exchange relation for
-    pairwise distinct triples; needs k >= 3).
+    pairwise distinct triples; needs k >= 3) and ``frame_metric``
+    (``conn[i,j,l] + conn[i,l,j]``, metric compatibility of the frame
+    derivative), plus ``scale``.
     """
     if any(d != 1 for d in scn.expected_dims):
         raise GeometryError("eigenvector-derivative checks need simple eigenvalues")
-    p = np.asarray(p, dtype=float)
-    n = scn.chart.dim
-    data = _nabla_A(scn, p)
-    nabla, g, Y, mu, gamma = data["nabla"], data["g"], data["Y"], data["mu"], data["gamma"]
-    X = [Y[:, i] for i in range(n)]
-
-    cal = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                cal[i, j, l] = _calA(nabla, g, X[i], X[j], X[l])
-    scale = 1.0 + np.max(np.abs(cal))
-    sym = 0.0
-    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        sym = max(sym, float(np.max(np.abs(cal - np.transpose(cal, perm)))))
-
-    dY = _frame_derivatives(scn, p, ref_frame=Y)
-
-    def nabla_X(i, j):
-        # (nabla_{X_i} X_j)^a = X_i^c (d_c X_j^a + Gamma^a_cd X_j^d)
-        return np.einsum("c,ca->a", X[i], dY[:, :, j]) + \
-            np.einsum("c,acd,d->a", X[i], gamma, X[j])
-
-    offdiag = 0.0
-    diag = 0.0
-    exchange = 0.0
-    def ip(u, v):
-        return u @ g @ v
-
-    def dmu_along(i, j):
-        def mu_at(x):
-            return principal_bundle(scn, x[None, :], check_groups=False)["mu"][0]
-        dmu = _fd_gradient(mu_at, p, h=EPS_CBRT)  # (c, j)
-        return X[i] @ dmu[:, j]
-
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                if j != l:
-                    lhs = cal[i, j, l]
-                    rhs = (mu[j] - mu[l]) * ip(nabla_X(i, j), X[l])
-                    offdiag = max(offdiag, abs(lhs - rhs))
-                else:
-                    diag = max(diag, abs(cal[i, j, j] - dmu_along(i, j)))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                if len({i, j, l}) == 3:
-                    a = (mu[j] - mu[l]) * ip(nabla_X(i, j), X[l])
-                    b = (mu[i] - mu[l]) * ip(nabla_X(j, i), X[l])
-                    exchange = max(exchange, abs(a - b))
-    return {"total_symmetry": sym / scale, "eigen_offdiag": offdiag,
-            "eigen_diag": diag, "exchange": exchange, "scale": scale}
+    b = principal_bundle(scn, points)
+    cal, conn = _frame_tensors(scn, points, b)
+    mu = b["mu"]
+    n = mu.shape[-1]
+    scale = 1.0 + np.max(np.abs(cal), axis=_TRIPLE)
+    sym = np.max([np.max(np.abs(cal - np.einsum(f"...ijl->...{p}", cal)), axis=_TRIPLE)
+                  for p in ("ilj", "jil", "jli", "lij", "lji")], axis=0)
+    rel = (mu[..., :, None] - mu[..., None, :])[..., None, :, :] * conn
+    dmu = np.einsum("...ci,...jc->...ij", b["Y"], b["mu_hat"].grad)  # X_i(mu_j)
+    exchange = rel - np.einsum("...ijl->...jil", rel)
+    return {
+        "total_symmetry": sym / scale,
+        "eigen_offdiag": np.max(np.abs(cal - rel), axis=_TRIPLE,
+                                where=~np.eye(n, dtype=bool), initial=0.0),
+        "eigen_diag": np.max(np.abs(np.einsum("...ijj->...ij", cal) - dmu), axis=(-2, -1)),
+        "exchange": np.max(np.abs(exchange), axis=_TRIPLE, where=_distinct(n),
+                           initial=0.0),
+        "frame_metric": np.max(np.abs(conn + np.einsum("...ijl->...ilj", conn)),
+                               axis=_TRIPLE),
+        "scale": scale,
+    }
 
 
 # -- the divergence identities in shape-operator form ------------------------
 
-def _identity_field(scn, x):
-    """The projected-gradient mean-curvature field at ``x`` (values).
-
-    ``V = sum_i n_i sum_{j != i} P_j grad(mu_i) / (mu_i - mu_j)`` over the
-    distinct-curvature groups; independent of eigenvector signs.
-    """
-    dims = scn.expected_dims
-    k = len(dims)
-    bundle = principal_bundle(scn, x[None, :], check_groups=False)
-    g = bundle["g"][0]
-    Y = bundle["Y"][0]
-    mu_hat = _group_means(bundle["mu"], dims)[0]
-    ginv = np.linalg.inv(g)
-
-    def mu_hat_at(z):
-        b = principal_bundle(scn, z[None, :], check_groups=False)
-        return _group_means(b["mu"], dims)[0]
-
-    dmu = _fd_gradient(mu_hat_at, x, h=EPS_CBRT)      # (c, i)
-    grad = np.einsum("ab,bi->ia", ginv, dmu)          # contravariant
-
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    proj = []
-    for i in range(k):
-        cols = Y[:, starts[i]:starts[i + 1]]
-        flat = g @ cols                                # lowered eigenvectors
-        proj.append(cols @ flat.T)                     # P_i, contravariant action
-    V = np.zeros(scn.chart.dim)
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            V = V + dims[i] * (proj[j] @ grad[i]) / (mu_hat[i] - mu_hat[j])
-    return V
-
-
-def hypersurface_identity(scn, p):
-    """Residual of the divergence identity in principal-curvature form.
+@_accepts_single_point
+def hypersurface_identity(scn, points):
+    """Per-point residual of the divergence identity in principal-curvature form.
 
     For two distinct curvatures (``V = H_1 + H_2``):
 
@@ -450,75 +406,47 @@ def hypersurface_identity(scn, p):
     curvature gradients are pairwise orthogonal in the complement direction,
     which hides the discrepancy on the simplest examples).
 
-    Returns a dict with ``lhs`` (the divergence of the projected-gradient
-    field, by finite differences with Richardson halving), ``rhs``,
-    ``residual`` and ``residual_printed``.
+    ``V = sum_i n_i sum_{j != i} P_j grad(mu_i) / (mu_i - mu_j)`` over the
+    groups is built as an order-1 jet from the perturbation jets, and its
+    divergence (``lhs``) read from the jet by the chart connection.  Returns
+    ``lhs``, ``rhs``, ``residual`` and ``residual_printed``.
     """
-    p = np.asarray(p, dtype=float)
     dims = scn.expected_dims
     k = len(dims)
     if k not in (2, 3):
         raise GeometryError("identity implemented for 2 or 3 distinct curvatures")
     c = float(scn.ambient_curv)
-    bundle = principal_bundle(scn, p[None, :])
-    g = bundle["g"][0]
-    Y = bundle["Y"][0]
-    mu_hat = _group_means(bundle["mu"], dims)[0]
-    ginv = np.linalg.inv(g)
-    cf = ChartFrame(scn.chart, p)
-    gamma = cf.gamma.val
+    b = principal_bundle(scn, points)
+    mu_hat = b["mu_hat"]
+    member = (np.repeat(np.arange(k), dims)[:, None] == np.arange(k)).astype(float)
+    # W[l, i] = X_l(mu_i): the frame components of grad mu_i, so that
+    # P_j grad mu_i = sum over X_l in group j of W[l, i] X_l
+    W = hd.einsum("...cl,...ic->...li", b["Y_jet"], hd.differential(mu_hat))
+    # gap[l, i] = mu_i - mu_(group of X_l); coef zero where that group is i
+    gap = hd.einsum("...i,lij->...lj", mu_hat, np.eye(k) - member[:, :, None])
+    coef = (gap + member) ** -1 * ((1.0 - member) * np.asarray(dims, dtype=float))
+    V = hd.einsum("...al,...li->...a", b["Y_jet"], W * coef)
+    lhs = ChartFrame(scn.chart, points).divergence_of(V)
 
-    def V_at(x):
-        return _identity_field(scn, x)
-
-    dV = _fd_gradient(V_at, p, h=1e-3, richardson=True)  # larger step: V has FD noise
-    lhs = float(np.trace(dV)) + float(np.einsum("aab,b->", gamma, V_at(p)))
-
-    def mu_hat_at(z):
-        b = principal_bundle(scn, z[None, :], check_groups=False)
-        return _group_means(b["mu"], dims)[0]
-
-    dmu = _fd_gradient(mu_hat_at, p, h=EPS_CBRT)
-    grad = np.einsum("ab,bi->ia", ginv, dmu)
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    proj = []
-    for i in range(k):
-        cols = Y[:, starts[i]:starts[i + 1]]
-        proj.append(cols @ (g @ cols).T)
-
-    def ip(u, v):
-        return float(u @ g @ v)
-
+    mu, Wv = mu_hat.val, W.val
+    proj2 = np.einsum("...li,lj->...ji", Wv * Wv, member)  # |P_j grad mu_i|^2 at [j, i]
+    pairs = list(itertools.combinations(range(k), 2))
+    curv = sum(dims[i] * dims[j] * (c + mu[..., i] * mu[..., j]) for i, j in pairs)
     if k == 2:
-        n1, n2 = dims
-        rhs = n1 * n2 * (c + mu_hat[0] * mu_hat[1])
-        gap2 = (mu_hat[1] - mu_hat[0]) ** 2
-        rhs += (n1 * (1 - n1) * ip(grad[0], grad[0])
-                + n2 * (1 - n2) * ip(grad[1], grad[1])) / gap2
+        grad2 = proj2.sum(axis=-2)
+        rhs = curv + (dims[0] * (1 - dims[0]) * grad2[..., 0]
+                      + dims[1] * (1 - dims[1]) * grad2[..., 1]) / (mu[..., 1] - mu[..., 0]) ** 2
         return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
                 "residual_printed": lhs - rhs}
 
-    curv = 0.0
-    grad_diag = 0.0
+    grad_diag = sum(dims[i] * (1 - dims[i]) * proj2[..., j, i] / (mu[..., i] - mu[..., j]) ** 2
+                    for i in range(3) for j in range(3) if j != i)
     grad_cross = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            curv += dims[i] * dims[j] * (c + mu_hat[i] * mu_hat[j])
-    for i in range(3):
-        coeff = dims[i] * (1 - dims[i])
-        if coeff == 0:
-            continue
-        for j in range(3):
-            if j != i:
-                w = proj[j] @ grad[i]
-                grad_diag += coeff * ip(w, w) / (mu_hat[i] - mu_hat[j]) ** 2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            l = 3 - i - j
-            wi = proj[l] @ grad[i]
-            wj = proj[l] @ grad[j]
-            grad_cross -= (dims[i] * dims[j] * ip(wi, wj)
-                           / ((mu_hat[i] - mu_hat[l]) * (mu_hat[j] - mu_hat[l])))
+    for i, j in pairs:
+        l = 3 - i - j
+        cross = np.einsum("...m,...m,m->...", Wv[..., i], Wv[..., j], member[:, l])
+        grad_cross = grad_cross - (dims[i] * dims[j] * cross
+                                   / ((mu[..., i] - mu[..., l]) * (mu[..., j] - mu[..., l])))
     rhs = curv + grad_diag + grad_cross
     rhs_printed = 0.5 * curv + grad_diag
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
@@ -552,40 +480,21 @@ def dperp_integrability(scn, points):
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[None, :]
+    b = principal_bundle(scn, points)
+    cal, conn = _frame_tensors(scn, points, b)
     n = scn.chart.dim
-    sup_cal = 0.0
-    sup_bracket = 0.0
+    i, j, l = np.indices((n, n, n))
+    cal_max = np.max(np.abs(cal), axis=_TRIPLE, where=(i < j) & (j < l), initial=0.0)
+    # <[X_p, X_q], X_i> = <nabla_{X_p} X_q - nabla_{X_q} X_p, X_i>
+    bracket = conn - np.einsum("...ijl->...jil", conn)
+    br_max = np.max(np.abs(bracket), axis=_TRIPLE, where=_distinct(n), initial=0.0)
     tol = 1e-7
-    agree = True
-    for p in points:
-        data = _nabla_A(scn, p)
-        nabla, g, Y, gamma = data["nabla"], data["g"], data["Y"], data["gamma"]
-        X = [Y[:, i] for i in range(n)]
-        dY = _frame_derivatives(scn, p, ref_frame=Y)
-        cal_max = 0.0
-        br_max = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                for l in range(j + 1, n):
-                    cal_max = max(cal_max, abs(_calA(nabla, g, X[i], X[j], X[l])))
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            for a_idx in range(len(others)):
-                for b_idx in range(a_idx + 1, len(others)):
-                    ja, jb = others[a_idx], others[b_idx]
-                    bracket = (np.einsum("c,ca->a", X[ja], dY[:, :, jb])
-                               - np.einsum("c,ca->a", X[jb], dY[:, :, ja]))
-                    br_max = max(br_max, abs(bracket @ g @ X[i]))
-        sup_cal = max(sup_cal, cal_max)
-        sup_bracket = max(sup_bracket, br_max)
-        if (cal_max <= tol) != (br_max <= tol):
-            agree = False
     return {
-        "cal_zero": sup_cal <= tol,
-        "bracket_zero": sup_bracket <= tol,
-        "flags_agree": agree,
-        "sup_cal": sup_cal,
-        "sup_bracket": sup_bracket,
+        "cal_zero": bool(np.max(cal_max) <= tol),
+        "bracket_zero": bool(np.max(br_max) <= tol),
+        "flags_agree": bool(np.all((cal_max <= tol) == (br_max <= tol))),
+        "sup_cal": float(np.max(cal_max)),
+        "sup_bracket": float(np.max(br_max)),
     }
 
 

@@ -194,19 +194,19 @@ def test_criterion_8_hypersurface_checks():
     for p in graph.sample(5, rng):
         res = codazzi_checks(graph, p)
         worst_cod = max(worst_cod, res["total_symmetry"], res["eigen_offdiag"],
-                        res["eigen_diag"], res["exchange"])
+                        res["eigen_diag"], res["exchange"], res["frame_metric"])
     worst_k3 = 0.0
     for p in graph.sample(20, rng):
         worst_k3 = max(worst_k3, abs(hypersurface_identity(graph, p)["residual"]))
 
     s3 = math.sqrt(3.0)
     const_case = abs(k3_identity_rhs_constant(1.0, (s3, 0.0, -s3)))
-    ok = (worst_t <= 1e-6 and worst_cod <= 1e-5 and worst_k3 <= 1e-4
+    ok = (worst_t <= 1e-11 and worst_cod <= 1e-11 and worst_k3 <= 1e-11
           and const_case <= 1e-12)
     report(8, ok,
-           f"torus-of-revolution identity {worst_t:.3e} (<=1e-6); graph Codazzi "
-           f"{worst_cod:.3e} (<=1e-5); three-curvature identity {worst_k3:.3e} "
-           f"(<=1e-4); constant triple {const_case:.3e} (<=1e-12)")
+           f"torus-of-revolution identity {worst_t:.3e} (<=1e-11); graph Codazzi "
+           f"{worst_cod:.3e} (<=1e-11); three-curvature identity {worst_k3:.3e} "
+           f"(<=1e-11); constant triple {const_case:.3e} (<=1e-12)")
 
 
 def test_criterion_9_combinatorics_projection_propagation():

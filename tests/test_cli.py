@@ -217,3 +217,38 @@ def test_seed_changes_sample_points(tmp_path):
     notes_a = [r["note"] for r in ra if r["kind"] == "pointwise"]
     notes_b = [r["note"] for r in rb if r["kind"] == "pointwise"]
     assert notes_a != notes_b  # different worst points under different seeds
+
+
+def test_colliding_curvatures_name_their_point(tmp_path, capsys):
+    # a round sphere has one curvature of multiplicity 2, so splitting it into
+    # two simple groups must fail at the first sample point, and say where
+    spec = {
+        "kind": "hypersurface", "name": "sphere_as_two_groups",
+        "axes": [{"lo": 0.4, "hi": 2.7, "periodic": False},
+                 {"lo": 0.0, "hi": 6.283185307179586}],
+        "immersion": ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
+        "metric": [["2.25", "0"], ["0", "2.25*sin(x1)^2"]],
+        "ambient_curv": 0, "expected_k": 2, "expected_dims": [1, 1],
+    }
+    cfg = tmp_path / "sphere.json"
+    cfg.write_text(json.dumps({"scenario": spec, "samples": 5, "seed": 4}))
+    assert run(["verify", "--scenario", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    scn = cli.build_inline_scenario(spec)
+    first = scn.sample(5, cli.scenario_rng(4, scn.name))[0]
+    assert "gap threshold" in err
+    assert f"at {first.tolist()}" in err
+
+
+def test_cli_import_pulls_no_heavy_modules():
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, splitgeom.cli; "
+             "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

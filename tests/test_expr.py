@@ -160,3 +160,57 @@ def test_print_parse_round_trip():
         dim = int(rng.integers(1, 4))
         ast = random_ast(rng, dim, depth=4)
         assert parse_expr(to_source(ast), dim) == ast
+
+
+# -- symbolic differentiation ------------------------------------------------
+
+_DIFF_CASES = [
+    "3.5",                      # Num
+    "x2",                       # Var
+    "-x1",                      # Neg
+    "sin(x1*x2)", "cos(x1 + x2)", "exp(x1*x2)", "log(x1 + x2)", "sqrt(x1*x2)",
+    "x1 + x2^2", "x1 - x2^2", "x1*x2", "x1/x2",
+    "x1^3", "x2^-2", "x1^1.5", "(x1*x2)^0.5", "(x1 + x2)^(1/3)",
+]
+
+
+@pytest.mark.parametrize("source", _DIFF_CASES)
+def test_diff_matches_jet_derivatives(source):
+    # diff(node, i) evaluated as a jet is the i-th gradient component of the
+    # node's jet, and its gradient is the matching Hessian row
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(0.5, 2.0, size=(7, 2))
+    ast = parse_expr(source, 2)
+    j = eval_jet(ast, pts)
+    for i in (1, 2):
+        d = eval_jet(ex.diff(ast, i), pts)
+        np.testing.assert_allclose(d.val, j.grad[..., i - 1], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(d.grad, j.hess[..., i - 1, :], rtol=1e-13, atol=1e-13)
+
+
+def test_diff_folds_constants_and_round_trips():
+    assert ex.diff(parse_expr("0.3*x1^2 + 0.05*x1*x2", 2), 1) == parse_expr(
+        "0.3*(2.0*x1) + 0.05*x2", 2)
+    assert ex.diff(ex.diff(parse_expr("x1^2*x2", 2), 1), 1) == parse_expr("2.0*x2", 2)
+    assert ex.diff(parse_expr("sin(x2)", 2), 1) == ex.Num(0.0)
+    rng = np.random.default_rng(32)
+    asts = [parse_expr(s, 2) for s in _DIFF_CASES]
+    asts += [random_ast(rng, 2, depth=4) for _ in range(200)]
+    for ast in asts:
+        for i in (1, 2):
+            d = ex.diff(ast, i)
+            assert parse_expr(to_source(d), 2) == d
+            dd = ex.diff(d, 3 - i)
+            assert parse_expr(to_source(dd), 2) == dd
+
+
+def test_diff_domain_error_at_sqrt_zero():
+    import warnings
+
+    d = ex.diff(parse_expr("sqrt(x1)", 1), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ex.DomainError):
+            eval_jet(d, [0.0])
+        with pytest.raises(ex.DomainError):
+            evaluate(d, [np.array([1.0, 0.0])])
