@@ -13,16 +13,8 @@ Submodules:
 * ``cli``          -- configuration ingestion, run orchestration, reports
 """
 
-from .chart import (
-    Axis,
-    ChartManifold,
-    connection_at,
-    div_grad,
-    divergence,
-    integrate,
-    laplacian_geom,
-)
-from .expr import DomainError, ExprError, ParseError, eval_jet, evaluate, parse_expr, to_source
+from .chart import Axis, ChartManifold, integrate
+from .expr import DomainError, ExprError, ParseError, evaluate, parse_expr, to_source
 from .hyperdual import HyperDual, seed_jets, value_of
 from .identities import (
     CheckReport,
@@ -43,15 +35,10 @@ from .splitting import (
 __all__ = [
     "Axis",
     "ChartManifold",
-    "connection_at",
-    "div_grad",
-    "divergence",
     "integrate",
-    "laplacian_geom",
     "DomainError",
     "ExprError",
     "ParseError",
-    "eval_jet",
     "evaluate",
     "parse_expr",
     "to_source",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,8 @@ __all__ = [
     "Axis",
     "ChartManifold",
     "ChartFrame",
-    "PointFrameData",
     "GeometryError",
     "NonClosedChartError",
-    "connection_at",
-    "divergence",
-    "div_grad",
-    "laplacian_geom",
     "integrate",
     "rectangle_rule",
     "grid_points",
@@ -278,46 +273,6 @@ class ChartFrame:
     def grad_field(self, f_jet):
         """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)`` jet."""
         return hd.einsum("...ab,...b->...a", self.ginv, hd.differential(f_jet))
-
-
-@dataclass
-class PointFrameData:
-    point: np.ndarray
-    g: np.ndarray
-    gamma: np.ndarray
-    riemann: np.ndarray
-
-
-def connection_at(m, p):
-    """Metric, Christoffel symbols and curvature values at ``p`` ``(..., n)``."""
-    frame = ChartFrame(m, p)
-    # triggers SPD failure early with a clear error
-    _volume_element(frame.g.val, frame.points)
-    return PointFrameData(point=frame.points, g=frame.g.val,
-                          gamma=frame.gamma.val, riemann=frame.riemann)
-
-
-def divergence(m, X, p):
-    """Divergence of a jet-capable vector field callback at ``p``.
-
-    ``X(coords)`` must return the ``n`` contravariant components, each built
-    from the coordinate jets (so the engine can differentiate them exactly).
-    """
-    frame = ChartFrame(m, p)
-    return frame.divergence_of(hd.stack(X(frame.coords), ref=frame.coords[0]))
-
-
-def div_grad(m, f, p):
-    """``Div(grad f)`` -- the sign convention with ``div_grad(cos) < 0`` on
-    the round sphere's ``l=1`` mode."""
-    frame = ChartFrame(m, p)
-    f_jet = hd.as_jet(f(frame.coords), frame.coords[0])
-    return frame.divergence_of(frame.grad_field(f_jet))
-
-
-def laplacian_geom(m, f, p):
-    """Geometers' Laplacian ``-Div(grad f)`` (positive spectrum)."""
-    return -div_grad(m, f, p)
 
 
 def check_positive_definite(g, points, what="metric not positive definite"):

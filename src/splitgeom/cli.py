@@ -34,12 +34,8 @@ import sys
 import time
 import zlib
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .chart import Axis, ChartManifold, GeometryError, integrate
 from .expr import parse_expr
@@ -70,10 +66,13 @@ from .scenarios import (
     kproduct_catalog,
     warped_checks,
 )
-from .splitting import SplitContext, SplitStructure, pair_predicates
+from .splitting import SplitContext, SplitStructure
 
 DEFAULT_SAMPLES = 100
 HYPERSURFACE_SAMPLE_CAP = 20
+# report names of the hypersurface checks, in run order; filters use them
+HYPERSURFACE_CHECKS = ("kmix_pairs", "codazzi", "surface_identity",
+                       "dperp_integrability", "total_curvature")
 
 
 class ConfigError(ValueError):
@@ -186,11 +185,10 @@ def build_inline_scenario(spec):
     kind = spec.get("kind")
     if kind not in _INLINE_SCHEMAS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(spec, _INLINE_SCHEMAS[kind])
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"invalid inline scenario: {e.message}")
+    try:
+        jsonschema.validate(spec, _INLINE_SCHEMAS[kind])
+    except jsonschema.ValidationError as e:
+        raise ConfigError(f"invalid inline scenario: {e.message}")
     if kind == "twisted_torus":
         return build_twisted_torus(spec["k"], tuple(spec["dims"]),
                                    twist=spec.get("twist", "sin(x{n})"),
@@ -290,6 +288,7 @@ def run_scenario(scn, samples, seed, grid_override, tols, extra_tols, threads,
         keys = ["mean_curvature", "base_totally_geodesic"]
         if res["sec2_exact"]:
             keys += ["div_mean_curvature", "smix_warped"]
+        keys.append("mixed_pairs")
         # one warped_checks call serves every key: charge its time once
         share = (time.perf_counter() - t1) / len(keys)
         for key in keys:
@@ -298,36 +297,35 @@ def run_scenario(scn, samples, seed, grid_override, tols, extra_tols, threads,
                 identity=f"warped_{key}", scenario=scn.name, kind="predicate",
                 n_points=samples, tolerance=tols.predicate, verdict=verdict,
                 max_abs_residual=res[key], wall_time=share))
-        t1 = time.perf_counter()
-        worst_h = 0.0
-        ok = True
-        for i in range(1, scn.k + 1):
-            for j in range(i + 1, scn.k + 1):
-                pred = pair_predicates(scn.chart, scn.split, i, j, pts,
-                                       tol=tols.predicate)
-                worst_h = max(worst_h, pred["sup_h_cross"], pred["sup_t_cross"])
-                ok = ok and pred["mixed_tg"] and pred["mixed_int"]
-        reports.append(CheckReport(
-            identity="warped_mixed_pairs", scenario=scn.name, kind="predicate",
-            n_points=samples, tolerance=tols.predicate,
-            verdict="pass" if ok else "fail", max_abs_residual=worst_h,
-            wall_time=time.perf_counter() - t1))
     return reports
 
 
 def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
                       csv_rows):
+    unknown = sorted(set(identities_filter or ()) - set(HYPERSURFACE_CHECKS))
+    if unknown:
+        raise ConfigError(f"unknown identity {unknown[0]!r} for hypersurface "
+                          f"scenario {scn.name}; known: {', '.join(HYPERSURFACE_CHECKS)}")
+    applies = {"dperp_integrability": scn.expected_k >= 3,
+               "total_curvature": scn.closed and scn.chart.dim == 2}
+    selected = [name for name in HYPERSURFACE_CHECKS if applies.get(name, True)
+                and (identities_filter is None or name in identities_filter)]
     count = min(samples, HYPERSURFACE_SAMPLE_CAP)
     pts = scn.sample(count, rng)
     reports = []
-    wanted = identities_filter
+    t0 = time.perf_counter()
 
-    def selected(name):
-        return wanted is None or name in wanted
+    def lap():
+        # seconds since the previous report; the first one also carries the bundle
+        nonlocal t0
+        t1, t0 = t0, time.perf_counter()
+        return t0 - t1
 
-    if selected("kmix_pairs"):
-        t0 = time.perf_counter()
+    # total_curvature reads only shape_data: it must not need distinct groups
+    if set(selected) - {"total_curvature"}:
         b = principal_bundle(scn, pts)
+
+    if "kmix_pairs" in selected:
         frame_values = np.swapaxes(b["Y"], -1, -2)
         split = SplitStructure(scn.expected_dims, frame=None, name="eigen")
         ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
@@ -344,47 +342,42 @@ def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
             identity="kmix_pairs", scenario=scn.name, kind="pointwise",
             n_points=count, tolerance=extra_tols["kmix"],
             verdict="pass" if worst <= extra_tols["kmix"] else "fail",
-            max_abs_residual=worst, wall_time=time.perf_counter() - t0))
+            max_abs_residual=worst, wall_time=lap()))
 
-    if selected("codazzi"):
-        t0 = time.perf_counter()
-        res = codazzi_checks(scn, pts)
+    if "codazzi" in selected:
+        res = codazzi_checks(scn, b)
         worst = max(float(np.max(v)) for key, v in res.items() if key != "scale")
         reports.append(CheckReport(
             identity="codazzi", scenario=scn.name, kind="pointwise",
             n_points=count, tolerance=extra_tols["codazzi"],
             verdict="pass" if worst <= extra_tols["codazzi"] else "fail",
-            max_abs_residual=worst, wall_time=time.perf_counter() - t0))
+            max_abs_residual=worst, wall_time=lap()))
 
-    if selected("surface_identity"):
-        t0 = time.perf_counter()
+    if "surface_identity" in selected:
         tol = extra_tols["surface_identity"]
-        rows = hypersurface_identity(scn, pts)["residual"]
+        rows = hypersurface_identity(scn, b)["residual"]
         worst = float(np.max(np.abs(rows)))
         reports.append(CheckReport(
             identity="surface_identity", scenario=scn.name, kind="pointwise",
             n_points=count, tolerance=tol,
             verdict="pass" if worst <= tol else "fail",
-            max_abs_residual=worst, wall_time=time.perf_counter() - t0))
+            max_abs_residual=worst, wall_time=lap()))
         if csv_rows is not None:
             store = csv_rows.setdefault(scn.name,
                                         {"points": pts, "columns": {}})
             store["columns"]["surface_identity"] = rows
 
-    if scn.expected_k >= 3 and selected("dperp"):
-        t0 = time.perf_counter()
-        res = dperp_integrability(scn, pts)
+    if "dperp_integrability" in selected:
+        res = dperp_integrability(scn, b)
         reports.append(CheckReport(
             identity="dperp_integrability", scenario=scn.name, kind="predicate",
             n_points=count, tolerance=0.0,
             verdict="pass" if res["flags_agree"] else "fail",
             max_abs_residual=res["sup_cal"],
             note=f"cal_zero={res['cal_zero']} bracket_zero={res['bracket_zero']}",
-            wall_time=time.perf_counter() - t0))
+            wall_time=lap()))
 
-    if scn.closed and scn.chart.dim == 2 and selected("total_curvature"):
-        t0 = time.perf_counter()
-
+    if "total_curvature" in selected:
         def fields(qq):
             # intrinsic curvature of a surface in a space form
             k = scn.ambient_curv + np.linalg.det(shape_data(scn, qq)["A"])
@@ -400,7 +393,7 @@ def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
             n_points=int(np.prod(grid)), tolerance=tols.integral,
             verdict="pass" if ratio <= tols.integral else "fail",
             integral_value=total, normalizer=denom, integral_ratio=ratio,
-            grid=list(grid), wall_time=time.perf_counter() - t0))
+            grid=list(grid), wall_time=lap()))
     return reports
 
 
@@ -446,11 +439,10 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(config, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"config rejected: {e.message}")
+    try:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise ConfigError(f"config rejected: {e.message}")
     return config
 
 

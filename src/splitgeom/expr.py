@@ -39,7 +39,6 @@ __all__ = [
     "Neg",
     "parse_expr",
     "evaluate",
-    "eval_jet",
     "diff",
     "to_source",
 ]
@@ -273,6 +272,8 @@ def evaluate(node, coords):
                 raise DomainError(str(e)) from e
         if node.op == "^":
             p = float(evaluate(node.right, ()))
+            if p < 0.0 and np.any(hd.value_of(a) == 0.0):
+                raise DomainError("negative power of a zero base")
             try:
                 if isinstance(a, HyperDual):
                     return a ** p
@@ -283,19 +284,6 @@ def evaluate(node, coords):
             except JetDomainError as e:
                 raise DomainError(str(e)) from e
     raise ExprError(f"unknown node {node!r}")
-
-
-def eval_jet(node, point):
-    """Second-order jet of the expression at ``point`` of shape ``(..., n)`` or ``(n,)``.
-
-    The chart dimension is taken from the point, so the expression must have
-    been parsed against the same dimension.
-    """
-    xs = hd.seed_jets(np.asarray(point, dtype=float))
-    result = evaluate(node, xs)
-    if not isinstance(result, HyperDual):
-        result = hd.as_jet(result, xs[0])
-    return result
 
 
 # -- symbolic differentiation ----------------------------------------------

@@ -33,7 +33,6 @@ The checks compare the two, one batched evaluation over all sample points.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import string
@@ -50,10 +49,8 @@ from .hyperdual import HyperDual, seed_jets
 __all__ = [
     "GapError",
     "HypersurfaceScenario",
-    "PrincipalData",
     "shape_data",
     "principal_bundle",
-    "principal_data",
     "codazzi_checks",
     "hypersurface_identity",
     "dperp_integrability",
@@ -172,12 +169,14 @@ def principal_bundle(scn, points):
     """Principal curvatures and frames at ``points`` ``(..., n)``, with exact
     derivatives.
 
-    Returns the :func:`shape_data` fields plus ``mu`` (eigenvalues,
-    ascending), ``Y`` (g-orthonormal eigenvector columns), ``mu_hat`` (the
-    group means of ``mu`` as an order-2 ``(..., k)`` jet) and ``Y_jet`` (the
-    frame as an order-1 jet).  Raises :class:`GapError` naming the first
-    point where the distinct-group structure expected by the scenario is
-    violated.
+    Returns the :func:`shape_data` fields plus the ``points``, their
+    :class:`~splitgeom.chart.ChartFrame` ``frame`` on the closed-form chart
+    metric, ``mu`` (eigenvalues, ascending), ``Y`` (g-orthonormal eigenvector
+    columns), ``mu_hat`` (the group means of ``mu`` as an order-2 ``(..., k)``
+    jet) and ``Y_jet`` (the frame as an order-1 jet).  The checks below take
+    this bundle, so one sample set is solved and differentiated once.  Raises
+    :class:`GapError` naming the first point where the distinct-group
+    structure expected by the scenario is violated.
     """
     points = np.asarray(points, dtype=float)
     data = shape_data(scn, points)
@@ -189,7 +188,8 @@ def principal_bundle(scn, points):
     Y = np.where(top < 0.0, -Y, Y)
     _check_groups(scn, mu, points)
     mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.expected_dims)
-    return {**data, "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
+    return {**data, "points": points, "frame": ChartFrame(scn.chart, points),
+            "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
 def _check_groups(scn, mu, points):
@@ -255,57 +255,22 @@ def _perturbation_jets(data, mu, Y, dims):
     return mu_hat, HyperDual(Y, np.einsum("...aj,...jic->...aic", Y, C))
 
 
-@dataclass
-class PrincipalData:
-    point: np.ndarray
-    mu: np.ndarray                  # all eigenvalues, ascending
-    mu_distinct: np.ndarray         # one value per group
-    multiplicities: tuple
-    frame: np.ndarray               # eigenvector columns, g-orthonormal
-    g: np.ndarray
-    grad_mu_distinct: np.ndarray    # (k, n) contravariant gradients
-
-
-def principal_data(scn, p):
-    """Full principal-curvature data at the single point ``p``."""
-    p = np.asarray(p, dtype=float)
-    b = principal_bundle(scn, p[None, :])
-    g = b["g"][0]
-    return PrincipalData(point=p, mu=b["mu"][0], mu_distinct=b["mu_hat"].val[0],
-                         multiplicities=tuple(scn.expected_dims), frame=b["Y"][0], g=g,
-                         grad_mu_distinct=np.linalg.solve(g, b["mu_hat"].grad[0].T).T)
-
-
 # -- curvature-derivative checks ----------------------------------------------
 
-def _accepts_single_point(check):
-    """Let a batched check take one point ``(n,)``: its per-point arrays
-    become floats."""
-
-    @functools.wraps(check)
-    def wrapper(scn, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim > 1:
-            return check(scn, points)
-        return {key: float(v[0]) for key, v in check(scn, points[None, :]).items()}
-
-    return wrapper
-
-
-def _nabla_A(scn, points, data):
+def _nabla_A(b):
     """Covariant derivative ``(..., c, a, b) = (nabla_c A)^a_b`` by Weingarten.
 
-    Reads only immersion derivative values of :func:`shape_data`, never the
-    eigen-side jets: ``d_c II_ab = <F_abc, N> - A^d_c <F_ab, F_d>`` (from
-    ``d_c N = -A^d_c F_d``, which also holds in the unit sphere) and
-    ``d_c g_ab = <F_ac, F_b> + <F_a, F_bc>``; ``Gamma`` is that of the
-    closed-form chart metric.  Returns ``(nabla, gamma)``.
+    Reads only the immersion derivative values and the chart frame of the
+    bundle ``b``, never the eigen-side jets: ``d_c II_ab = <F_abc, N> -
+    A^d_c <F_ab, F_d>`` (from ``d_c N = -A^d_c F_d``, which also holds in the
+    unit sphere) and ``d_c g_ab = <F_ac, F_b> + <F_a, F_bc>``; ``Gamma`` is
+    that of the closed-form chart metric.  Returns ``(nabla, gamma)``.
     """
-    cf = ChartFrame(scn.chart, points)
-    g, A, J, N = data["g"], data["A"], data["J"], data["N"]
+    cf = b["frame"]
+    g, A, J, N = b["g"], b["A"], b["J"], b["N"]
     if np.max(np.abs(cf.g.val - g)) > 1e-9 * (1.0 + np.max(np.abs(g))):
         raise GeometryError("closed-form metric disagrees with the immersion metric")
-    F2, F3 = data["DDF"].val, data["DDF"].grad
+    F2, F3 = b["DDF"].val, b["DDF"].grad
     dII = (np.einsum("...mabc,...m->...cab", F3, N)
            - np.einsum("...dc,...mab,...dm->...cab", A, F2, J))
     dg = np.einsum("...mac,...bm->...cab", F2, J)
@@ -318,11 +283,11 @@ def _nabla_A(scn, points, data):
     return nabla, gamma
 
 
-def _frame_tensors(scn, points, b):
+def _frame_tensors(b):
     """The two sides in the eigenframe ``X_i`` (columns of ``Y``):
     ``cal[i,j,l] = <(nabla_{X_i} A) X_j, X_l>`` from :func:`_nabla_A` and
     ``conn[i,j,l] = <nabla_{X_i} X_j, X_l>`` from the frame jet."""
-    nabla, gamma = _nabla_A(scn, points, b)
+    nabla, gamma = _nabla_A(b)
     Y, g = b["Y"], b["g"]
     cal = np.einsum("...ci,...cab,...bj,...ad,...dl->...ijl", Y, nabla, Y, g, Y,
                     optimize=True)
@@ -339,9 +304,9 @@ def _distinct(n):
     return (i != j) & (j != l) & (i != l)
 
 
-@_accepts_single_point
-def codazzi_checks(scn, points):
-    """Per-point residuals of the Codazzi-derived relations at ``points``.
+def codazzi_checks(scn, b):
+    """Per-point residuals of the Codazzi-derived relations on the
+    :func:`principal_bundle` ``b`` of the scenario ``scn``.
 
     With ``cal`` and ``conn`` as in :func:`_frame_tensors`, keys:
     ``total_symmetry`` (all 6 permutations of ``cal``, relative to
@@ -354,8 +319,7 @@ def codazzi_checks(scn, points):
     """
     if any(d != 1 for d in scn.expected_dims):
         raise GeometryError("eigenvector-derivative checks need simple eigenvalues")
-    b = principal_bundle(scn, points)
-    cal, conn = _frame_tensors(scn, points, b)
+    cal, conn = _frame_tensors(b)
     mu = b["mu"]
     n = mu.shape[-1]
     scale = 1.0 + np.max(np.abs(cal), axis=_TRIPLE)
@@ -379,9 +343,9 @@ def codazzi_checks(scn, points):
 
 # -- the divergence identities in shape-operator form ------------------------
 
-@_accepts_single_point
-def hypersurface_identity(scn, points):
-    """Per-point residual of the divergence identity in principal-curvature form.
+def hypersurface_identity(scn, b):
+    """Per-point residual of the divergence identity in principal-curvature
+    form, on the :func:`principal_bundle` ``b`` of the scenario ``scn``.
 
     For two distinct curvatures (``V = H_1 + H_2``):
 
@@ -416,7 +380,6 @@ def hypersurface_identity(scn, points):
     if k not in (2, 3):
         raise GeometryError("identity implemented for 2 or 3 distinct curvatures")
     c = float(scn.ambient_curv)
-    b = principal_bundle(scn, points)
     mu_hat = b["mu_hat"]
     member = (np.repeat(np.arange(k), dims)[:, None] == np.arange(k)).astype(float)
     # W[l, i] = X_l(mu_i): the frame components of grad mu_i, so that
@@ -426,7 +389,7 @@ def hypersurface_identity(scn, points):
     gap = hd.einsum("...i,lij->...lj", mu_hat, np.eye(k) - member[:, :, None])
     coef = (gap + member) ** -1 * ((1.0 - member) * np.asarray(dims, dtype=float))
     V = hd.einsum("...al,...li->...a", b["Y_jet"], W * coef)
-    lhs = ChartFrame(scn.chart, points).divergence_of(V)
+    lhs = b["frame"].divergence_of(V)
 
     mu, Wv = mu_hat.val, W.val
     proj2 = np.einsum("...li,lj->...ji", Wv * Wv, member)  # |P_j grad mu_i|^2 at [j, i]
@@ -463,8 +426,9 @@ def k3_identity_rhs_constant(c, mu, dims=(1, 1, 1)):
     return rhs
 
 
-def dperp_integrability(scn, points):
-    """Integrability of each complement distribution, two independent ways.
+def dperp_integrability(scn, b):
+    """Integrability of each complement distribution, two independent ways,
+    on the :func:`principal_bundle` ``b`` of the scenario ``scn``.
 
     For three or more distinct curvature groups (all simple here), checks
     on every sample point whether the derivative 3-tensor vanishes on
@@ -477,11 +441,7 @@ def dperp_integrability(scn, points):
         raise GeometryError("complement integrability needs at least 3 groups")
     if any(d != 1 for d in scn.expected_dims):
         raise GeometryError("bracket cross-validation needs simple eigenvalues")
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[None, :]
-    b = principal_bundle(scn, points)
-    cal, conn = _frame_tensors(scn, points, b)
+    cal, conn = _frame_tensors(b)
     n = scn.chart.dim
     i, j, l = np.indices((n, n, n))
     cal_max = np.max(np.abs(cal), axis=_TRIPLE, where=(i < j) & (j < l), initial=0.0)

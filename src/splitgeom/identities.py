@@ -102,8 +102,8 @@ class CheckReport:
     note: str = ""
     wall_time: float = 0.0
 
-    def to_dict(self, include_timing=False):
-        d = {
+    def to_dict(self):
+        return {
             "identity": self.identity,
             "scenario": self.scenario,
             "kind": self.kind,
@@ -120,9 +120,6 @@ class CheckReport:
             "grid": self.grid,
             "note": self.note,
         }
-        if include_timing:
-            d["wall_time"] = self.wall_time
-        return d
 
 
 def _rset(k):

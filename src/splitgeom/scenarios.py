@@ -34,7 +34,8 @@ from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
 from .expr import evaluate, parse_expr
 from .hyperdual import value_of
-from .splitting import SplitContext, SplitStructure, SubsetIndex, coordinate_split
+from .splitting import (SplitContext, SplitStructure, SubsetIndex, coordinate_split,
+                        pair_predicates)
 
 __all__ = [
     "Scenario",
@@ -270,11 +271,15 @@ def warped_checks(scenario, points):
       ``lap = Div grad`` on the flat base,
     * ``smix_warped``: mixed scalar curvature against
       ``sum_i n_i (-lap u_i)/u_i`` (geometers' Laplacian),
-    * ``base_totally_geodesic``: sup of ``h`` on the base block.
+    * ``base_totally_geodesic``: sup of ``h`` on the base block,
+    * ``mixed_pairs``: the worst cross-block sup of ``h`` and ``T`` over all
+      distribution pairs (:func:`~splitgeom.splitting.pair_predicates`); it
+      vanishes on every multiply warped product.
 
-    The second and third residuals are only meaningful when
-    ``meta["sec2_exact"]`` is true; otherwise the closed forms acquire
-    warp-gradient cross terms and the raw residuals are still returned.
+    All of them read one :class:`~splitgeom.splitting.SplitContext`.  The
+    second and third residuals are only meaningful when ``meta["sec2_exact"]``
+    is true; otherwise the closed forms acquire warp-gradient cross terms and
+    the raw residuals are still returned.
     """
     if scenario.kind != "warped":
         raise GeometryError("warped_checks needs a warped scenario")
@@ -307,6 +312,9 @@ def warped_checks(scenario, points):
     out["smix_warped"] = float(np.max(np.abs(ctx.smix() - smix_expected)))
     base = ctx.fundamental(SubsetIndex((1,)))
     out["base_totally_geodesic"] = float(np.max(np.abs(base.h_frame), initial=0.0))
+    preds = [pair_predicates(ctx, i, j) for i in range(1, ctx.k + 1)
+             for j in range(i + 1, ctx.k + 1)]
+    out["mixed_pairs"] = max(max(p["sup_h_cross"], p["sup_t_cross"]) for p in preds)
     out["sec2_exact"] = scenario.meta["sec2_exact"]
     return out
 

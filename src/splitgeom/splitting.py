@@ -166,7 +166,7 @@ class FundamentalData:
 class SplitContext:
     """All split-dependent quantities of a scenario at a batch of points."""
 
-    def __init__(self, chart, split, points, validate=True, frame_values=None):
+    def __init__(self, chart, split, points, frame_values=None):
         if split.n != chart.dim:
             raise GeometryError(
                 f"split dimensions sum to {split.n}, chart dimension is {chart.dim}")
@@ -193,8 +193,7 @@ class SplitContext:
             raw = hd.stack(vecs, ref=self.frame.coords[0])
             g = self.frame.g
         check_positive_definite(self.frame.g.val, self.points)
-        if validate:
-            self._validate_raw_blocks(hd.value_of(raw))
+        self._validate_raw_blocks(hd.value_of(raw))
         self.E = gram_schmidt(g, raw, self.points)
 
     def _validate_raw_blocks(self, raw, tol=1e-9):
@@ -356,15 +355,15 @@ class SplitContext:
                          optimize=True)
 
 
-def pair_predicates(chart, split, i, j, sample_pts, tol=1e-9):
+def pair_predicates(ctx, i, j, tol=1e-9):
     """Mixed totally-geodesic / mixed-integrable flags for the pair ``(i, j)``.
 
     Returns sup norms of the cross-block components of ``h_{ij}`` and
-    ``T_{ij}`` over the sample points and booleans against ``tol``.
+    ``T_{ij}`` over the points of the :class:`SplitContext` ``ctx`` and
+    booleans against ``tol``.
     """
     if i == j:
         raise ValueError("pair predicates need two distinct distributions")
-    ctx = SplitContext(chart, split, sample_pts)
     sup_h, sup_t = (float(np.max(s, initial=0.0))
                     for s in ctx.cross_block_sup(SubsetIndex(tuple(sorted((i, j))))))
     return {

@@ -172,10 +172,10 @@ def test_criterion_7_warped_product_closed_forms():
     for name in ("warped_t2", "warped_t3_fiber2", "warped_t3_k3", "warped_t4_k4",
                  "warped_t4_k3_ortho", "warped_t5_k3_multi"):
         scn = kproduct_catalog()[name]()
-        pts = scn.sample(25, rng)
+        ctx = SplitContext(scn.chart, scn.split, scn.sample(25, rng))
         for i in range(1, scn.k + 1):
             for j in range(i + 1, scn.k + 1):
-                pred = pair_predicates(scn.chart, scn.split, i, j, pts)
+                pred = pair_predicates(ctx, i, j)
                 tg_ok = tg_ok and pred["mixed_tg"]
     report(7, worst <= 1e-9 and tg_ok,
            f"warped closed forms (mean curvature, its divergence, mixed scalar "
@@ -185,19 +185,15 @@ def test_criterion_7_warped_product_closed_forms():
 def test_criterion_8_hypersurface_checks():
     rng = np.random.default_rng(8)
     torus = build_torus_revolution()
-    worst_t = 0.0
-    for p in torus.sample(10, rng):
-        worst_t = max(worst_t, abs(hypersurface_identity(torus, p)["residual"]))
+    b = principal_bundle(torus, torus.sample(10, rng))
+    worst_t = float(np.max(np.abs(hypersurface_identity(torus, b)["residual"])))
 
     graph = build_graph_r4()
-    worst_cod = 0.0
-    for p in graph.sample(5, rng):
-        res = codazzi_checks(graph, p)
-        worst_cod = max(worst_cod, res["total_symmetry"], res["eigen_offdiag"],
-                        res["eigen_diag"], res["exchange"], res["frame_metric"])
-    worst_k3 = 0.0
-    for p in graph.sample(20, rng):
-        worst_k3 = max(worst_k3, abs(hypersurface_identity(graph, p)["residual"]))
+    res = codazzi_checks(graph, principal_bundle(graph, graph.sample(5, rng)))
+    worst_cod = max(float(np.max(res[key])) for key in (
+        "total_symmetry", "eigen_offdiag", "eigen_diag", "exchange", "frame_metric"))
+    b = principal_bundle(graph, graph.sample(20, rng))
+    worst_k3 = float(np.max(np.abs(hypersurface_identity(graph, b)["residual"])))
 
     s3 = math.sqrt(3.0)
     const_case = abs(k3_identity_rhs_constant(1.0, (s3, 0.0, -s3)))

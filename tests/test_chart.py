@@ -12,10 +12,6 @@ from splitgeom.chart import (
     ChartFrame,
     GeometryError,
     NonClosedChartError,
-    connection_at,
-    divergence,
-    div_grad,
-    laplacian_geom,
     grid_points,
     integrate,
     sample_points,
@@ -50,8 +46,8 @@ def test_flat_chart_connection_vanishes():
     m = flat_torus(3)
     rng = np.random.default_rng(0)
     pts = sample_points(m, 20, rng)
-    data = connection_at(m, pts)
-    assert np.max(np.abs(data.gamma)) <= 1e-12
+    data = ChartFrame(m, pts)
+    assert np.max(np.abs(data.gamma.val)) <= 1e-12
     assert np.max(np.abs(data.riemann)) <= 1e-12
 
 
@@ -59,8 +55,8 @@ def test_constant_metric_flat():
     g = [["2", "0.3", "0"], ["0.3", "1", "0"], ["0", "0", "1.5"]]
     m = ChartManifold([Axis(0.0, TWO_PI)] * 3, g)
     pts = sample_points(m, 10, np.random.default_rng(1))
-    data = connection_at(m, pts)
-    assert np.max(np.abs(data.gamma)) <= 1e-12
+    data = ChartFrame(m, pts)
+    assert np.max(np.abs(data.gamma.val)) <= 1e-12
     assert np.max(np.abs(data.riemann)) <= 1e-12
 
 
@@ -68,7 +64,7 @@ def test_sphere_sectional_curvature_is_plus_one():
     # oracle: unit round sphere has sectional curvature +1 everywhere
     m = sphere_chart()
     p = np.array([math.pi / 2, 1.0])
-    data = connection_at(m, p)
+    data = ChartFrame(m, p)
     # orthonormal frame at the equator: d_theta, d_phi/sin(theta)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0 / math.sin(p[0])])
@@ -77,7 +73,7 @@ def test_sphere_sectional_curvature_is_plus_one():
 
     # off-equator too
     p = np.array([1.1, 2.0])
-    data = connection_at(m, p)
+    data = ChartFrame(m, p)
     e2 = np.array([0.0, 1.0 / math.sin(p[0])])
     K = np.einsum("abcd,a,b,c,d->", data.riemann, e1, e2, e1, e2)
     assert abs(K - 1.0) <= 1e-10
@@ -88,14 +84,14 @@ def test_revolution_surface_curvature_matches_u_ratio():
     m = revolution_chart()
     for t in [0.0, 0.7, math.pi / 2, 4.0]:
         p = np.array([t, 0.3])
-        data = connection_at(m, p)
+        data = ChartFrame(m, p)
         u = 2 + math.sin(t)
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0 / u])
         K = np.einsum("abcd,a,b,c,d->", data.riemann, e1, e2, e1, e2)
         assert abs(K - (math.sin(t) / u)) <= 1e-12  # -u''/u with u'' = -sin t
     # spec spot value: t=0 gives exactly 0
-    data = connection_at(m, np.array([0.0, 0.1]))
+    data = ChartFrame(m, np.array([0.0, 0.1]))
     K = data.riemann[0, 1, 0, 1] / (2 + math.sin(0.0)) ** 2
     assert abs(K) <= 1e-14
 
@@ -110,7 +106,7 @@ def test_riemann_symmetries_and_bianchi():
     )
     for chart in (m, m3, sphere_chart()):
         pts = sample_points(chart, 15, np.random.default_rng(3))
-        R = connection_at(chart, pts).riemann
+        R = ChartFrame(chart, pts).riemann
         assert np.max(np.abs(R + np.swapaxes(R, -4, -3))) <= 1e-10
         assert np.max(np.abs(R + np.swapaxes(R, -2, -1))) <= 1e-10
         assert np.max(np.abs(R - np.einsum("...abcd->...cdab", R))) <= 1e-10
@@ -177,22 +173,25 @@ def test_divergence_trivial_fields():
     rng = np.random.default_rng(5)
     pts = sample_points(m, 8, rng)
 
-    const = lambda x: [hd.as_jet(1.0, x[0]), hd.as_jet(-2.0, x[0]), hd.as_jet(0.5, x[0])]
-    assert np.max(np.abs(divergence(m, const, pts))) <= 1e-14
+    frame = ChartFrame(m, pts)
+    x = frame.coords
 
-    linear = lambda x: [x[0], hd.as_jet(0.0, x[0]), hd.as_jet(0.0, x[0])]
-    np.testing.assert_allclose(divergence(m, linear, pts), 1.0, rtol=1e-14)
+    const = hd.stack([hd.as_jet(1.0, x[0]), hd.as_jet(-2.0, x[0]), hd.as_jet(0.5, x[0])])
+    assert np.max(np.abs(frame.divergence_of(const))) <= 1e-14
+
+    linear = hd.stack([x[0], hd.as_jet(0.0, x[0]), hd.as_jet(0.0, x[0])])
+    np.testing.assert_allclose(frame.divergence_of(linear), 1.0, rtol=1e-14)
 
 
 def test_sphere_laplacian_l1_eigenfunction():
     # oracle: on the unit sphere, Div grad(cos θ) = -2 cos θ (l=1 mode)
     m = sphere_chart()
     pts = sample_points(m, 12, np.random.default_rng(7))
-    f = lambda x: hd.cos(x[0])
-    got = div_grad(m, f, pts)
+    frame = ChartFrame(m, pts)
+    got = frame.divergence_of(frame.grad_field(hd.cos(frame.coords[0])))
     np.testing.assert_allclose(got, -2.0 * np.cos(pts[..., 0]), atol=1e-10)
-    np.testing.assert_allclose(laplacian_geom(m, f, pts), 2.0 * np.cos(pts[..., 0]),
-                               atol=1e-10)
+    # so the geometers' Laplacian -Div grad has a positive spectrum
+    np.testing.assert_allclose(-got, 2.0 * np.cos(pts[..., 0]), atol=1e-10)
 
 
 def test_integrate_unit_volume():

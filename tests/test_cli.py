@@ -193,6 +193,34 @@ def test_verify_hypersurface_scenario(capsys):
     assert "total_curvature" in out
 
 
+@pytest.mark.parametrize("name", ["bogus", "dperp", "main"])
+def test_hypersurface_filter_rejects_unknown_names(tmp_path, capsys, name):
+    cfg = tmp_path / "filter.json"
+    cfg.write_text(json.dumps({"scenario": "graph_r4", "identities": [name],
+                               "samples": 4}))
+    assert run(["verify", "--scenario", str(cfg)]) == 2
+    assert f"unknown identity {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, name", [
+    ("graph_r4", "dperp_integrability"),
+    ("torus_revolution", "total_curvature"),
+])
+def test_hypersurface_filter_uses_report_names(tmp_path, monkeypatch, scenario, name):
+    if name == "total_curvature":
+        # the integral reads shape_data only: no principal bundle, no gap check
+        def no_bundle(*args):
+            raise AssertionError("principal_bundle called")
+
+        monkeypatch.setattr(cli, "principal_bundle", no_bundle)
+    cfg = tmp_path / "filter.json"
+    out = tmp_path / "filter_report.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "identities": [name],
+                               "samples": 4, "out": str(out)}))
+    assert run(["verify", "--scenario", str(cfg)]) == 0
+    assert [r["identity"] for r in json.loads(out.read_text())] == [name]
+
+
 def test_threads_env_var_and_flag(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

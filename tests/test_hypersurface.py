@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitgeom.chart import GeometryError, integrate
+from splitgeom.chart import ChartFrame, GeometryError, integrate
 from splitgeom.hypersurface import (
     GapError,
     build_clifford_torus,
@@ -17,7 +17,6 @@ from splitgeom.hypersurface import (
     hypersurface_identity,
     k3_identity_rhs_constant,
     principal_bundle,
-    principal_data,
     shape_data,
 )
 from splitgeom.identities import _Evaluator
@@ -50,8 +49,7 @@ def test_clifford_torus_curvatures():
                                atol=1e-12)
     # ambient curvature plus curvature product vanishes: intrinsically flat
     assert abs(1.0 + (-1.0) * 1.0) == 0.0
-    from splitgeom.chart import connection_at
-    R = connection_at(scn.chart, pts).riemann
+    R = ChartFrame(scn.chart, pts).riemann
     assert np.max(np.abs(R)) <= 1e-13
 
 
@@ -88,14 +86,16 @@ def test_shape_operator_self_adjoint_and_metric_consistency():
 
 def test_principal_data_gradients():
     scn = build_torus_revolution()
-    p = np.array([0.8, 1.1])
-    pd = principal_data(scn, p)
-    assert pd.multiplicities == (1, 1)
+    pts = np.array([[0.8, 1.1]])
+    b = principal_bundle(scn, pts)
+    assert scn.expected_dims == (1, 1)
+    # contravariant gradients of the group curvatures
+    grad_mu = np.linalg.solve(b["g"][0], b["mu_hat"].grad[0].T).T
     # closed form: d/dtheta of cos(t)/(2+cos(t)) = -2 sin t/(2+cos t)^2
-    t = p[0]
+    t = pts[0, 0]
     expected = -2.0 * math.sin(t) / (2.0 + math.cos(t)) ** 2
-    np.testing.assert_allclose(pd.grad_mu_distinct[0], [expected, 0.0], atol=1e-12)
-    np.testing.assert_allclose(pd.grad_mu_distinct[1], [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(grad_mu[0], [expected, 0.0], atol=1e-12)
+    np.testing.assert_allclose(grad_mu[1], [0.0, 0.0], atol=1e-12)
 
 
 def test_mixed_curvature_matches_shape_operator_product():
@@ -132,7 +132,7 @@ def test_smix_lemma_on_hypersurface_eigen_frames():
 
 def test_codazzi_checks_torus_and_clifford():
     scn = build_torus_revolution()
-    res = codazzi_checks(scn, np.array([0.8, 1.3]))
+    res = codazzi_checks(scn, principal_bundle(scn, np.array([[0.8, 1.3]])))
     assert res["total_symmetry"] <= 1e-12
     assert res["eigen_offdiag"] <= 1e-12
     assert res["eigen_diag"] <= 1e-12
@@ -140,48 +140,46 @@ def test_codazzi_checks_torus_and_clifford():
 
     # isoparametric: the shape operator is parallel, the 3-tensor vanishes;
     # ``scale`` is 1 + max |<(nabla_{X_i} A) X_j, X_l>| over the eigenframe
-    res2 = codazzi_checks(build_clifford_torus(), np.array([0.4, 2.0]))
+    cliff = build_clifford_torus()
+    res2 = codazzi_checks(cliff, principal_bundle(cliff, np.array([[0.4, 2.0]])))
     assert res2["scale"] - 1.0 <= 1e-12
 
 
 def test_codazzi_checks_graph_r4():
     scn = build_graph_r4()
     rng = np.random.default_rng(5)
-    for p in scn.sample(5, rng):
-        res = codazzi_checks(scn, p)
-        assert res["total_symmetry"] <= 1e-12
-        assert res["eigen_offdiag"] <= 1e-12
-        assert res["eigen_diag"] <= 1e-12
-        assert res["exchange"] <= 1e-12
-        assert res["frame_metric"] <= 1e-12
+    res = codazzi_checks(scn, principal_bundle(scn, scn.sample(5, rng)))
+    assert np.max(res["total_symmetry"]) <= 1e-12
+    assert np.max(res["eigen_offdiag"]) <= 1e-12
+    assert np.max(res["eigen_diag"]) <= 1e-12
+    assert np.max(res["exchange"]) <= 1e-12
+    assert np.max(res["frame_metric"]) <= 1e-12
 
 
 def test_identity_torus_of_revolution():
     scn = build_torus_revolution()
     rng = np.random.default_rng(6)
-    for p in scn.sample(8, rng):
-        out = hypersurface_identity(scn, p)
-        assert abs(out["residual"]) <= 1e-12
-        # the right side reduces to the intrinsic curvature (simple groups)
-        assert abs(out["rhs"] - torus_gauss_curvature(p[0])) <= 1e-12
+    pts = scn.sample(8, rng)
+    out = hypersurface_identity(scn, principal_bundle(scn, pts))
+    assert np.max(np.abs(out["residual"])) <= 1e-12
+    # the right side reduces to the intrinsic curvature (simple groups)
+    for rhs, p in zip(out["rhs"], pts):
+        assert abs(rhs - torus_gauss_curvature(p[0])) <= 1e-12
 
 
 def test_identity_clifford_zero():
     scn = build_clifford_torus()
-    out = hypersurface_identity(scn, np.array([0.7, 1.9]))
-    assert abs(out["lhs"]) <= 1e-12
-    assert abs(out["rhs"]) <= 1e-12
+    out = hypersurface_identity(scn, principal_bundle(scn, np.array([[0.7, 1.9]])))
+    assert abs(out["lhs"][0]) <= 1e-12
+    assert abs(out["rhs"][0]) <= 1e-12
 
 
 def test_identity_k3_graph_20_points():
     scn = build_graph_r4()
     rng = np.random.default_rng(7)
-    worst = 0.0
-    worst_printed = 0.0
-    for p in scn.sample(20, rng):
-        out = hypersurface_identity(scn, p)
-        worst = max(worst, abs(out["residual"]))
-        worst_printed = max(worst_printed, abs(out["residual_printed"]))
+    out = hypersurface_identity(scn, principal_bundle(scn, scn.sample(20, rng)))
+    worst = np.max(np.abs(out["residual"]))
+    worst_printed = np.max(np.abs(out["residual_printed"]))
     assert worst <= 1e-12
     # the halved curvature sum misses by half the curvature scale
     assert worst_printed > 1e-2
@@ -190,9 +188,8 @@ def test_identity_k3_graph_20_points():
 def test_identity_k3_torus_cylinder():
     scn = build_torus_cylinder()
     rng = np.random.default_rng(8)
-    for p in scn.sample(6, rng):
-        out = hypersurface_identity(scn, p)
-        assert abs(out["residual"]) <= 1e-12
+    out = hypersurface_identity(scn, principal_bundle(scn, scn.sample(6, rng)))
+    assert np.max(np.abs(out["residual"])) <= 1e-12
 
 
 def test_identity_k3_agrees_with_split_engine_on_cylinder():
@@ -205,9 +202,8 @@ def test_identity_k3_agrees_with_split_engine_on_cylinder():
     pts = scn.sample(5, rng)
     ev = _Evaluator(SplitContext(scn.chart, split, pts))
     div_jets = ev.main()["div"]
-    for idx, p in enumerate(pts):
-        out = hypersurface_identity(scn, p)
-        assert abs(div_jets[idx] - 2.0 * out["lhs"]) <= 1e-12
+    out = hypersurface_identity(scn, principal_bundle(scn, pts))
+    assert np.max(np.abs(div_jets - 2.0 * out["lhs"])) <= 1e-12
 
 
 def test_constant_triple_arithmetic_case():
@@ -220,18 +216,20 @@ def test_constant_triple_arithmetic_case():
 def test_dperp_integrability_both_branches():
     scn = build_torus_cylinder()
     pts = scn.sample(4, np.random.default_rng(10))
-    res = dperp_integrability(scn, pts)
+    res = dperp_integrability(scn, principal_bundle(scn, pts))
     assert res["cal_zero"] and res["bracket_zero"] and res["flags_agree"]
 
     scn2 = build_graph_r4()
     pts2 = scn2.sample(4, np.random.default_rng(11))
-    res2 = dperp_integrability(scn2, pts2)
+    res2 = dperp_integrability(scn2, principal_bundle(scn2, pts2))
     assert not res2["cal_zero"]
     assert not res2["bracket_zero"]
     assert res2["flags_agree"]
 
+    torus = build_torus_revolution()
+    b_torus = principal_bundle(torus, pts[:1, :2])
     with pytest.raises(Exception):
-        dperp_integrability(build_torus_revolution(), pts[:1, :2])
+        dperp_integrability(torus, b_torus)
 
 
 def test_gauss_bonnet_on_torus():
@@ -256,25 +254,25 @@ def test_main_identity_on_torus_chart_agrees_with_fd_path():
     ev = _Evaluator(SplitContext(scn.chart, split, pts))
     m = ev.main()
     assert np.max(np.abs(m["residual"])) <= 1e-10
-    for idx, p in enumerate(pts):
-        out = hypersurface_identity(scn, p)
-        assert abs(m["div"][idx] - out["lhs"]) <= 1e-12
+    out = hypersurface_identity(scn, principal_bundle(scn, pts))
+    assert np.max(np.abs(m["div"] - out["lhs"])) <= 1e-12
 
 
 def test_batched_checks_match_single_points():
     scn = build_graph_r4()
     pts = scn.sample(6, np.random.default_rng(13))
-    cod = codazzi_checks(scn, pts)
-    ident = hypersurface_identity(scn, pts)
-    for idx, p in enumerate(pts):
-        single = codazzi_checks(scn, p)
+    b = principal_bundle(scn, pts)
+    cod = codazzi_checks(scn, b)
+    ident = hypersurface_identity(scn, b)
+    for idx in range(len(pts)):
+        one = principal_bundle(scn, pts[idx:idx + 1])
+        single = codazzi_checks(scn, one)
         assert set(single) == set(cod)
         for key, v in single.items():
-            assert isinstance(v, float)
-            assert abs(cod[key][idx] - v) <= 1e-14 * (1.0 + abs(v)), key
-        out = hypersurface_identity(scn, p)
-        assert abs(ident["lhs"][idx] - out["lhs"]) <= 1e-14
-        assert abs(ident["rhs"][idx] - out["rhs"]) <= 1e-14
+            assert abs(cod[key][idx] - v[0]) <= 1e-14 * (1.0 + abs(v[0])), key
+        out = hypersurface_identity(scn, one)
+        assert abs(ident["lhs"][idx] - out["lhs"][0]) <= 1e-14
+        assert abs(ident["rhs"][idx] - out["rhs"][0]) <= 1e-14
 
 
 def test_graph_shape_operator_derivatives_match_symbolic_oracle():
@@ -312,7 +310,7 @@ def test_graph_shape_operator_derivatives_match_symbolic_oracle():
     scn = build_graph_r4()
     pts = scn.sample(3, np.random.default_rng(14))
     b = principal_bundle(scn, pts)
-    nabla, _ = _nabla_A(scn, pts, b)
+    nabla, _ = _nabla_A(b)
     gj, IIj = b["g_jet"], b["II_jet"]
     for idx, q in enumerate(pts):
         A_q, dA_q, gam = (np.array(t, dtype=float) for t in geom(q))

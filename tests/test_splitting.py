@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splitgeom import hyperdual as hd
-from splitgeom.chart import Axis, ChartManifold, GeometryError, divergence, sample_points
+from splitgeom.chart import Axis, ChartFrame, ChartManifold, GeometryError, sample_points
 from splitgeom.expr import parse_expr
 from splitgeom.identities import pointwise_fields
 from splitgeom.scenarios import (
@@ -234,6 +234,8 @@ def test_warped_mean_curvature_closed_forms():
         assert res["div_mean_curvature"] <= 1e-9
         assert res["smix_warped"] <= 1e-9
         assert res["base_totally_geodesic"] <= 1e-10
+        # every pair is mixed totally geodesic and mixed integrable
+        assert res["mixed_pairs"] <= 1e-9
 
 
 def test_warped_two_warps_on_line_base_not_sec2_exact():
@@ -284,7 +286,8 @@ def test_partial_divergence_consistency():
     ctx = SplitContext(m, split, pts)
     comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
     full = ctx.partial_divergence(SubsetIndex((1, 2, 3)), comps)
-    coord_formula = divergence(m, field, pts)
+    cf = ChartFrame(m, pts)
+    coord_formula = cf.divergence_of(hd.stack(field(cf.coords), ref=cf.coords[0]))
     np.testing.assert_allclose(full, coord_formula, atol=1e-10)
 
     part_a = ctx.partial_divergence(SubsetIndex((1,)), comps)
@@ -332,26 +335,26 @@ def test_pair_predicates():
     flat = ChartManifold([Axis(0.0, TWO_PI)] * 3,
                          [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     pts = sample_points(flat, 10, np.random.default_rng(14))
-    res = pair_predicates(flat, coordinate_split((1, 1, 1)), 1, 2, pts)
+    res = pair_predicates(SplitContext(flat, coordinate_split((1, 1, 1)), pts), 1, 2)
     assert res["mixed_tg"] and res["mixed_int"]
     assert res["sup_h_cross"] == 0.0
 
     # multiply warped products are mixed totally geodesic and mixed integrable
     scn = kproduct_catalog()["warped_t4_k4"]()
-    pts = scn.sample(10, np.random.default_rng(15))
+    ctx = SplitContext(scn.chart, scn.split, scn.sample(10, np.random.default_rng(15)))
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            res = pair_predicates(scn.chart, scn.split, i, j, pts)
+            res = pair_predicates(ctx, i, j)
             assert res["mixed_tg"], (i, j, res)
             assert res["mixed_int"], (i, j, res)
 
     # the twisted pair of the twisted torus is not mixed integrable
     scn = build_twisted_torus(3, (1, 1, 1))
-    pts = scn.sample(10, np.random.default_rng(16))
-    res13 = pair_predicates(scn.chart, scn.split, 1, 3, pts)
+    ctx = SplitContext(scn.chart, scn.split, scn.sample(10, np.random.default_rng(16)))
+    res13 = pair_predicates(ctx, 1, 3)
     assert not res13["mixed_int"]
     assert not res13["mixed_tg"]
-    res12 = pair_predicates(scn.chart, scn.split, 1, 2, pts)
+    res12 = pair_predicates(ctx, 1, 2)
     assert res12["mixed_int"] and res12["mixed_tg"]
 
 
@@ -404,6 +407,8 @@ def test_nonorthogonal_blocks_rejected():
 
 
 def test_rank_deficient_frame_rejected():
+    # two equal vectors in different blocks: rejected as non-orthogonal
+    # blocks before Gram-Schmidt sees the rank deficiency
     flat = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["1", "0"], ["0", "1"]])
 
     def bad(coords):
@@ -414,7 +419,7 @@ def test_rank_deficient_frame_rejected():
 
     with pytest.raises(GeometryError):
         SplitContext(flat, SplitStructure((1, 1), bad),
-                     sample_points(flat, 3, np.random.default_rng(18)), validate=False)
+                     sample_points(flat, 3, np.random.default_rng(18)))
 
 
 def test_rank_deficient_frame_names_its_point():
