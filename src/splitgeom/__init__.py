@@ -20,8 +20,9 @@ from .identities import (
     CheckReport,
     Tolerances,
     integral_checks_batch,
-    pointwise_checks,
     pointwise_fields,
+    run_checks,
+    select_checks,
 )
 from .splitting import (
     SplitContext,
@@ -48,8 +49,9 @@ __all__ = [
     "CheckReport",
     "Tolerances",
     "integral_checks_batch",
-    "pointwise_checks",
     "pointwise_fields",
+    "run_checks",
+    "select_checks",
     "SplitContext",
     "SplitStructure",
     "SubsetIndex",

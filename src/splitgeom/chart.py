@@ -118,14 +118,6 @@ class ChartManifold:
         g = hd.value_of(hd.stack(self.metric_at(coords)))
         return np.array(np.broadcast_to(g, points.shape[:-1] + (self.dim, self.dim)))
 
-    def contains(self, points):
-        points = np.asarray(points, dtype=float)
-        ok = np.ones(points.shape[:-1], dtype=bool)
-        for a, ax in enumerate(self.axes):
-            if not ax.periodic:
-                ok &= (points[..., a] >= ax.lo) & (points[..., a] <= ax.hi)
-        return ok
-
     # -- validation --------------------------------------------------------
 
     def validate(self, grid_per_axis=5, rng=None, tol_periodic=1e-12):

@@ -28,51 +28,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-import time
 import zlib
 
 import jsonschema
 import numpy as np
 
-from .chart import Axis, ChartManifold, GeometryError, integrate
+from .chart import Axis, ChartManifold, GeometryError
 from .expr import parse_expr
-from .hypersurface import (
-    GapError,
-    HypersurfaceScenario,
-    codazzi_checks,
-    dperp_integrability,
-    hypersurface_catalog,
-    hypersurface_identity,
-    principal_bundle,
-    shape_data,
-)
-from .identities import (
-    INTEGRAL,
-    POINTWISE,
-    CheckReport,
-    Tolerances,
-    integral_checks_batch,
-    pointwise_checks,
-    select_identities,
-)
+from .hypersurface import GapError, HypersurfaceScenario, hypersurface_catalog
+from .identities import POINTWISE, Tolerances, run_checks, select_checks
 from .scenarios import (
     WarpedSpec,
     build_twisted_torus,
     build_warped,
     build_warped_twisted,
     kproduct_catalog,
-    warped_checks,
 )
-from .splitting import SplitContext, SplitStructure
 
 DEFAULT_SAMPLES = 100
 HYPERSURFACE_SAMPLE_CAP = 20
-# report names of the hypersurface checks, in run order; filters use them
-HYPERSURFACE_CHECKS = ("kmix_pairs", "codazzi", "surface_identity",
-                       "dperp_integrability", "total_curvature")
 
 
 class ConfigError(ValueError):
@@ -92,14 +70,8 @@ CONFIG_SCHEMA = {
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "pointwise": {"type": "number"},
-                "integral": {"type": "number"},
-                "predicate": {"type": "number"},
-                "codazzi": {"type": "number"},
-                "surface_identity": {"type": "number"},
-                "kmix": {"type": "number"},
-            },
+            "properties": {f.name: {"type": "number"}
+                           for f in dataclasses.fields(Tolerances)},
         },
         "out": {"type": "string"},
         "csv": {"type": "string"},
@@ -240,172 +212,29 @@ def scenario_rng(seed, name):
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
-def _tolerances_from(config_tols):
-    tols = Tolerances()
-    extra = {"codazzi": 1e-11, "kmix": 1e-8, "surface_identity": 1e-11}
-    if config_tols:
-        for key in ("pointwise", "integral", "predicate"):
-            if key in config_tols:
-                setattr(tols, key, float(config_tols[key]))
-        for key in ("codazzi", "kmix", "surface_identity"):
-            if key in config_tols:
-                extra[key] = float(config_tols[key])
-    return tols, extra
-
-
-def run_scenario(scn, samples, seed, grid_override, tols, extra_tols, threads,
+def run_scenario(scn, samples, seed, grid_override, tols, threads,
                  identities_filter=None, csv_rows=None):
-    """All checks for one scenario; returns the list of CheckReports."""
-    rng = scenario_rng(seed, scn.name)
-    reports = []
+    """The selected checks of one scenario, in check-table order; returns
+    the list of CheckReports."""
+    rows = select_checks(scn, identities_filter)
     if scn.kind == "hypersurface":
-        reports.extend(_run_hypersurface(scn, samples, rng, tols, extra_tols,
-                                         identities_filter, csv_rows))
-        return reports
-
-    pts = scn.sample(samples, rng)
-    pointwise = select_identities(scn.k, POINTWISE, identities_filter)
-    if pointwise:
-        checks, fields = pointwise_checks(scn.chart, scn.split, pts, pointwise,
-                                          scenario=scn.name, tol=tols, threads=threads)
-        reports.extend(checks)
-        if csv_rows is not None:
-            store = csv_rows.setdefault(
-                scn.name, {"points": pts.reshape(-1, pts.shape[-1]), "columns": {}})
-            store["columns"].update((name, fields[name]) for name in pointwise)
-
-    if scn.closed and not scn.meta.get("no_integral", False):
-        integrals = select_identities(scn.k, INTEGRAL, identities_filter)
-        if integrals:
-            grid = grid_override or scn.meta.get("integral_grid", 16)
-            reports.extend(integral_checks_batch(
-                scn.chart, scn.split, grid, integrals, scenario=scn.name,
-                tol=tols, threads=threads))
-
-    if scn.kind == "warped" and identities_filter is None:
-        t1 = time.perf_counter()
-        res = warped_checks(scn, pts)
-        keys = ["mean_curvature", "base_totally_geodesic"]
-        if res["sec2_exact"]:
-            keys += ["div_mean_curvature", "smix_warped"]
-        keys.append("mixed_pairs")
-        # one warped_checks call serves every key: charge its time once
-        share = (time.perf_counter() - t1) / len(keys)
-        for key in keys:
-            verdict = "pass" if res[key] <= tols.predicate else "fail"
-            reports.append(CheckReport(
-                identity=f"warped_{key}", scenario=scn.name, kind="predicate",
-                n_points=samples, tolerance=tols.predicate, verdict=verdict,
-                max_abs_residual=res[key], wall_time=share))
-    return reports
-
-
-def _run_hypersurface(scn, samples, rng, tols, extra_tols, identities_filter,
-                      csv_rows):
-    unknown = sorted(set(identities_filter or ()) - set(HYPERSURFACE_CHECKS))
-    if unknown:
-        raise ConfigError(f"unknown identity {unknown[0]!r} for hypersurface "
-                          f"scenario {scn.name}; known: {', '.join(HYPERSURFACE_CHECKS)}")
-    applies = {"dperp_integrability": scn.expected_k >= 3,
-               "total_curvature": scn.closed and scn.chart.dim == 2}
-    selected = [name for name in HYPERSURFACE_CHECKS if applies.get(name, True)
-                and (identities_filter is None or name in identities_filter)]
-    count = min(samples, HYPERSURFACE_SAMPLE_CAP)
-    pts = scn.sample(count, rng)
-    reports = []
-    t0 = time.perf_counter()
-
-    def lap():
-        # seconds since the previous report; the first one also carries the bundle
-        nonlocal t0
-        t1, t0 = t0, time.perf_counter()
-        return t0 - t1
-
-    # total_curvature reads only shape_data: it must not need distinct groups
-    if set(selected) - {"total_curvature"}:
-        b = principal_bundle(scn, pts)
-
-    if "kmix_pairs" in selected:
-        frame_values = np.swapaxes(b["Y"], -1, -2)
-        split = SplitStructure(scn.expected_dims, frame=None, name="eigen")
-        ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
-        worst = 0.0
-        c = float(scn.ambient_curv)
-        k = scn.expected_k
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                got = ctx.mixed_curvature(i, j)
-                ni, nj = scn.expected_dims[i - 1], scn.expected_dims[j - 1]
-                want = ni * nj * (c + b["mu"][..., i - 1] * b["mu"][..., j - 1])
-                worst = max(worst, float(np.max(np.abs(got - want))))
-        reports.append(CheckReport(
-            identity="kmix_pairs", scenario=scn.name, kind="pointwise",
-            n_points=count, tolerance=extra_tols["kmix"],
-            verdict="pass" if worst <= extra_tols["kmix"] else "fail",
-            max_abs_residual=worst, wall_time=lap()))
-
-    if "codazzi" in selected:
-        res = codazzi_checks(scn, b)
-        worst = max(float(np.max(v)) for key, v in res.items() if key != "scale")
-        reports.append(CheckReport(
-            identity="codazzi", scenario=scn.name, kind="pointwise",
-            n_points=count, tolerance=extra_tols["codazzi"],
-            verdict="pass" if worst <= extra_tols["codazzi"] else "fail",
-            max_abs_residual=worst, wall_time=lap()))
-
-    if "surface_identity" in selected:
-        tol = extra_tols["surface_identity"]
-        rows = hypersurface_identity(scn, b)["residual"]
-        worst = float(np.max(np.abs(rows)))
-        reports.append(CheckReport(
-            identity="surface_identity", scenario=scn.name, kind="pointwise",
-            n_points=count, tolerance=tol,
-            verdict="pass" if worst <= tol else "fail",
-            max_abs_residual=worst, wall_time=lap()))
-        if csv_rows is not None:
-            store = csv_rows.setdefault(scn.name,
-                                        {"points": pts, "columns": {}})
-            store["columns"]["surface_identity"] = rows
-
-    if "dperp_integrability" in selected:
-        res = dperp_integrability(scn, b)
-        reports.append(CheckReport(
-            identity="dperp_integrability", scenario=scn.name, kind="predicate",
-            n_points=count, tolerance=0.0,
-            verdict="pass" if res["flags_agree"] else "fail",
-            max_abs_residual=res["sup_cal"],
-            note=f"cal_zero={res['cal_zero']} bracket_zero={res['bracket_zero']}",
-            wall_time=lap()))
-
-    if "total_curvature" in selected:
-        def fields(qq):
-            # intrinsic curvature of a surface in a space form
-            k = scn.ambient_curv + np.linalg.det(shape_data(scn, qq)["A"])
-            return {"total": k, "norm": np.abs(k), "area": np.ones(qq.shape[0])}
-
-        grid = scn.meta.get("integral_grid", [32, 8])
-        sums = integrate(scn.chart, fields, grid)
-        total = sums["total"]
-        denom = max(sums["norm"], sums["area"])
-        ratio = abs(total) / denom if denom > 0 else 0.0
-        reports.append(CheckReport(
-            identity="total_curvature", scenario=scn.name, kind="integral",
-            n_points=int(np.prod(grid)), tolerance=tols.integral,
-            verdict="pass" if ratio <= tols.integral else "fail",
-            integral_value=total, normalizer=denom, integral_ratio=ratio,
-            grid=list(grid), wall_time=lap()))
+        samples = min(samples, HYPERSURFACE_SAMPLE_CAP)
+    pts = scn.sample(samples, scenario_rng(seed, scn.name))
+    grid = grid_override or scn.meta.get("integral_grid", 16)
+    reports, fields = run_checks(scn, rows, pts, grid, tols, threads=threads)
+    pointwise = [row.name for row in rows if row.check.kind == POINTWISE]
+    if csv_rows is not None and pointwise:
+        store = csv_rows.setdefault(
+            scn.name, {"points": pts.reshape(-1, pts.shape[-1]), "columns": {}})
+        store["columns"].update((name, fields[name]) for name in pointwise)
     return reports
 
 
 # -- report emission ------------------------------------------------------------
 
-def reports_to_json(reports):
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-
-
 def write_reports(reports, out_path):
     with open(out_path, "w") as fh:
-        fh.write(reports_to_json(reports))
+        fh.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     timing = {f"{r.scenario}:{r.identity}": r.wall_time for r in reports}
     with open(out_path + ".timing.json", "w") as fh:
         json.dump(timing, fh, indent=2)
@@ -461,22 +290,11 @@ def cmd_verify(args):
         config["scenario"] = sorted(full_catalog())
 
     # flag overrides shadow config values
-    if args.grid is not None:
-        config["grid"] = args.grid
+    for key in ("grid", "seed", "samples", "out", "csv", "threads"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     if args.tol is not None:
-        config.setdefault("tolerances", {})
-        config["tolerances"]["pointwise"] = args.tol
-        config["tolerances"]["integral"] = args.tol
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.samples is not None:
-        config["samples"] = args.samples
-    if args.out is not None:
-        config["out"] = args.out
-    if args.csv is not None:
-        config["csv"] = args.csv
-    if args.threads is not None:
-        config["threads"] = args.threads
+        config.setdefault("tolerances", {}).update(pointwise=args.tol, integral=args.tol)
 
     scenarios = resolve_scenarios(config.get("scenario"))
     samples = config.get("samples", DEFAULT_SAMPLES)
@@ -484,30 +302,31 @@ def cmd_verify(args):
     grid_override = config.get("grid")
     threads = config.get("threads",
                          int(os.environ.get("SPLITGEOM_THREADS", "1")))
-    tols, extra_tols = _tolerances_from(config.get("tolerances"))
+    tols = Tolerances(**{key: float(v) for key, v in config.get("tolerances", {}).items()})
     identities_filter = config.get("identities")
-
     csv_rows = {} if config.get("csv") else None
     all_reports = []
-    for scn in scenarios:
-        try:
-            reports = run_scenario(scn, samples, seed, grid_override, tols,
-                                   extra_tols, threads,
+    try:
+        # every scenario accepts the filter before any check runs
+        for scn in scenarios:
+            select_checks(scn, identities_filter)
+        for scn in scenarios:
+            reports = run_scenario(scn, samples, seed, grid_override, tols, threads,
                                    identities_filter=identities_filter,
                                    csv_rows=csv_rows)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        for rep in reports:
-            status = rep.verdict.upper()
-            detail = ""
-            if rep.max_abs_residual is not None:
-                detail += f" max_abs={rep.max_abs_residual:.3e}"
-            if rep.integral_ratio is not None:
-                detail += f" integral_ratio={rep.integral_ratio:.3e}"
-            if rep.verdict == "fail" and rep.note:
-                detail += f" ({rep.note})"
-            print(f"{status:4s} {rep.scenario}:{rep.identity}{detail}")
-        all_reports.extend(reports)
+            for rep in reports:
+                status = rep.verdict.upper()
+                detail = ""
+                if rep.max_abs_residual is not None:
+                    detail += f" max_abs={rep.max_abs_residual:.3e}"
+                if rep.integral_ratio is not None:
+                    detail += f" integral_ratio={rep.integral_ratio:.3e}"
+                if rep.verdict == "fail" and rep.note:
+                    detail += f" ({rep.note})"
+                print(f"{status:4s} {rep.scenario}:{rep.identity}{detail}")
+            all_reports.extend(reports)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
     if config.get("out"):
         write_reports(all_reports, config["out"])
@@ -546,17 +365,19 @@ def cmd_report(args):
     if a == b:
         print("reports identical")
         return 0
-    keys_a = {(r["scenario"], r["identity"]): r for r in a}
-    keys_b = {(r["scenario"], r["identity"]): r for r in b}
+    # a name can have a pointwise and an integral report
+    keys_a = {(r["scenario"], r["identity"], r["kind"]): r for r in a}
+    keys_b = {(r["scenario"], r["identity"], r["kind"]): r for r in b}
     for key in sorted(set(keys_a) | set(keys_b)):
+        label = f"{key[0]}:{key[1]} ({key[2]})"
         if key not in keys_a:
-            print(f"only in {args.diff[1]}: {key[0]}:{key[1]}")
+            print(f"only in {args.diff[1]}: {label}")
         elif key not in keys_b:
-            print(f"only in {args.diff[0]}: {key[0]}:{key[1]}")
+            print(f"only in {args.diff[0]}: {label}")
         elif keys_a[key] != keys_b[key]:
             fields = [f for f in keys_a[key]
                       if keys_a[key][f] != keys_b[key].get(f)]
-            print(f"differs: {key[0]}:{key[1]} fields {fields}")
+            print(f"differs: {label} fields {fields}")
     return 1
 
 

@@ -41,10 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import (Axis, ChartFrame, ChartManifold, GeometryError,
-                    check_positive_definite, sample_points)
+from .chart import (Axis, ChartManifold, GeometryError, check_positive_definite,
+                    sample_points)
 from .expr import diff, evaluate, parse_expr
 from .hyperdual import HyperDual, seed_jets
+from .splitting import SplitContext, SplitStructure
 
 __all__ = [
     "GapError",
@@ -169,11 +170,13 @@ def principal_bundle(scn, points):
     """Principal curvatures and frames at ``points`` ``(..., n)``, with exact
     derivatives.
 
-    Returns the :func:`shape_data` fields plus the ``points``, their
-    :class:`~splitgeom.chart.ChartFrame` ``frame`` on the closed-form chart
-    metric, ``mu`` (eigenvalues, ascending), ``Y`` (g-orthonormal eigenvector
-    columns), ``mu_hat`` (the group means of ``mu`` as an order-2 ``(..., k)``
-    jet) and ``Y_jet`` (the frame as an order-1 jet).  The checks below take
+    Returns the :func:`shape_data` fields plus the ``points``, ``mu``
+    (eigenvalues, ascending), ``Y`` (g-orthonormal eigenvector columns),
+    ``mu_hat`` (the group means of ``mu`` as an order-2 ``(..., k)`` jet),
+    ``Y_jet`` (the frame as an order-1 jet), ``context``, the value-level
+    :class:`~splitgeom.splitting.SplitContext` of the eigen-splitting, and
+    ``frame``, its :class:`~splitgeom.chart.ChartFrame` on the closed-form
+    chart metric.  The checks below take
     this bundle, so one sample set is solved and differentiated once.  Raises
     :class:`GapError` naming the first point where the distinct-group
     structure expected by the scenario is violated.
@@ -188,7 +191,9 @@ def principal_bundle(scn, points):
     Y = np.where(top < 0.0, -Y, Y)
     _check_groups(scn, mu, points)
     mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.expected_dims)
-    return {**data, "points": points, "frame": ChartFrame(scn.chart, points),
+    ctx = SplitContext(scn.chart, SplitStructure(scn.expected_dims, name="eigen"), points,
+                       frame_values=np.swapaxes(Y, -1, -2))
+    return {**data, "points": points, "context": ctx, "frame": ctx.frame,
             "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
@@ -435,7 +440,8 @@ def dperp_integrability(scn, b):
     pairwise distinct eigen-triples, and cross-validates against the direct
     bracket test: the complement of each eigendirection is integrable iff
     the bracket of the two spanning eigenfields has no component along it.
-    Returns the two flags (they must agree), plus sup values.
+    Returns per-point arrays: the two sup values ``cal`` and ``bracket`` and
+    their flags ``cal_zero`` and ``bracket_zero``, which must agree.
     """
     if scn.expected_k < 3:
         raise GeometryError("complement integrability needs at least 3 groups")
@@ -449,13 +455,8 @@ def dperp_integrability(scn, b):
     bracket = conn - np.einsum("...ijl->...jil", conn)
     br_max = np.max(np.abs(bracket), axis=_TRIPLE, where=_distinct(n), initial=0.0)
     tol = 1e-7
-    return {
-        "cal_zero": bool(np.max(cal_max) <= tol),
-        "bracket_zero": bool(np.max(br_max) <= tol),
-        "flags_agree": bool(np.all((cal_max <= tol) == (br_max <= tol))),
-        "sup_cal": float(np.max(cal_max)),
-        "sup_bracket": float(np.max(br_max)),
-    }
+    return {"cal": cal_max, "bracket": br_max,
+            "cal_zero": cal_max <= tol, "bracket_zero": br_max <= tol}
 
 
 # -- scenario builders ---------------------------------------------------------

@@ -45,20 +45,32 @@ divergence theorem every integral vanishes.  Ratios are reported against
 which cancel pointwise (the twisted flat tori) are judged against the size
 of what cancelled rather than against float noise.
 
-One registry, ``_FAMILIES``, says which check kinds (pointwise, integral)
-each identity has, for which k it is defined and whether it runs by
-default; name parsing, the default lists and every check path read it.
+One table, :data:`CHECKS`, holds every report name ``verify`` can emit:
+these identities, the warped-product closed forms, propagation and
+umbilicity predicates, and the hypersurface checks.  Each row gives the
+report kind (pointwise, integral, predicate), the :class:`Tolerances` field
+of its gate, the scenarios it applies to and the geometry it reads (a
+``SplitContext``, a principal bundle or the quadrature nodes).  Name
+parsing, filters, the default lists and every check path read it, and
+:func:`run_checks` evaluates the rows that read one geometry from one
+geometry per chunk of points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .chart import DEFAULT_CHUNK, map_batched, rectangle_rule
+from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
+                           principal_bundle, shape_data)
+from .scenarios import warped_checks
 from .splitting import SplitContext, SubsetIndex, subsets
 
 __all__ = [
@@ -66,11 +78,14 @@ __all__ = [
     "Tolerances",
     "POINTWISE",
     "INTEGRAL",
+    "PREDICATE",
+    "CHECKS",
+    "Check",
+    "Row",
+    "select_checks",
+    "run_checks",
     "pointwise_fields",
-    "pointwise_checks",
     "integral_checks_batch",
-    "propagation_suprema",
-    "umbilicity_residual",
     "available_identities",
     "select_identities",
 ]
@@ -78,9 +93,14 @@ __all__ = [
 
 @dataclass
 class Tolerances:
+    """The gates of the checks; each row of :data:`CHECKS` names its field."""
+
     pointwise: float = 1e-8   # relative to 1 + largest |term|
     integral: float = 1e-10   # |integral| / normalizer
     predicate: float = 1e-9
+    codazzi: float = 1e-11
+    kmix: float = 1e-8
+    surface_identity: float = 1e-11
 
 
 @dataclass
@@ -147,9 +167,6 @@ class _Evaluator:
 
     # -- building blocks ---------------------------------------------------
 
-    def H_vals(self, q):
-        return self.ctx.H_values(q)
-
     def field_from(self, coef_qs):
         """Coordinate vector jet of ``sum coef * H_q``."""
         field = None
@@ -160,9 +177,6 @@ class _Evaluator:
 
     def div_field(self, coef_qs):
         return self.ctx.divergence_values(self.field_from(coef_qs))
-
-    def inner(self, u, v):
-        return self.ctx.inner_values(u, v)
 
     # -- main identity -------------------------------------------------------
 
@@ -203,18 +217,18 @@ class _Evaluator:
         coef_qs = [(1.0, q) for q in qs] + [(-C, q) for q in singles]
         div = self.div_field(coef_qs)
 
-        H_single = [self.H_vals(q) for q in singles]
+        H_single = [ctx.H_values(q) for q in singles]
         H_all = np.sum(H_single, axis=0)
         rhs = np.zeros(ctx.points.shape[:-1])
         rhs_printed = np.zeros_like(rhs)
         max_term = np.abs(div).copy()
         for q in qs:
             d = ctx.fundamental(q)
-            Hq = self.H_vals(q)
+            Hq = ctx.H_values(q)
             V = np.sum([H_single[i - 1] for i in q], axis=0)
             W = H_all - V
-            ip_vw = self.inner(V, W)
-            ip_qw = self.inner(Hq, W)
+            ip_vw = ctx.inner_values(V, W)
+            ip_qw = ctx.inner_values(Hq, W)
             rhs = rhs + ip_vw - d.H_norm2 - ip_qw
             rhs_printed = rhs_printed + d.H_norm2 + ip_vw - r * ip_qw
             for t in (ip_vw, d.H_norm2, ip_qw):
@@ -269,10 +283,10 @@ class _Evaluator:
         for q in singles:
             d = ctx.fundamental(q)
             val = val - d.H_norm2 + 0.5 * (d.h_norm2 - d.t_norm2)
-        H = [self.H_vals(q) for q in singles]
+        H = [ctx.H_values(q) for q in singles]
         for a in range(3):
             for b in range(a + 1, 3):
-                val = val - self.inner(H[a], H[b])
+                val = val - ctx.inner_values(H[a], H[b])
         for q in pairs:
             d = ctx.fundamental(q)
             val = val + 0.5 * (d.h_norm2 - d.t_norm2)
@@ -280,56 +294,210 @@ class _Evaluator:
                 "max_term": np.abs(val)}
 
 
-# -- the identity registry ------------------------------------------------------
+
+    # -- propagation of the mixed flags and the umbilic norm identity ------------
+
+    def propagation(self):
+        """Per-point sup of the cross-block components of ``h_q`` (``sup_h``)
+        and ``T_q`` (``sup_t``) over the subsets with ``2 < r < k``: the
+        inductive propagation of the mixed flags of the pairs."""
+        sup_h = sup_t = np.zeros(self.ctx.points.shape[:-1])
+        for r in range(3, self.k):
+            for q in subsets(r, self.k):
+                h, t = self.ctx.cross_block_sup(q)
+                sup_h, sup_t = np.maximum(sup_h, h), np.maximum(sup_t, t)
+        return {"residual": np.maximum(sup_h, sup_t), "sup_h": sup_h, "sup_t": sup_t}
+
+    def umbilicity(self):
+        """Per-point residual of the umbilic norm identity
+        ``|h_q|^2 - |H_q|^2 = - sum_i ((n_i - 1)/n_i) |Pperp_q H_{q(i)}|^2``
+        over every subset with ``r < k`` (valid for totally umbilical
+        blocks, mixed totally geodesic pairs and orthogonal blockwise mean
+        curvatures)."""
+        ctx, k = self.ctx, self.k
+        P = ctx.projectors()
+        worst = np.zeros(ctx.points.shape[:-1])
+        for q in (q for r in range(1, k) for q in subsets(r, k)):
+            d = ctx.fundamental(q)
+            rhs = np.zeros_like(worst)
+            for i in q:
+                ni = ctx.split.dims[i - 1]
+                Hi = ctx.H_values(SubsetIndex((i,)))
+                proj = np.zeros_like(Hi)
+                for j in q.complement(k):
+                    proj += np.einsum("...ab,...b->...a", P[..., j - 1, :, :], Hi)
+                rhs = rhs - (ni - 1.0) / ni * ctx.inner_values(proj, proj)
+            worst = np.maximum(worst, np.abs(d.h_norm2 - d.H_norm2 - rhs))
+        return {"residual": worst}
+
+
+# -- the check table ---------------------------------------------------------------
 
 POINTWISE = "pointwise"
 INTEGRAL = "integral"
+PREDICATE = "predicate"
+
+# the geometry a check reads, built once per chunk of sample points or of
+# quadrature nodes (integral checks read the nodes of a grid)
+CONTEXT = "context"   # an _Evaluator over a SplitContext
+BUNDLE = "bundle"     # a hypersurface principal_bundle
+GRID = "grid"         # the quadrature nodes themselves
+
+# the scenarios a check exists on, by rule name
+APPLIES = {
+    "split": lambda scn: scn.kind != "hypersurface",
+    "closed split": lambda scn: (scn.kind != "hypersurface" and scn.closed
+                                 and not scn.meta.get("no_integral", False)),
+    "warped": lambda scn: scn.kind == "warped",
+    "sec2_exact warped": lambda scn: scn.kind == "warped" and scn.meta["sec2_exact"],
+    # H of the base block vanishes: only a fiber of dimension >= 2 gives the
+    # umbilic norm identity a non-zero side
+    "sec2_exact warped, a fiber of dim >= 2": lambda scn: (
+        scn.kind == "warped" and scn.meta["sec2_exact"] and max(scn.dims[1:]) >= 2),
+    "hypersurface": lambda scn: scn.kind == "hypersurface",
+    "closed 2-dim hypersurface": lambda scn: (scn.kind == "hypersurface" and scn.closed
+                                              and scn.chart.dim == 2),
+}
 
 
 @dataclass(frozen=True)
-class _Family:
-    """One identity family: the :class:`_Evaluator` method of that name, the
-    check kinds it supports and the split counts it is defined for.  Ranged
-    families are named ``name:r`` with ``2 <= r <= k-1``."""
+class Check:
+    """One row of the check table: the reports named ``name`` of one ``kind``.
+
+    ``run(scenario, geometry, *args)`` returns per-point arrays: ``residual``
+    (and a term scale ``max_term`` where a pointwise check has one), or
+    ``rhs``, ``max_term`` and optionally ``div`` for an integral check.
+    ``tol`` names the :class:`Tolerances` field of the gate
+    (``None``: exact); ``applies`` an :data:`APPLIES` rule.  Ranged checks
+    are named ``name:r`` with ``2 <= r <= k-1``.  ``summary`` gives a
+    predicate's residual and note (default: the largest ``|residual|``, no
+    note).
+    """
 
     name: str
-    kinds: tuple
+    kind: str
+    geometry: str
+    tol: str | None
+    run: object
+    applies: str = "split"
     default: bool = True          # run when no identity filter is given
     ranged: bool = False
     min_k: int = 2
     max_k: int | None = None
+    summary: object = None
 
     def names(self, k):
+        """``(name, args)`` of the reports of this row for ``k`` distributions."""
         if self.ranged:
-            return [f"{self.name}:{r}" for r in range(2, k)]
-        if self.min_k <= k <= (self.max_k or k):
-            return [self.name]
-        return []
+            return [(f"{self.name}:{r}", (r,)) for r in range(2, k)]
+        return [(self.name, ())] if self.min_k <= k <= (self.max_k or k) else []
 
 
-# this order is the order of the default checks in reports
-_FAMILIES = {f.name: f for f in (
-    _Family("main", (POINTWISE, INTEGRAL)),
-    _Family("smix_lemma", (POINTWISE,)),
-    _Family("aux", (POINTWISE, INTEGRAL), ranged=True),
-    _Family("companion", (POINTWISE, INTEGRAL), min_k=3),
+# one selected report: its name, its table row and the arguments of its run
+Row = namedtuple("Row", "name check args")
+
+
+def _identity(method):
+    return lambda scn, ev, *args: getattr(ev, method)(*args)
+
+
+def _warped_form(key):
+    # one warped_checks call per context serves every warped closed form
+    return lambda scn, ev: {"residual": ev._cached(
+        "warped", lambda: warped_checks(scn, ev.ctx))[key]}
+
+
+def _kmix(scn, b):
+    # mixed curvature of each eigen pair against n_i n_j (c + mu_i mu_j)
+    ctx, mu, dims, c = b["context"], b["mu"], scn.expected_dims, scn.ambient_curv
+    worst = np.zeros(mu.shape[:-1])
+    for i, j in itertools.combinations(range(1, scn.k + 1), 2):
+        want = dims[i - 1] * dims[j - 1] * (c + mu[..., i - 1] * mu[..., j - 1])
+        worst = np.maximum(worst, np.abs(ctx.mixed_curvature(i, j) - want))
+    return {"residual": worst}
+
+
+def _codazzi(scn, b):
+    res = codazzi_checks(scn, b)
+    return {"residual": np.max([v for key, v in res.items() if key != "scale"], axis=0)}
+
+
+def _dperp(scn, b):
+    d = dperp_integrability(scn, b)
+    return {**d, "residual": (d["cal_zero"] != d["bracket_zero"]).astype(float)}
+
+
+def _dperp_summary(value):
+    # the share of points where the two routes disagree, and both routes' sups
+    note = " ".join([f"sup_cal={np.max(value('cal')):.6e}",
+                     f"sup_bracket={np.max(value('bracket')):.6e}",
+                     f"cal_zero={bool(np.all(value('cal_zero')))}",
+                     f"bracket_zero={bool(np.all(value('bracket_zero')))}"])
+    return float(np.mean(value("residual"))), note
+
+
+def _total_curvature(scn, nodes):
+    # intrinsic curvature of a surface in a space form; the area element is
+    # its term scale, so the normalizer is max(L1(K), area)
+    K = scn.ambient_curv + np.linalg.det(shape_data(scn, nodes)["A"])
+    return {"rhs": K, "max_term": np.ones(nodes.shape[0])}
+
+
+_POINTWISE = {"kind": POINTWISE, "geometry": CONTEXT, "tol": "pointwise"}
+_INTEGRAL = {"kind": INTEGRAL, "geometry": CONTEXT, "tol": "integral",
+             "applies": "closed split"}
+_WARPED = {"kind": PREDICATE, "geometry": CONTEXT, "tol": "predicate", "applies": "warped"}
+_SEC2 = {**_WARPED, "applies": "sec2_exact warped"}
+_SURFACE = {"geometry": BUNDLE, "applies": "hypersurface"}
+
+# every report verify can emit, in report order
+CHECKS = (
+    Check("main", run=_identity("main"), **_POINTWISE),
+    Check("smix_lemma", run=_identity("smix_lemma"), **_POINTWISE),
+    Check("aux", run=_identity("aux"), ranged=True, **_POINTWISE),
+    Check("companion", run=_identity("companion"), min_k=3, **_POINTWISE),
     # the alternative aux right-hand side, reported for reference only
-    _Family("aux_printed", (POINTWISE,), default=False, ranged=True),
+    Check("aux_printed", run=_identity("aux_printed"), default=False, ranged=True,
+          **_POINTWISE),
+    Check("main", run=_identity("main"), **_INTEGRAL),
+    Check("aux", run=_identity("aux"), ranged=True, **_INTEGRAL),
+    Check("companion", run=_identity("companion"), min_k=3, **_INTEGRAL),
     # the display balances only after integration
-    _Family("ck2_k3_display", (INTEGRAL,), min_k=3, max_k=3),
-)}
+    Check("ck2_k3_display", run=_identity("ck2_k3_display"), min_k=3, max_k=3,
+          **_INTEGRAL),
+    Check("warped_mean_curvature", run=_warped_form("mean_curvature"), **_WARPED),
+    Check("warped_base_totally_geodesic", run=_warped_form("base_totally_geodesic"),
+          **_WARPED),
+    Check("warped_div_mean_curvature", run=_warped_form("div_mean_curvature"), **_SEC2),
+    Check("warped_smix_warped", run=_warped_form("smix_warped"), **_SEC2),
+    Check("warped_mixed_pairs", run=_warped_form("mixed_pairs"), **_WARPED),
+    # k >= 4 is the only case with subsets of size 2 < r < k
+    Check("warped_propagation", run=_identity("propagation"), min_k=4, **_WARPED),
+    Check("warped_umbilicity", run=_identity("umbilicity"),
+          **{**_SEC2, "applies": "sec2_exact warped, a fiber of dim >= 2"}),
+    Check("kmix_pairs", POINTWISE, tol="kmix", run=_kmix, **_SURFACE),
+    Check("codazzi", POINTWISE, tol="codazzi", run=_codazzi, **_SURFACE),
+    Check("surface_identity", POINTWISE, tol="surface_identity",
+          run=lambda scn, b: {"residual": hypersurface_identity(scn, b)["residual"]},
+          **_SURFACE),
+    Check("dperp_integrability", PREDICATE, tol=None, run=_dperp, min_k=3,
+          summary=_dperp_summary, **_SURFACE),
+    Check("total_curvature", INTEGRAL, GRID, "integral", _total_curvature,
+          applies="closed 2-dim hypersurface"),
+)
 
 
 def _parse_identity(name, k, kind=None):
-    """The family of the identity ``name`` for ``k`` distributions and the
-    arguments of its evaluator method, checked against the check ``kind`` if
-    given; raises ``ValueError``."""
+    """The split-identity row of ``name`` for ``k`` distributions (of the
+    check ``kind`` if given) and the arguments of its run; raises
+    ``ValueError``."""
     head, sep, rtxt = name.partition(":")
-    fam = _FAMILIES.get(head)
-    if fam is None or bool(sep) != fam.ranged:
+    rows = [c for c in CHECKS
+            if c.name == head and c.geometry == CONTEXT and c.ranged == bool(sep)]
+    if not rows:
         raise ValueError(f"unknown identity {name!r}")
     args = ()
-    if fam.ranged:
+    if rows[0].ranged:
         try:
             r = int(rtxt)
         except ValueError:
@@ -337,25 +505,28 @@ def _parse_identity(name, k, kind=None):
         if not 2 <= r <= k - 1:
             raise ValueError(f"r out of range: need 2 <= r <= k-1, got r={r}, k={k}")
         args = (r,)
-    elif not fam.names(k):
+    elif not rows[0].names(k):
         raise ValueError(f"identity {name!r} is not defined for k={k}")
-    if kind is not None and kind not in fam.kinds:
-        raise ValueError(f"{name!r} has no {kind} check")
-    return fam, args
+    if kind is not None:
+        rows = [c for c in rows if c.kind == kind]
+        if not rows:
+            raise ValueError(f"{name!r} has no {kind} check")
+    return rows[0], args
 
 
 def select_identities(k, kind, requested=None):
-    """Names of the ``kind`` checks to run for ``k`` distributions.
+    """Names of the ``kind`` split-identity checks for ``k`` distributions.
 
     Without ``requested``, every default identity that has a ``kind`` check;
     otherwise the requested names that have one, in their order (every
     requested name is validated, whatever its kinds).
     """
     if requested is None:
-        return [name for fam in _FAMILIES.values()
-                if fam.default and kind in fam.kinds for name in fam.names(k)]
-    parsed = [(name, _parse_identity(name, k)[0]) for name in requested]
-    return [name for name, fam in parsed if kind in fam.kinds]
+        return [name for c in CHECKS if c.geometry == CONTEXT and c.kind == kind
+                and c.default for name, _ in c.names(k)]
+    parsed = [(name, _parse_identity(name, k)[0].name) for name in requested]
+    return [name for name, head in parsed
+            if any(c.name == head and c.kind == kind for c in CHECKS)]
 
 
 def available_identities(k):
@@ -363,52 +534,147 @@ def available_identities(k):
     return select_identities(k, POINTWISE)
 
 
+def select_checks(scn, requested=None):
+    """The :class:`Row` of every report to run on the scenario ``scn``, in
+    table order: the default rows that apply, or the applicable rows named
+    in ``requested``.  An unknown or inapplicable name, or an empty
+    ``requested``, raises ``ValueError``."""
+    rows = [Row(name, c, args) for c in CHECKS if APPLIES[c.applies](scn)
+            for name, args in c.names(scn.k)]
+    if requested is None:
+        return [row for row in rows if row.check.default]
+    known = ", ".join(dict.fromkeys(row.name for row in rows))
+    for name in requested:
+        if not any(row.name == name for row in rows):
+            try:
+                _parse_identity(name, scn.k)
+                why = ""
+            except ValueError as e:
+                why = "" if str(e).startswith("unknown") else f"; {e}"
+            raise ValueError(f"unknown identity {name!r} for scenario {scn.name}; "
+                             f"known: {known}{why}")
+    if not requested:
+        raise ValueError(f"empty identities filter for scenario {scn.name}; known: {known}")
+    return [row for row in rows if row.name in requested]
+
+
+# -- evaluation -------------------------------------------------------------------
+
+def _geometry(scn, geometry, pts):
+    """The ``geometry`` of ``scn`` at ``pts`` and the metric values there."""
+    if geometry == CONTEXT:
+        ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
+        return ev, ev.ctx.frame.g.val
+    if geometry == BUNDLE:
+        return principal_bundle(scn, pts), None   # no integral reads a bundle
+    return pts, scn.chart.metric_values(pts)
+
+
+def _key(name, key):
+    return name if key == "residual" else f"{key}:{name}"
+
+
+def _chunk_values(scn, rows):
+    """Chunk function: one geometry for the chunk, then the values of every
+    row (keyed by :func:`_key`) and the metric values at the chunk."""
+    geometry = rows[0].check.geometry
+
+    def eval_chunk(pts):
+        geom, g = _geometry(scn, geometry, pts)
+        out = {}
+        for name, check, args in rows:
+            data = check.run(scn, geom, *args)
+            if check.kind == INTEGRAL:
+                data = {key: data[key] for key in ("rhs", "max_term", "div") if key in data}
+                data["abs_rhs"] = np.abs(data["rhs"])
+            out.update((_key(name, key), v) for key, v in data.items())
+        return out, g
+
+    return eval_chunk
+
+
+def _report(scenario, row, value, tols, points, grid, wall_time):
+    """The CheckReport of ``row`` from its values ``value(key)``: per-point
+    arrays over ``points``, or integrals over ``grid``.  One verdict rule
+    per kind."""
+    name, check, _ = row
+    tol = getattr(tols, check.tol) if check.tol else 0.0
+    common = {"identity": name, "scenario": scenario, "kind": check.kind,
+              "tolerance": tol, "wall_time": wall_time}
+    if check.kind == INTEGRAL:
+        # ratio against max(L1(integrand), L1(term scale)); the Stokes
+        # cross-check of Div X under the same normalizer, where there is one
+        normalizer = max(value("abs_rhs"), value("max_term"))
+        integral, stokes = value("rhs"), value("div")
+        integral_ratio, stokes_ratio = (
+            None if v is None else 0.0 if v == 0.0
+            else abs(v) / normalizer if normalizer > 0.0 else float("inf")
+            for v in (integral, stokes))
+        passed = integral_ratio <= tol and (stokes_ratio or 0.0) <= tol
+        return CheckReport(
+            **common, n_points=int(np.prod(grid)), verdict="pass" if passed else "fail",
+            integral_value=integral, normalizer=normalizer, integral_ratio=integral_ratio,
+            stokes_value=stokes, stokes_ratio=stokes_ratio, grid=list(grid))
+    res = value("residual")
+    if check.kind == PREDICATE:
+        residual, note = (check.summary(value) if check.summary
+                          else (float(np.max(np.abs(res))), ""))
+        return CheckReport(**common, n_points=int(res.size),
+                           verdict="pass" if residual <= tol else "fail",
+                           max_abs_residual=residual, note=note)
+    # pointwise: relative to 1 + the term scale where the check has one
+    max_abs = float(np.max(np.abs(res)))
+    measure, max_rel, note = max_abs, None, ""
+    if value("max_term") is not None:
+        measure = max_rel = float(np.max(np.abs(res) / (1.0 + value("max_term"))))
+        flat = points.reshape(-1, points.shape[-1])
+        note = f"worst point {flat[int(np.argmax(np.abs(res)))].tolist()}"
+    return CheckReport(**common, n_points=int(res.size),
+                       verdict="pass" if measure <= tol else "fail",
+                       max_abs_residual=max_abs, max_rel_residual=max_rel, note=note)
+
+
+def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, threads=1):
+    """The CheckReports of ``rows`` (from :func:`select_checks`) in their
+    order, and the per-point values of the rows that read ``points``.
+
+    Rows that read one geometry share it: one geometry per chunk of the
+    sample ``points`` for the pointwise and predicate rows, one per chunk of
+    the quadrature ``grid`` for the integral rows.
+    """
+    tols = tol or Tolerances()
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.check.kind == INTEGRAL, row.check.geometry), []).append(row)
+    reports, fields = {}, {}
+    for (integral, _), group in groups.items():
+        t0 = time.perf_counter()
+        eval_chunk = _chunk_values(scn, group)
+        if integral:
+            grid, values = rectangle_rule(scn.chart, grid, eval_chunk, map_batched,
+                                          chunk=chunk, threads=threads)
+        else:
+            values = map_batched(lambda p: eval_chunk(p)[0], points,
+                                 chunk=chunk, threads=threads)
+            fields.update(values)
+        share = (time.perf_counter() - t0) / len(group)
+        for row in group:
+            reports[row.name, row.check.kind] = _report(
+                scn.name, row, lambda key: values.get(_key(row.name, key)), tols,
+                points, grid, share)
+    return [reports[row.name, row.check.kind] for row in rows], fields
+
+
 def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1):
     """Residual and term-scale arrays for the named identities at ``points``.
 
-    Returns ``{name: residual_array}`` plus ``{"max_term:" + name: array}``;
-    evaluation shares one frame context per chunk across all identities.
+    Returns ``{name: residual_array}`` plus ``{"max_term:" + name: array}``
+    (and the ``div:`` and ``rhs:`` sides); evaluation shares one frame
+    context per chunk across all identities.
     """
-    parsed = [(name,) + _parse_identity(name, split.k, POINTWISE) for name in which]
-
-    def eval_chunk(pts):
-        ev = _Evaluator(SplitContext(chart, split, pts))
-        out = {}
-        for name, fam, args in parsed:
-            data = getattr(ev, fam.name)(*args)
-            out[name] = data["residual"]
-            out["max_term:" + name] = data["max_term"]
-        return out
-
-    return map_batched(eval_chunk, points, chunk=chunk, threads=threads)
-
-
-def pointwise_checks(chart, split, points, which, scenario="", tol=None,
-                     chunk=DEFAULT_CHUNK, threads=1):
-    """One pointwise CheckReport per identity in ``which`` over ``points``.
-
-    The verdict compares ``|residual| / (1 + max |term|)`` against the
-    pointwise tolerance; the note names the point of largest ``|residual|``.
-    Returns ``(reports, fields)`` with ``fields`` from :func:`pointwise_fields`.
-    """
-    tols = tol or Tolerances()
-    t0 = time.perf_counter()
-    fields = pointwise_fields(chart, split, points, which, chunk=chunk, threads=threads)
-    elapsed = time.perf_counter() - t0
-    flat = np.asarray(points, dtype=float).reshape(-1, split.n)
-    reports = []
-    for name in which:
-        res = fields[name]
-        rel = np.abs(res) / (1.0 + fields["max_term:" + name])
-        max_rel = float(np.max(rel))
-        reports.append(CheckReport(
-            identity=name, scenario=scenario, kind=POINTWISE,
-            n_points=int(res.size), tolerance=tols.pointwise,
-            verdict="pass" if max_rel <= tols.pointwise else "fail",
-            max_abs_residual=float(np.max(np.abs(res))), max_rel_residual=max_rel,
-            note=f"worst point {flat[int(np.argmax(np.abs(res)))].tolist()}",
-            wall_time=elapsed / len(which)))
-    return reports, fields
+    rows = [Row(name, *_parse_identity(name, split.k, POINTWISE)) for name in which]
+    eval_chunk = _chunk_values(SimpleNamespace(chart=chart, split=split), rows)
+    return map_batched(lambda p: eval_chunk(p)[0], points, chunk=chunk, threads=threads)
 
 
 def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
@@ -421,88 +687,6 @@ def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
     identities share one frame context per chunk, so adding identities to a
     sweep is nearly free.
     """
-    tols = tol or Tolerances()
-    parsed = [(name,) + _parse_identity(name, split.k, INTEGRAL) for name in identities]
-    t0 = time.perf_counter()
-
-    def eval_chunk(p):
-        ev = _Evaluator(SplitContext(chart, split, p))
-        out = {}
-        for name, fam, args in parsed:
-            data = getattr(ev, fam.name)(*args)
-            out[name + "/rhs"] = data["rhs"]
-            out[name + "/abs_rhs"] = np.abs(data["rhs"])
-            out[name + "/term"] = data["max_term"]
-            out[name + "/div"] = data["div"]
-        return out, ev.ctx.frame.g.val
-
-    grid, sums = rectangle_rule(chart, grid, eval_chunk, map_batched,
-                                chunk=chunk, threads=threads)
-    elapsed = time.perf_counter() - t0
-    reports = []
-    for name, _, _ in parsed:
-        integral, stokes = sums[name + "/rhs"], sums[name + "/div"]
-        normalizer = max(sums[name + "/abs_rhs"], sums[name + "/term"])
-        ratio = 0.0 if integral == 0.0 else (abs(integral) / normalizer
-                                             if normalizer > 0.0 else float("inf"))
-        stokes_ratio = 0.0 if stokes == 0.0 else (abs(stokes) / normalizer
-                                                  if normalizer > 0.0 else float("inf"))
-        verdict = ("pass" if ratio <= tols.integral and stokes_ratio <= tols.integral
-                   else "fail")
-        reports.append(CheckReport(
-            identity=name, scenario=scenario, kind=INTEGRAL,
-            n_points=int(np.prod(grid)), tolerance=tols.integral, verdict=verdict,
-            integral_value=integral, normalizer=normalizer, integral_ratio=ratio,
-            stokes_value=stokes, stokes_ratio=stokes_ratio, grid=list(grid),
-            wall_time=elapsed / len(parsed),
-        ))
-    return reports
-
-
-# -- propagation and umbilicity checks ----------------------------------------
-
-def propagation_suprema(chart, split, points, chunk=DEFAULT_CHUNK, threads=1):
-    """Sup of cross-block components of ``h_q`` and ``T_q`` over subsets with
-    ``2 < r < k`` (the inductive propagation of mixed flags)."""
-    k = split.k
-
-    def eval_chunk(pts):
-        ctx = SplitContext(chart, split, pts)
-        sup_h = np.zeros(pts.shape[0])
-        sup_t = np.zeros(pts.shape[0])
-        for r in range(3, k):
-            for q in subsets(r, k):
-                h, t = ctx.cross_block_sup(q)
-                sup_h = np.maximum(sup_h, h)
-                sup_t = np.maximum(sup_t, t)
-        return {"sup_h": sup_h, "sup_t": sup_t}
-
-    out = map_batched(eval_chunk, points, chunk=chunk, threads=threads)
-    return float(np.max(out["sup_h"])), float(np.max(out["sup_t"]))
-
-
-def umbilicity_residual(chart, split, points, qs=None):
-    """Residual of the umbilic norm identity
-    ``|h_q|^2 - |H_q|^2 = - sum_i ((n_i - 1)/n_i) |Pperp_q H_{q(i)}|^2``
-    (valid for totally umbilical blocks, mixed totally geodesic pairs and
-    orthogonal blockwise mean curvatures)."""
-    ctx = SplitContext(chart, split, points)
-    k = split.k
-    if qs is None:
-        qs = [q for r in range(1, k) for q in subsets(r, k)]
-    P = ctx.projectors()
-    worst = 0.0
-    for q in qs:
-        d = ctx.fundamental(q)
-        lhs = d.h_norm2 - d.H_norm2
-        rhs = np.zeros_like(lhs)
-        comp = q.complement(k)
-        for i in q:
-            ni = split.dims[i - 1]
-            Hi = ctx.H_values(SubsetIndex((i,)))
-            proj = np.zeros_like(Hi)
-            for j in comp:
-                proj += np.einsum("...ab,...b->...a", P[..., j - 1, :, :], Hi)
-            rhs = rhs - (ni - 1.0) / ni * ctx.inner_values(proj, proj)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    rows = [Row(name, *_parse_identity(name, split.k, INTEGRAL)) for name in identities]
+    scn = SimpleNamespace(chart=chart, split=split, name=scenario)
+    return run_checks(scn, rows, None, grid, tol, chunk, threads)[0]

@@ -25,6 +25,7 @@ cross term); scenarios record whether they hold exactly in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +35,7 @@ from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
 from .expr import evaluate, parse_expr
 from .hyperdual import value_of
-from .splitting import (SplitContext, SplitStructure, SubsetIndex, coordinate_split,
-                        pair_predicates)
+from .splitting import SplitStructure, SubsetIndex, coordinate_split
 
 __all__ = [
     "Scenario",
@@ -260,10 +260,11 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
                     meta={"u": u_src, "twist": twist_src, "integral_grid": [32, 4, 4]})
 
 
-def warped_checks(scenario, points):
-    """Residuals of the warped-product closed forms at ``points``.
+def warped_checks(scenario, ctx):
+    """Per-point residuals of the warped-product closed forms on the
+    :class:`~splitgeom.splitting.SplitContext` ``ctx`` of ``scenario``.
 
-    Returns a dict of max-abs residuals:
+    Returns a dict of per-point arrays:
 
     * ``mean_curvature``: ``H_i + n_i grad(log u_i)`` componentwise,
     * ``div_mean_curvature``: ``Div H_i`` against
@@ -272,51 +273,46 @@ def warped_checks(scenario, points):
     * ``smix_warped``: mixed scalar curvature against
       ``sum_i n_i (-lap u_i)/u_i`` (geometers' Laplacian),
     * ``base_totally_geodesic``: sup of ``h`` on the base block,
-    * ``mixed_pairs``: the worst cross-block sup of ``h`` and ``T`` over all
-      distribution pairs (:func:`~splitgeom.splitting.pair_predicates`); it
-      vanishes on every multiply warped product.
+    * ``mixed_pairs``: the worst cross-block component of ``h`` and ``T``
+      over all distribution pairs; it vanishes on every multiply warped
+      product.
 
-    All of them read one :class:`~splitgeom.splitting.SplitContext`.  The
-    second and third residuals are only meaningful when ``meta["sec2_exact"]``
-    is true; otherwise the closed forms acquire warp-gradient cross terms and
-    the raw residuals are still returned.
+    The second and third residuals are only meaningful when
+    ``meta["sec2_exact"]`` is true; otherwise the closed forms acquire
+    warp-gradient cross terms and the raw residuals are still returned.
     """
     if scenario.kind != "warped":
         raise GeometryError("warped_checks needs a warped scenario")
     spec = scenario.meta["spec"]
     warp_asts = scenario.meta["warp_asts"]
     n1 = spec.base_dim
-    ctx = SplitContext(scenario.chart, scenario.split, points)
     coords = ctx.frame.coords
-    out = {}
-
-    res_H = 0.0
-    res_div = 0.0
-    smix_expected = np.zeros(ctx.points.shape[:-1])
+    res_H = res_div = smix_expected = np.zeros(ctx.points.shape[:-1])
     for fiber, (ast, ni) in enumerate(zip(warp_asts, spec.fiber_dims), start=2):
         u = hd.as_jet(evaluate(ast, coords), coords[0])
         grad_log = ctx.frame.grad_field(hd.log(u))
         data = ctx.fundamental(SubsetIndex((fiber,)))
-        res_H = max(res_H, float(np.max(np.abs(data.H.val + ni * grad_log.val))))
+        res_H = np.maximum(res_H, np.max(np.abs(data.H.val + ni * grad_log.val), axis=-1))
 
         div_H = ctx.divergence_values(data.H)
         lap_u = np.sum(np.stack([u.hess[..., a, a] for a in range(n1)], axis=-1), axis=-1)
         grad_u2 = np.sum(u.grad[..., :n1] ** 2, axis=-1)
         rhs = -ni * lap_u / u.val - (ni * ni - ni) * grad_u2 / (u.val * u.val)
-        res_div = max(res_div, float(np.max(np.abs(div_H - rhs))))
+        res_div = np.maximum(res_div, np.abs(div_H - rhs))
 
         smix_expected = smix_expected + ni * (-lap_u) / u.val
 
-    out["mean_curvature"] = res_H
-    out["div_mean_curvature"] = res_div
-    out["smix_warped"] = float(np.max(np.abs(ctx.smix() - smix_expected)))
     base = ctx.fundamental(SubsetIndex((1,)))
-    out["base_totally_geodesic"] = float(np.max(np.abs(base.h_frame), initial=0.0))
-    preds = [pair_predicates(ctx, i, j) for i in range(1, ctx.k + 1)
-             for j in range(i + 1, ctx.k + 1)]
-    out["mixed_pairs"] = max(max(p["sup_h_cross"], p["sup_t_cross"]) for p in preds)
-    out["sec2_exact"] = scenario.meta["sec2_exact"]
-    return out
+    pairs = [np.maximum(*ctx.cross_block_sup(SubsetIndex(q)))
+             for q in itertools.combinations(range(1, ctx.k + 1), 2)]
+    return {
+        "mean_curvature": res_H,
+        "div_mean_curvature": res_div,
+        "smix_warped": np.abs(ctx.smix() - smix_expected),
+        "base_totally_geodesic": np.max(np.abs(base.h_frame), axis=(-3, -2, -1),
+                                        initial=0.0),
+        "mixed_pairs": np.max(pairs, axis=0),
+    }
 
 
 # -- catalog ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from splitgeom.identities import (
     _Evaluator,
     integral_checks_batch,
     pointwise_fields,
-    propagation_suprema,
 )
 from splitgeom.scenarios import kproduct_catalog, warped_checks
 from splitgeom.splitting import (
@@ -166,7 +165,8 @@ def test_criterion_7_warped_product_closed_forms():
     for name in ("warped_t2", "warped_t3_fiber2"):
         scn = kproduct_catalog()[name]()
         pts = scn.sample(50, rng)
-        res = warped_checks(scn, pts)
+        res = {key: float(np.max(v)) for key, v in
+               warped_checks(scn, SplitContext(scn.chart, scn.split, pts)).items()}
         worst = max(worst, res["mean_curvature"], res["div_mean_curvature"],
                     res["smix_warped"])
     for name in ("warped_t2", "warped_t3_fiber2", "warped_t3_k3", "warped_t4_k4",
@@ -229,7 +229,8 @@ def test_criterion_9_combinatorics_projection_propagation():
 
     scn = kproduct_catalog()["warped_t4_k4"]()
     pts = scn.sample(40, rng)
-    sup_h, sup_t = propagation_suprema(scn.chart, scn.split, pts)
+    prop = _Evaluator(SplitContext(scn.chart, scn.split, pts)).propagation()
+    sup_h, sup_t = float(np.max(prop["sup_h"])), float(np.max(prop["sup_t"]))
     ok = counts_ok and worst_proj <= 1e-10 and sup_h <= 1e-10 and sup_t <= 1e-10
     report(9, ok,
            f"subset counts C(k,r) up to k=8: {counts_ok}; mean-curvature "

@@ -1,11 +1,12 @@
 import itertools
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from splitgeom import cli
+from splitgeom import cli, identities
 from splitgeom.cli import main
 
 
@@ -121,14 +122,14 @@ def test_timing_sidecar_does_not_exceed_wall_time(tmp_path, monkeypatch):
     # a clock that advances one unit per reading: every timed interval
     # inside run_scenario is charged to the sidecar at most once
     ticks = itertools.count()
-    monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
     walls = []
     run_scenario = cli.run_scenario
 
     def timed(*args, **kwargs):
-        t0 = cli.time.perf_counter()
+        t0 = time.perf_counter()
         reports = run_scenario(*args, **kwargs)
-        walls.append(cli.time.perf_counter() - t0)
+        walls.append(time.perf_counter() - t0)
         return reports
 
     monkeypatch.setattr(cli, "run_scenario", timed)
@@ -212,7 +213,7 @@ def test_hypersurface_filter_uses_report_names(tmp_path, monkeypatch, scenario, 
         def no_bundle(*args):
             raise AssertionError("principal_bundle called")
 
-        monkeypatch.setattr(cli, "principal_bundle", no_bundle)
+        monkeypatch.setattr(identities, "principal_bundle", no_bundle)
     cfg = tmp_path / "filter.json"
     out = tmp_path / "filter_report.json"
     cfg.write_text(json.dumps({"scenario": scenario, "identities": [name],
@@ -280,3 +281,117 @@ def test_cli_import_pulls_no_heavy_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+# -- one check namespace: every report name selects exactly its own reports ------
+
+def verify_config(tmp_path, capsys, config, tag):
+    """Run ``verify`` on ``config``; returns (exit code, report bytes, stdout, stderr)."""
+    out = tmp_path / f"{tag}.json"
+    cfg = tmp_path / f"{tag}_config.json"
+    cfg.write_text(json.dumps({"samples": 6, "seed": 5, "out": str(out), **config}))
+    code = run(["verify", "--scenario", str(cfg)])
+    std = capsys.readouterr()
+    return code, out.read_bytes() if out.exists() else None, std.out, std.err
+
+
+@pytest.mark.parametrize("scenario, name", [
+    ("warped_t2", "warped_mean_curvature"),
+    ("warped_t4_k4", "warped_propagation"),
+    ("warped_t3_fiber2", "warped_umbilicity"),
+    ("graph_r4", "kmix_pairs"),
+    ("torus_revolution", "total_curvature"),
+    ("twisted_torus_k3", "main"),
+])
+def test_one_name_filter_selects_its_reports(tmp_path, capsys, scenario, name):
+    code, every, _, _ = verify_config(tmp_path, capsys, {"scenario": scenario}, "all")
+    assert code == 0
+    code, only, _, _ = verify_config(
+        tmp_path, capsys, {"scenario": scenario, "identities": [name]}, "one")
+    assert code == 0
+    wanted = [r for r in json.loads(every) if r["identity"] == name]
+    assert only == (json.dumps(wanted, indent=2) + "\n").encode()
+    kinds = ["pointwise", "integral"] if name == "main" else [wanted[0]["kind"]]
+    assert [r["kind"] for r in wanted] == kinds
+
+
+@pytest.mark.parametrize("scenario, names", [
+    ("torus_revolution", ["dperp_integrability"]),   # needs k >= 3
+    ("graph_r4", ["total_curvature"]),               # open chart
+    ("warped_t4_k4", ["warped_smix_warped"]),        # sec2_exact is False
+    ("warped_t2", ["warped_propagation"]),           # needs k >= 4
+    ("warped_t5_k3_multi", ["ck2_k3_display"]),      # no_integral
+    ("warped_t2", []),
+])
+def test_inapplicable_or_empty_filter_exits_2(tmp_path, capsys, scenario, names):
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": scenario, "identities": names}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    assert f"for scenario {scenario}" in err
+    for name in names:
+        assert f"unknown identity {name!r} for scenario {scenario}; known: " in err
+
+
+def test_filter_is_validated_on_every_scenario_first(tmp_path, capsys):
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": ["warped_t2", "graph_r4"], "identities": ["main"]},
+        "mixed")
+    assert code == 2
+    assert report is None and out == ""
+    assert "unknown identity 'main' for scenario graph_r4" in err
+
+
+def test_dperp_reports_disagreement_of_its_routes(tmp_path, capsys, monkeypatch):
+    from splitgeom import hypersurface
+
+    frame_tensors = hypersurface._frame_tensors
+
+    def no_connection(b):
+        # the bracket route sees conn = 0, the cal route is untouched
+        cal, conn = frame_tensors(b)
+        return cal, np.zeros_like(conn)
+
+    monkeypatch.setattr(hypersurface, "_frame_tensors", no_connection)
+    code, report, _, _ = verify_config(
+        tmp_path, capsys, {"scenario": "graph_r4", "identities": ["dperp_integrability"]},
+        "dperp")
+    [rep] = json.loads(report)
+    assert code == 1
+    assert (rep["verdict"], rep["max_abs_residual"], rep["tolerance"]) == ("fail", 1.0, 0.0)
+    assert "cal_zero=False bracket_zero=True" in rep["note"]
+
+
+def test_dperp_residual_is_zero_where_routes_agree(tmp_path, capsys):
+    for scenario in ("graph_r4", "torus_cylinder_k3"):
+        code, report, _, _ = verify_config(
+            tmp_path, capsys, {"scenario": scenario, "identities": ["dperp_integrability"]},
+            scenario)
+        [rep] = json.loads(report)
+        assert code == 0
+        assert (rep["verdict"], rep["max_abs_residual"]) == ("pass", 0.0)
+        assert "sup_cal=" in rep["note"] and "sup_bracket=" in rep["note"]
+
+
+def test_config_tolerances_reach_hypersurface_reports(tmp_path, capsys):
+    code, report, _, _ = verify_config(
+        tmp_path, capsys, {"scenario": "graph_r4", "identities": ["kmix_pairs", "codazzi"],
+                           "tolerances": {"kmix": 2e-7, "codazzi": 3e-10}}, "tols")
+    assert code == 0
+    assert {r["identity"]: r["tolerance"] for r in json.loads(report)} == {
+        "kmix_pairs": 2e-7, "codazzi": 3e-10}
+
+
+def test_report_diff_keys_reports_by_kind(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert run(["verify", "--scenario", "warped_t2", "--samples", "5", "--out", str(a)]) == 0
+    reports = json.loads(a.read_text())
+    for r in reports:
+        if (r["identity"], r["kind"]) == ("main", "pointwise"):
+            r["verdict"] = "fail"
+    b.write_text(json.dumps(reports, indent=2) + "\n")
+    capsys.readouterr()
+    assert run(["report", "--diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["differs: warped_t2:main (pointwise) fields ['verdict']"]

@@ -213,15 +213,22 @@ def test_constant_triple_arithmetic_case():
     assert abs(k3_identity_rhs_constant(1.0, (-s3, 0.0, s3))) <= 1e-12
 
 
+def all_points(flags):
+    """The per-point dperp flags over a whole sample set, and their agreement."""
+    cal, bracket = bool(np.all(flags["cal_zero"])), bool(np.all(flags["bracket_zero"]))
+    return {"cal_zero": cal, "bracket_zero": bracket,
+            "flags_agree": bool(np.all(flags["cal_zero"] == flags["bracket_zero"]))}
+
+
 def test_dperp_integrability_both_branches():
     scn = build_torus_cylinder()
     pts = scn.sample(4, np.random.default_rng(10))
-    res = dperp_integrability(scn, principal_bundle(scn, pts))
+    res = all_points(dperp_integrability(scn, principal_bundle(scn, pts)))
     assert res["cal_zero"] and res["bracket_zero"] and res["flags_agree"]
 
     scn2 = build_graph_r4()
     pts2 = scn2.sample(4, np.random.default_rng(11))
-    res2 = dperp_integrability(scn2, principal_bundle(scn2, pts2))
+    res2 = all_points(dperp_integrability(scn2, principal_bundle(scn2, pts2)))
     assert not res2["cal_zero"]
     assert not res2["bracket_zero"]
     assert res2["flags_agree"]

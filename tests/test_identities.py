@@ -1,19 +1,22 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splitgeom.chart import Axis, ChartManifold, NonClosedChartError, sample_points
 from splitgeom.identities import (
+    CHECKS,
+    POINTWISE,
     Tolerances,
     _Evaluator,
     available_identities,
     integral_checks_batch,
-    pointwise_checks,
     pointwise_fields,
-    propagation_suprema,
+    run_checks,
+    select_checks,
     select_identities,
-    umbilicity_residual,
 )
 from splitgeom.scenarios import kproduct_catalog
 from splitgeom.splitting import SplitContext, SubsetIndex, coordinate_split, subsets
@@ -129,8 +132,7 @@ def test_smix_lemma_everywhere():
     for name, builder in kproduct_catalog().items():
         scn = builder()
         pts = scn.sample(25, rng)
-        [rep], _ = pointwise_checks(scn.chart, scn.split, pts, ["smix_lemma"],
-                                    scenario=name)
+        [rep], _ = run_checks(scn, select_checks(scn, ["smix_lemma"]), pts)
         assert rep.max_abs_residual <= 1e-10, name
 
 
@@ -240,7 +242,8 @@ def test_integral_requires_closed_chart():
 def test_propagation_on_warped_k4():
     scn = kproduct_catalog()["warped_t4_k4"]()
     pts = scn.sample(40, np.random.default_rng(13))
-    sup_h, sup_t = propagation_suprema(scn.chart, scn.split, pts)
+    prop = _Evaluator(SplitContext(scn.chart, scn.split, pts)).propagation()
+    sup_h, sup_t = float(np.max(prop["sup_h"])), float(np.max(prop["sup_t"]))
     assert sup_h <= 1e-10
     assert sup_t <= 1e-10
 
@@ -250,13 +253,15 @@ def test_umbilicity_identity_on_orthogonal_warped():
                  "warped_t3_fiber2"]:
         scn = kproduct_catalog()[name]()
         pts = scn.sample(25, np.random.default_rng(14))
-        assert umbilicity_residual(scn.chart, scn.split, pts) <= 1e-9, name
+        ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
+        assert np.max(ev.umbilicity()["residual"]) <= 1e-9, name
 
 
 def test_pointwise_check_report_shape():
     scn = kproduct_catalog()["twisted_torus_k3"]()
     pts = scn.sample(10, np.random.default_rng(15))
-    [rep], _ = pointwise_checks(scn.chart, scn.split, pts, ["main"], scenario=scn.name)
+    rows = [row for row in select_checks(scn, ["main"]) if row.check.kind == POINTWISE]
+    [rep], _ = run_checks(scn, rows, pts)
     assert rep.verdict == "pass"
     assert rep.kind == "pointwise"
     assert rep.n_points == 10
@@ -289,3 +294,17 @@ def test_deterministic_under_threads():
     [b] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=64, threads=4)
     assert a.integral_value == b.integral_value
     assert a.normalizer == b.normalizer
+
+
+def test_readme_table_lists_every_report_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head = "| name | kind | applies to | by default |"
+    lines = readme[readme.index(head):].splitlines()[2:]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
+    table = {}
+    for c in CHECKS:
+        name = f"`{c.name}:r`" if c.ranged else f"`{c.name}`"
+        table.setdefault(name, []).append(c.kind)
+    assert [row[0] for row in rows] == list(table)
+    assert [row[1] for row in rows] == [", ".join(kinds) for kinds in table.values()]
