@@ -2,8 +2,7 @@
 
 A :class:`ChartManifold` is a coordinate box (each axis an interval, flagged
 periodic or not) carrying a Riemannian metric given entrywise by closed-form
-expressions (or by a jet-capable callable).  All derived quantities come from
-exact jets of the metric:
+expressions.  All derived quantities come from exact jets of the metric:
 
 * Christoffel symbols ``Gamma^c_ab`` carry exact first derivatives,
 * the curvature tensor is produced at value level,
@@ -66,34 +65,19 @@ class Axis:
 class ChartManifold:
     """Coordinate box with a metric field.
 
-    ``metric`` may be an ``n x n`` nested list of expression ASTs (or source
-    strings, parsed against ``dim``) or a callable ``coords -> n x n`` nested
-    list of scalars, where ``coords`` is the list of coordinate jets.
+    ``metric`` is an ``n x n`` nested list of expression ASTs (or source
+    strings, parsed against ``dim``).
     """
-
-    #: orientation of the curvature tensor produced by this chart's frames:
-    #: orthonormal contraction in slots (a,b,a,b) is the sectional curvature
-    CURVATURE_CONVENTION = "space-form-positive"
 
     def __init__(self, axes, metric, name="chart"):
         self.axes = list(axes)
         self.dim = len(self.axes)
         self.name = name
-        self.curvature_convention = self.CURVATURE_CONVENTION
-        self.metric_asts = None
-        if callable(metric):
-            self._metric_fn = metric
-        else:
-            rows = []
-            for row in metric:
-                parsed = []
-                for entry in row:
-                    parsed.append(parse_expr(entry, self.dim) if isinstance(entry, str) else entry)
-                rows.append(parsed)
-            if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-                raise GeometryError("metric must be an n x n matrix")
-            self.metric_asts = rows
-            self._metric_fn = None
+        rows = [[parse_expr(entry, self.dim) if isinstance(entry, str) else entry
+                 for entry in row] for row in metric]
+        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
+            raise GeometryError("metric must be an n x n matrix")
+        self.metric_asts = rows
 
     # -- basic queries ----------------------------------------------------
 
@@ -103,19 +87,13 @@ class ChartManifold:
 
     def metric_at(self, coords):
         """Metric entries at generic coordinates (jets, arrays or floats)."""
-        if self._metric_fn is not None:
-            return self._metric_fn(coords)
         return [[evaluate(self.metric_asts[a][b], coords) for b in range(self.dim)]
                 for a in range(self.dim)]
 
     def metric_values(self, points):
         """Metric as a ``(..., n, n)`` value array at ``points`` ``(..., n)``."""
         points = np.asarray(points, dtype=float)
-        if self.metric_asts is not None:
-            coords = [points[..., a] for a in range(self.dim)]
-        else:
-            coords = seed_jets(points)
-        g = hd.value_of(hd.stack(self.metric_at(coords)))
+        g = hd.value_of(hd.stack(self.metric_at([points[..., a] for a in range(self.dim)])))
         return np.array(np.broadcast_to(g, points.shape[:-1] + (self.dim, self.dim)))
 
     # -- validation --------------------------------------------------------
@@ -160,13 +138,12 @@ def grid_points(m, resolution, inset=0.0):
     return np.stack(mesh, axis=-1)
 
 
-def sample_points(m, count, rng, margin=0.0, box=None):
+def sample_points(m, count, rng, box=None):
     """Random points, uniform per axis; ``box`` optionally restricts axes."""
     cols = []
     for a, ax in enumerate(m.axes):
         lo, hi = (box[a] if box is not None else (ax.lo, ax.hi))
-        pad = margin * (hi - lo)
-        cols.append(rng.uniform(lo + pad, hi - pad, size=count))
+        cols.append(rng.uniform(lo, hi, size=count))
     return np.stack(cols, axis=-1)
 
 

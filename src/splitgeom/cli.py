@@ -38,9 +38,9 @@ import jsonschema
 import numpy as np
 
 from .chart import Axis, ChartManifold, GeometryError
-from .expr import parse_expr
+from .expr import ExprError, parse_expr
 from .hypersurface import GapError, HypersurfaceScenario, hypersurface_catalog
-from .identities import POINTWISE, Tolerances, run_checks, select_checks
+from .identities import INTEGRAL, POINTWISE, Tolerances, run_checks, select_checks
 from .scenarios import (
     WarpedSpec,
     build_twisted_torus,
@@ -48,6 +48,7 @@ from .scenarios import (
     build_warped_twisted,
     kproduct_catalog,
 )
+from .splitting import SplitStructure
 
 DEFAULT_SAMPLES = 100
 HYPERSURFACE_SAMPLE_CAP = 20
@@ -83,7 +84,7 @@ _INLINE_SCHEMAS = {
     "twisted_torus": {
         "type": "object",
         "additionalProperties": False,
-        "required": ["kind", "k", "dims"],
+        "required": ["kind", "dims"],
         "properties": {
             "kind": {"const": "twisted_torus"},
             "name": {"type": "string"},
@@ -119,7 +120,7 @@ _INLINE_SCHEMAS = {
         "type": "object",
         "additionalProperties": False,
         "required": ["kind", "axes", "immersion", "metric", "ambient_curv",
-                     "expected_k", "expected_dims"],
+                     "expected_dims"],
         "properties": {
             "kind": {"const": "hypersurface"},
             "name": {"type": "string"},
@@ -161,8 +162,21 @@ def build_inline_scenario(spec):
         jsonschema.validate(spec, _INLINE_SCHEMAS[kind])
     except jsonschema.ValidationError as e:
         raise ConfigError(f"invalid inline scenario: {e.message}")
+    label = spec.get("name", kind)
+    # an optional block count must agree with the block dimensions
+    for k_key, dims_key in (("k", "dims"), ("expected_k", "expected_dims")):
+        if k_key in spec and spec[k_key] != len(spec[dims_key]):
+            raise ConfigError(f"scenario {label!r}: {k_key}={spec[k_key]} but {dims_key}="
+                              f"{spec[dims_key]} has {len(spec[dims_key])} blocks")
+    try:
+        return _build_inline(kind, spec)
+    except ExprError as e:
+        raise ConfigError(f"scenario {label!r}: {e}")
+
+
+def _build_inline(kind, spec):
     if kind == "twisted_torus":
-        return build_twisted_torus(spec["k"], tuple(spec["dims"]),
+        return build_twisted_torus(tuple(spec["dims"]),
                                    twist=spec.get("twist", "sin(x{n})"),
                                    name=spec.get("name"))
     if kind == "warped":
@@ -183,8 +197,8 @@ def build_inline_scenario(spec):
     immersion = [parse_expr(src, n) for src in spec["immersion"]]
     return HypersurfaceScenario(
         name=spec.get("name", "hypersurface"), chart=chart, immersion=immersion,
-        ambient_curv=spec["ambient_curv"], expected_k=spec["expected_k"],
-        expected_dims=tuple(spec["expected_dims"]),
+        ambient_curv=spec["ambient_curv"],
+        split=SplitStructure(spec["expected_dims"], name="eigen"),
         normal_flip=spec.get("normal_flip", False),
         sample_box=[tuple(b) for b in spec["sample_box"]] if "sample_box" in spec else None,
         gap_threshold=spec.get("gap_threshold"),
@@ -235,7 +249,9 @@ def run_scenario(scn, samples, seed, grid_override, tols, threads,
 def write_reports(reports, out_path):
     with open(out_path, "w") as fh:
         fh.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
-    timing = {f"{r.scenario}:{r.identity}": r.wall_time for r in reports}
+    # one key per report: a name can have a pointwise and an integral report
+    timing = {f"{r.scenario}:{r.identity}" + (" (integral)" if r.kind == INTEGRAL else ""):
+              r.wall_time for r in reports}
     with open(out_path + ".timing.json", "w") as fh:
         json.dump(timing, fh, indent=2)
         fh.write("\n")
@@ -346,10 +362,9 @@ def cmd_verify(args):
 def cmd_catalog(_args):
     for name, builder in sorted(full_catalog().items()):
         scn = builder()
-        d = scn.describe()
-        closed = "closed" if d["closed"] else "open"
-        print(f"{name:24s} kind={d['kind']:14s} k={d['k']} dims={d['dims']}"
-              f" dim={d['dim']} {closed}")
+        closed = "closed" if scn.closed else "open"
+        print(f"{name:24s} kind={scn.kind:14s} k={scn.k} dims={list(scn.dims)}"
+              f" dim={scn.chart.dim} {closed}")
     return 0
 
 

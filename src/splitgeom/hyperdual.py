@@ -197,7 +197,7 @@ class HyperDual:
 
 # -- seeding and extraction ----------------------------------------------
 
-def seed_jets(points, order=2):
+def seed_jets(points):
     """Coordinate jets at ``points`` of shape ``(..., n)``.
 
     Returns a list of ``n`` HyperDuals, the a-th having value ``x_a``,
@@ -210,8 +210,7 @@ def seed_jets(points, order=2):
     for a in range(n):
         grad = np.zeros(shape + (n,))
         grad[..., a] = 1.0
-        hess = np.zeros(shape + (n, n)) if order == 2 else None
-        out.append(HyperDual(points[..., a], grad, hess))
+        out.append(HyperDual(points[..., a], grad, np.zeros(shape + (n, n))))
     return out
 
 def constant_like(ref, value):

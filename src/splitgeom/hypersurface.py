@@ -36,15 +36,15 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import (Axis, ChartManifold, GeometryError, check_positive_definite,
-                    sample_points)
+from .chart import Axis, ChartManifold, GeometryError, check_positive_definite
 from .expr import diff, evaluate, parse_expr
 from .hyperdual import HyperDual, seed_jets
+from .scenarios import Scenario
 from .splitting import SplitContext, SplitStructure
 
 __all__ = [
@@ -69,45 +69,17 @@ class GapError(GeometryError):
     """Principal curvature groups collide on the sampled region."""
 
 
-@dataclass
-class HypersurfaceScenario:
-    name: str
-    chart: ChartManifold
+@dataclass(kw_only=True)
+class HypersurfaceScenario(Scenario):
+    """An immersed chart split by principal curvature: ``split`` is the
+    frameless eigen-split whose block dimensions are the expected
+    multiplicities of the distinct curvatures, in ascending order."""
+
+    kind: str = "hypersurface"
     immersion: list                 # parsed component expressions, length m
     ambient_curv: int               # 0 (flat) or 1 (unit sphere)
-    expected_k: int
-    expected_dims: tuple
     normal_flip: bool = False
-    sample_box: list | None = None
     gap_threshold: float | None = None
-    meta: dict = field(default_factory=dict)
-    kind: str = "hypersurface"
-
-    @property
-    def closed(self):
-        return self.chart.closed
-
-    @property
-    def k(self):
-        return self.expected_k
-
-    @property
-    def dims(self):
-        return self.expected_dims
-
-    def sample(self, count, rng):
-        return sample_points(self.chart, count, rng, box=self.sample_box)
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "k": self.expected_k,
-            "dims": list(self.expected_dims),
-            "dim": self.chart.dim,
-            "closed": self.closed,
-            "ambient_curv": self.ambient_curv,
-        }
 
 
 def _levi_civita(m):
@@ -190,15 +162,14 @@ def principal_bundle(scn, points):
     top = np.take_along_axis(Y, np.argmax(np.abs(Y), axis=-2)[..., None, :], axis=-2)
     Y = np.where(top < 0.0, -Y, Y)
     _check_groups(scn, mu, points)
-    mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.expected_dims)
-    ctx = SplitContext(scn.chart, SplitStructure(scn.expected_dims, name="eigen"), points,
-                       frame_values=np.swapaxes(Y, -1, -2))
+    mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.dims)
+    ctx = SplitContext(scn.chart, scn.split, points, frame_values=np.swapaxes(Y, -1, -2))
     return {**data, "points": points, "context": ctx, "frame": ctx.frame,
             "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
 def _check_groups(scn, mu, points):
-    dims = scn.expected_dims
+    dims = scn.dims
     n = mu.shape[-1]
     if sum(dims) != n:
         raise GapError("expected multiplicities do not sum to the chart dimension")
@@ -322,7 +293,7 @@ def codazzi_checks(scn, b):
     (``conn[i,j,l] + conn[i,l,j]``, metric compatibility of the frame
     derivative), plus ``scale``.
     """
-    if any(d != 1 for d in scn.expected_dims):
+    if any(d != 1 for d in scn.dims):
         raise GeometryError("eigenvector-derivative checks need simple eigenvalues")
     cal, conn = _frame_tensors(b)
     mu = b["mu"]
@@ -380,7 +351,7 @@ def hypersurface_identity(scn, b):
     divergence (``lhs``) read from the jet by the chart connection.  Returns
     ``lhs``, ``rhs``, ``residual`` and ``residual_printed``.
     """
-    dims = scn.expected_dims
+    dims = scn.dims
     k = len(dims)
     if k not in (2, 3):
         raise GeometryError("identity implemented for 2 or 3 distinct curvatures")
@@ -443,9 +414,9 @@ def dperp_integrability(scn, b):
     Returns per-point arrays: the two sup values ``cal`` and ``bracket`` and
     their flags ``cal_zero`` and ``bracket_zero``, which must agree.
     """
-    if scn.expected_k < 3:
+    if scn.k < 3:
         raise GeometryError("complement integrability needs at least 3 groups")
-    if any(d != 1 for d in scn.expected_dims):
+    if any(d != 1 for d in scn.dims):
         raise GeometryError("bracket cross-validation needs simple eigenvalues")
     cal, conn = _frame_tensors(b)
     n = scn.chart.dim
@@ -479,8 +450,7 @@ def build_torus_revolution(R=2.0, r=1.0, name="torus_revolution"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        expected_k=2, expected_dims=(1, 1), normal_flip=False,
-        meta={"R": R, "r": r, "integral_grid": [48, 4]},
+        split=SplitStructure((1, 1), name="eigen"), meta={"integral_grid": [48, 4]},
     )
 
 
@@ -500,8 +470,7 @@ def build_clifford_torus(name="clifford_torus"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=1,
-        expected_k=2, expected_dims=(1, 1), normal_flip=False,
-        meta={"integral_grid": [8, 8]},
+        split=SplitStructure((1, 1), name="eigen"), meta={"integral_grid": [8, 8]},
     )
 
 
@@ -521,16 +490,15 @@ def build_graph_r4(name="graph_r4"):
                  parse_expr(f, 3)]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        expected_k=3, expected_dims=(1, 1, 1), normal_flip=True,
+        split=SplitStructure((1, 1, 1), name="eigen"), normal_flip=True,
         gap_threshold=0.05,
-        meta={},
     )
 
 
 def build_torus_cylinder(name="torus_cylinder_k3"):
     """Product of a torus of revolution with a line in flat 4-space; three
     simple curvatures (one of them zero) on the outer tube region."""
-    R, r = 2.0, 1.0
+    R = 2.0
     chart = ChartManifold(
         [Axis(-1.0, 1.0, periodic=False), Axis(0.0, TWO_PI), Axis(0.0, TWO_PI)],
         [["1", "0", "0"], ["0", f"({R} + cos(x1))^2", "0"], ["0", "0", "1"]],
@@ -544,9 +512,8 @@ def build_torus_cylinder(name="torus_cylinder_k3"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        expected_k=3, expected_dims=(1, 1, 1), normal_flip=False,
+        split=SplitStructure((1, 1, 1), name="eigen"),
         sample_box=[(-0.9, 0.9), (0.0, TWO_PI), (0.0, TWO_PI)],
-        meta={"R": R, "r": r},
     )
 
 
@@ -564,8 +531,7 @@ def build_round_sphere(radius=1.5, name="round_sphere"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        expected_k=2, expected_dims=(1, 1), normal_flip=True,
-        meta={"radius": radius},
+        split=SplitStructure((1, 1), name="eigen"), normal_flip=True,
     )
 
 

@@ -62,7 +62,7 @@ import itertools
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -123,23 +123,10 @@ class CheckReport:
     wall_time: float = 0.0
 
     def to_dict(self):
-        return {
-            "identity": self.identity,
-            "scenario": self.scenario,
-            "kind": self.kind,
-            "n_points": self.n_points,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "integral_value": self.integral_value,
-            "normalizer": self.normalizer,
-            "integral_ratio": self.integral_ratio,
-            "stokes_value": self.stokes_value,
-            "stokes_ratio": self.stokes_ratio,
-            "grid": self.grid,
-            "note": self.note,
-        }
+        """The report body: every field but the wall time."""
+        out = asdict(self)
+        del out["wall_time"]
+        return out
 
 
 def _rset(k):
@@ -355,6 +342,9 @@ APPLIES = {
     "sec2_exact warped, a fiber of dim >= 2": lambda scn: (
         scn.kind == "warped" and scn.meta["sec2_exact"] and max(scn.dims[1:]) >= 2),
     "hypersurface": lambda scn: scn.kind == "hypersurface",
+    # the eigenvector derivatives need every principal curvature simple
+    "hypersurface with simple curvatures": lambda scn: (
+        scn.kind == "hypersurface" and all(d == 1 for d in scn.dims)),
     "closed 2-dim hypersurface": lambda scn: (scn.kind == "hypersurface" and scn.closed
                                               and scn.chart.dim == 2),
 }
@@ -409,7 +399,7 @@ def _warped_form(key):
 
 def _kmix(scn, b):
     # mixed curvature of each eigen pair against n_i n_j (c + mu_i mu_j)
-    ctx, mu, dims, c = b["context"], b["mu"], scn.expected_dims, scn.ambient_curv
+    ctx, mu, dims, c = b["context"], b["mu"], scn.dims, scn.ambient_curv
     worst = np.zeros(mu.shape[:-1])
     for i, j in itertools.combinations(range(1, scn.k + 1), 2):
         want = dims[i - 1] * dims[j - 1] * (c + mu[..., i - 1] * mu[..., j - 1])
@@ -449,6 +439,7 @@ _INTEGRAL = {"kind": INTEGRAL, "geometry": CONTEXT, "tol": "integral",
 _WARPED = {"kind": PREDICATE, "geometry": CONTEXT, "tol": "predicate", "applies": "warped"}
 _SEC2 = {**_WARPED, "applies": "sec2_exact warped"}
 _SURFACE = {"geometry": BUNDLE, "applies": "hypersurface"}
+_SIMPLE = {**_SURFACE, "applies": "hypersurface with simple curvatures"}
 
 # every report verify can emit, in report order
 CHECKS = (
@@ -476,12 +467,12 @@ CHECKS = (
     Check("warped_umbilicity", run=_identity("umbilicity"),
           **{**_SEC2, "applies": "sec2_exact warped, a fiber of dim >= 2"}),
     Check("kmix_pairs", POINTWISE, tol="kmix", run=_kmix, **_SURFACE),
-    Check("codazzi", POINTWISE, tol="codazzi", run=_codazzi, **_SURFACE),
+    Check("codazzi", POINTWISE, tol="codazzi", run=_codazzi, **_SIMPLE),
     Check("surface_identity", POINTWISE, tol="surface_identity",
           run=lambda scn, b: {"residual": hypersurface_identity(scn, b)["residual"]},
-          **_SURFACE),
+          max_k=3, **_SURFACE),
     Check("dperp_integrability", PREDICATE, tol=None, run=_dperp, min_k=3,
-          summary=_dperp_summary, **_SURFACE),
+          summary=_dperp_summary, **_SIMPLE),
     Check("total_curvature", INTEGRAL, GRID, "integral", _total_curvature,
           applies="closed 2-dim hypersurface"),
 )
@@ -537,12 +528,16 @@ def available_identities(k):
 def select_checks(scn, requested=None):
     """The :class:`Row` of every report to run on the scenario ``scn``, in
     table order: the default rows that apply, or the applicable rows named
-    in ``requested``.  An unknown or inapplicable name, or an empty
-    ``requested``, raises ``ValueError``."""
+    in ``requested``.  An unknown or inapplicable name, an empty
+    ``requested``, or a scenario to which no default check applies raises
+    ``ValueError``."""
     rows = [Row(name, c, args) for c in CHECKS if APPLIES[c.applies](scn)
             for name, args in c.names(scn.k)]
     if requested is None:
-        return [row for row in rows if row.check.default]
+        rows = [row for row in rows if row.check.default]
+        if not rows:
+            raise ValueError(f"no check applies to scenario {scn.name}")
+        return rows
     known = ", ".join(dict.fromkeys(row.name for row in rows))
     for name in requested:
         if not any(row.name == name for row in rows):

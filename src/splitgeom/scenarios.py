@@ -1,8 +1,10 @@
 """Built-in scenario catalog: concrete charts with orthogonal splittings.
 
 Each scenario bundles a :class:`~splitgeom.chart.ChartManifold`, a
-:class:`~splitgeom.splitting.SplitStructure` and metadata (closedness,
-sampling boxes, which specialised checks apply).  Three families live here:
+:class:`~splitgeom.splitting.SplitStructure` and metadata (sampling boxes,
+quadrature grids, which specialised checks apply); ``k``, the block
+dimensions and closedness are read from the split and the chart.  Three
+families live here:
 
 * twisted flat tori -- flat periodic metric, frame rotated in the (1,2)
   coordinate plane by an angle depending on the last coordinate; the
@@ -52,33 +54,34 @@ TWO_PI = 2 * math.pi
 
 @dataclass
 class Scenario:
+    """A chart with an orthogonal k-splitting, the object every check reads."""
+
     name: str
     kind: str
     chart: ChartManifold
     split: SplitStructure
-    closed: bool
-    k: int
-    dims: tuple
     sample_box: list | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def k(self):
+        return self.split.k
+
+    @property
+    def dims(self):
+        return self.split.dims
+
+    @property
+    def closed(self):
+        return self.chart.closed
 
     def sample(self, count, rng):
         return sample_points(self.chart, count, rng, box=self.sample_box)
 
-    def describe(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "k": self.k,
-            "dims": list(self.dims),
-            "dim": self.chart.dim,
-            "closed": self.closed,
-        }
-
 
 # -- twisted flat torus ------------------------------------------------------
 
-def build_twisted_torus(k, dims, twist="sin(x{n})", name=None):
+def build_twisted_torus(dims, twist="sin(x{n})", name=None):
     """Flat ``T^n`` with the frame rotated in the (1,2)-plane by the twist angle.
 
     ``twist`` is an expression in the chart coordinates (``{n}`` expands to
@@ -103,8 +106,8 @@ def build_twisted_torus(k, dims, twist="sin(x{n})", name=None):
             raise GeometryError(f"twist expression is not periodic along axis {a + 1}")
 
     metric = [["1" if a == b else "0" for b in range(n)] for a in range(n)]
-    chart = ChartManifold([Axis(0.0, TWO_PI)] * n, metric,
-                          name=name or f"twisted_torus_k{k}")
+    name = name or f"twisted_torus_k{len(dims)}"
+    chart = ChartManifold([Axis(0.0, TWO_PI)] * n, metric, name=name)
 
     def frame(coords):
         ref = coords[0]
@@ -124,8 +127,7 @@ def build_twisted_torus(k, dims, twist="sin(x{n})", name=None):
 
     split = SplitStructure(dims, frame, name="twisted")
     grid = [4] * (n - 1) + [32]  # the twist depends on the last coordinate only
-    return Scenario(name=name or f"twisted_torus_k{k}", kind="twisted_torus",
-                    chart=chart, split=split, closed=True, k=k, dims=dims,
+    return Scenario(name=name, kind="twisted_torus", chart=chart, split=split,
                     meta={"twist": twist_src, "integral_grid": grid})
 
 
@@ -202,9 +204,7 @@ def build_warped(spec, name="warped"):
         if np.any(vals <= 0.0):
             raise GeometryError(f"warp {src!r} is not positive on the chart")
 
-    dims = (n1,) + tuple(spec.fiber_dims)
-    split = coordinate_split(dims, name="warped")
-    k = len(dims)
+    split = coordinate_split((n1,) + tuple(spec.fiber_dims), name="warped")
 
     # the closed forms for Div H_i and the mixed scalar curvature need
     # pairwise orthogonal warp gradients
@@ -225,9 +225,9 @@ def build_warped(spec, name="warped"):
     # quadrature only needs resolution along axes the data depends on; warps
     # live on the base, everything else is constant on its axis
     grid = [24] * n1 + [4] * sum(spec.fiber_dims)
-    return Scenario(name=name, kind="warped", chart=chart, split=split, closed=True,
-                    k=k, dims=dims, meta={"spec": spec, "warp_asts": warp_asts,
-                                          "sec2_exact": sec2, "integral_grid": grid})
+    return Scenario(name=name, kind="warped", chart=chart, split=split,
+                    meta={"warp_asts": warp_asts, "sec2_exact": sec2,
+                          "integral_grid": grid})
 
 
 def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
@@ -256,8 +256,7 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
 
     split = SplitStructure((1, 1, 1), frame, name="warped_twisted")
     return Scenario(name=name, kind="warped_twisted", chart=chart, split=split,
-                    closed=True, k=3, dims=(1, 1, 1),
-                    meta={"u": u_src, "twist": twist_src, "integral_grid": [32, 4, 4]})
+                    meta={"twist": twist_src, "integral_grid": [32, 4, 4]})
 
 
 def warped_checks(scenario, ctx):
@@ -283,12 +282,11 @@ def warped_checks(scenario, ctx):
     """
     if scenario.kind != "warped":
         raise GeometryError("warped_checks needs a warped scenario")
-    spec = scenario.meta["spec"]
     warp_asts = scenario.meta["warp_asts"]
-    n1 = spec.base_dim
+    n1 = scenario.dims[0]
     coords = ctx.frame.coords
     res_H = res_div = smix_expected = np.zeros(ctx.points.shape[:-1])
-    for fiber, (ast, ni) in enumerate(zip(warp_asts, spec.fiber_dims), start=2):
+    for fiber, (ast, ni) in enumerate(zip(warp_asts, scenario.dims[1:]), start=2):
         u = hd.as_jet(evaluate(ast, coords), coords[0])
         grad_log = ctx.frame.grad_field(hd.log(u))
         data = ctx.fundamental(SubsetIndex((fiber,)))
@@ -339,9 +337,9 @@ def _build_multi_scenario():
 def kproduct_catalog():
     """Builders for the torus-based scenarios, keyed by name."""
     return {
-        "twisted_torus_k2": lambda: build_twisted_torus(2, (1, 2), name="twisted_torus_k2"),
-        "twisted_torus_k3": lambda: build_twisted_torus(3, (1, 1, 1), name="twisted_torus_k3"),
-        "twisted_torus_k4": lambda: build_twisted_torus(4, (1, 1, 1, 1), name="twisted_torus_k4"),
+        "twisted_torus_k2": lambda: build_twisted_torus((1, 2)),
+        "twisted_torus_k3": lambda: build_twisted_torus((1, 1, 1)),
+        "twisted_torus_k4": lambda: build_twisted_torus((1, 1, 1, 1)),
         "warped_t2": lambda: build_warped(
             WarpedSpec(1, (1,), ("2 + sin(x1)",)), name="warped_t2"),
         "warped_t3_fiber2": lambda: build_warped(

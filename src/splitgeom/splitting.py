@@ -58,10 +58,6 @@ class SubsetIndex:
         if list(self.q) != sorted(set(self.q)):
             raise ValueError(f"subset labels must be strictly increasing, got {self.q}")
 
-    @property
-    def r(self):
-        return len(self.q)
-
     def complement(self, k):
         return SubsetIndex(tuple(i for i in range(1, k + 1) if i not in self.q))
 

@@ -88,10 +88,10 @@ def test_criterion_3_smix_pair_split_lemma_everywhere():
         pts = scn.sample(15, rng)
         b = principal_bundle(scn, pts)
         frames = np.swapaxes(b["Y"], -1, -2)
-        split = SplitStructure(scn.expected_dims, frame=None)
+        split = SplitStructure(scn.dims, frame=None)
         ctx = SplitContext(scn.chart, split, pts, frame_values=frames)
         total = np.zeros(pts.shape[0])
-        for i in range(1, scn.expected_k + 1):
+        for i in range(1, scn.k + 1):
             total = total + ctx.smix_pairsplit(i)
         val = float(np.max(np.abs(2.0 * ctx.smix() - total)))
         if val > worst:

@@ -395,3 +395,86 @@ def test_report_diff_keys_reports_by_kind(tmp_path, capsys):
     assert run(["report", "--diff", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert out.splitlines() == ["differs: warped_t2:main (pointwise) fields ['verdict']"]
+
+
+# -- inline scenarios: bad input exits 2 with a config error, never a traceback --
+
+# a tube of radius 1 around a 2-sphere of radius 2 in R^4: curvatures of
+# multiplicities 1 and 2
+TUBE = {
+    "kind": "hypersurface", "name": "tube_s2",
+    "axes": [{"lo": -1, "hi": 1, "periodic": False},
+             {"lo": 0.4, "hi": 2.74, "periodic": False},
+             {"lo": 0, "hi": 6.283185307179586}],
+    "immersion": ["(2 + cos(x1))*sin(x2)*cos(x3)", "(2 + cos(x1))*sin(x2)*sin(x3)",
+                  "(2 + cos(x1))*cos(x2)", "sin(x1)"],
+    "metric": [["1", "0", "0"], ["0", "(2 + cos(x1))^2", "0"],
+               ["0", "0", "(2 + cos(x1))^2*sin(x2)^2"]],
+    "ambient_curv": 0, "expected_k": 2, "expected_dims": [1, 2],
+}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "twisted_torus", "k": 2, "dims": [1, 1, 1]},
+     "k=2 but dims=[1, 1, 1] has 3 blocks"),
+    ({"kind": "twisted_torus", "k": 4, "dims": [1, 2]},
+     "k=4 but dims=[1, 2] has 2 blocks"),
+    ({**TUBE, "expected_k": 3, "expected_dims": [1, 1]},
+     "expected_k=3 but expected_dims=[1, 1] has 2 blocks"),
+    ({**TUBE, "expected_k": 1, "expected_dims": [1, 1]},
+     "expected_k=1 but expected_dims=[1, 1] has 2 blocks"),
+    ({"kind": "warped", "name": "log_warp", "base_dim": 1, "fiber_dims": [1],
+      "warps": ["2 + log(sin(x1))"]},
+     "scenario 'log_warp': log: "),
+    ({"kind": "twisted_torus", "name": "sqrt_twist", "dims": [1, 1, 1],
+      "twist": "sqrt(sin(x3))"},
+     "scenario 'sqrt_twist': sqrt: "),
+    ({"kind": "warped", "name": "fiber_warp", "base_dim": 1, "fiber_dims": [1],
+      "warps": ["x2 + 2"]},
+     "scenario 'fiber_warp': coordinate x2 exceeds chart dimension 1"),
+    ({"kind": "twisted_torus", "k": 3, "dims": [1, 1, 1], "twist": "0.5*x3"},
+     "twist expression is not periodic along axis 3"),
+])
+def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_scenario_without_applicable_check_exits_2(tmp_path, capsys):
+    # a round sphere as one curvature group of multiplicity 2: k = 1
+    sphere = {
+        "kind": "hypersurface", "name": "sphere_one_group",
+        "axes": [{"lo": 0.4, "hi": 2.7, "periodic": False},
+                 {"lo": 0.0, "hi": 6.283185307179586}],
+        "immersion": ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
+        "metric": [["2.25", "0"], ["0", "2.25*sin(x1)^2"]],
+        "ambient_curv": 0, "expected_k": 1, "expected_dims": [2],
+    }
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": sphere}, "one")
+    assert code == 2
+    assert report is None and out == ""
+    assert "no check applies to scenario sphere_one_group" in err
+
+
+def test_multiple_curvature_runs_only_the_checks_it_supports(tmp_path, capsys):
+    code, report, _, _ = verify_config(tmp_path, capsys, {"scenario": TUBE}, "tube")
+    assert code == 0
+    assert [r["identity"] for r in json.loads(report)] == ["kmix_pairs", "surface_identity"]
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": TUBE, "identities": ["codazzi"]}, "codazzi")
+    assert code == 2
+    assert report is None and out == ""
+    assert "unknown identity 'codazzi' for scenario tube_s2" in err
+
+
+def test_timing_sidecar_has_one_key_per_report(tmp_path):
+    out = tmp_path / "warped.json"
+    assert run(["verify", "--scenario", "warped_t2", "--samples", "4",
+                "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    timing = json.loads((tmp_path / "warped.json.timing.json").read_text())
+    assert len(timing) == len(reports)
+    assert {"warped_t2:main", "warped_t2:main (integral)"} <= set(timing)

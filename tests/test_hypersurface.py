@@ -20,6 +20,7 @@ from splitgeom.hypersurface import (
     shape_data,
 )
 from splitgeom.identities import _Evaluator
+from splitgeom.scenarios import Scenario
 from splitgeom.splitting import SplitContext, SplitStructure, coordinate_split
 
 TWO_PI = 2 * math.pi
@@ -88,7 +89,7 @@ def test_principal_data_gradients():
     scn = build_torus_revolution()
     pts = np.array([[0.8, 1.1]])
     b = principal_bundle(scn, pts)
-    assert scn.expected_dims == (1, 1)
+    assert scn.dims == (1, 1)
     # contravariant gradients of the group curvatures
     grad_mu = np.linalg.solve(b["g"][0], b["mu_hat"].grad[0].T).T
     # closed form: d/dtheta of cos(t)/(2+cos(t)) = -2 sin t/(2+cos t)^2
@@ -107,9 +108,9 @@ def test_mixed_curvature_matches_shape_operator_product():
         pts = scn.sample(12, rng)
         b = principal_bundle(scn, pts)
         frame_values = np.swapaxes(b["Y"], -1, -2)  # rows = frame vectors
-        split = SplitStructure(scn.expected_dims, frame=None, name="eigen")
+        split = SplitStructure(scn.dims, frame=None, name="eigen")
         ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
-        k = scn.expected_k
+        k = scn.k
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
                 got = ctx.mixed_curvature(i, j)
@@ -348,3 +349,12 @@ def test_rank_loss_names_its_point():
     scn = build_round_sphere()
     with pytest.raises(GeometryError, match=r"immersion loses rank at \[0\.0, 1\.0\]"):
         shape_data(scn, np.array([[0.9, 1.0], [0.0, 1.0]]))
+
+
+def test_hypersurface_scenario_reads_its_shape_from_split_and_chart():
+    scn = build_graph_r4()
+    assert isinstance(scn, Scenario)
+    assert (scn.kind, scn.k, scn.dims, scn.closed) == ("hypersurface", 3, (1, 1, 1), False)
+    assert scn.split.frame is None
+    assert principal_bundle(scn, scn.sample(3, np.random.default_rng(0)))[
+        "context"].split is scn.split

@@ -73,7 +73,7 @@ def test_adapted_frame_euclidean_identity():
 
 
 def test_twisted_frame_orthonormality_and_projectors():
-    scn = build_twisted_torus(3, (1, 1, 1))
+    scn = build_twisted_torus((1, 1, 1))
     pts = scn.sample(40, np.random.default_rng(1))
     ctx = SplitContext(scn.chart, scn.split, pts)
     assert ctx.orthonormality_residual() <= 1e-13
@@ -141,7 +141,7 @@ def test_product_metric_fundamental_tensors_vanish():
 
 
 def test_twisted_torus_against_bracket_oracle():
-    scn = build_twisted_torus(3, (1, 1, 1))
+    scn = build_twisted_torus((1, 1, 1))
     twist_ast = parse_expr(scn.meta["twist"], 3)
     pts = np.array([[0.0, 0.0, 0.0], [0.3, 1.0, 2.2], [1.1, 0.2, 4.0]])
     V, nabla, fprime = twisted_frame_oracle(twist_ast, pts)
@@ -351,7 +351,7 @@ def test_pair_predicates():
             assert res["mixed_int"], (i, j, res)
 
     # the twisted pair of the twisted torus is not mixed integrable
-    scn = build_twisted_torus(3, (1, 1, 1))
+    scn = build_twisted_torus((1, 1, 1))
     ctx = SplitContext(scn.chart, scn.split, scn.sample(10, np.random.default_rng(16)))
     res13 = pair_predicates(ctx, 1, 3)
     assert not res13["mixed_int"]
@@ -361,7 +361,7 @@ def test_pair_predicates():
 
 
 def test_untwisted_torus_is_a_product():
-    scn = build_twisted_torus(3, (1, 1, 1), twist="0")
+    scn = build_twisted_torus((1, 1, 1), twist="0")
     pts = scn.sample(8, np.random.default_rng(19))
     ctx = SplitContext(scn.chart, scn.split, pts)
     for r in (1, 2):
@@ -374,7 +374,7 @@ def test_untwisted_torus_is_a_product():
 
 def test_nonperiodic_twist_rejected():
     with pytest.raises(GeometryError, match="not periodic"):
-        build_twisted_torus(3, (1, 1, 1), twist="0.5*x3")
+        build_twisted_torus((1, 1, 1), twist="0.5*x3")
 
 
 def test_constant_warp_is_a_direct_product():
