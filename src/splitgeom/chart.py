@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .expr import parse_expr, evaluate
+from .expr import evaluate, parse_expr, variables
 from .hyperdual import HyperDual, seed_jets
 
 __all__ = [
@@ -66,7 +66,8 @@ class ChartManifold:
     """Coordinate box with a metric field.
 
     ``metric`` is an ``n x n`` nested list of expression ASTs (or source
-    strings, parsed against ``dim``).
+    strings, parsed against ``dim``).  ``depends_on`` is the set of 0-based
+    axes some metric entry reads.
     """
 
     def __init__(self, axes, metric, name="chart"):
@@ -78,6 +79,7 @@ class ChartManifold:
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise GeometryError("metric must be an n x n matrix")
         self.metric_asts = rows
+        self.depends_on = frozenset().union(*(variables(e) for row in rows for e in row))
 
     # -- basic queries ----------------------------------------------------
 
@@ -276,7 +278,8 @@ def _volume_element(g, points):
     return np.sqrt(det)
 
 
-def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1):
+def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1,
+                   axes=None):
     """Rectangle-rule integrals over the closed chart ``m``.
 
     ``integrand`` maps an ``(N, n)`` chunk of nodes to ``(values, g)``:
@@ -286,6 +289,12 @@ def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1):
     periodic integrands; each integral is a compensated sum in fixed node
     order, so it does not depend on ``chunk`` or ``threads``.  Returns the
     per-axis grid and the integral (or dict of integrals).
+
+    ``axes`` (default: every axis) are the 0-based axes the integrand may
+    vary along.  Only their nodes are evaluated, every other axis pinned at
+    its first node, and each value counts once per node it stands for: it
+    is repeated, not multiplied, before the exact sum, so an integrand
+    that is constant along the other axes gives the full grid's bits.
     """
     if not m.closed:
         raise NonClosedChartError("integration requires all axes periodic")
@@ -294,6 +303,10 @@ def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1):
     if any(res < 4 for res in grid):
         raise GeometryError("grid resolution must be at least 4 per axis")
     cell = math.prod(ax.period / res for ax, res in zip(m.axes, grid))
+    axes = range(m.dim) if axes is None else axes
+    # on a periodic axis the one-node lattice is the first node
+    evaluated = [res if a in axes else 1 for a, res in enumerate(grid)]
+    count = math.prod(grid) // math.prod(evaluated)
 
     def weighted(nodes):
         values, g = integrand(nodes)
@@ -302,10 +315,13 @@ def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1):
             return {key: np.asarray(v, dtype=float) * w for key, v in values.items()}
         return np.asarray(values, dtype=float) * w
 
-    acc = mapper(weighted, grid_points(m, grid), chunk=chunk, threads=threads)
+    def total(v):
+        return math.fsum(np.repeat(v, count).tolist()) * cell
+
+    acc = mapper(weighted, grid_points(m, evaluated), chunk=chunk, threads=threads)
     if isinstance(acc, dict):
-        return grid, {key: math.fsum(v.tolist()) * cell for key, v in acc.items()}
-    return grid, math.fsum(acc.tolist()) * cell
+        return grid, {key: total(v) for key, v in acc.items()}
+    return grid, total(acc)
 
 
 def integrate(m, f, grid, chunk=DEFAULT_CHUNK, threads=1):

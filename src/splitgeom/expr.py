@@ -39,6 +39,7 @@ __all__ = [
     "Neg",
     "parse_expr",
     "evaluate",
+    "variables",
     "diff",
     "to_source",
 ]
@@ -180,7 +181,7 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             exponent = self.factor()
-            if _has_var(exponent):
+            if variables(exponent):
                 raise ParseError("exponent must be a constant", offset)
             return Bin("^", base, exponent)
         return base
@@ -210,18 +211,15 @@ class _Parser:
         raise ParseError("expected a number, coordinate, function or '('", offset)
 
 
-def _has_var(node):
+def variables(node):
+    """The 0-based coordinate axes the AST ``node`` reads."""
     if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num,)):
-        return False
-    if isinstance(node, Neg):
-        return _has_var(node.child)
-    if isinstance(node, Call):
-        return _has_var(node.child)
+        return frozenset({node.index - 1})
+    if isinstance(node, (Neg, Call)):
+        return variables(node.child)
     if isinstance(node, Bin):
-        return _has_var(node.left) or _has_var(node.right)
-    return False
+        return variables(node.left) | variables(node.right)
+    return frozenset()
 
 
 def parse_expr(source, dim):

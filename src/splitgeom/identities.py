@@ -67,7 +67,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .chart import DEFAULT_CHUNK, map_batched, rectangle_rule
+from .chart import DEFAULT_CHUNK, GeometryError, map_batched, rectangle_rule
 from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
                            principal_bundle, shape_data)
 from .scenarios import warped_checks
@@ -333,8 +333,7 @@ GRID = "grid"         # the quadrature nodes themselves
 # the scenarios a check exists on, by rule name
 APPLIES = {
     "split": lambda scn: scn.kind != "hypersurface",
-    "closed split": lambda scn: (scn.kind != "hypersurface" and scn.closed
-                                 and not scn.meta.get("no_integral", False)),
+    "closed split": lambda scn: scn.kind != "hypersurface" and scn.closed,
     "warped": lambda scn: scn.kind == "warped",
     "sec2_exact warped": lambda scn: scn.kind == "warped" and scn.meta["sec2_exact"],
     # H of the base block vanishes: only a fiber of dimension >= 2 gives the
@@ -569,13 +568,31 @@ def _key(name, key):
     return name if key == "residual" else f"{key}:{name}"
 
 
-def _chunk_values(scn, rows):
+def _check_pinned(ctx, pinned):
+    """Raise :class:`GeometryError` naming the first node of ``ctx`` where the
+    metric or frame jet moves along one of the ``pinned`` axes, which the
+    quadrature evaluates at their first node only."""
+    flat = ctx.points.reshape(-1, ctx.n)
+    for a in sorted(pinned):
+        for what, jet in (("metric", ctx.frame.g), ("frame", ctx.E)):
+            moved = (jet.grad[..., a] != 0.0) | np.any(jet.hess[..., a, :] != 0.0, axis=-1)
+            bad = np.flatnonzero(np.any(moved.reshape(len(flat), -1), axis=-1))
+            if bad.size:
+                raise GeometryError(
+                    f"the {what} varies along axis {a + 1}, which neither the metric "
+                    f"nor the frame declares, at {flat[bad[0]].tolist()}")
+
+
+def _chunk_values(scn, rows, pinned=()):
     """Chunk function: one geometry for the chunk, then the values of every
-    row (keyed by :func:`_key`) and the metric values at the chunk."""
+    row (keyed by :func:`_key`) and the metric values at the chunk.  A
+    context geometry must not vary along the ``pinned`` axes."""
     geometry = rows[0].check.geometry
 
     def eval_chunk(pts):
         geom, g = _geometry(scn, geometry, pts)
+        if pinned:
+            _check_pinned(geom.ctx, pinned)
         out = {}
         for name, check, args in rows:
             data = check.run(scn, geom, *args)
@@ -635,20 +652,27 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, thre
 
     Rows that read one geometry share it: one geometry per chunk of the
     sample ``points`` for the pointwise and predicate rows, one per chunk of
-    the quadrature ``grid`` for the integral rows.
+    the quadrature ``grid`` for the integral rows.  Integral rows on a
+    context evaluate only the nodes along the axes the metric or the frame
+    reads (``depends_on``); the others hold the first node, where the
+    geometry's jets must not move along them.
     """
     tols = tol or Tolerances()
     groups = {}
     for row in rows:
         groups.setdefault((row.check.kind == INTEGRAL, row.check.geometry), []).append(row)
     reports, fields = {}, {}
-    for (integral, _), group in groups.items():
+    for (integral, geometry), group in groups.items():
         t0 = time.perf_counter()
-        eval_chunk = _chunk_values(scn, group)
         if integral:
+            every = frozenset(range(scn.chart.dim))
+            axes = (scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT
+                    else every)
+            eval_chunk = _chunk_values(scn, group, every - axes)
             grid, values = rectangle_rule(scn.chart, grid, eval_chunk, map_batched,
-                                          chunk=chunk, threads=threads)
+                                          chunk=chunk, threads=threads, axes=axes)
         else:
+            eval_chunk = _chunk_values(scn, group)
             values = map_batched(lambda p: eval_chunk(p)[0], points,
                                  chunk=chunk, threads=threads)
             fields.update(values)

@@ -27,6 +27,7 @@ cross term); scenarios record whether they hold exactly in
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
-from .expr import evaluate, parse_expr
+from .expr import ExprError, evaluate, parse_expr, variables
 from .hyperdual import value_of
 from .splitting import SplitStructure, SubsetIndex, coordinate_split
 
@@ -79,6 +80,16 @@ class Scenario:
         return sample_points(self.chart, count, rng, box=self.sample_box)
 
 
+@contextlib.contextmanager
+def _expression(label, src):
+    """Name the expression ``src`` (``label``) in an :class:`ExprError` raised
+    inside the block."""
+    try:
+        yield
+    except ExprError as e:
+        raise ExprError(f"{e} in {label} {src!r}") from e
+
+
 # -- twisted flat torus ------------------------------------------------------
 
 def build_twisted_torus(dims, twist="sin(x{n})", name=None):
@@ -92,18 +103,18 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
     if n < 3:
         raise GeometryError("twisted torus needs dimension >= 3")
     twist_src = twist.format(n=n)
-    twist_ast = parse_expr(twist_src, n)
-
-    # the twist must be periodic along every axis it depends on
-    probe = np.linspace(0.1, TWO_PI - 0.1, 7)
-    pts = np.stack([probe] * n, axis=-1)
-    base_vals = np.asarray(evaluate(twist_ast, [pts[..., a] for a in range(n)]), dtype=float)
-    for a in range(n):
-        shifted = pts.copy()
-        shifted[..., a] += TWO_PI
-        vals = np.asarray(evaluate(twist_ast, [shifted[..., b] for b in range(n)]), dtype=float)
-        if np.max(np.abs(vals - base_vals)) > 1e-12 * (1.0 + np.max(np.abs(base_vals))):
-            raise GeometryError(f"twist expression is not periodic along axis {a + 1}")
+    with _expression("twist", twist_src):
+        twist_ast = parse_expr(twist_src, n)
+        # the twist must be periodic along every axis it depends on
+        probe = np.linspace(0.1, TWO_PI - 0.1, 7)
+        pts = np.stack([probe] * n, axis=-1)
+        base_vals = np.asarray(evaluate(twist_ast, list(pts.T)), dtype=float)
+        for a in range(n):
+            shifted = pts.copy()
+            shifted[..., a] += TWO_PI
+            vals = np.asarray(evaluate(twist_ast, list(shifted.T)), dtype=float)
+            if np.max(np.abs(vals - base_vals)) > 1e-12 * (1.0 + np.max(np.abs(base_vals))):
+                raise GeometryError(f"twist expression is not periodic along axis {a + 1}")
 
     metric = [["1" if a == b else "0" for b in range(n)] for a in range(n)]
     name = name or f"twisted_torus_k{len(dims)}"
@@ -125,7 +136,7 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
             vecs.append([one if a == j else zero for a in range(n)])
         return vecs
 
-    split = SplitStructure(dims, frame, name="twisted")
+    split = SplitStructure(dims, frame, name="twisted", depends_on=variables(twist_ast))
     grid = [4] * (n - 1) + [32]  # the twist depends on the last coordinate only
     return Scenario(name=name, kind="twisted_torus", chart=chart, split=split,
                     meta={"twist": twist_src, "integral_grid": grid})
@@ -180,11 +191,9 @@ def build_warped(spec, name="warped"):
     n1 = spec.base_dim
     n = n1 + sum(spec.fiber_dims)
     warp_asts = []
-    for src in spec.warps:
-        ast = parse_expr(src, n)  # parsed on the full chart; may only use base coords
-        base_only = parse_expr(src, n1)  # raises if a fiber coordinate appears
-        del base_only
-        warp_asts.append(ast)
+    for i, src in enumerate(spec.warps, start=1):
+        with _expression(f"warp {i}", src):
+            warp_asts.append(parse_expr(src, n1))  # raises if a fiber coordinate appears
 
     entries = [["0"] * n for _ in range(n)]
     for a in range(n1):
@@ -196,27 +205,26 @@ def build_warped(spec, name="warped"):
             col += 1
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
 
-    # warps must be positive on the sampled domain
+    # warps must be positive on the sampled domain; the closed forms for
+    # Div H_i and the mixed scalar curvature need pairwise orthogonal warp
+    # gradients
     rng = np.random.default_rng(1234)
     pts = sample_points(chart, 64, rng)
-    for src, ast in zip(spec.warps, warp_asts):
-        vals = np.asarray(evaluate(ast, [pts[..., a] for a in range(n)]), dtype=float)
-        if np.any(vals <= 0.0):
-            raise GeometryError(f"warp {src!r} is not positive on the chart")
-
-    split = coordinate_split((n1,) + tuple(spec.fiber_dims), name="warped")
-
-    # the closed forms for Div H_i and the mixed scalar curvature need
-    # pairwise orthogonal warp gradients
-    sec2 = True
     xs = hd.seed_jets(pts)
     grads = []
-    for ast in warp_asts:
-        j = evaluate(ast, xs)
-        if isinstance(j, hd.HyperDual):
-            grads.append(j.grad[..., :n1])
+    for i, (src, ast) in enumerate(zip(spec.warps, warp_asts), start=1):
+        with _expression(f"warp {i}", src):
+            vals = np.asarray(evaluate(ast, list(pts.T)), dtype=float)
+            if np.any(vals <= 0.0):
+                raise GeometryError(f"warp {src!r} is not positive on the chart")
+            u = evaluate(ast, xs)
+        if isinstance(u, hd.HyperDual):
+            grads.append(u.grad[..., :n1])
         else:
             grads.append(np.zeros(pts.shape[:-1] + (n1,)))
+
+    split = coordinate_split((n1,) + tuple(spec.fiber_dims), name="warped")
+    sec2 = True
     for i in range(len(grads)):
         for j in range(i + 1, len(grads)):
             if np.max(np.abs(np.sum(grads[i] * grads[j], axis=-1))) > 1e-12:
@@ -235,8 +243,10 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
     """Torus ``dt^2 + u(t)^2 (dx^2 + dy^2)`` with the fiber plane split along a
     frame rotated by a twist angle; every identity term is non-zero."""
     n = 3
-    u_ast = parse_expr(u_src, n)
-    twist_ast = parse_expr(twist_src, n)
+    with _expression("u", u_src):
+        parse_expr(u_src, n)  # alone, so that an error names u, not a metric entry
+    with _expression("twist", twist_src):
+        twist_ast = parse_expr(twist_src, n)
     entries = [["1", "0", "0"],
                ["0", f"({u_src})^2", "0"],
                ["0", "0", f"({u_src})^2"]]
@@ -254,9 +264,10 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
             [zero, -s, c],
         ]
 
-    split = SplitStructure((1, 1, 1), frame, name="warped_twisted")
+    split = SplitStructure((1, 1, 1), frame, name="warped_twisted",
+                           depends_on=variables(twist_ast))
     return Scenario(name=name, kind="warped_twisted", chart=chart, split=split,
-                    meta={"twist": twist_src, "integral_grid": [32, 4, 4]})
+                    meta={"integral_grid": [32, 4, 4]})
 
 
 def warped_checks(scenario, ctx):
@@ -326,11 +337,10 @@ def _build_conv_scenario():
 
 def _build_multi_scenario():
     # two-dimensional base and a two-dimensional fiber: exercises the
-    # multiplicity factors pointwise; the dimension-5 quadrature sweep adds
-    # nothing the other closed scenarios do not cover, so skip integrals
+    # multiplicity factors, and the only k=3 integrals with a 2-dim fiber block
     scn = build_warped(WarpedSpec(2, (2, 1), ("2 + sin(x1)", "2 + cos(x2)")),
                        name="warped_t5_k3_multi")
-    scn.meta["no_integral"] = True
+    scn.meta["integral_grid"] = [16, 16, 4, 4, 4]
     return scn
 
 

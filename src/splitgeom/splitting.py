@@ -76,9 +76,13 @@ def subsets(r, k):
 
 
 class SplitStructure:
-    """Dimensions and spanning frame of the k orthogonal distributions."""
+    """Dimensions and spanning frame of the k orthogonal distributions.
 
-    def __init__(self, dims, frame=None, name="split"):
+    ``depends_on`` is the set of 0-based axes the ``frame`` callback reads;
+    a callback cannot be inspected, so ``None`` means every axis.
+    """
+
+    def __init__(self, dims, frame=None, name="split", depends_on=None):
         self.dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in self.dims):
             raise ValueError("distribution dimensions must be positive")
@@ -86,6 +90,7 @@ class SplitStructure:
         self.k = len(self.dims)
         self.frame = frame
         self.name = name
+        self.depends_on = frozenset(range(self.n) if depends_on is None else depends_on)
         starts = np.concatenate([[0], np.cumsum(self.dims)])
         self._blocks = [range(starts[i], starts[i + 1]) for i in range(self.k)]
 
@@ -113,7 +118,7 @@ def coordinate_split(dims, name="coordinate"):
     def frame(coords):
         return np.eye(n).tolist()
 
-    return SplitStructure(dims, frame, name=name)
+    return SplitStructure(dims, frame, name=name, depends_on=frozenset())
 
 
 def gram_schmidt(g, vectors, points):

@@ -14,6 +14,8 @@ from splitgeom.chart import (
     NonClosedChartError,
     grid_points,
     integrate,
+    map_batched,
+    rectangle_rule,
     sample_points,
 )
 
@@ -254,6 +256,26 @@ def test_integration_deterministic_under_threads():
     both = integrate(m, lambda p: {"f": f(p), "one": np.ones(p.shape[0])}, 16,
                      chunk=64, threads=4)
     assert both == {"f": a, "one": integrate(m, lambda p: np.ones(p.shape[0]), 16)}
+
+
+def test_depends_on_is_the_union_of_metric_axes():
+    assert revolution_chart().depends_on == {0}
+    assert flat_torus(3).depends_on == frozenset()
+
+
+def test_rectangle_rule_over_declared_axes_gives_the_full_grid_bits():
+    # the integrand and the metric read x1 only; 24 values, each counted 6 times
+    m = revolution_chart()
+    seen = []
+
+    def integrand(p):
+        seen.append(len(p))
+        return np.exp(np.sin(p[..., 0])), m.metric_values(p)
+
+    full = rectangle_rule(m, [24, 6], integrand, map_batched)
+    reduced = rectangle_rule(m, [24, 6], integrand, map_batched, axes={0})
+    assert reduced == full and reduced[0] == [24, 6]
+    assert seen == [144, 24]
 
 
 def test_integrate_rejects_non_positive_volume_element():

@@ -320,7 +320,7 @@ def test_one_name_filter_selects_its_reports(tmp_path, capsys, scenario, name):
     ("graph_r4", ["total_curvature"]),               # open chart
     ("warped_t4_k4", ["warped_smix_warped"]),        # sec2_exact is False
     ("warped_t2", ["warped_propagation"]),           # needs k >= 4
-    ("warped_t5_k3_multi", ["ck2_k3_display"]),      # no_integral
+    ("twisted_torus_k4", ["ck2_k3_display"]),        # needs k = 3
     ("warped_t2", []),
 ])
 def test_inapplicable_or_empty_filter_exits_2(tmp_path, capsys, scenario, names):
@@ -434,6 +434,20 @@ TUBE = {
      "scenario 'fiber_warp': coordinate x2 exceeds chart dimension 1"),
     ({"kind": "twisted_torus", "k": 3, "dims": [1, 1, 1], "twist": "0.5*x3"},
      "twist expression is not periodic along axis 3"),
+    # the failing expression is named
+    ({"kind": "warped", "base_dim": 1, "fiber_dims": [1, 1],
+      "warps": ["2 + sin(x1)", "x2 + 2"]},
+     "scenario 'warped': coordinate x2 exceeds chart dimension 1 (byte offset 0) "
+     "in warp 2 'x2 + 2'"),
+    ({"kind": "warped", "name": "log_warp", "base_dim": 1, "fiber_dims": [1, 1],
+      "warps": ["2 + cos(x1)", "2 + log(sin(x1))"]},
+     "scenario 'log_warp': log: log of non-positive value in warp 2 '2 + log(sin(x1))'"),
+    ({"kind": "twisted_torus", "name": "sqrt_twist", "dims": [1, 1, 1],
+      "twist": "sqrt(sin(x3))"},
+     "scenario 'sqrt_twist': sqrt: sqrt of negative value in twist 'sqrt(sin(x3))'"),
+    ({"kind": "warped_twisted", "u": "2 + x4"},
+     "scenario 'warped_twisted': coordinate x4 exceeds chart dimension 3 (byte offset 4) "
+     "in u '2 + x4'"),
 ])
 def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
@@ -441,6 +455,20 @@ def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     assert report is None and out == ""
     assert "Traceback" not in err
     assert message in err
+
+
+def test_undeclared_frame_axis_exits_2(tmp_path, capsys, monkeypatch):
+    # a twisted torus whose frame turns with x1 but declares only x3
+    def lying():
+        scn = cli.build_twisted_torus((1, 1, 1), twist="sin(x1)", name="lying")
+        scn.split.depends_on = frozenset({2})
+        return scn
+
+    monkeypatch.setattr(cli, "full_catalog", lambda: {"lying": lying})
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": "lying"}, "lying")
+    assert code == 2
+    assert report is None and "Traceback" not in err
+    assert "frame varies along axis 1" in err and "at [0.0, 0.0, 0.0]" in err
 
 
 def test_scenario_without_applicable_check_exits_2(tmp_path, capsys):

@@ -232,3 +232,8 @@ def test_diff_domain_error_at_sqrt_zero():
             jet_at(d, [0.0])
         with pytest.raises(ex.DomainError):
             evaluate(d, [np.array([1.0, 0.0])])
+
+
+def test_variables_are_the_axes_read():
+    assert ex.variables(parse_expr("x1*sin(x3)^2 + exp(-x1)", 3)) == {0, 2}
+    assert ex.variables(parse_expr("-cos(2)/3", 3)) == frozenset()

@@ -5,9 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitgeom.chart import Axis, ChartManifold, NonClosedChartError, sample_points
+from splitgeom import identities
+from splitgeom.chart import (Axis, ChartManifold, GeometryError, NonClosedChartError,
+                             sample_points)
 from splitgeom.identities import (
     CHECKS,
+    INTEGRAL,
     POINTWISE,
     Tolerances,
     _Evaluator,
@@ -18,8 +21,9 @@ from splitgeom.identities import (
     select_checks,
     select_identities,
 )
-from splitgeom.scenarios import kproduct_catalog
-from splitgeom.splitting import SplitContext, SubsetIndex, coordinate_split, subsets
+from splitgeom.scenarios import build_twisted_torus, kproduct_catalog
+from splitgeom.splitting import (SplitContext, SplitStructure, SubsetIndex,
+                                 coordinate_split, subsets)
 
 TWO_PI = 2 * math.pi
 
@@ -294,6 +298,65 @@ def test_deterministic_under_threads():
     [b] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=64, threads=4)
     assert a.integral_value == b.integral_value
     assert a.normalizer == b.normalizer
+
+
+def test_deterministic_across_chunks_and_threads():
+    # the quadrature evaluates the 16 base nodes of warped_t3_k3: four chunks
+    scn = kproduct_catalog()["warped_t3_k3"]()
+    grid = [16, 4, 4]
+    [a] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=64, threads=1)
+    [b] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=4, threads=4)
+    assert a.integral_value == b.integral_value
+    assert a.normalizer == b.normalizer
+
+
+# per chart dimension, a grid whose repeat counts are not powers of two
+ODD_GRIDS = {2: [24, 6], 3: [24, 6, 6], 4: [12, 6, 6, 5], 5: [6, 6, 5, 5, 5]}
+
+
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()))
+def test_reduced_quadrature_matches_full_grid(name, monkeypatch):
+    scn = kproduct_catalog()[name]()
+    n = scn.chart.dim
+    every = frozenset(range(n))
+    assert scn.chart.depends_on | scn.split.depends_on < every
+    rows = [row for row in select_checks(scn) if row.check.kind == INTEGRAL]
+    assert rows
+    for grid in (scn.meta["integral_grid"], ODD_GRIDS[n]):
+        reduced = [r.to_dict() for r in run_checks(scn, rows, None, grid)[0]]
+        with monkeypatch.context() as m:
+            m.setattr(scn.chart, "depends_on", every)
+            m.setattr(scn.split, "depends_on", every)
+            full = [r.to_dict() for r in run_checks(scn, rows, None, grid)[0]]
+        assert reduced == full, grid
+
+
+def test_reduced_quadrature_builds_one_context_per_distinct_node(monkeypatch):
+    built = []
+
+    def counting(chart, split, pts):
+        built.append(len(pts))
+        return SplitContext(chart, split, pts)
+
+    monkeypatch.setattr(identities, "SplitContext", counting)
+    scn = kproduct_catalog()["twisted_torus_k3"]()
+    [rep] = integral_checks_batch(scn.chart, scn.split, 64, ["main"])
+    assert sum(built) == 64
+    assert rep.grid == [64, 64, 64] and rep.n_points == 64 ** 3
+
+
+@pytest.mark.parametrize("twist", ["sin(x1)", "cos(x1)"])
+def test_undeclared_frame_axis_raises(twist):
+    # cos(x1) has a zero first derivative at the pinned node x1 = 0: the
+    # second derivatives of the frame show it
+    scn = build_twisted_torus((1, 1, 1), twist=twist)
+    assert scn.split.depends_on == {0}
+    wrong = SplitStructure(scn.dims, scn.split.frame, depends_on=frozenset({2}))
+    with pytest.raises(GeometryError,
+                       match=r"frame varies along axis 1, .* at \[0\.0, 0\.0, 0\.0\]"):
+        integral_checks_batch(scn.chart, wrong, [8, 8, 8], ["main"])
+    # a frame without a declaration reads every axis
+    assert SplitStructure(scn.dims, scn.split.frame).depends_on == {0, 1, 2}
 
 
 def test_readme_table_lists_every_report_name():
