@@ -30,6 +30,7 @@ from .hyperdual import HyperDual, seed_jets
 __all__ = [
     "Axis",
     "ChartManifold",
+    "ExpressionMatrix",
     "ChartFrame",
     "GeometryError",
     "NonClosedChartError",
@@ -62,35 +63,47 @@ class Axis:
         return self.hi - self.lo
 
 
+class ExpressionMatrix:
+    """An ``n x n`` matrix of closed-form expressions on an ``n``-dimensional
+    chart, given as a nested list of ASTs or source strings: a metric, or a
+    spanning frame with one row per vector.  ``depends_on`` is the set of
+    0-based axes some entry reads.  Called at coordinates (jets, arrays or
+    floats), it returns the nested list of entry values.
+    """
+
+    def __init__(self, entries, n, what):
+        self.rows = [[parse_expr(e, n) if isinstance(e, str) else e for e in row]
+                     for row in entries]
+        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+            raise GeometryError(f"{what} must be an n x n matrix")
+        self.depends_on = frozenset().union(*(variables(e) for row in self.rows
+                                              for e in row))
+
+    def __call__(self, coords):
+        memo = {}
+        return [[evaluate(e, coords, memo) for e in row] for row in self.rows]
+
+
 class ChartManifold:
     """Coordinate box with a metric field.
 
-    ``metric`` is an ``n x n`` nested list of expression ASTs (or source
-    strings, parsed against ``dim``).  ``depends_on`` is the set of 0-based
-    axes some metric entry reads.
+    ``metric`` is an ``n x n`` :class:`ExpressionMatrix` source;
+    ``metric_at(coords)`` gives its entries and ``depends_on`` the axes
+    they read.
     """
 
     def __init__(self, axes, metric, name="chart"):
         self.axes = list(axes)
         self.dim = len(self.axes)
         self.name = name
-        rows = [[parse_expr(entry, self.dim) if isinstance(entry, str) else entry
-                 for entry in row] for row in metric]
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise GeometryError("metric must be an n x n matrix")
-        self.metric_asts = rows
-        self.depends_on = frozenset().union(*(variables(e) for row in rows for e in row))
+        self.metric_at = ExpressionMatrix(metric, self.dim, "metric")
+        self.depends_on = self.metric_at.depends_on
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def closed(self):
         return all(ax.periodic for ax in self.axes)
-
-    def metric_at(self, coords):
-        """Metric entries at generic coordinates (jets, arrays or floats)."""
-        return [[evaluate(self.metric_asts[a][b], coords) for b in range(self.dim)]
-                for a in range(self.dim)]
 
     def metric_values(self, points):
         """Metric as a ``(..., n, n)`` value array at ``points`` ``(..., n)``."""
@@ -300,8 +313,8 @@ def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1,
         raise NonClosedChartError("integration requires all axes periodic")
     if isinstance(grid, (int, np.integer)):
         grid = [int(grid)] * m.dim
-    if any(res < 4 for res in grid):
-        raise GeometryError("grid resolution must be at least 4 per axis")
+    if len(grid) != m.dim or any(res < 4 for res in grid):
+        raise GeometryError(f"grid {list(grid)} needs {m.dim} resolutions of at least 4")
     cell = math.prod(ax.period / res for ax, res in zip(m.axes, grid))
     axes = range(m.dim) if axes is None else axes
     # on a periodic axis the one-node lattice is the first node

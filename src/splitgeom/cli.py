@@ -169,9 +169,11 @@ def build_inline_scenario(spec):
             raise ConfigError(f"scenario {label!r}: {k_key}={spec[k_key]} but {dims_key}="
                               f"{spec[dims_key]} has {len(spec[dims_key])} blocks")
     try:
-        return _build_inline(kind, spec)
-    except ExprError as e:
+        scn = _build_inline(kind, spec)
+        scn.chart.validate()
+    except (ExprError, GeometryError) as e:
         raise ConfigError(f"scenario {label!r}: {e}")
+    return scn
 
 
 def _build_inline(kind, spec):
@@ -198,7 +200,7 @@ def _build_inline(kind, spec):
     return HypersurfaceScenario(
         name=spec.get("name", "hypersurface"), chart=chart, immersion=immersion,
         ambient_curv=spec["ambient_curv"],
-        split=SplitStructure(spec["expected_dims"], name="eigen"),
+        split=SplitStructure(spec["expected_dims"]),
         normal_flip=spec.get("normal_flip", False),
         sample_box=[tuple(b) for b in spec["sample_box"]] if "sample_box" in spec else None,
         gap_threshold=spec.get("gap_threshold"),
@@ -234,7 +236,7 @@ def run_scenario(scn, samples, seed, grid_override, tols, threads,
     if scn.kind == "hypersurface":
         samples = min(samples, HYPERSURFACE_SAMPLE_CAP)
     pts = scn.sample(samples, scenario_rng(seed, scn.name))
-    grid = grid_override or scn.meta.get("integral_grid", 16)
+    grid = scn.meta.get("integral_grid", 16) if grid_override is None else grid_override
     reports, fields = run_checks(scn, rows, pts, grid, tols, threads=threads)
     pointwise = [row.name for row in rows if row.check.kind == POINTWISE]
     if csv_rows is not None and pointwise:
@@ -284,10 +286,8 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config rejected: {e.message}")
+    if not isinstance(config, dict):
+        raise ConfigError("config rejected: it must be a JSON object")
     return config
 
 
@@ -311,13 +311,18 @@ def cmd_verify(args):
             config[key] = getattr(args, key)
     if args.tol is not None:
         config.setdefault("tolerances", {}).update(pointwise=args.tol, integral=args.tol)
+    # one validation of the file and flags together
+    try:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        where = f"{e.absolute_path[0]}: " if e.absolute_path else ""
+        raise ConfigError(f"config rejected: {where}{e.message}")
 
     scenarios = resolve_scenarios(config.get("scenario"))
     samples = config.get("samples", DEFAULT_SAMPLES)
     seed = config.get("seed", 0)
     grid_override = config.get("grid")
-    threads = config.get("threads",
-                         int(os.environ.get("SPLITGEOM_THREADS", "1")))
+    threads = config.get("threads", 1)
     tols = Tolerances(**{key: float(v) for key, v in config.get("tolerances", {}).items()})
     identities_filter = config.get("identities")
     csv_rows = {} if config.get("csv") else None
@@ -413,8 +418,7 @@ def build_parser():
     v.add_argument("--samples", type=int, help="random sample count")
     v.add_argument("--out", help="report JSON path")
     v.add_argument("--csv", help="per-point residual CSV path")
-    v.add_argument("--threads", type=int,
-                   help="worker threads (default $SPLITGEOM_THREADS or 1)")
+    v.add_argument("--threads", type=int, help="worker threads (default 1)")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("catalog", help="list built-in scenarios")

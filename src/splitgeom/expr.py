@@ -234,22 +234,34 @@ def parse_expr(source, dim):
 _FN_IMPL = {"sin": hd.sin, "cos": hd.cos, "exp": hd.exp, "log": hd.log, "sqrt": hd.sqrt}
 
 
-def evaluate(node, coords):
-    """Evaluate an AST at ``coords`` (sequence of scalars, arrays or jets)."""
+def evaluate(node, coords, memo=None):
+    """Evaluate an AST at ``coords`` (sequence of scalars, arrays or jets).
+
+    Calls that share a ``memo`` dict at the same ``coords`` evaluate each
+    distinct subexpression once (the twist inside ``cos(t)`` and ``sin(t)``).
+    """
+    if memo is None:
+        return _evaluate(node, coords, None)
+    if node not in memo:
+        memo[node] = _evaluate(node, coords, memo)
+    return memo[node]
+
+
+def _evaluate(node, coords, memo):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return coords[node.index - 1]
     if isinstance(node, Neg):
-        return -evaluate(node.child, coords)
+        return -evaluate(node.child, coords, memo)
     if isinstance(node, Call):
         try:
-            return _FN_IMPL[node.fn](evaluate(node.child, coords))
+            return _FN_IMPL[node.fn](evaluate(node.child, coords, memo))
         except JetDomainError as e:
             raise DomainError(f"{node.fn}: {e}") from e
     if isinstance(node, Bin):
-        a = evaluate(node.left, coords)
-        b = evaluate(node.right, coords)
+        a = evaluate(node.left, coords, memo)
+        b = evaluate(node.right, coords, memo)
         if node.op == "+":
             return a + b
         if node.op == "-":

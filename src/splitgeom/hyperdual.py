@@ -316,7 +316,7 @@ def value_of(x):
     return np.asarray(x, dtype=float)
 
 
-# -- primitives (dispatch on type, usable in frame/metric callbacks) -----
+# -- primitives (dispatch on type: jets, arrays and floats) -------------
 
 def sin(x):
     if isinstance(x, HyperDual):

@@ -450,7 +450,7 @@ def build_torus_revolution(R=2.0, r=1.0, name="torus_revolution"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1), name="eigen"), meta={"integral_grid": [48, 4]},
+        split=SplitStructure((1, 1)), meta={"integral_grid": [48, 4]},
     )
 
 
@@ -470,7 +470,7 @@ def build_clifford_torus(name="clifford_torus"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=1,
-        split=SplitStructure((1, 1), name="eigen"), meta={"integral_grid": [8, 8]},
+        split=SplitStructure((1, 1)), meta={"integral_grid": [8, 8]},
     )
 
 
@@ -490,7 +490,7 @@ def build_graph_r4(name="graph_r4"):
                  parse_expr(f, 3)]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1, 1), name="eigen"), normal_flip=True,
+        split=SplitStructure((1, 1, 1)), normal_flip=True,
         gap_threshold=0.05,
     )
 
@@ -512,7 +512,7 @@ def build_torus_cylinder(name="torus_cylinder_k3"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1, 1), name="eigen"),
+        split=SplitStructure((1, 1, 1)),
         sample_box=[(-0.9, 0.9), (0.0, TWO_PI), (0.0, TWO_PI)],
     )
 
@@ -531,7 +531,7 @@ def build_round_sphere(radius=1.5, name="round_sphere"):
     ]
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1), name="eigen"), normal_flip=True,
+        split=SplitStructure((1, 1)), normal_flip=True,
     )
 
 

@@ -36,8 +36,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
-from .expr import ExprError, evaluate, parse_expr, variables
-from .hyperdual import value_of
+from .expr import ExprError, evaluate, parse_expr
 from .splitting import SplitStructure, SubsetIndex, coordinate_split
 
 __all__ = [
@@ -116,57 +115,27 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
             if np.max(np.abs(vals - base_vals)) > 1e-12 * (1.0 + np.max(np.abs(base_vals))):
                 raise GeometryError(f"twist expression is not periodic along axis {a + 1}")
 
-    metric = [["1" if a == b else "0" for b in range(n)] for a in range(n)]
     name = name or f"twisted_torus_k{len(dims)}"
-    chart = ChartManifold([Axis(0.0, TWO_PI)] * n, metric, name=name)
-
-    def frame(coords):
-        ref = coords[0]
-        ang = evaluate(twist_ast, coords)
-        ang = hd.as_jet(ang, ref)
-        c, s = hd.cos(ang), hd.sin(ang)
-        zero = hd.constant_like(ref, 0.0)
-        one = hd.constant_like(ref, 1.0)
-        vecs = []
-        v0 = [c, s] + [zero] * (n - 2)
-        v1 = [-s, c] + [zero] * (n - 2)
-        vecs.append(v0)
-        vecs.append(v1)
-        for j in range(2, n):
-            vecs.append([one if a == j else zero for a in range(n)])
-        return vecs
-
-    split = SplitStructure(dims, frame, name="twisted", depends_on=variables(twist_ast))
-    grid = [4] * (n - 1) + [32]  # the twist depends on the last coordinate only
+    chart = ChartManifold([Axis(0.0, TWO_PI)] * n, _eye(n), name=name)
+    split = SplitStructure(dims, _rotated_frame(n, 0, twist_src))
+    # quadrature resolves the axes the twist reads
+    grid = [32 if a in split.depends_on else 4 for a in range(n)]
     return Scenario(name=name, kind="twisted_torus", chart=chart, split=split,
                     meta={"twist": twist_src, "integral_grid": grid})
 
 
-def twisted_frame_oracle(twist_ast, points):
-    """Hand-coded frame and brackets of the rotated frame (flat metric).
+def _rotated_frame(n, a, twist_src):
+    """Coordinate frame of ``T^n`` with the vectors ``a, a+1`` rotated in
+    their plane by the twist angle, as expression sources."""
+    c, s = f"cos({twist_src})", f"sin({twist_src})"
+    rows = _eye(n)
+    rows[a][a:a + 2] = [c, s]
+    rows[a + 1][a:a + 2] = [f"-{s}", c]
+    return rows
 
-    With ``V_1 = cos f e_1 + sin f e_2``, ``V_2 = -sin f e_1 + cos f e_2``,
-    ``V_j = e_j`` and ``f`` a function of the last coordinate only:
-    ``[V_1, V_2] = 0``, ``[V_1, V_n] = -f' V_2``, ``[V_2, V_n] = f' V_1``,
-    and the flat covariant derivatives are
-    ``nabla_{V_n} V_1 = f' V_2``, ``nabla_{V_n} V_2 = -f' V_1``, rest zero.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[-1]
-    xs = hd.seed_jets(points)
-    f = evaluate(twist_ast, xs)
-    fval = value_of(f)
-    fprime = f.grad[..., n - 1] if hasattr(f, "grad") else np.zeros_like(fval)
-    c, s = np.cos(fval), np.sin(fval)
-    V = np.zeros(points.shape[:-1] + (n, n))
-    V[..., 0, 0], V[..., 0, 1] = c, s
-    V[..., 1, 0], V[..., 1, 1] = -s, c
-    for j in range(2, n):
-        V[..., j, j] = 1.0
-    nabla = np.zeros(points.shape[:-1] + (n, n, n))  # nabla[a][b] = flat D_{V_a} V_b
-    nabla[..., n - 1, 0, :] = fprime[..., None] * V[..., 1, :]
-    nabla[..., n - 1, 1, :] = -fprime[..., None] * V[..., 0, :]
-    return V, nabla, fprime
+
+def _eye(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
 
 
 # -- multiply warped products -------------------------------------------------
@@ -195,9 +164,7 @@ def build_warped(spec, name="warped"):
         with _expression(f"warp {i}", src):
             warp_asts.append(parse_expr(src, n1))  # raises if a fiber coordinate appears
 
-    entries = [["0"] * n for _ in range(n)]
-    for a in range(n1):
-        entries[a][a] = "1"
+    entries = _eye(n)
     col = n1
     for u_src, d in zip(spec.warps, spec.fiber_dims):
         for _ in range(d):
@@ -223,7 +190,7 @@ def build_warped(spec, name="warped"):
         else:
             grads.append(np.zeros(pts.shape[:-1] + (n1,)))
 
-    split = coordinate_split((n1,) + tuple(spec.fiber_dims), name="warped")
+    split = coordinate_split((n1,) + tuple(spec.fiber_dims))
     sec2 = True
     for i in range(len(grads)):
         for j in range(i + 1, len(grads)):
@@ -243,29 +210,17 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
     """Torus ``dt^2 + u(t)^2 (dx^2 + dy^2)`` with the fiber plane split along a
     frame rotated by a twist angle; every identity term is non-zero."""
     n = 3
-    with _expression("u", u_src):
-        parse_expr(u_src, n)  # alone, so that an error names u, not a metric entry
-    with _expression("twist", twist_src):
-        twist_ast = parse_expr(twist_src, n)
+    # each expression alone, so that an error names it, not a metric or
+    # frame entry, and at random points, so that a domain error shows here
+    pts = list(np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)))
+    for label, src in (("u", u_src), ("twist", twist_src)):
+        with _expression(label, src):
+            evaluate(parse_expr(src, n), pts)
     entries = [["1", "0", "0"],
                ["0", f"({u_src})^2", "0"],
                ["0", "0", f"({u_src})^2"]]
-    chart = ChartManifold([Axis(0.0, TWO_PI)] * 3, entries, name=name)
-
-    def frame(coords):
-        ref = coords[0]
-        ang = hd.as_jet(evaluate(twist_ast, coords), ref)
-        c, s = hd.cos(ang), hd.sin(ang)
-        zero = hd.constant_like(ref, 0.0)
-        one = hd.constant_like(ref, 1.0)
-        return [
-            [one, zero, zero],
-            [zero, c, s],
-            [zero, -s, c],
-        ]
-
-    split = SplitStructure((1, 1, 1), frame, name="warped_twisted",
-                           depends_on=variables(twist_ast))
+    chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
+    split = SplitStructure((1, 1, 1), _rotated_frame(n, 1, twist_src))
     return Scenario(name=name, kind="warped_twisted", chart=chart, split=split,
                     meta={"integral_grid": [32, 4, 4]})
 

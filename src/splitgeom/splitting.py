@@ -1,9 +1,10 @@
 """Orthogonal splittings of the tangent bundle and their fundamental tensors.
 
 A :class:`SplitStructure` holds the dimensions ``(n_1, ..., n_k)`` of k
-mutually orthogonal distributions together with a spanning frame field: a
-jet-capable callback returning ``n`` vector fields in block order (the first
-``n_1`` spanning the first distribution, and so on).
+mutually orthogonal distributions together with a spanning frame field: an
+``n x n`` matrix of closed-form expressions, like the metric, whose rows are
+the frame vectors in block order (the first ``n_1`` spanning the first
+distribution, and so on).
 
 :class:`SplitContext` evaluates everything at a batch of points on a chart:
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import ChartFrame, GeometryError, check_positive_definite
+from .chart import ChartFrame, ExpressionMatrix, GeometryError, check_positive_definite
 
 __all__ = [
     "SubsetIndex",
@@ -78,19 +79,21 @@ def subsets(r, k):
 class SplitStructure:
     """Dimensions and spanning frame of the k orthogonal distributions.
 
-    ``depends_on`` is the set of 0-based axes the ``frame`` callback reads;
-    a callback cannot be inspected, so ``None`` means every axis.
+    ``frame`` is an ``n x n`` nested list of expressions, one row per frame
+    vector in block order (see :class:`~splitgeom.chart.ExpressionMatrix`),
+    or ``None`` for a split whose frame a :class:`SplitContext` receives as
+    values.  ``depends_on`` is the set of 0-based axes some frame entry
+    reads; every axis without a frame.
     """
 
-    def __init__(self, dims, frame=None, name="split", depends_on=None):
+    def __init__(self, dims, frame=None):
         self.dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in self.dims):
             raise ValueError("distribution dimensions must be positive")
         self.n = sum(self.dims)
         self.k = len(self.dims)
-        self.frame = frame
-        self.name = name
-        self.depends_on = frozenset(range(self.n) if depends_on is None else depends_on)
+        self.frame = None if frame is None else ExpressionMatrix(frame, self.n, "spanning frame")
+        self.depends_on = self.frame.depends_on if self.frame else frozenset(range(self.n))
         starts = np.concatenate([[0], np.cumsum(self.dims)])
         self._blocks = [range(starts[i], starts[i + 1]) for i in range(self.k)]
 
@@ -111,14 +114,11 @@ class SplitStructure:
         raise IndexError(a)
 
 
-def coordinate_split(dims, name="coordinate"):
+def coordinate_split(dims):
     """Split along coordinate directions, in order."""
     n = sum(dims)
-
-    def frame(coords):
-        return np.eye(n).tolist()
-
-    return SplitStructure(dims, frame, name=name, depends_on=frozenset())
+    return SplitStructure(dims, [["1" if a == b else "0" for b in range(n)]
+                                 for a in range(n)])
 
 
 def gram_schmidt(g, vectors, points):
@@ -188,10 +188,7 @@ class SplitContext:
         else:
             if split.frame is None:
                 raise GeometryError("split structure has no spanning frame")
-            vecs = split.frame(self.frame.coords)
-            if len(vecs) != self.n:
-                raise GeometryError("spanning frame must supply n vector fields")
-            raw = hd.stack(vecs, ref=self.frame.coords[0])
+            raw = hd.stack(split.frame(self.frame.coords), ref=self.frame.coords[0])
             g = self.frame.g
         check_positive_definite(self.frame.g.val, self.points)
         self._validate_raw_blocks(hd.value_of(raw))

@@ -5,11 +5,13 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from splitgeom import expr as ex
 from splitgeom import hyperdual as hd
 from splitgeom.chart import (
     Axis,
     ChartManifold,
     ChartFrame,
+    ExpressionMatrix,
     GeometryError,
     NonClosedChartError,
     grid_points,
@@ -261,6 +263,26 @@ def test_integration_deterministic_under_threads():
 def test_depends_on_is_the_union_of_metric_axes():
     assert revolution_chart().depends_on == {0}
     assert flat_torus(3).depends_on == frozenset()
+
+
+def test_expression_matrix_evaluates_a_repeated_subexpression_once(monkeypatch):
+    # a rotation by sin(x1): the inner sin(x1) is evaluated once for all four
+    # entries, the outer sin once for two, and the values keep their bits
+    calls = []
+    sin = hd.sin
+    monkeypatch.setitem(ex._FN_IMPL, "sin", lambda x: calls.append(1) or sin(x))
+    t = "sin(x1)"
+    rot = ExpressionMatrix([[f"cos({t})", f"sin({t})"], [f"-sin({t})", f"cos({t})"]],
+                           2, "frame")
+    assert rot.depends_on == {0}
+    xs = hd.seed_jets(np.array([[0.3, 1.0], [2.0, 0.5]]))
+    values = rot(xs)
+    assert len(calls) == 2
+    for row, asts in zip(values, rot.rows):
+        for v, ast in zip(row, asts):
+            want = ex.evaluate(ast, xs)
+            for part in ("val", "grad", "hess"):
+                assert np.array_equal(getattr(v, part), getattr(want, part))
 
 
 def test_rectangle_rule_over_declared_axes_gives_the_full_grid_bits():

@@ -222,16 +222,35 @@ def test_hypersurface_filter_uses_report_names(tmp_path, monkeypatch, scenario, 
     assert [r["identity"] for r in json.loads(out.read_text())] == [name]
 
 
-def test_threads_env_var_and_flag(tmp_path, monkeypatch):
+def test_threads_flag_never_changes_reports(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    monkeypatch.setenv("SPLITGEOM_THREADS", "2")
+    # the flag and the config are the only ways to set threads
+    monkeypatch.setenv("SPLITGEOM_THREADS", "two")
     assert run(["verify", "--scenario", "warped_t2", "--samples", "8",
                 "--out", str(a)]) == 0
-    monkeypatch.delenv("SPLITGEOM_THREADS")
     assert run(["verify", "--scenario", "warped_t2", "--samples", "8",
                 "--threads", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()  # worker count never changes results
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "0"], "samples: 0 is less than the minimum of 1"),
+    (["--grid", "0"], "grid: 0 is less than the minimum of 4"),
+    (["--threads", "0"], "threads: 0 is less than the minimum of 1"),
+    (["--threads", "-2"], "threads: -2 is less than the minimum of 1"),
+])
+def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
+    # flags are validated with the config file they shadow
+    cfg = tmp_path / "ok.json"
+    out = tmp_path / "flags.json"
+    cfg.write_text(json.dumps({"scenario": "warped_t2", "samples": 4, "grid": 8,
+                               "threads": 1}))
+    assert run(["verify", "--scenario", str(cfg), "--out", str(out)] + flags) == 2
+    std = capsys.readouterr()
+    assert std.out == "" and not out.exists()
+    assert "Traceback" not in std.err
+    assert f"config error: config rejected: {message}" in std.err
 
 
 def test_seed_changes_sample_points(tmp_path):
@@ -448,6 +467,16 @@ TUBE = {
     ({"kind": "warped_twisted", "u": "2 + x4"},
      "scenario 'warped_twisted': coordinate x4 exceeds chart dimension 3 (byte offset 4) "
      "in u '2 + x4'"),
+    # domain errors of u and the twist show while the scenario is built
+    ({"kind": "warped_twisted", "u": "2 + log(sin(x1))"},
+     "scenario 'warped_twisted': log: log of non-positive value in u '2 + log(sin(x1))'"),
+    ({"kind": "warped_twisted", "twist": "sqrt(sin(x1))"},
+     "scenario 'warped_twisted': sqrt: sqrt of negative value in twist 'sqrt(sin(x1))'"),
+    # the chart is validated: a warp that is not periodic on the torus
+    ({"kind": "warped", "base_dim": 1, "fiber_dims": [2], "warps": ["2 + 0.1*x1"]},
+     "scenario 'warped': metric not periodic along axis 1"),
+    ({"kind": "warped", "base_dim": 1, "fiber_dims": [1], "warps": ["2 + 0.1*x1"]},
+     "scenario 'warped': metric not periodic along axis 1"),
 ])
 def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
@@ -469,6 +498,28 @@ def test_undeclared_frame_axis_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert report is None and "Traceback" not in err
     assert "frame varies along axis 1" in err and "at [0.0, 0.0, 0.0]" in err
+
+
+@pytest.mark.parametrize("grid", [[8, 8], [8, 8, 8, 8]])
+def test_grid_list_of_the_wrong_length_exits_2(tmp_path, capsys, grid):
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": "twisted_torus_k3", "grid": grid}, "grid")
+    assert code == 2 and report is None
+    assert "Traceback" not in err
+    assert f"grid {grid} needs 3 resolutions of at least 4" in err
+
+
+def test_twisted_torus_default_grid_resolves_the_twisted_axis(tmp_path, capsys):
+    spec = {"kind": "twisted_torus", "dims": [1, 1, 1], "twist": "sin(x1)"}
+    config = {"scenario": spec, "identities": ["main"]}
+    normalizers = []
+    for tag, extra in (("default", {}), ("fine", {"grid": 32})):
+        code, report, _, _ = verify_config(tmp_path, capsys, {**config, **extra}, tag)
+        assert code == 0
+        [integral] = [r for r in json.loads(report) if r["kind"] == "integral"]
+        normalizers.append(integral["normalizer"])
+    assert integral["grid"] == [32, 32, 32]
+    assert normalizers[0] == pytest.approx(normalizers[1], rel=1e-12)
 
 
 def test_scenario_without_applicable_check_exits_2(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_mixed_curvature_matches_shape_operator_product():
         pts = scn.sample(12, rng)
         b = principal_bundle(scn, pts)
         frame_values = np.swapaxes(b["Y"], -1, -2)  # rows = frame vectors
-        split = SplitStructure(scn.dims, frame=None, name="eigen")
+        split = SplitStructure(scn.dims, frame=None)
         ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
         k = scn.k
         for i in range(1, k + 1):
@@ -123,7 +123,7 @@ def test_smix_lemma_on_hypersurface_eigen_frames():
     pts = scn.sample(15, np.random.default_rng(4))
     b = principal_bundle(scn, pts)
     frame_values = np.swapaxes(b["Y"], -1, -2)
-    split = SplitStructure((1, 1, 1), frame=None, name="eigen")
+    split = SplitStructure((1, 1, 1), frame=None)
     ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
     total = np.zeros(pts.shape[0])
     for i in range(1, 4):

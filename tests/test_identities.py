@@ -351,12 +351,12 @@ def test_undeclared_frame_axis_raises(twist):
     # second derivatives of the frame show it
     scn = build_twisted_torus((1, 1, 1), twist=twist)
     assert scn.split.depends_on == {0}
-    wrong = SplitStructure(scn.dims, scn.split.frame, depends_on=frozenset({2}))
+    scn.split.depends_on = frozenset({2})
     with pytest.raises(GeometryError,
                        match=r"frame varies along axis 1, .* at \[0\.0, 0\.0, 0\.0\]"):
-        integral_checks_batch(scn.chart, wrong, [8, 8, 8], ["main"])
-    # a frame without a declaration reads every axis
-    assert SplitStructure(scn.dims, scn.split.frame).depends_on == {0, 1, 2}
+        integral_checks_batch(scn.chart, scn.split, [8, 8, 8], ["main"])
+    # a split without a frame reads every axis
+    assert SplitStructure(scn.dims).depends_on == {0, 1, 2}
 
 
 def test_readme_table_lists_every_report_name():

@@ -5,7 +5,7 @@ import pytest
 
 from splitgeom import hyperdual as hd
 from splitgeom.chart import Axis, ChartFrame, ChartManifold, GeometryError, sample_points
-from splitgeom.expr import parse_expr
+from splitgeom.expr import evaluate, parse_expr, variables
 from splitgeom.identities import pointwise_fields
 from splitgeom.scenarios import (
     WarpedSpec,
@@ -13,7 +13,6 @@ from splitgeom.scenarios import (
     build_warped,
     build_warped_twisted,
     kproduct_catalog,
-    twisted_frame_oracle,
     warped_checks,
 )
 from splitgeom.splitting import (
@@ -95,15 +94,7 @@ def test_scaled_frame_same_projectors():
     m = ChartManifold([Axis(0.0, TWO_PI)] * 3,
                       [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
-    def scaled(coords):
-        ref = coords[0]
-        z = hd.constant_like(ref, 0.0)
-
-        def e(*vals):
-            return [hd.as_jet(v, ref) if not isinstance(v, hd.HyperDual) else v for v in vals]
-
-        return [e(2.0, 0.0, 0.0), e(0.0, -3.0, 0.0), e(0.0, 0.0, 0.5)]
-
+    scaled = [["2", "0", "0"], ["0", "-3", "0"], ["0", "0", "0.5"]]
     pts = sample_points(m, 4, np.random.default_rng(2))
     ctx_scaled = SplitContext(m, SplitStructure((1, 2), scaled), pts)
     ctx_coord = SplitContext(m, coordinate_split((1, 2)), pts)
@@ -138,6 +129,33 @@ def test_product_metric_fundamental_tensors_vanish():
             assert np.max(np.abs(data.h_frame), initial=0.0) == 0.0
             assert np.max(np.abs(data.t_frame), initial=0.0) == 0.0
             assert np.max(np.abs(data.H_frame), initial=0.0) == 0.0
+
+
+def twisted_frame_oracle(twist_ast, points):
+    """Hand-coded frame and brackets of the rotated frame (flat metric).
+
+    With ``V_1 = cos f e_1 + sin f e_2``, ``V_2 = -sin f e_1 + cos f e_2``,
+    ``V_j = e_j`` and ``f`` a function of the last coordinate only:
+    ``[V_1, V_2] = 0``, ``[V_1, V_n] = -f' V_2``, ``[V_2, V_n] = f' V_1``,
+    and the flat covariant derivatives are
+    ``nabla_{V_n} V_1 = f' V_2``, ``nabla_{V_n} V_2 = -f' V_1``, rest zero.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[-1]
+    xs = hd.seed_jets(points)
+    f = evaluate(twist_ast, xs)
+    fval = hd.value_of(f)
+    fprime = f.grad[..., n - 1] if hasattr(f, "grad") else np.zeros_like(fval)
+    c, s = np.cos(fval), np.sin(fval)
+    V = np.zeros(points.shape[:-1] + (n, n))
+    V[..., 0, 0], V[..., 0, 1] = c, s
+    V[..., 1, 0], V[..., 1, 1] = -s, c
+    for j in range(2, n):
+        V[..., j, j] = 1.0
+    nabla = np.zeros(points.shape[:-1] + (n, n, n))  # nabla[a][b] = flat D_{V_a} V_b
+    nabla[..., n - 1, 0, :] = fprime[..., None] * V[..., 1, :]
+    nabla[..., n - 1, 1, :] = -fprime[..., None] * V[..., 0, :]
+    return V, nabla, fprime
 
 
 def test_twisted_torus_against_bracket_oracle():
@@ -386,6 +404,41 @@ def test_constant_warp_is_a_direct_product():
     assert np.max(np.abs(ctx.smix())) == 0.0
 
 
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()))
+def test_split_depends_on_is_the_axes_its_frame_entries_read(name):
+    split = kproduct_catalog()[name]().split
+    assert split.depends_on == frozenset().union(
+        *(variables(e) for row in split.frame.rows for e in row))
+
+
+def test_split_depends_on_is_derived_from_the_frame():
+    assert coordinate_split((1, 2)).depends_on == frozenset()
+    assert SplitStructure((1, 1), [["1", "0"], ["0", "2 + sin(x2)"]]).depends_on == {1}
+    assert build_twisted_torus((1, 1, 1), twist="sin(x1)*cos(x2)").split.depends_on == {0, 1}
+    assert build_warped_twisted(twist_src="x1 + sin(x3)").split.depends_on == {0, 2}
+    # a split without a frame reads every axis
+    assert SplitStructure((1, 2)).depends_on == {0, 1, 2}
+
+
+@pytest.mark.parametrize("frame", [
+    [["1", "0"], ["0", "1"]],
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0"]],
+])
+def test_frame_that_is_not_n_by_n_rejected(frame):
+    with pytest.raises(GeometryError, match="spanning frame must be an n x n matrix"):
+        SplitStructure((1, 2), frame)
+
+
+@pytest.mark.parametrize("twist, grid", [
+    ("sin(x{n})", [4, 4, 32]),
+    ("sin(x1)", [32, 4, 4]),
+    ("sin(x2) + cos(x3)", [4, 32, 32]),
+    ("0", [4, 4, 4]),
+])
+def test_twisted_torus_grid_resolves_the_axes_the_twist_reads(twist, grid):
+    assert build_twisted_torus((1, 1, 1), twist=twist).meta["integral_grid"] == grid
+
+
 def test_nonpositive_warp_rejected():
     with pytest.raises(GeometryError, match="not positive"):
         build_warped(WarpedSpec(1, (1,), ("sin(x1)",)))
@@ -395,14 +448,7 @@ def test_nonorthogonal_blocks_rejected():
     flat = ChartManifold([Axis(0.0, TWO_PI)] * 3,
                          [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
-    def skew(coords):
-        ref = coords[0]
-
-        def e(*vals):
-            return [hd.as_jet(v, ref) for v in vals]
-
-        return [e(1.0, 0.5, 0.0), e(0.0, 1.0, 0.0), e(0.0, 0.0, 1.0)]
-
+    skew = [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     with pytest.raises(GeometryError):
         SplitContext(flat, SplitStructure((1, 1, 1), skew),
                      sample_points(flat, 4, np.random.default_rng(17)))
@@ -413,12 +459,7 @@ def test_rank_deficient_frame_rejected():
     # blocks before Gram-Schmidt sees the rank deficiency
     flat = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["1", "0"], ["0", "1"]])
 
-    def bad(coords):
-        ref = coords[0]
-        one = hd.constant_like(ref, 1.0)
-        zero = hd.constant_like(ref, 0.0)
-        return [[one, zero], [one, zero]]
-
+    bad = [["1", "0"], ["1", "0"]]
     with pytest.raises(GeometryError):
         SplitContext(flat, SplitStructure((1, 1), bad),
                      sample_points(flat, 3, np.random.default_rng(18)))
@@ -427,9 +468,8 @@ def test_rank_deficient_frame_rejected():
 def test_rank_deficient_frame_names_its_point():
     flat = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["1", "0"], ["0", "1"]])
 
-    def degenerate(coords):
-        # orthogonal blocks, but the second vector vanishes where sin(x1) = 0
-        return [[1.0, 0.0], [0.0, hd.sin(coords[0])]]
+    # orthogonal blocks, but the second vector vanishes where sin(x1) = 0
+    degenerate = [["1", "0"], ["0", "sin(x1)"]]
 
     pts = np.array([[1.0, 2.0], [0.0, 0.5], [2.0, 1.0]])
     with pytest.raises(GeometryError, match=r"rank deficient at \[0\.0, 0\.5\]"):
