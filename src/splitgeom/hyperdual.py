@@ -62,6 +62,7 @@ class JetDomainError(ValueError):
 
 
 _LETTERS = string.ascii_letters
+_PATHS = {}  # einsum contraction path per (spec, operand shapes)
 
 
 def _outer(u, v):
@@ -284,7 +285,7 @@ def einsum(spec, *ops):
         subs = ",".join(ins[k] + swap[k][1] if k in swap else ins[k]
                         for k in range(len(ops)))
         arrays = [swap[k][0] if k in swap else vals[k] for k in range(len(ops))]
-        return np.einsum(f"{subs}->{out}{extra}", *arrays, optimize=True)
+        return _contract(f"{subs}->{out}{extra}", arrays)
 
     val = term({}, "")
     if not jets:
@@ -297,6 +298,18 @@ def einsum(spec, *ops):
             cross = term({a: (ops[a].grad, d1), b: (ops[b].grad, d2)}, d1 + d2)
             hess = hess + cross + np.swapaxes(cross, -1, -2)
     return HyperDual(val, grad, hess)
+
+
+def _contract(spec, arrays):
+    """``np.einsum(spec, *arrays, optimize=True)``, its greedy contraction
+    path planned once per spec and operand shapes.  A path depends on
+    nothing else, so worker threads share the cache, and two that plan the
+    same key store the same path."""
+    key = (spec,) + tuple(a.shape for a in arrays)
+    path = _PATHS.get(key)
+    if path is None:
+        path = _PATHS[key] = np.einsum_path(spec, *arrays, optimize="greedy")[0]
+    return np.einsum(spec, *arrays, optimize=path)
 
 
 def differential(f):

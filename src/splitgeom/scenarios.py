@@ -37,7 +37,7 @@ import numpy as np
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
 from .expr import ExprError, evaluate, parse_expr
-from .splitting import SplitStructure, SubsetIndex, coordinate_split
+from .splitting import SplitContext, SplitStructure, SubsetIndex, coordinate_split
 
 __all__ = [
     "Scenario",
@@ -95,33 +95,55 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
     """Flat ``T^n`` with the frame rotated in the (1,2)-plane by the twist angle.
 
     ``twist`` is an expression in the chart coordinates (``{n}`` expands to
-    the last coordinate index); it must be periodic on the torus.
+    the last coordinate index); the distributions it turns must be periodic
+    on the torus.
     """
     dims = tuple(dims)
     n = sum(dims)
     if n < 3:
         raise GeometryError("twisted torus needs dimension >= 3")
     twist_src = twist.format(n=n)
-    with _expression("twist", twist_src):
-        twist_ast = parse_expr(twist_src, n)
-        # the twist must be periodic along every axis it depends on
-        probe = np.linspace(0.1, TWO_PI - 0.1, 7)
-        pts = np.stack([probe] * n, axis=-1)
-        base_vals = np.asarray(evaluate(twist_ast, list(pts.T)), dtype=float)
-        for a in range(n):
-            shifted = pts.copy()
-            shifted[..., a] += TWO_PI
-            vals = np.asarray(evaluate(twist_ast, list(shifted.T)), dtype=float)
-            if np.max(np.abs(vals - base_vals)) > 1e-12 * (1.0 + np.max(np.abs(base_vals))):
-                raise GeometryError(f"twist expression is not periodic along axis {a + 1}")
-
+    _check_expression("twist", twist_src, n)
     name = name or f"twisted_torus_k{len(dims)}"
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, _eye(n), name=name)
     split = SplitStructure(dims, _rotated_frame(n, 0, twist_src))
+    _check_periodic_distributions(chart, split)
     # quadrature resolves the axes the twist reads
     grid = [32 if a in split.depends_on else 4 for a in range(n)]
     return Scenario(name=name, kind="twisted_torus", chart=chart, split=split,
                     meta={"twist": twist_src, "integral_grid": grid})
+
+
+def _check_expression(label, src, n):
+    """Parse ``src`` and evaluate it at 64 seeded random points of the torus
+    ``T^n``, so that an error names the expression (``label``), not a
+    metric or frame entry, and a domain error shows while the scenario is
+    built."""
+    pts = list(np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)))
+    with _expression(label, src):
+        evaluate(parse_expr(src, n), pts)
+
+
+def _check_periodic_distributions(chart, split):
+    """Raise :class:`GeometryError` unless each distribution of ``split`` is
+    periodic along every periodic axis of ``chart``: its projector ``P_i``
+    at the 16 sample points of :meth:`ChartManifold.validate` against
+    ``P_i`` one period along, with that method's tolerance.  The frame need
+    not be periodic: a turn by ``pi`` flips a vector, not its line."""
+    sample = sample_points(chart, 16, np.random.default_rng(0))
+    axes = [a for a, ax in enumerate(chart.axes) if ax.periodic]
+    eye = np.eye(chart.dim)
+    pts = np.stack([sample] + [sample + chart.axes[a].period * eye[a] for a in axes])
+    raw = hd.value_of(hd.stack(split.frame(list(np.moveaxis(pts, -1, 0)))))
+    P = SplitContext(chart, split, pts,
+                     frame_values=np.broadcast_to(raw, pts.shape + (chart.dim,))).projectors()
+    scale = 1.0 + np.max(np.abs(P[0]))
+    for a, shifted in zip(axes, P[1:]):
+        moved = np.max(np.abs(shifted - P[0]), axis=(0, 2, 3))  # per distribution
+        for i, dp in enumerate(moved, start=1):
+            if dp > 1e-12 * scale:
+                raise GeometryError(f"distribution {i} not periodic along axis {a + 1}: "
+                                    f"|P_{i}(x+T)-P_{i}(x)| = {dp:.2e}")
 
 
 def _rotated_frame(n, a, twist_src):
@@ -210,17 +232,14 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
     """Torus ``dt^2 + u(t)^2 (dx^2 + dy^2)`` with the fiber plane split along a
     frame rotated by a twist angle; every identity term is non-zero."""
     n = 3
-    # each expression alone, so that an error names it, not a metric or
-    # frame entry, and at random points, so that a domain error shows here
-    pts = list(np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)))
     for label, src in (("u", u_src), ("twist", twist_src)):
-        with _expression(label, src):
-            evaluate(parse_expr(src, n), pts)
+        _check_expression(label, src, n)
     entries = [["1", "0", "0"],
                ["0", f"({u_src})^2", "0"],
                ["0", "0", f"({u_src})^2"]]
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
     split = SplitStructure((1, 1, 1), _rotated_frame(n, 1, twist_src))
+    _check_periodic_distributions(chart, split)
     return Scenario(name=name, kind="warped_twisted", chart=chart, split=split,
                     meta={"integral_grid": [32, 4, 4]})
 

@@ -8,8 +8,9 @@ distribution, and so on).
 
 :class:`SplitContext` evaluates everything at a batch of points on a chart:
 
-* the adapted orthonormal frame (blockwise Gram-Schmidt in fixed order, run
-  on jets so frame derivatives are exact),
+* the adapted orthonormal frame (Gram-Schmidt in fixed order, as one
+  Cholesky factorisation of the frame's Gram matrix, run on jets so frame
+  derivatives are exact),
 * the frame components ``cov[a, b, c] = <nabla_{E_a} E_b, E_c>`` of the
   covariant derivatives of frame fields, as one order-1 jet,
 * for any index subset ``q``: the symmetric second fundamental form ``h_q``,
@@ -29,6 +30,7 @@ scenarios with a 2-dimensional block).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,24 +123,109 @@ def coordinate_split(dims):
                                  for a in range(n)])
 
 
-def gram_schmidt(g, vectors, points):
-    """Sequential modified Gram-Schmidt of the rows of ``vectors``
-    ``(..., v, a)`` in the metric ``g`` ``(..., a, b)``; the same code runs
-    on jets and on plain arrays.  Raises :class:`GeometryError` naming the
-    first of ``points`` where the rows are linearly dependent."""
-    out = []
-    for v in range(hd.value_of(vectors).shape[-2]):
-        w = vectors[..., v, :]
-        for e in out:
-            c = hd.einsum("...a,...ab,...b->...", w, g, e)
-            w = w - hd.einsum("...,...a->...a", c, e)
-        nrm2 = hd.einsum("...a,...ab,...b->...", w, g, w)
-        bad = np.flatnonzero(hd.value_of(nrm2) <= 1e-24)
-        if bad.size:
-            node = points.reshape(-1, points.shape[-1])[bad[0]]
-            raise GeometryError(f"spanning frame is rank deficient at {node.tolist()}")
-        out.append(hd.einsum("...,...a->...a", 1.0 / hd.sqrt(nrm2), w))
-    return hd.stack(out, axis=-2)
+def gram_schmidt(g, vectors, points, blocks=()):
+    """Gram-Schmidt of the rows of ``vectors`` ``(..., v, a)`` in row order,
+    in the metric ``g`` ``(..., a, b)``: order-2 jets or plain arrays.
+
+    One Cholesky factorisation of the values of the Gram matrix
+    ``G = F g F^T = L L^T`` gives the frame ``E = L^-1 F``.  On jets,
+    ``E = K F'``: ``F' = L^-1 F`` holds ``L`` at its values, and ``K`` is the
+    inverse Cholesky factor of ``H = F' g F'^T``, whose value is the
+    identity.  Raises :class:`GeometryError` if rows of two different
+    ``blocks`` (index ranges) are not orthogonal, or naming the first of
+    ``points`` where the rows are linearly dependent.
+    """
+    fv, gv = hd.value_of(vectors), hd.value_of(g)
+    gram = hd.einsum("...va,...ab,...wb->...vw", fv, gv, fv)
+    scale = 1.0 + np.max(np.abs(gv))
+    for (i, bi), (j, bj) in itertools.combinations(enumerate(blocks, start=1), 2):
+        ip = np.max(np.abs(gram[..., bi, :][..., bj]))
+        if ip > 1e-9 * scale:
+            raise GeometryError(f"spanning blocks {i} and {j} are not orthogonal "
+                                f"(inner product {ip:.2e})")
+    M = np.tril(np.linalg.inv(_cholesky(gram, points)))
+    if not isinstance(g, hd.HyperDual):
+        return hd.einsum("...vw,...wa->...va", M, vectors)
+    # the jet rule runs on batches of points, to bound its temporaries
+    parts = [_frame_jet(_take(g, s), _take(vectors, s), M[s]) for s in _batches(M)]
+    return hd.HyperDual(*(np.concatenate([getattr(p, slot) for p in parts])
+                          for slot in ("val", "grad", "hess")))
+
+
+def _batches(M):
+    """Slices of the first batch axis of ``M`` ``(..., v, w)`` that hold
+    about 1024 points each."""
+    batch = M.shape[:-2]
+    if not batch:
+        return [Ellipsis]
+    step = max(1, 1024 // math.prod(batch[1:]))
+    return [slice(i, i + step) for i in range(0, batch[0], step)]
+
+
+def _take(x, s):
+    """The points ``s`` of a jet or of an array that has a batch axis."""
+    if isinstance(x, hd.HyperDual):
+        return hd.HyperDual(x.val[s], x.grad[s], x.hess[s])
+    return x[s] if x.ndim > 2 else x
+
+
+def _frame_jet(g, vectors, M):
+    """The frame ``E = K F'`` of :func:`gram_schmidt` as a jet, from the
+    values ``M`` of ``L^-1``."""
+    frame = hd.einsum("...vw,...wa->...va", M, vectors)
+    K = _unit_inverse_factor(hd.einsum("...va,...ab,...wb->...vw", frame, g, frame))
+    return hd.einsum("...vw,...wa->...va", K, frame)
+
+
+def _cholesky(gram, points):
+    """Cholesky factors of Gram matrices ``G`` ``(..., v, w)``.  The frame
+    is rank deficient at one of ``points`` where the factorisation fails or
+    a squared pivot ``L_jj^2`` is at most ``1e-24``, or at most ``1e-14 G_jj``:
+    ``L_jj^2`` is ``G_jj`` minus the squared projection, so exactly
+    dependent rows leave a roundoff of order ``n eps G_jj`` there."""
+    n = gram.shape[-1]
+    flat = gram.reshape(-1, n, n)
+
+    def factor(G):
+        try:
+            return np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return np.full_like(G, np.nan)
+
+    try:
+        L = np.linalg.cholesky(flat)
+    except np.linalg.LinAlgError:  # NaN pivots where it fails
+        L = np.stack([factor(G) for G in flat])
+    pivot2 = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    ok = np.all(pivot2 > np.maximum(1e-24, 1e-14 * np.diagonal(flat, axis1=-2, axis2=-1)),
+                axis=-1)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        node = points.reshape(-1, points.shape[-1])[bad[0]]
+        raise GeometryError(f"spanning frame is rank deficient at {node.tolist()}")
+    return L.reshape(gram.shape)
+
+
+def _unit_inverse_factor(H):
+    """The jet of ``K = L^-1`` for an order-2 Gram matrix jet ``H = L L^T``
+    whose value is the identity, by the forward rule of the Cholesky factor
+    (Murray, arXiv:1602.07527) at ``L = I``: with ``Phi`` the lower triangle
+    with a halved diagonal, ``K_x = -Phi(H_x)`` and
+    ``K_xy = -Phi(B + B^T + H_xy) - Phi(H_x) K_y``, where ``B = K_y H_x``.
+    Along an axis ``H`` does not move, ``K_x`` and ``K_xy`` are exactly
+    zero.  Overwrites ``H.hess``."""
+    n = H.val.shape[-1]
+    phi = np.tril(np.ones((n, n))) - 0.5 * np.eye(n)
+    Kx = H.grad * -phi[:, :, None]
+    # in place, to bound the (..., n, n, n, n) temporaries
+    B = hd.einsum("...viy,...iwx->...vwxy", Kx, H.grad)
+    S = H.hess
+    S += B
+    S += np.swapaxes(B, -4, -3)
+    del B
+    S *= -phi[:, :, None, None]
+    S += hd.einsum("...vix,...iwy->...vwxy", Kx, Kx)
+    return hd.HyperDual(np.broadcast_to(np.eye(n), H.val.shape), Kx, S)
 
 
 @dataclass
@@ -188,24 +275,12 @@ class SplitContext:
         else:
             if split.frame is None:
                 raise GeometryError("split structure has no spanning frame")
-            raw = hd.stack(split.frame(self.frame.coords), ref=self.frame.coords[0])
+            # a constant frame stays a plain array: its derivative terms vanish
+            raw = hd.stack(split.frame(self.frame.coords))
             g = self.frame.g
         check_positive_definite(self.frame.g.val, self.points)
-        self._validate_raw_blocks(hd.value_of(raw))
-        self.E = gram_schmidt(g, raw, self.points)
-
-    def _validate_raw_blocks(self, raw, tol=1e-9):
-        gv = self.frame.g.val
-        gram = np.einsum("...va,...ab,...wb->...vw", raw, gv, raw)
-        scale = 1.0 + np.max(np.abs(gv))
-        for i in range(1, self.k + 1):
-            for j in range(i + 1, self.k + 1):
-                cross = gram[..., self.split.block(i), :][..., self.split.block(j)]
-                ip = np.max(np.abs(cross))
-                if ip > tol * scale:
-                    raise GeometryError(
-                        f"spanning blocks {i} and {j} are not orthogonal "
-                        f"(inner product {ip:.2e})")
+        self.E = gram_schmidt(g, raw, self.points,
+                              [split.block(i) for i in range(1, self.k + 1)])
 
     # -- frame-level data ---------------------------------------------------
 
@@ -304,8 +379,9 @@ class SplitContext:
         every frame plane (cached); the curvature sums below add its blocks."""
         if self._K is None:
             E = self.E_val
-            self._K = np.einsum("...abcd,...xa,...yb,...xc,...yd->...xy",
-                                self.frame.riemann, E, E, E, E)
+            # two three-operand stages instead of one five-operand loop
+            Q = hd.einsum("...abcd,...xa,...xc->...xbd", self.frame.riemann, E, E)
+            self._K = hd.einsum("...xbd,...yb,...yd->...xy", Q, E, E)
         return self._K
 
     def _block_sum(self, rows, cols):

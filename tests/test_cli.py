@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from splitgeom import cli, identities
+from splitgeom import cli, hyperdual, identities
 from splitgeom.cli import main
 
 
@@ -234,6 +234,17 @@ def test_threads_flag_never_changes_reports(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()  # worker count never changes results
 
 
+def test_full_catalog_reports_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    # the two workers plan and share einsum paths from an empty cache
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setattr(hyperdual, "_PATHS", {})
+        outs.append(tmp_path / f"t{threads}.json")
+        assert run(["verify", "--all", "--seed", "12345", "--threads", threads,
+                    "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--samples", "0"], "samples: 0 is less than the minimum of 1"),
     (["--grid", "0"], "grid: 0 is less than the minimum of 4"),
@@ -451,8 +462,9 @@ TUBE = {
     ({"kind": "warped", "name": "fiber_warp", "base_dim": 1, "fiber_dims": [1],
       "warps": ["x2 + 2"]},
      "scenario 'fiber_warp': coordinate x2 exceeds chart dimension 1"),
-    ({"kind": "twisted_torus", "k": 3, "dims": [1, 1, 1], "twist": "0.5*x3"},
-     "twist expression is not periodic along axis 3"),
+    # a quarter turn per period swaps two distributions
+    ({"kind": "twisted_torus", "k": 3, "dims": [1, 1, 1], "twist": "0.25*x3"},
+     "scenario 'twisted_torus': distribution 1 not periodic along axis 3"),
     # the failing expression is named
     ({"kind": "warped", "base_dim": 1, "fiber_dims": [1, 1],
       "warps": ["2 + sin(x1)", "x2 + 2"]},
@@ -477,6 +489,9 @@ TUBE = {
      "scenario 'warped': metric not periodic along axis 1"),
     ({"kind": "warped", "base_dim": 1, "fiber_dims": [1], "warps": ["2 + 0.1*x1"]},
      "scenario 'warped': metric not periodic along axis 1"),
+    # the distributions of a warped twisted torus are checked too
+    ({"kind": "warped_twisted", "twist": "0.25*x1"},
+     "scenario 'warped_twisted': distribution 2 not periodic along axis 1"),
 ])
 def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
@@ -484,6 +499,16 @@ def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     assert report is None and out == ""
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("twist", ["x3", "0.5*x3"])
+def test_twist_that_turns_periodic_distributions_passes(tmp_path, capsys, twist):
+    # the frame turns by 2 pi or pi per period; each line field is periodic
+    spec = {"kind": "twisted_torus", "dims": [1, 1, 1], "twist": twist}
+    code, report, _, err = verify_config(tmp_path, capsys, {"scenario": spec}, "turn")
+    assert code == 0, err
+    reports = json.loads(report)
+    assert len(reports) == 8 and all(r["verdict"] == "pass" for r in reports)
 
 
 def test_undeclared_frame_axis_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -278,3 +280,35 @@ def test_differential_matches_scalar_slices():
         _assert_entry(D, (a, b, c), HyperDual(F[a][b].grad[..., c], F[a][b].hess[..., c, :]))
     with pytest.raises(hd.JetOrderError):
         hd.differential(D)
+
+
+def test_einsum_path_cache_shared_by_threads(monkeypatch):
+    # many workers fill one empty cache at once; each contraction keeps the
+    # bits of the path numpy plans itself
+    monkeypatch.setattr(hd, "_PATHS", {})
+    rng = np.random.default_rng(3)
+    xs = seed_jets(rng.uniform(0.0, 1.0, size=(9, 3)))
+    u = hd.stack([hd.sin(xs[0]) * xs[1], hd.cos(xs[2]), xs[0] * xs[2]])
+    m = rng.normal(size=(9, 3, 3))
+    cases = [("...a,...ab,...b->...", (u, m, u)), ("...ab,...b->...a", (m, u)),
+             ("...ab,...bc,...cd->...ad", (m, m, m))]
+
+    def contract_all(_):
+        return [hd.einsum(spec, *ops) for spec, ops in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = list(pool.map(contract_all, range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    want = [np.einsum("...a,...ab,...b->...", u.val, m, u.val, optimize=True),
+            np.einsum("...ab,...b->...a", m, u.val, optimize=True),
+            np.einsum("...ab,...bc,...cd->...ad", m, m, m, optimize=True)]
+    for run in runs:
+        for got, ref, first in zip(run, want, runs[0]):
+            assert np.array_equal(hd.value_of(got), ref)
+            if isinstance(got, HyperDual):
+                assert np.array_equal(got.grad, first.grad)
+                assert np.array_equal(got.hess, first.hess)

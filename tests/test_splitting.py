@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from splitgeom.splitting import (
     SplitStructure,
     SubsetIndex,
     coordinate_split,
+    gram_schmidt,
     pair_predicates,
     subsets,
 )
@@ -391,8 +393,11 @@ def test_untwisted_torus_is_a_product():
 
 
 def test_nonperiodic_twist_rejected():
-    with pytest.raises(GeometryError, match="not periodic"):
-        build_twisted_torus((1, 1, 1), twist="0.5*x3")
+    # a quarter turn per period maps the first distribution onto the second
+    with pytest.raises(GeometryError, match="distribution 1 not periodic along axis 3"):
+        build_twisted_torus((1, 1, 1), twist="0.25*x3")
+    with pytest.raises(GeometryError, match="distribution 2 not periodic along axis 1"):
+        build_warped_twisted(twist_src="0.25*x1")
 
 
 def test_constant_warp_is_a_direct_product():
@@ -474,6 +479,86 @@ def test_rank_deficient_frame_names_its_point():
     pts = np.array([[1.0, 2.0], [0.0, 0.5], [2.0, 1.0]])
     with pytest.raises(GeometryError, match=r"rank deficient at \[0\.0, 0\.5\]"):
         SplitContext(flat, SplitStructure((1, 1), degenerate), pts)
+
+
+@pytest.mark.parametrize("dims, frame, pts, bad", [
+    # the first two rows are equal where x1 = 0: the factorisation fails there
+    ((2, 1), [["1", "1", "0"], ["cos(x1)", "1", "0"], ["0", "0", "1"]],
+     [[1.0, 2.0, 0.5], [0.0, 0.5, 0.5], [2.0, 1.0, 0.5]], [0.0, 0.5, 0.5]),
+    # it succeeds, but with a squared pivot of 2.5e-25 at x1 = 0.5
+    ((1, 1), [["1", "0"], ["0", "0.000000000001*x1"]],
+     [[2.0, 1.0], [0.5, 0.3], [1.0, 2.0]], [0.5, 0.3]),
+])
+def test_dependent_frame_rows_name_the_first_bad_point(dims, frame, pts, bad):
+    n = sum(dims)
+    flat = ChartManifold([Axis(0.0, TWO_PI)] * n, coordinate_split(dims).frame.rows)
+    message = "rank deficient at " + re.escape(str(bad))
+    with pytest.raises(GeometryError, match=message):
+        SplitContext(flat, SplitStructure(dims, frame), np.array(pts))
+
+
+def sequential_gram_schmidt(g, vectors, points):
+    """Sequential modified Gram-Schmidt of the rows of ``vectors``
+    ``(..., v, a)`` in the metric ``g`` ``(..., a, b)``, one projection per
+    pair of rows; the same code runs on jets and on plain arrays."""
+    out = []
+    for v in range(hd.value_of(vectors).shape[-2]):
+        w = vectors[..., v, :]
+        for e in out:
+            c = hd.einsum("...a,...ab,...b->...", w, g, e)
+            w = w - hd.einsum("...,...a->...a", c, e)
+        nrm2 = hd.einsum("...a,...ab,...b->...", w, g, w)
+        bad = np.flatnonzero(hd.value_of(nrm2) <= 1e-24)
+        if bad.size:
+            node = points.reshape(-1, points.shape[-1])[bad[0]]
+            raise GeometryError(f"spanning frame is rank deficient at {node.tolist()}")
+        out.append(hd.einsum("...,...a->...a", 1.0 / hd.sqrt(nrm2), w))
+    return hd.stack(out, axis=-2)
+
+
+def random_field(rng, xs, shape):
+    """A jet of entries ``a + b sin(x_i) + c cos(x_j)``, random ``a, b, c, i, j``."""
+    n = len(xs)
+    entries = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        a, b, c = rng.uniform(-1.0, 1.0, size=3)
+        i, j = rng.integers(n, size=2)
+        entries[idx] = a + b * hd.sin(xs[i]) + c * hd.cos(xs[j])
+    return hd.stack(entries.tolist())
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cholesky_frame_matches_sequential_gram_schmidt(n):
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(0.0, TWO_PI, size=(7, n))
+    xs = hd.seed_jets(pts)
+    A = random_field(rng, xs, (n, n))
+    g = hd.einsum("...ac,...bc->...ab", A, A) + n * np.eye(n)  # SPD
+    frame = random_field(rng, xs, (n, n)) * 0.3 + np.eye(n)
+    for vectors in (frame, frame.val):  # a frame that moves, and a constant one
+        got = gram_schmidt(g, vectors, pts)
+        want = sequential_gram_schmidt(g, hd.as_jet(vectors, g), pts)
+        for slot in ("val", "grad", "hess"):
+            assert relative_error(getattr(got, slot), getattr(want, slot)) <= 1e-12, slot
+    # the value-only path
+    got = gram_schmidt(g.val, frame.val, pts)
+    assert relative_error(got, sequential_gram_schmidt(g.val, frame.val, pts)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()))
+def test_frame_jet_is_exactly_zero_along_held_axes(name):
+    scn = kproduct_catalog()[name]()
+    ctx = SplitContext(scn.chart, scn.split, scn.sample(12, np.random.default_rng(21)))
+    held = set(range(scn.chart.dim)) - (scn.chart.depends_on | scn.split.depends_on)
+    assert held
+    for a in held:
+        assert np.all(ctx.E.grad[..., a] == 0.0)
+        assert np.all(ctx.E.hess[..., a, :] == 0.0)
+        assert np.all(ctx.E.hess[..., :, a] == 0.0)
 
 
 def test_non_spd_metric_names_its_point():
