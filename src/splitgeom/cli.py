@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -147,6 +148,25 @@ _INLINE_SCHEMAS = {
 }
 
 
+@functools.cache
+def _validator(kind):
+    # built on first use, so that its schema is checked against the
+    # metaschema (most of the cost of ``jsonschema.validate``) once
+    schema = CONFIG_SCHEMA if kind is None else _INLINE_SCHEMAS[kind]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(kind, instance):
+    """``jsonschema.validate`` of the config (``kind`` None) or of an inline
+    scenario of ``kind``: the same best-matching error, from a validator
+    built once."""
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def full_catalog():
     cat = {}
     cat.update(kproduct_catalog())
@@ -159,7 +179,7 @@ def build_inline_scenario(spec):
     if kind not in _INLINE_SCHEMAS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     try:
-        jsonschema.validate(spec, _INLINE_SCHEMAS[kind])
+        _validate(kind, spec)
     except jsonschema.ValidationError as e:
         raise ConfigError(f"invalid inline scenario: {e.message}")
     label = spec.get("name", kind)
@@ -313,7 +333,7 @@ def cmd_verify(args):
         config.setdefault("tolerances", {}).update(pointwise=args.tol, integral=args.tol)
     # one validation of the file and flags together
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        _validate(None, config)
     except jsonschema.ValidationError as e:
         where = f"{e.absolute_path[0]}: " if e.absolute_path else ""
         raise ConfigError(f"config rejected: {where}{e.message}")

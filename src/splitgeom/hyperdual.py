@@ -30,7 +30,9 @@ derivative, which this engine never needs.
 from __future__ import annotations
 
 import itertools
+import math
 import string
+import sys
 
 import numpy as np
 
@@ -62,7 +64,8 @@ class JetDomainError(ValueError):
 
 
 _LETTERS = string.ascii_letters
-_PATHS = {}  # einsum contraction path per (spec, operand shapes)
+_PLANS = {}  # einsum plan per (spec, operand layout), see _plan
+_GREEDY = ("greedy", sys.maxsize)  # no memory limit: every step takes two operands
 
 
 def _outer(u, v):
@@ -272,44 +275,167 @@ def einsum(spec, *ops):
     gradient in place of its value, the derivative axis appended; the
     Hessian adds the symmetrised cross terms of every pair of gradients.
     The result has order 2 only if every jet operand has; with no jet
-    operand it is a plain array.
+    operand it is a plain array.  No slot of the result shares memory with
+    an operand.
+
+    The product-rule terms and their contraction chains are planned once
+    per spec and operand layout (see :func:`_plan`); a call replays the plan.
+    """
+    slots = [(o.val, o.grad, o.hess) if isinstance(o, HyperDual)
+             else (np.asarray(o, dtype=float),) for o in ops]
+    key = (spec,) + tuple(tuple(None if a is None else a.shape for a in s) for s in slots)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _plan(spec, slots)
+    out = [None, None, None]
+    for slot, sources, steps, fresh, cross in plan:
+        xs = [slots[k][s] for k, s in sources]
+        for inds, lowering in steps:
+            if isinstance(lowering, str):
+                xs.append(np.einsum(lowering, xs.pop(inds[0])))
+            else:
+                xs.append(_pair(xs.pop(inds[0]), xs.pop(inds[1]), *lowering))
+        t = xs.pop()
+        if out[slot] is None:
+            out[slot] = t if fresh else t.copy(order="K")
+        else:
+            out[slot] += t
+            if cross:
+                out[slot] += np.swapaxes(t, -1, -2)
+        del t  # not alive while the next term is computed
+    val, grad, hess = out
+    return val if grad is None else HyperDual(val, grad, hess)
+
+
+def _plan(spec, slots):
+    """The terms of :func:`einsum` on operand ``slots`` (``(val, grad, hess)``
+    of a jet, ``(array,)`` of a plain operand), each a contraction chain.
+
+    A term is ``(slot, sources, steps, fresh, cross)``: it adds into output
+    slot 0 (value), 1 (gradient) or 2 (Hessian; a ``cross`` term adds its
+    transpose too) the contraction of the operand slots ``sources`` (pairs
+    of operand index and 0 = value, 1 = gradient, 2 = Hessian).  ``steps``
+    is numpy's greedy path without a memory limit, so that no step takes
+    more than two operands.  A step ``(inds, lowering)`` pops the operands
+    ``inds`` off the list of pending ones and pushes its result: a
+    one-operand step is ``np.einsum`` on the subscripts ``lowering``, a pair
+    a batched ``np.matmul`` or a broadcast product (:func:`_lower`).
+    ``fresh`` is False when the last step may return a view of an operand.
+    A plan depends on nothing but its key, so worker threads share the
+    cache, and two that plan the same key store equal plans.
     """
     ins, out = spec.replace(" ", "").split("->")
     ins = ins.split(",")
     d1, d2 = [c for c in _LETTERS if c not in spec][:2]
-    vals = [value_of(o) for o in ops]
-    jets = [k for k, o in enumerate(ops) if isinstance(o, HyperDual)]
-
-    def term(swap, extra):
-        # ``swap`` maps operand index -> (array, its appended derivative axes)
+    jets = [k for k, s in enumerate(slots) if len(s) == 3]
+    terms = [(0, {}, "", False)]
+    if jets:
+        terms += [(1, {k: (1, d1)}, d1, False) for k in jets]
+        if all(slots[k][2] is not None for k in jets):
+            terms += [(2, {k: (2, d1 + d2)}, d1 + d2, False) for k in jets]
+            terms += [(2, {a: (1, d1), b: (1, d2)}, d1 + d2, True)
+                      for a, b in itertools.combinations(jets, 2)]
+    plan = []
+    for slot, swap, extra, cross in terms:
+        sources = [(k, swap[k][0] if k in swap else 0) for k in range(len(slots))]
         subs = ",".join(ins[k] + swap[k][1] if k in swap else ins[k]
-                        for k in range(len(ops)))
-        arrays = [swap[k][0] if k in swap else vals[k] for k in range(len(ops))]
-        return _contract(f"{subs}->{out}{extra}", arrays)
+                        for k in range(len(slots)))
+        shapes = [slots[k][s].shape for k, s in sources]
+        _, chain = np.einsum_path(f"{subs}->{out}{extra}", *(slots[k][s] for k, s in sources),
+                                  optimize=_GREEDY, einsum_call=True)
+        steps = []
+        for contraction in chain:
+            inds = contraction[0]
+            # the step's subscripts, e.g. "lab,la->bl": the one string field of
+            # the entry (numpy < 2.4 adds a set and a BLAS flag around it)
+            eq = next(f for f in contraction if isinstance(f, str))
+            terms_in, term_out = eq.split("->")
+            shapes_in = [shapes.pop(i) for i in inds]
+            size = {}
+            for term, shape in zip(terms_in.split(","), shapes_in):
+                for ix, d in zip(term, shape):
+                    size[ix] = max(size.get(ix, 1), d)
+            shapes.append(tuple(size[ix] for ix in term_out))
+            steps.append((inds, eq if len(inds) == 1 else _lower(eq, *shapes_in)))
+        fresh = not isinstance(steps[-1][1], str)
+        plan.append((slot, tuple(sources), tuple(steps), fresh, cross))
+    return tuple(plan)
 
-    val = term({}, "")
-    if not jets:
-        return val
-    grad = sum(term({k: (ops[k].grad, d1)}, d1) for k in jets)
-    hess = None
-    if all(ops[k].hess is not None for k in jets):
-        hess = sum(term({k: (ops[k].hess, d1 + d2)}, d1 + d2) for k in jets)
-        for a, b in itertools.combinations(jets, 2):
-            cross = term({a: (ops[a].grad, d1), b: (ops[b].grad, d2)}, d1 + d2)
-            hess = hess + cross + np.swapaxes(cross, -1, -2)
-    return HyperDual(val, grad, hess)
+
+def _pair(a, b, prep_a, shape_a, prep_b, shape_b, product, shape_ab, perm_ab):
+    """Replay one two-operand step lowered by :func:`_lower`."""
+    a = _prepare(a, prep_a, shape_a)
+    b = _prepare(b, prep_b, shape_b)
+    if product:
+        return np.multiply(a, b)
+    ab = np.matmul(a, b)
+    if shape_ab is not None:
+        ab = ab.reshape(shape_ab)
+    return ab if perm_ab is None else ab.transpose(perm_ab)
 
 
-def _contract(spec, arrays):
-    """``np.einsum(spec, *arrays, optimize=True)``, its greedy contraction
-    path planned once per spec and operand shapes.  A path depends on
-    nothing else, so worker threads share the cache, and two that plan the
-    same key store the same path."""
-    key = (spec,) + tuple(a.shape for a in arrays)
-    path = _PATHS.get(key)
-    if path is None:
-        path = _PATHS[key] = np.einsum_path(spec, *arrays, optimize="greedy")[0]
-    return np.einsum(spec, *arrays, optimize=path)
+def _prepare(x, prep, shape):
+    # an operand of a pair: reordered by :func:`_reorder`, then fused
+    if isinstance(prep, str):
+        x = np.einsum(prep, x)
+    elif prep is not None:
+        x = x.transpose(prep)
+    return x if shape is None else x.reshape(shape)
+
+
+def _lower(eq, shape_a, shape_b):
+    """The einsum-to-bmm lowering of a two-operand step ``eq`` that numpy
+    >= 2.4 applies itself (J. Gray, einsum_bmm), as the arguments of
+    :func:`_pair`: so the plan computes the same bits as ``np.einsum`` on
+    the same path.
+
+    Axes of size one are dropped, and reinserted in the output.  Each
+    operand is transposed to (batch, kept, contracted) axes -- through
+    ``np.einsum`` when that also sums an axis no other term reads -- and
+    fused to three axes for ``np.matmul``.  With no contracted axis the
+    step is a product of broadcast operands.
+    """
+    lhs, out = eq.split("->")
+    ta, tb = lhs.split(",")
+    left = {ix: d for ix, d in zip(ta, shape_a) if d != 1}
+    right = {ix: d for ix, d in zip(tb, shape_b) if d != 1}
+    sizes = {**left, **right}
+    bat = [ix for ix in left if ix in right and ix in out]
+    con = [ix for ix in left if ix in right and ix not in out]
+    keep_a = [ix for ix in left if ix not in right and ix in out]
+    keep_b = [ix for ix in right if ix not in left and ix in out]
+    if not con:
+        def spread(term, shape):
+            # the operand on the output's axes, size one where it has none
+            return (_reorder(term, "".join(ix for ix in out if ix in term)),
+                    tuple(shape[term.index(ix)] if ix in term else 1 for ix in out))
+        return spread(ta, shape_a) + spread(tb, shape_b) + (True, None, None)
+    groups_a, groups_b, groups_ab = (bat, keep_a, con), (bat, con, keep_b), (bat, keep_a, keep_b)
+    if not bat:
+        groups_a, groups_b, groups_ab = groups_a[1:], groups_b[1:], groups_ab[1:]
+    ones = [ix for ix in out if ix not in sizes]  # of size one in both operands
+    shape_ab = None
+    if ones or any(len(g) != 1 for g in groups_ab):
+        shape_ab = (1,) * len(ones) + tuple(sizes[ix] for g in groups_ab for ix in g)
+    produced = "".join(ones + bat + keep_a + keep_b)
+    return (_reorder(ta, "".join(bat + keep_a + con)), _fused(groups_a, sizes),
+            _reorder(tb, "".join(bat + con + keep_b)), _fused(groups_b, sizes),
+            False, shape_ab, None if produced == out else tuple(produced.index(ix) for ix in out))
+
+
+def _reorder(term, want):
+    """None, an axis permutation, or the one-operand einsum from ``term`` to ``want``."""
+    if term == want:
+        return None
+    if sorted(term) == sorted(want):
+        return tuple(term.index(ix) for ix in want)
+    return f"{term}->{want}"
+
+
+def _fused(groups, sizes):
+    if all(len(g) == 1 for g in groups):
+        return None
+    return tuple(math.prod(sizes[ix] for ix in g) for g in groups)
 
 
 def differential(f):

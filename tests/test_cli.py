@@ -235,10 +235,10 @@ def test_threads_flag_never_changes_reports(tmp_path, monkeypatch):
 
 
 def test_full_catalog_reports_identical_at_one_and_two_threads(tmp_path, monkeypatch):
-    # the two workers plan and share einsum paths from an empty cache
+    # the two workers plan and share einsum plans from an empty cache
     outs = []
     for threads in ("1", "2"):
-        monkeypatch.setattr(hyperdual, "_PATHS", {})
+        monkeypatch.setattr(hyperdual, "_PLANS", {})
         outs.append(tmp_path / f"t{threads}.json")
         assert run(["verify", "--all", "--seed", "12345", "--threads", threads,
                     "--out", str(outs[-1])]) == 0

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -283,9 +285,9 @@ def test_differential_matches_scalar_slices():
 
 
 def test_einsum_path_cache_shared_by_threads(monkeypatch):
-    # many workers fill one empty cache at once; each contraction keeps the
-    # bits of the path numpy plans itself
-    monkeypatch.setattr(hd, "_PATHS", {})
+    # many workers fill one empty plan cache at once; each contraction keeps
+    # the bits of the path numpy plans itself
+    monkeypatch.setattr(hd, "_PLANS", {})
     rng = np.random.default_rng(3)
     xs = seed_jets(rng.uniform(0.0, 1.0, size=(9, 3)))
     u = hd.stack([hd.sin(xs[0]) * xs[1], hd.cos(xs[2]), xs[0] * xs[2]])
@@ -312,3 +314,93 @@ def test_einsum_path_cache_shared_by_threads(monkeypatch):
             if isinstance(got, HyperDual):
                 assert np.array_equal(got.grad, first.grad)
                 assert np.array_equal(got.hess, first.hess)
+
+
+def _random_jet(rng, shape, order):
+    # random slots of a jet at 5 points in 3 coordinates
+    v = rng.uniform(-1.0, 1.0, size=(5,) + shape)
+    return HyperDual(v, rng.uniform(-1.0, 1.0, size=v.shape + (3,)),
+                     rng.uniform(-1.0, 1.0, size=v.shape + (3, 3)) if order == 2 else None)
+
+
+def _planner_cases(rng, order):
+    # (spec, operands) with jets of the given order (1, 2 or "mixed":
+    # order-1 and order-2 jets together) and plain arrays
+    def jet(shape, o):
+        return _random_jet(rng, shape, o)
+
+    o1, o2 = (1, 1) if order == 1 else (2, 2) if order == 2 else (1, 2)
+    plain = rng.uniform(-1.0, 1.0, size=(5, 3, 3))
+    return [
+        ("...bda->...abd", (jet((3, 3, 3), o2),)),
+        ("...ab,...bc->...ac", (jet((2, 3), o1), jet((3, 2), o2))),
+        ("...a,...ab,...b->...", (jet((3,), o1), jet((3, 3), o2), jet((3,), o2))),
+        ("...a,...ab,...b->...", (jet((3,), o2), plain, jet((3,), o1))),
+        ("...ab,...b->...a", (plain[0], jet((3,), o2))),
+        ("...ab,...b,...b->...a", (jet((2, 3), o2), jet((3,), o1), plain[..., 0])),
+        ("...aac,...cd->...d", (jet((3, 3, 3), o2), plain)),
+        ("...abc,...bc->...a", (rng.uniform(-1.0, 1.0, size=(5, 4, 6, 7)), jet((6, 7), o1))),
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2, "mixed"])
+def test_einsum_never_writes_into_or_aliases_its_operands(order, monkeypatch):
+    monkeypatch.setattr(hd, "_PLANS", {})
+    rng = np.random.default_rng(41)
+    for spec, ops in _planner_cases(rng, order):
+        arrays = [a for o in ops for a in ((o.val, o.grad, o.hess) if isinstance(o, HyperDual)
+                                           else (o,)) if a is not None]
+        before = [a.tobytes() for a in arrays]
+        got = hd.einsum(spec, *ops)
+        hd.einsum(spec, *ops)  # a replayed plan as well as a new one
+        assert [a.tobytes() for a in arrays] == before, spec
+        for slot in (got.val, got.grad, got.hess):
+            assert slot is None or not any(np.shares_memory(slot, a) for a in arrays), spec
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
+                    reason="numpy lowers two-operand einsum steps to matmul from 2.4 on")
+@pytest.mark.parametrize("order", [1, 2, "mixed"])
+def test_planned_values_equal_numpy_einsum_on_the_same_path(order):
+    rng = np.random.default_rng(42)
+    for spec, ops in _planner_cases(rng, order):
+        vals = [hd.value_of(o) for o in ops]
+        path = np.einsum_path(spec, *vals, optimize=hd._GREEDY)[0]
+        ref = np.einsum(spec, *vals, optimize=path)
+        assert np.array_equal(hd.einsum(spec, *ops).val, ref), spec
+    # with one jet operand the gradient and the Hessian are one term each
+    ops = (rng.uniform(-1.0, 1.0, size=(3, 3)), _random_jet(rng, (3, 2), 2))
+    got = hd.einsum("ab,...bc->...ac", *ops)
+    for slot, sub in (("grad", "z"), ("hess", "zy")):
+        arrays = (ops[0], getattr(ops[1], slot))
+        spec = f"ab,...bc{sub}->...ac{sub}"
+        path = np.einsum_path(spec, *arrays, optimize=hd._GREEDY)[0]
+        assert np.array_equal(getattr(got, slot), np.einsum(spec, *arrays, optimize=path))
+
+
+def test_catalog_plans_contract_at_most_two_operands_per_step(tmp_path, monkeypatch):
+    from splitgeom.cli import main
+    monkeypatch.setattr(hd, "_PLANS", {})
+    assert main(["verify", "--all", "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
+    steps = [inds for plan in hd._PLANS.values() for term in plan for inds, _ in term[2]]
+    assert len(hd._PLANS) > 100 and steps
+    assert max(len(inds) for inds in steps) <= 2
+
+
+def test_no_module_imports_numpy_internals():
+    # the engine keeps to numpy's public API: no numpy._core or numpy.core
+    src = pathlib.Path(hd.__file__).parent
+    internal = ("numpy._core", "numpy.core")
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy")):
+                names = [f"numpy.{node.attr}"]
+            bad = [m for m in names if any(m == i or m.startswith(i + ".") for i in internal)]
+            assert not bad, f"{path.name}:{node.lineno} uses {bad}"
+
