@@ -192,23 +192,101 @@ class ChartFrame:
     curvature tensor at value level.  Shared by the splitting machinery so
     that every identity evaluated at the same points reuses one set of
     metric derivatives.
+
+    The geometry's jets are differentiated only along ``axes`` (0-based;
+    default: every axis): derivative slot ``j`` of the metric, its inverse,
+    the Christoffel symbols and every jet built from them is the partial
+    along ``axes[j]``, and the partials along the other, unseeded axes are
+    zero and not stored.  Tensor indices stay coordinate indices of size
+    ``n``.  ``coords`` are seeded along every axis, so a field a caller
+    builds from them keeps all its partials, slot ``a`` along axis ``a``.
+    The frame maps slots back to coordinates: :meth:`differential` and
+    :meth:`scatter` put a derivative index onto all ``n`` axes, the
+    differential operators take fields by slot or by axis, and
+    :meth:`entries` refuses an expression matrix that moves along an
+    unseeded axis.
     """
 
-    def __init__(self, chart, points):
+    def __init__(self, chart, points, axes=None):
         self.chart = chart
         self.points = np.asarray(points, dtype=float)
         self.n = chart.dim
+        self.axes = list(range(self.n)) if axes is None else sorted(axes)
         self.coords = seed_jets(self.points)
+        m, batch = len(self.axes), self.points.shape[:-1]
+        # a jet on the seeded slots, for the constant entries of the metric
+        self._slot_ref = HyperDual(self.points[..., 0], np.zeros(batch + (m,)),
+                                   np.zeros(batch + (m, m)))
         self._g = None
         self._ginv = None
         self._gamma = None
         self._riemann = None
 
+    def entries(self, matrix, what):
+        """The entries of the :class:`ExpressionMatrix` ``matrix`` at the
+        points, as a nested list of jets on the seeded slots and constants.
+
+        With unseeded axes, raises :class:`GeometryError` naming the first
+        point where one of the entries (the ``what``) has a non-zero first
+        or second derivative along an unseeded axis, which the seeded slots
+        would silently drop.
+        """
+        rows = matrix(self.coords)
+        if len(self.axes) == self.n:
+            return rows
+        jets = [e for row in rows for e in row if isinstance(e, HyperDual)]
+        flat = self.points.reshape(-1, self.n)
+        for a in range(self.n):
+            if a in self.axes:
+                continue
+            moved = np.zeros(len(flat), dtype=bool)
+            for j in jets:
+                moved |= ((j.grad[..., a] != 0.0)
+                          | np.any(j.hess[..., a, :] != 0.0, axis=-1)).reshape(-1)
+            bad = np.flatnonzero(moved)
+            if bad.size:
+                raise GeometryError(
+                    f"the {what} varies along axis {a + 1}, which neither the metric "
+                    f"nor the frame declares, at {flat[bad[0]].tolist()}")
+        ax = self.axes
+        return [[HyperDual(e.val, e.grad[..., ax], e.hess[..., ax, :][..., ax])
+                 if isinstance(e, HyperDual) else e for e in row] for row in rows]
+
+    def _by_axis(self, size):
+        """Whether a derivative index of ``size`` entries is by coordinate
+        axis (a field built from ``coords``) rather than by seeded slot."""
+        if size == self.n:
+            return True
+        if size != len(self.axes):
+            raise GeometryError(
+                f"a jet with {size} derivative slots is neither on the {self.n} axes "
+                f"nor on the {len(self.axes)} seeded ones")
+        return False
+
+    def scatter(self, x, axis=-1):
+        """``x`` with its derivative axis ``axis`` indexed by coordinate: a
+        slot index is spread onto all ``n`` axes, zero along the unseeded
+        ones; an index already by axis is kept."""
+        axis %= x.ndim
+        if self._by_axis(x.shape[axis]):
+            return x
+        out = np.zeros(x.shape[:axis] + (self.n,) + x.shape[axis + 1:])
+        out[(slice(None),) * axis + (self.axes,)] = x
+        return out
+
+    def differential(self, f):
+        """First-order jet of all coordinate partials of the order-2 jet
+        ``f``: :func:`~splitgeom.hyperdual.differential` with the new last
+        value axis indexed by coordinate (see :meth:`scatter`)."""
+        d = hd.differential(f)
+        return HyperDual(self.scatter(d.val), self.scatter(d.grad, -2))
+
     @property
     def g(self):
         """Metric ``(..., a, b)`` jet."""
         if self._g is None:
-            self._g = hd.stack(self.chart.metric_at(self.coords), ref=self.coords[0])
+            self._g = hd.stack(self.entries(self.chart.metric_at, "metric"),
+                               ref=self._slot_ref)
         return self._g
 
     @property
@@ -226,7 +304,7 @@ class ChartFrame:
         """Christoffel symbols of the second kind, ``(..., c, a, b)`` jet:
         ``Gamma^c_ab = g^cd (d_a g_bd + d_b g_ad - d_d g_ab) / 2``."""
         if self._gamma is None:
-            dg = hd.differential(self.g)  # (..., a, b, d) = d_d g_ab
+            dg = self.differential(self.g)  # (..., a, b, d) = d_d g_ab
             combo = (hd.einsum("...bda->...abd", dg) + hd.einsum("...adb->...abd", dg)
                      - dg)
             self._gamma = 0.5 * hd.einsum("...cd,...abd->...cab", self.ginv, combo)
@@ -241,7 +319,7 @@ class ChartFrame:
             gam = self.gamma
             # half[e,c,a,b] = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc; the
             # curvature endomorphism is half minus half with a and b swapped
-            half = (np.einsum("...ebca->...ecab", gam.grad)
+            half = (np.einsum("...ebca->...ecab", self.scatter(gam.grad))
                     + np.einsum("...eaf,...fbc->...ecab", gam.val, gam.val))
             up = half - np.swapaxes(half, -1, -2)
             self._riemann = -np.einsum("...de,...ecab->...abcd", self.g.val, up)
@@ -250,13 +328,20 @@ class ChartFrame:
     # -- differential operators at value level ----------------------------
 
     def divergence_of(self, X):
-        """Divergence of a vector field given as a ``(..., a)`` jet (valid grads)."""
-        return (np.einsum("...aa->...", X.grad)
+        """Divergence of a vector field given as a ``(..., a)`` jet (valid
+        grads), differentiated by slot or by axis (see :meth:`scatter`)."""
+        dX = X.grad if self._by_axis(X.grad.shape[-1]) else X.grad[..., self.axes, :]
+        return (np.einsum("...aa->...", dX)
                 + np.einsum("...aab,...b->...", self.gamma.val, X.val))
 
     def grad_field(self, f_jet):
-        """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)`` jet."""
-        return hd.einsum("...ab,...b->...a", self.ginv, hd.differential(f_jet))
+        """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)``
+        jet with the derivative slots of ``f_jet``."""
+        df, ginv = self.differential(f_jet), self.ginv
+        if df.grad.shape[-1] != ginv.grad.shape[-1]:
+            # f is differentiated along every axis, the metric along fewer
+            ginv = HyperDual(ginv.val, self.scatter(ginv.grad))
+        return hd.einsum("...ab,...b->...a", ginv, df)
 
 
 def check_positive_definite(g, points, what="metric not positive definite"):
@@ -305,9 +390,10 @@ def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1,
 
     ``axes`` (default: every axis) are the 0-based axes the integrand may
     vary along.  Only their nodes are evaluated, every other axis pinned at
-    its first node, and each value counts once per node it stands for: it
-    is repeated, not multiplied, before the exact sum, so an integrand
-    that is constant along the other axes gives the full grid's bits.
+    its first node, and each value counts once per node it stands for: the
+    exact sum takes it that many times through exact products (see
+    :func:`_repeated_fsum`), not one rounded product, so an integrand that
+    is constant along the other axes gives the full grid's bits.
     """
     if not m.closed:
         raise NonClosedChartError("integration requires all axes periodic")
@@ -329,12 +415,34 @@ def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1,
         return np.asarray(values, dtype=float) * w
 
     def total(v):
-        return math.fsum(np.repeat(v, count).tolist()) * cell
+        return _repeated_fsum(v, count) * cell
 
     acc = mapper(weighted, grid_points(m, evaluated), chunk=chunk, threads=threads)
     if isinstance(acc, dict):
         return grid, {key: total(v) for key, v in acc.items()}
     return grid, total(acc)
+
+
+def _repeated_fsum(v, count):
+    """``math.fsum`` of every value of ``v`` repeated ``count`` times,
+    without repeating them.
+
+    Each value is split (Dekker, with the constant ``2^27 + 1``) into
+    ``hi + lo`` of at most 26 significant bits each, so ``count * hi`` and
+    ``count * lo`` are exact for ``count < 2^26``, and their correctly
+    rounded sum has the bits of the repeated one.  Values that are not
+    finite, or so large or small that a split or a product could overflow
+    or lose bits, are repeated instead.
+    """
+    v = np.asarray(v, dtype=float).reshape(-1)
+    mag = np.abs(v)
+    if count == 1 or count >= 2 ** 26 or not np.all(
+            (mag < 2.0 ** 960) & ((mag == 0.0) | (mag > 2.0 ** -900))):
+        return math.fsum(np.repeat(v, count).tolist())
+    c = v * 134217729.0  # 2^27 + 1
+    hi = c - (c - v)
+    lo = v - hi
+    return math.fsum((np.concatenate([hi, lo]) * float(count)).tolist())
 
 
 def integrate(m, f, grid, chunk=DEFAULT_CHUNK, threads=1):

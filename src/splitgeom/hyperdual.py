@@ -8,16 +8,26 @@ derivatives -- no truncation error.
 
 Values may be scalars or numpy arrays of any shape: a batch of evaluation
 points ``B`` followed by tensor axes ``T``.  Then ``grad`` has shape
-``B + T + (n,)`` and ``hess`` ``B + T + (n, n)``.  Elementwise arithmetic
-combines jets of one value shape with each other and with plain numbers.
-One jet thus carries a whole tensor field with
-its derivatives (the vector forward mode of Griewank & Walther, *Evaluating
-Derivatives*, on the hyper-dual numbers of Fike & Alonso):
+``B + T + (m,)`` and ``hess`` ``B + T + (m, m)``, one slot per seeded
+direction (see below).  Elementwise arithmetic combines jets of one value
+shape with each other and with plain numbers.  One jet thus carries a
+whole tensor field with its derivatives (the vector forward mode of
+Griewank & Walther, *Evaluating Derivatives*, on the hyper-dual numbers of
+Fike & Alonso):
 
 * :func:`stack` builds a tensor jet from (nested) lists of scalar jets,
 * :func:`einsum` contracts jets and plain arrays with the product rule,
 * :func:`differential` turns the 2-jet of ``f`` into the 1-jet of all its
-  partial derivatives, the derivative index as a new last value axis.
+  partial derivatives, the derivative (slot) index as a new last value axis.
+
+Derivative slots are not coordinate axes.  :func:`seed_jets` seeds ``m``
+slots along chosen axes of an ``n``-dimensional chart, slot ``j`` along
+``axes[j]`` (by default ``m = n``, slot ``j`` along axis ``j``); every jet
+built from those coordinates carries ``m`` gradient and ``m x m`` Hessian
+slots, and its derivatives along the other axes are zero and not stored.
+This module works on slots only: :func:`differential` appends the slot
+index, not a coordinate index.  Mapping slots back to coordinates is the
+job of the code that chose the axes (:class:`~splitgeom.chart.ChartFrame`).
 
 A jet without a Hessian slot (``hess=None``) has order 1.  Value and
 gradient slots of any expression stay exact when an operand has order 1,
@@ -201,20 +211,24 @@ class HyperDual:
 
 # -- seeding and extraction ----------------------------------------------
 
-def seed_jets(points):
-    """Coordinate jets at ``points`` of shape ``(..., n)``.
+def seed_jets(points, axes=None):
+    """Coordinate jets at ``points`` of shape ``(..., n)``, differentiated
+    along ``axes`` (default: every axis), slot ``j`` along ``axes[j]``.
 
-    Returns a list of ``n`` HyperDuals, the a-th having value ``x_a``,
-    gradient ``e_a`` and zero Hessian.
+    Returns a list of ``n`` HyperDuals, the a-th having value ``x_a``, zero
+    Hessian and gradient ``e_j`` if ``a = axes[j]``, else zero.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[-1]
+    axes = list(range(n)) if axes is None else list(axes)
+    m = len(axes)
     shape = points.shape[:-1]
     out = []
     for a in range(n):
-        grad = np.zeros(shape + (n,))
-        grad[..., a] = 1.0
-        out.append(HyperDual(points[..., a], grad, np.zeros(shape + (n, n))))
+        grad = np.zeros(shape + (m,))
+        if a in axes:
+            grad[..., axes.index(a)] = 1.0
+        out.append(HyperDual(points[..., a], grad, np.zeros(shape + (m, m))))
     return out
 
 def constant_like(ref, value):
@@ -354,7 +368,8 @@ def _plan(spec, slots):
             size = {}
             for term, shape in zip(terms_in.split(","), shapes_in):
                 for ix, d in zip(term, shape):
-                    size[ix] = max(size.get(ix, 1), d)
+                    if size.get(ix, 1) == 1:  # an axis of size one broadcasts
+                        size[ix] = d
             shapes.append(tuple(size[ix] for ix in term_out))
             steps.append((inds, eq if len(inds) == 1 else _lower(eq, *shapes_in)))
         fresh = not isinstance(steps[-1][1], str)

@@ -568,31 +568,13 @@ def _key(name, key):
     return name if key == "residual" else f"{key}:{name}"
 
 
-def _check_pinned(ctx, pinned):
-    """Raise :class:`GeometryError` naming the first node of ``ctx`` where the
-    metric or frame jet moves along one of the ``pinned`` axes, which the
-    quadrature evaluates at their first node only."""
-    flat = ctx.points.reshape(-1, ctx.n)
-    for a in sorted(pinned):
-        for what, jet in (("metric", ctx.frame.g), ("frame", ctx.E)):
-            moved = (jet.grad[..., a] != 0.0) | np.any(jet.hess[..., a, :] != 0.0, axis=-1)
-            bad = np.flatnonzero(np.any(moved.reshape(len(flat), -1), axis=-1))
-            if bad.size:
-                raise GeometryError(
-                    f"the {what} varies along axis {a + 1}, which neither the metric "
-                    f"nor the frame declares, at {flat[bad[0]].tolist()}")
-
-
-def _chunk_values(scn, rows, pinned=()):
+def _chunk_values(scn, rows):
     """Chunk function: one geometry for the chunk, then the values of every
-    row (keyed by :func:`_key`) and the metric values at the chunk.  A
-    context geometry must not vary along the ``pinned`` axes."""
+    row (keyed by :func:`_key`) and the metric values at the chunk."""
     geometry = rows[0].check.geometry
 
     def eval_chunk(pts):
         geom, g = _geometry(scn, geometry, pts)
-        if pinned:
-            _check_pinned(geom.ctx, pinned)
         out = {}
         for name, check, args in rows:
             data = check.run(scn, geom, *args)
@@ -654,8 +636,10 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, thre
     sample ``points`` for the pointwise and predicate rows, one per chunk of
     the quadrature ``grid`` for the integral rows.  Integral rows on a
     context evaluate only the nodes along the axes the metric or the frame
-    reads (``depends_on``); the others hold the first node, where the
-    geometry's jets must not move along them.
+    reads (``depends_on``) and hold the others at their first node.  The
+    context differentiates along those axes only, and raises where its
+    metric or frame moves along another (see
+    :meth:`~splitgeom.chart.ChartFrame.entries`).
     """
     tols = tol or Tolerances()
     groups = {}
@@ -664,15 +648,13 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, thre
     reports, fields = {}, {}
     for (integral, geometry), group in groups.items():
         t0 = time.perf_counter()
+        eval_chunk = _chunk_values(scn, group)
         if integral:
-            every = frozenset(range(scn.chart.dim))
             axes = (scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT
-                    else every)
-            eval_chunk = _chunk_values(scn, group, every - axes)
+                    else None)
             grid, values = rectangle_rule(scn.chart, grid, eval_chunk, map_batched,
                                           chunk=chunk, threads=threads, axes=axes)
         else:
-            eval_chunk = _chunk_values(scn, group)
             values = map_batched(lambda p: eval_chunk(p)[0], points,
                                  chunk=chunk, threads=threads)
             fields.update(values)

@@ -278,8 +278,11 @@ def warped_checks(scenario, ctx):
         res_H = np.maximum(res_H, np.max(np.abs(data.H.val + ni * grad_log.val), axis=-1))
 
         div_H = ctx.divergence_values(data.H)
-        lap_u = np.sum(np.stack([u.hess[..., a, a] for a in range(n1)], axis=-1), axis=-1)
-        grad_u2 = np.sum(u.grad[..., :n1] ** 2, axis=-1)
+        # coordinate partials of u, first and second
+        du = ctx.frame.differential(u)
+        ddu = ctx.frame.scatter(du.grad)
+        lap_u = np.sum(np.stack([ddu[..., a, a] for a in range(n1)], axis=-1), axis=-1)
+        grad_u2 = np.sum(du.val[..., :n1] ** 2, axis=-1)
         rhs = -ni * lap_u / u.val - (ni * ni - ni) * grad_u2 / (u.val * u.val)
         res_div = np.maximum(res_div, np.abs(div_H - rhs))
 

@@ -252,7 +252,13 @@ class FundamentalData:
 
 
 class SplitContext:
-    """All split-dependent quantities of a scenario at a batch of points."""
+    """All split-dependent quantities of a scenario at a batch of points.
+
+    With a spanning frame, jets are differentiated only along the axes the
+    metric or the frame reads (``chart.depends_on | split.depends_on``; see
+    :class:`~splitgeom.chart.ChartFrame`); ``frame_values`` give a
+    value-only context on every axis.
+    """
 
     def __init__(self, chart, split, points, frame_values=None):
         if split.n != chart.dim:
@@ -260,7 +266,8 @@ class SplitContext:
                 f"split dimensions sum to {split.n}, chart dimension is {chart.dim}")
         self.chart = chart
         self.split = split
-        self.frame = ChartFrame(chart, points)
+        axes = None if frame_values is not None else chart.depends_on | split.depends_on
+        self.frame = ChartFrame(chart, points, axes)
         self.points = self.frame.points
         self.n = chart.dim
         self.k = split.k
@@ -276,7 +283,7 @@ class SplitContext:
             if split.frame is None:
                 raise GeometryError("split structure has no spanning frame")
             # a constant frame stays a plain array: its derivative terms vanish
-            raw = hd.stack(split.frame(self.frame.coords))
+            raw = hd.stack(self.frame.entries(split.frame, "frame"))
             g = self.frame.g
         check_positive_definite(self.frame.g.val, self.points)
         self.E = gram_schmidt(g, raw, self.points,
@@ -315,7 +322,7 @@ class SplitContext:
             raise GeometryError("covariant derivatives need a jet-capable frame")
         if self._cov is None:
             fr, E = self.frame, self.E
-            dE = hd.differential(E)  # (..., b, d, x) = d_x E_b^d
+            dE = fr.differential(E)  # (..., b, d, x) = d_x E_b^d
             # coordinate components (..., a, b, d) of nabla_{E_a} E_b
             nabla = (hd.einsum("...ax,...bdx->...abd", E, dE)
                      + hd.einsum("...dxy,...ax,...by->...abd", fr.gamma, E, E))
@@ -340,8 +347,11 @@ class SplitContext:
         dT = np.swapaxes(d.val, -3, -2)
         h_frame = 0.5 * (d.val + dT)
         t_frame = 0.5 * (d.val - dT)
-        # the trace of h_q, expanded in the complement frame
-        H = hd.einsum("...aac,...cd->...d", d, self.E[..., perp_idx, :])
+        # the trace of h_q, expanded in the complement frame; d has order 1,
+        # so the complement frame's Hessian is not read
+        E = self.E
+        perp = hd.HyperDual(E.val[..., perp_idx, :], E.grad[..., perp_idx, :, :])
+        H = hd.einsum("...aac,...cd->...d", d, perp)
         H_frame = np.einsum("...aac->...c", d.val)
 
         # ordered-pair norm convention
@@ -423,7 +433,8 @@ class SplitContext:
             q = SubsetIndex(q)
         E = self.E_val[..., self.split.block_indices(q), :]
         # nabla[d, c] = d_c X^d + Gamma^d_ce X^e
-        nabla = X.grad + np.einsum("...dce,...e->...dc", self.frame.gamma.val, X.val)
+        nabla = (self.frame.scatter(X.grad)
+                 + np.einsum("...dce,...e->...dc", self.frame.gamma.val, X.val))
         # sum over a in q of <nabla_{E_a} X, E_a>
         return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, self.frame.g.val, E,
                          optimize=True)

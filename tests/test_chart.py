@@ -20,6 +20,7 @@ from splitgeom.chart import (
     rectangle_rule,
     sample_points,
 )
+from splitgeom.chart import _repeated_fsum
 
 TWO_PI = 2 * math.pi
 
@@ -187,6 +188,33 @@ def test_divergence_trivial_fields():
     np.testing.assert_allclose(frame.divergence_of(linear), 1.0, rtol=1e-14)
 
 
+def test_narrow_frame_takes_fields_by_axis_and_by_slot():
+    # the metric reads x1 only: the narrow frame seeds that one axis, but a
+    # field built from its coords keeps the partials along x2 and x3
+    m = ChartManifold([Axis(0.0, TWO_PI)] * 3,
+                      [["1", "0", "0"], ["0", "(2 + sin(x1))^2", "0"], ["0", "0", "1"]])
+    pts = sample_points(m, 9, np.random.default_rng(8))
+    narrow, full = ChartFrame(m, pts, axes=[0]), ChartFrame(m, pts)
+    assert narrow.g.grad.shape[-1] == 1 and narrow.coords[1].grad.shape[-1] == 3
+
+    def field(x):
+        return hd.stack([hd.sin(x[1]) * hd.cos(x[2]), x[0] * hd.cos(x[1]), hd.sin(x[0] + x[2])])
+
+    np.testing.assert_allclose(narrow.divergence_of(field(narrow.coords)),
+                               full.divergence_of(field(full.coords)), rtol=1e-14, atol=1e-14)
+    f = hd.sin(narrow.coords[1]) * narrow.coords[0]
+    got, want = narrow.grad_field(f), full.grad_field(hd.sin(full.coords[1]) * full.coords[0])
+    np.testing.assert_allclose(got.val, want.val, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(got.grad, want.grad, rtol=1e-14, atol=1e-14)
+    # a field of the geometry's own jets is differentiated by slot
+    got = narrow.divergence_of(narrow.grad_field(narrow.g[..., 1, 1]))
+    want = full.divergence_of(full.grad_field(full.g[..., 1, 1]))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    two = hd.stack(list(hd.seed_jets(pts, axes=[0, 1])))
+    with pytest.raises(GeometryError, match="2 derivative slots"):
+        narrow.divergence_of(two)
+
+
 def test_sphere_laplacian_l1_eigenfunction():
     # oracle: on the unit sphere, Div grad(cos θ) = -2 cos θ (l=1 mode)
     m = sphere_chart()
@@ -298,6 +326,29 @@ def test_rectangle_rule_over_declared_axes_gives_the_full_grid_bits():
     reduced = rectangle_rule(m, [24, 6], integrand, map_batched, axes={0})
     assert reduced == full and reduced[0] == [24, 6]
     assert seen == [144, 24]
+
+
+@pytest.mark.parametrize("count", [1, 3, 6, 150, 4097])
+def test_repeated_sum_has_the_bits_of_the_repeated_values(count):
+    rng = np.random.default_rng(count)
+    for trial in range(40):
+        v = rng.normal(size=37) * 10.0 ** rng.integers(-12, 12, size=37)
+        if trial % 2:
+            # near-cancelling pairs: the sum is far below its terms
+            v = np.concatenate([v, -v * (1.0 + 1e-15 * rng.normal(size=v.size))])
+        want = math.fsum(np.repeat(v, count).tolist())
+        assert _repeated_fsum(v, count) == want
+
+
+@pytest.mark.parametrize("v", [
+    [1e300, -1e300, 3.0, 2.0 ** 1000],   # a split would overflow
+    [1e-300, 3.0, -1e-300],              # a split could lose bits
+    [1.0, math.inf], [1.0, -math.inf], [1.0, math.nan],
+])
+def test_repeated_sum_falls_back_to_repeating(v):
+    want = math.fsum(np.repeat(v, 7).tolist())
+    got = _repeated_fsum(np.array(v), 7)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_integrate_rejects_non_positive_volume_element():

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from splitgeom import cli, hyperdual, identities
+from splitgeom import cli, hyperdual, identities, splitting
 from splitgeom.cli import main
 
 
@@ -243,6 +243,38 @@ def test_full_catalog_reports_identical_at_one_and_two_threads(tmp_path, monkeyp
         assert run(["verify", "--all", "--seed", "12345", "--threads", threads,
                     "--out", str(outs[-1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_split_context_jets_carry_one_slot_per_axis_read(tmp_path, monkeypatch):
+    pending, narrow = [], []
+
+    def check(ctx):
+        # every jet a jet-capable context built, after the checks that read
+        # it; a context given frame values differentiates along every axis
+        if ctx._value_only:
+            return
+        m = len(ctx.chart.depends_on | ctx.split.depends_on)
+        fr = ctx.frame
+        jets = [fr._g, fr._ginv, fr._gamma, ctx.E, ctx._cov] + [
+            d.H for d in ctx._fund.values()]
+        for jet in jets:
+            if isinstance(jet, hyperdual.HyperDual):
+                assert jet.grad.shape[-1] <= m
+        narrow.append(m < ctx.n)
+
+    init = splitting.SplitContext.__init__
+
+    def recording(self, *args, **kwargs):
+        while pending:
+            check(pending.pop())
+        init(self, *args, **kwargs)
+        pending.append(self)
+
+    monkeypatch.setattr(splitting.SplitContext, "__init__", recording)
+    assert run(["verify", "--all", "--seed", "1", "--out", str(tmp_path / "all.json")]) == 0
+    while pending:
+        check(pending.pop())
+    assert any(narrow)
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -520,6 +552,12 @@ def test_undeclared_frame_axis_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "full_catalog", lambda: {"lying": lying})
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": "lying"}, "lying")
+    assert code == 2
+    assert report is None and "Traceback" not in err
+    assert "frame varies along axis 1" in err
+    # an integral-only check names the first quadrature node, the origin
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": "lying", "identities": ["ck2_k3_display"]}, "lying")
     assert code == 2
     assert report is None and "Traceback" not in err
     assert "frame varies along axis 1" in err and "at [0.0, 0.0, 0.0]" in err

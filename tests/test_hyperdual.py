@@ -131,6 +131,39 @@ def test_hessian_symmetry_random():
         np.testing.assert_array_equal(j.hess, np.swapaxes(j.hess, -1, -2))
 
 
+def test_seed_jets_along_chosen_axes_are_the_slices_of_every_axis():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(6, 3))
+
+    def f(x):
+        return hd.sin(x[2] * x[0]) + x[0] * x[0] * hd.exp(x[2])
+
+    every = f(seed_jets(pts))
+    for axes in ([2, 0], [0, 2], [1], []):
+        xs = seed_jets(pts, axes)
+        assert all(x.grad.shape == (6, len(axes)) and x.hess.shape == (6, len(axes), len(axes))
+                   for x in xs)
+        if axes:
+            j = f(xs)
+            np.testing.assert_array_equal(j.val, every.val)
+            np.testing.assert_array_equal(j.grad, every.grad[..., axes])
+            np.testing.assert_array_equal(j.hess, every.hess[..., axes, :][..., axes])
+
+
+def test_einsum_of_jets_with_no_slots():
+    # a metric seeded along no axis, between plain frames (as for a
+    # constant metric and frame): the result has no slots either
+    rng = np.random.default_rng(4)
+    x = seed_jets(rng.uniform(-1.0, 1.0, size=(5, 3)), axes=[])[0]
+    A = rng.normal(size=(3, 3))
+    g = hd.stack([[hd.as_jet(v, x) for v in row] for row in A @ A.T + 3.0 * np.eye(3)])
+    F = rng.normal(size=(5, 3, 3))
+    H = hd.einsum("...va,...ab,...wb->...vw", F, g, F)
+    np.testing.assert_allclose(H.val, np.einsum("...va,...ab,...wb->...vw", F, g.val, F),
+                               rtol=1e-14)
+    assert H.grad.shape == (5, 3, 3, 0) and H.hess.shape == (5, 3, 3, 0, 0)
+
+
 def test_differential_gives_first_order_jet():
     x = seed_jets(np.array([0.4, 1.1]))
     f = hd.sin(x[0]) * x[1]  # df/dx0 = cos(x0)*x1

@@ -1,13 +1,14 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splitgeom import identities
-from splitgeom.chart import (Axis, ChartManifold, GeometryError, NonClosedChartError,
-                             sample_points)
+from splitgeom import identities, splitting
+from splitgeom.chart import (Axis, ChartFrame, ChartManifold, GeometryError,
+                             NonClosedChartError, rectangle_rule, sample_points)
 from splitgeom.identities import (
     CHECKS,
     INTEGRAL,
@@ -325,8 +326,9 @@ def test_reduced_quadrature_matches_full_grid(name, monkeypatch):
     for grid in (scn.meta["integral_grid"], ODD_GRIDS[n]):
         reduced = [r.to_dict() for r in run_checks(scn, rows, None, grid)[0]]
         with monkeypatch.context() as m:
-            m.setattr(scn.chart, "depends_on", every)
-            m.setattr(scn.split, "depends_on", every)
+            # every node of the grid, on contexts seeded along the same axes
+            m.setattr(identities, "rectangle_rule",
+                      lambda *args, axes, **kw: rectangle_rule(*args, **kw))
             full = [r.to_dict() for r in run_checks(scn, rows, None, grid)[0]]
         assert reduced == full, grid
 
@@ -357,6 +359,49 @@ def test_undeclared_frame_axis_raises(twist):
         integral_checks_batch(scn.chart, scn.split, [8, 8, 8], ["main"])
     # a split without a frame reads every axis
     assert SplitStructure(scn.dims).depends_on == {0, 1, 2}
+
+
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()))
+def test_seeded_axes_give_the_fields_of_every_axis(name, monkeypatch):
+    scn = kproduct_catalog()[name]()
+    rows = select_checks(scn)
+    pts = scn.sample(64, np.random.default_rng(22))
+    grid = scn.meta["integral_grid"]
+    seeded, fields = run_checks(scn, rows, pts, grid)
+    # the same checks on contexts differentiated along every axis
+    monkeypatch.setattr(splitting, "ChartFrame",
+                        lambda chart, points, axes=None: ChartFrame(chart, points))
+    every, reference = run_checks(scn, rows, pts, grid)
+    assert [r.verdict for r in seeded] == [r.verdict for r in every]
+    assert fields.keys() == reference.keys()
+    for row in rows:
+        scale = 1.0 + reference.get(f"max_term:{row.name}", 0.0)
+        for key in (k for k in reference if k == row.name or k.endswith(":" + row.name)):
+            assert np.all(np.abs(fields[key] - reference[key]) <= 1e-14 * scale), key
+    # integrals agree to roundoff of their normalizer
+    for got, want in zip(seeded, every):
+        if want.kind != INTEGRAL:
+            continue
+        assert got.identity == want.identity and got.grid == want.grid
+        assert got.normalizer == pytest.approx(want.normalizer, rel=1e-14)
+        for key in ("integral_value", "stokes_value"):
+            diff = abs(getattr(got, key) - getattr(want, key))
+            assert diff <= 1e-14 * want.normalizer, (want.identity, key)
+        for key in ("integral_ratio", "stokes_ratio"):
+            assert abs(getattr(got, key) - getattr(want, key)) <= 1e-14, (want.identity, key)
+
+
+@pytest.mark.parametrize("twist", ["sin(x1)", "cos(x1)"])
+def test_pointwise_fields_refuse_a_frame_moving_along_an_unseeded_axis(twist):
+    # cos(x1) has a zero first derivative at the first point: the second
+    # derivatives of the frame show it
+    scn = build_twisted_torus((1, 1, 1), twist=twist)
+    scn.split.depends_on = frozenset({2})
+    pts = scn.sample(5, np.random.default_rng(23))
+    pts[0, 0] = 0.0
+    message = r"frame varies along axis 1, .* at " + re.escape(str(pts[0].tolist()))
+    with pytest.raises(GeometryError, match=message):
+        pointwise_fields(scn.chart, scn.split, pts, ["main"])
 
 
 def test_readme_table_lists_every_report_name():

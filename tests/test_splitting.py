@@ -552,13 +552,27 @@ def test_cholesky_frame_matches_sequential_gram_schmidt(n):
 @pytest.mark.parametrize("name", sorted(kproduct_catalog()))
 def test_frame_jet_is_exactly_zero_along_held_axes(name):
     scn = kproduct_catalog()[name]()
-    ctx = SplitContext(scn.chart, scn.split, scn.sample(12, np.random.default_rng(21)))
-    held = set(range(scn.chart.dim)) - (scn.chart.depends_on | scn.split.depends_on)
+    pts = scn.sample(12, np.random.default_rng(21))
+    ctx = SplitContext(scn.chart, scn.split, pts)
+    seeded = sorted(scn.chart.depends_on | scn.split.depends_on)
+    held = set(range(scn.chart.dim)) - set(seeded)
     assert held
+    # the context's jets carry one slot per seeded axis
+    m = len(seeded)
+    assert ctx.frame.axes == seeded
+    assert ctx.E.grad.shape[-1] == m and ctx.E.hess.shape[-2:] == (m, m)
+    assert ctx.frame.g.grad.shape[-1] == m
+    # differentiated along every axis, the frame does not move along the held ones
+    full = ChartFrame(scn.chart, pts)
+    E = gram_schmidt(full.g, hd.stack(scn.split.frame(full.coords)), pts)
     for a in held:
-        assert np.all(ctx.E.grad[..., a] == 0.0)
-        assert np.all(ctx.E.hess[..., a, :] == 0.0)
-        assert np.all(ctx.E.hess[..., :, a] == 0.0)
+        assert np.all(E.grad[..., a] == 0.0)
+        assert np.all(E.hess[..., a, :] == 0.0)
+        assert np.all(E.hess[..., :, a] == 0.0)
+    # and along the seeded ones it moves as the context's slots say
+    np.testing.assert_allclose(ctx.E.grad, E.grad[..., seeded], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ctx.E.hess, E.hess[..., seeded, :][..., seeded],
+                               rtol=0, atol=1e-13)
 
 
 def test_non_spd_metric_names_its_point():
