@@ -5,7 +5,9 @@ periodic or not) carrying a Riemannian metric given entrywise by closed-form
 expressions.  All derived quantities come from exact jets of the metric:
 
 * Christoffel symbols ``Gamma^c_ab`` carry exact first derivatives,
-* the curvature tensor is produced at value level,
+* sectional curvatures of frame planes (:meth:`ChartFrame.sectional`) are
+  contracted from the Christoffel jet; the full curvature tensor
+  (:attr:`ChartFrame.riemann`) is their value-level reference,
 * divergences of jet-valued vector fields read the gradient slot directly.
 
 Curvature orientation: ``riemann[a,b,c,d]`` is normalised so that on a space
@@ -188,8 +190,9 @@ class ChartFrame:
     """Cached jet data of a chart at a batch of points.
 
     Exposes the metric ``g`` (order 2), its inverse and the Christoffel
-    symbols (order 1) as tensor jets with exact gradients, plus the
-    curvature tensor at value level.  Shared by the splitting machinery so
+    symbols (order 1) as tensor jets with exact gradients, plus sectional
+    curvatures of frame planes and, as their reference, the curvature tensor
+    at value level.  Shared by the splitting machinery so
     that every identity evaluated at the same points reuses one set of
     metric derivatives.
 
@@ -324,6 +327,25 @@ class ChartFrame:
             up = half - np.swapaxes(half, -1, -2)
             self._riemann = -np.einsum("...de,...ecab->...abcd", self.g.val, up)
         return self._riemann
+
+    def sectional(self, E):
+        """``K[..., x, y] = R(E_x, E_y, E_x, E_y)`` for the rows of the values
+        ``E`` ``(..., v, a)``, oriented as :attr:`riemann`, contracted from the
+        Christoffel jet in O(m n^4) for ``m`` seeded axes, not O(n^5): with
+        ``F = E g``, ``P[u,v,e] = Gamma^e_bc E_u^b E_v^c``, ``Q[x,y,f] =
+        Gamma^e_af E_x^a F_ye`` and ``A[s,u,v,w] = d_s Gamma^e_bc E_u^b E_v^c
+        F_we`` (``s`` a seeded slot), ``-K[x,y] = E_x^s A[s,y,x,y] - E_y^s
+        A[s,x,x,y] + Q[x,y,f] P[y,x,f] - Q[y,y,f] P[x,x,f]``."""
+        gam = self.gamma
+        F = hd.einsum("...va,...ab->...vb", E, self.g.val)
+        P = hd.einsum("...ebc,...ub,...vc->...uve", gam.val, E, E)
+        Q = hd.einsum("...eaf,...xa,...ye->...xyf", gam.val, E, F)
+        A = hd.einsum("...ebcs,...ub,...vc,...we->...suvw", gam.grad, E, E, F)
+        Es = E[..., self.axes]
+        return -(np.einsum("...xs,...syxy->...xy", Es, A)
+                 - np.einsum("...ys,...sxxy->...xy", Es, A)
+                 + np.einsum("...xyf,...yxf->...xy", Q, P)
+                 - np.einsum("...yyf,...xxf->...xy", Q, P))
 
     # -- differential operators at value level ----------------------------
 

@@ -558,7 +558,7 @@ def _geometry(scn, geometry, pts):
     """The ``geometry`` of ``scn`` at ``pts`` and the metric values there."""
     if geometry == CONTEXT:
         ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
-        return ev, ev.ctx.frame.g.val
+        return ev, ev.ctx.g_val
     if geometry == BUNDLE:
         return principal_bundle(scn, pts), None   # no integral reads a bundle
     return pts, scn.chart.metric_values(pts)

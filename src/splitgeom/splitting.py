@@ -18,7 +18,7 @@ distribution, and so on).
   (trace of ``h_q``, expanded in the orthogonal complement) and their squared
   norms, summed over ordered orthonormal argument pairs,
 * the sectional curvature matrix of frame planes and its block sums,
-* divergences restricted to the frame blocks of a subset.
+* divergences of vector jets.
 
 The squared-norm convention counts ordered pairs: ``|h_q|^2`` sums the
 squared frame components over all ordered pairs ``(a, b)`` of arguments and
@@ -278,14 +278,16 @@ class SplitContext:
 
         if frame_values is not None:
             raw = np.asarray(frame_values, dtype=float)
-            g = self.frame.g.val
+            # the metric jet is built only when a curvature asks for it
+            g = self.g_val = chart.metric_values(self.points)
         else:
             if split.frame is None:
                 raise GeometryError("split structure has no spanning frame")
             # a constant frame stays a plain array: its derivative terms vanish
             raw = hd.stack(self.frame.entries(split.frame, "frame"))
             g = self.frame.g
-        check_positive_definite(self.frame.g.val, self.points)
+            self.g_val = g.val
+        check_positive_definite(self.g_val, self.points)
         self.E = gram_schmidt(g, raw, self.points,
                               [split.block(i) for i in range(1, self.k + 1)])
 
@@ -296,18 +298,10 @@ class SplitContext:
         """Adapted frame values ``(..., v, a)``: row ``v`` is ``E_v``."""
         return hd.value_of(self.E)
 
-    def orthonormality_residual(self):
-        g = self.frame.g.val
-        E = self.E_val
-        gram = np.einsum("...va,...ab,...wb->...vw", E, g, E)
-        eye = np.eye(self.n)
-        return np.max(np.abs(gram - eye))
-
     def projectors(self):
         """Value-level orthoprojector matrices ``P_i``, shape ``(..., k, n, n)``."""
-        g = self.frame.g.val
         E = self.E_val
-        flat = np.einsum("...ab,...vb->...va", g, E)  # lowered frame vectors
+        flat = np.einsum("...ab,...vb->...va", self.g_val, E)  # lowered frame vectors
         out = np.zeros(self.points.shape[:-1] + (self.k, self.n, self.n))
         for i in range(1, self.k + 1):
             for a in self.split.block(i):
@@ -370,7 +364,7 @@ class SplitContext:
         return self.fundamental(q).H.val
 
     def inner_values(self, u_vals, v_vals):
-        return np.einsum("...ab,...a,...b->...", self.frame.g.val, u_vals, v_vals)
+        return np.einsum("...ab,...a,...b->...", self.g_val, u_vals, v_vals)
 
     def cross_block_sup(self, q):
         """Per-point sup of ``|h_q|`` and ``|T_q|`` components over argument
@@ -388,10 +382,7 @@ class SplitContext:
         """``K[..., a, b] = R(E_a, E_b, E_a, E_b)``: the sectional curvature of
         every frame plane (cached); the curvature sums below add its blocks."""
         if self._K is None:
-            E = self.E_val
-            # two three-operand stages instead of one five-operand loop
-            Q = hd.einsum("...abcd,...xa,...xc->...xbd", self.frame.riemann, E, E)
-            self._K = hd.einsum("...xbd,...yb,...yd->...xy", Q, E, E)
+            self._K = self.frame.sectional(self.E_val)
         return self._K
 
     def _block_sum(self, rows, cols):
@@ -425,19 +416,6 @@ class SplitContext:
 
     def divergence_values(self, X):
         return self.frame.divergence_of(X)
-
-    def partial_divergence(self, q, X):
-        """``Div_q X`` of a ``(..., a)`` vector jet: the frame-block part of
-        the divergence, at value level."""
-        if isinstance(q, tuple):
-            q = SubsetIndex(q)
-        E = self.E_val[..., self.split.block_indices(q), :]
-        # nabla[d, c] = d_c X^d + Gamma^d_ce X^e
-        nabla = (self.frame.scatter(X.grad)
-                 + np.einsum("...dce,...e->...dc", self.frame.gamma.val, X.val))
-        # sum over a in q of <nabla_{E_a} X, E_a>
-        return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, self.frame.g.val, E,
-                         optimize=True)
 
 
 def pair_predicates(ctx, i, j, tol=1e-9):

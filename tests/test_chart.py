@@ -75,6 +75,8 @@ def test_sphere_sectional_curvature_is_plus_one():
     e2 = np.array([0.0, 1.0 / math.sin(p[0])])
     K = np.einsum("abcd,a,b,c,d->", data.riemann, e1, e2, e1, e2)
     assert abs(K - 1.0) <= 1e-12
+    np.testing.assert_allclose(data.sectional(np.array([e1, e2])), [[0, 1], [1, 0]],
+                               rtol=0, atol=1e-12)
 
     # off-equator too
     p = np.array([1.1, 2.0])
@@ -82,6 +84,8 @@ def test_sphere_sectional_curvature_is_plus_one():
     e2 = np.array([0.0, 1.0 / math.sin(p[0])])
     K = np.einsum("abcd,a,b,c,d->", data.riemann, e1, e2, e1, e2)
     assert abs(K - 1.0) <= 1e-10
+    np.testing.assert_allclose(data.sectional(np.array([e1, e2])), [[0, 1], [1, 0]],
+                               rtol=0, atol=1e-10)
 
 
 def test_revolution_surface_curvature_matches_u_ratio():
@@ -95,10 +99,14 @@ def test_revolution_surface_curvature_matches_u_ratio():
         e2 = np.array([0.0, 1.0 / u])
         K = np.einsum("abcd,a,b,c,d->", data.riemann, e1, e2, e1, e2)
         assert abs(K - (math.sin(t) / u)) <= 1e-12  # -u''/u with u'' = -sin t
+        np.testing.assert_allclose(data.sectional(np.array([e1, e2])),
+                                   [[0, math.sin(t) / u], [math.sin(t) / u, 0]],
+                                   rtol=0, atol=1e-12)
     # spec spot value: t=0 gives exactly 0
     data = ChartFrame(m, np.array([0.0, 0.1]))
     K = data.riemann[0, 1, 0, 1] / (2 + math.sin(0.0)) ** 2
     assert abs(K) <= 1e-14
+    assert abs(data.sectional(np.array([[1.0, 0.0], [0.0, 0.5]]))[0, 1]) <= 1e-14
 
 
 def test_riemann_symmetries_and_bianchi():
@@ -140,8 +148,12 @@ def test_christoffel_and_riemann_match_symbolic_oracle():
     f_gam = sp.lambdify(x, gam, "math", cse=True)
     f_dgam = sp.lambdify(x, dgam, "math", cse=True)
 
-    pts = np.random.default_rng(21).uniform(0.0, TWO_PI, size=(4, n))
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(0.0, TWO_PI, size=(4, n))
     frame = ChartFrame(ChartManifold([Axis(0.0, TWO_PI)] * n, src), pts)
+    # rows that are not orthonormal read the whole biquadratic form
+    rows = rng.uniform(-1.0, 1.0, size=(4, n + 1, n))
+    K = frame.sectional(rows)
     for i, p in enumerate(pts):
         g = np.array(f_g(*p), dtype=float)
         Gam = np.array(f_gam(*p), dtype=float)     # Gam[c, a, b] = Gamma^c_ab
@@ -157,6 +169,27 @@ def test_christoffel_and_riemann_match_symbolic_oracle():
         np.testing.assert_allclose(frame.gamma.val[i], Gam, rtol=0, atol=1e-12)
         np.testing.assert_allclose(frame.gamma.grad[i], dGam, rtol=0, atol=1e-12)
         np.testing.assert_allclose(frame.riemann[i], want, rtol=0, atol=1e-12)
+        E = rows[i]
+        np.testing.assert_allclose(K[i], np.einsum("abcd,xa,yb,xc,yd->xy", want, E, E, E, E),
+                                   rtol=0, atol=1e-12)
+
+
+def test_sectional_on_seeded_axes_matches_every_axis():
+    # the metric reads x1 only: a frame seeded on that axis alone contracts
+    # the same curvature as one seeded on all three
+    m = ChartManifold([Axis(0.0, TWO_PI)] * 3,
+                      [["1", "0.3*sin(x1)", "0"],
+                       ["0.3*sin(x1)", "(2 + sin(x1))^2", "0"],
+                       ["0", "0", "(2 + 0.5*cos(x1))^2"]])
+    rng = np.random.default_rng(5)
+    pts = sample_points(m, 12, rng)
+    rows = rng.uniform(-1.0, 1.0, size=(12, 3, 3))
+    seeded = ChartFrame(m, pts, axes=[0])
+    full = ChartFrame(m, pts)
+    assert seeded.gamma.grad.shape[-1] == 1
+    want = full.sectional(rows)
+    np.testing.assert_allclose(seeded.sectional(rows), want, rtol=0,
+                               atol=1e-14 * (1.0 + np.max(np.abs(want))))
 
 
 def test_non_spd_metric_rejected():

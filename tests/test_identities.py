@@ -22,6 +22,7 @@ from splitgeom.identities import (
     select_checks,
     select_identities,
 )
+from splitgeom.hypersurface import hypersurface_catalog
 from splitgeom.scenarios import build_twisted_torus, kproduct_catalog
 from splitgeom.splitting import (SplitContext, SplitStructure, SubsetIndex,
                                  coordinate_split, subsets)
@@ -389,6 +390,23 @@ def test_seeded_axes_give_the_fields_of_every_axis(name, monkeypatch):
             assert diff <= 1e-14 * want.normalizer, (want.identity, key)
         for key in ("integral_ratio", "stokes_ratio"):
             assert abs(getattr(got, key) - getattr(want, key)) <= 1e-14, (want.identity, key)
+
+
+@pytest.mark.parametrize("name", ["warped_t5_k3_multi", "torus_revolution"])
+def test_checks_never_build_the_curvature_tensor(name, monkeypatch):
+    # the identities read sectional curvatures contracted from the
+    # Christoffel jet; the full tensor is a test reference only
+    scn = {**kproduct_catalog(), **hypersurface_catalog()}[name]()
+
+    def refuse(frame):
+        raise AssertionError("ChartFrame.riemann built on the verify path")
+
+    monkeypatch.setattr(ChartFrame, "riemann", property(refuse))
+    rows = select_checks(scn)
+    assert name != "torus_revolution" or "kmix_pairs" in [row.name for row in rows]
+    reports, _ = run_checks(scn, rows, scn.sample(32, np.random.default_rng(26)),
+                            scn.meta.get("integral_grid", 16))
+    assert reports and all(r.verdict == "pass" for r in reports)
 
 
 @pytest.mark.parametrize("twist", ["sin(x1)", "cos(x1)"])

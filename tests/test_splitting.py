@@ -7,6 +7,7 @@ import pytest
 from splitgeom import hyperdual as hd
 from splitgeom.chart import Axis, ChartFrame, ChartManifold, GeometryError, sample_points
 from splitgeom.expr import evaluate, parse_expr, variables
+from splitgeom.hypersurface import hypersurface_catalog, principal_bundle
 from splitgeom.identities import pointwise_fields
 from splitgeom.scenarios import (
     WarpedSpec,
@@ -73,11 +74,18 @@ def test_adapted_frame_euclidean_identity():
     np.testing.assert_allclose(ctx.E_val, np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-15)
 
 
+def orthonormality_residual(ctx):
+    """Largest entry of ``E g E^T - I`` over the points of ``ctx``."""
+    E = ctx.E_val
+    gram = np.einsum("...va,...ab,...wb->...vw", E, ctx.frame.g.val, E)
+    return np.max(np.abs(gram - np.eye(ctx.n)))
+
+
 def test_twisted_frame_orthonormality_and_projectors():
     scn = build_twisted_torus((1, 1, 1))
     pts = scn.sample(40, np.random.default_rng(1))
     ctx = SplitContext(scn.chart, scn.split, pts)
-    assert ctx.orthonormality_residual() <= 1e-13
+    assert orthonormality_residual(ctx) <= 1e-13
 
     P = ctx.projectors()
     eye = np.eye(3)
@@ -294,6 +302,18 @@ def test_smix_lemma_pair_splits():
         assert np.max(np.abs(2.0 * ctx.smix() - total)) <= 1e-10
 
 
+def partial_divergence(ctx, q, X):
+    """``Div_q X`` of a ``(..., a)`` vector jet: the part of the divergence
+    along the frame blocks of the subset ``q``, summed over ``a`` in ``q`` of
+    ``<nabla_{E_a} X, E_a>``, at value level."""
+    E = ctx.E_val[..., ctx.split.block_indices(q), :]
+    # nabla[d, c] = d_c X^d + Gamma^d_ce X^e
+    nabla = (ctx.frame.scatter(X.grad)
+             + np.einsum("...dce,...e->...dc", ctx.frame.gamma.val, X.val))
+    return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, ctx.frame.g.val, E,
+                     optimize=True)
+
+
 def test_partial_divergence_consistency():
     scn = kproduct_catalog()["warped_t3_k3"]()
     m, split = scn.chart, scn.split
@@ -307,13 +327,13 @@ def test_partial_divergence_consistency():
 
     ctx = SplitContext(m, split, pts)
     comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
-    full = ctx.partial_divergence(SubsetIndex((1, 2, 3)), comps)
+    full = partial_divergence(ctx, SubsetIndex((1, 2, 3)), comps)
     cf = ChartFrame(m, pts)
     coord_formula = cf.divergence_of(hd.stack(field(cf.coords), ref=cf.coords[0]))
     np.testing.assert_allclose(full, coord_formula, atol=1e-10)
 
-    part_a = ctx.partial_divergence(SubsetIndex((1,)), comps)
-    part_b = ctx.partial_divergence(SubsetIndex((2, 3)), comps)
+    part_a = partial_divergence(ctx, SubsetIndex((1,)), comps)
+    part_b = partial_divergence(ctx, SubsetIndex((2, 3)), comps)
     np.testing.assert_allclose(part_a + part_b, coord_formula, atol=1e-10)
 
 
@@ -327,7 +347,7 @@ def test_partial_divergence_mean_curvature_identity():
             q = SubsetIndex((i,))
             data = ctx.fundamental(q)
             div_full = ctx.divergence_values(data.H)
-            div_comp = ctx.partial_divergence(q.complement(scn.k), data.H)
+            div_comp = partial_divergence(ctx, q.complement(scn.k), data.H)
             np.testing.assert_allclose(div_comp, div_full + data.H_norm2, atol=1e-9)
 
 
@@ -348,9 +368,39 @@ def test_divergence_frame_independence():
             return out
 
         comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
-        frame_sum = ctx.partial_divergence(SubsetIndex((1, 2, 3)), comps)
+        frame_sum = partial_divergence(ctx, SubsetIndex((1, 2, 3)), comps)
         coord = ctx.divergence_values(comps)
         assert np.max(np.abs(frame_sum - coord)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()) + sorted(hypersurface_catalog()))
+def test_sectional_matches_the_curvature_tensor(name):
+    # the Christoffel-jet contraction against the full tensor, on split
+    # contexts and on the value-only contexts of hypersurface bundles
+    builders = {**kproduct_catalog(), **hypersurface_catalog()}
+    scn = builders[name]()
+    pts = scn.sample(16, np.random.default_rng(24))
+    if scn.kind == "hypersurface":
+        ctx = principal_bundle(scn, pts)["context"]
+    else:
+        ctx = SplitContext(scn.chart, scn.split, pts)
+    E = ctx.E_val
+    want = np.einsum("...abcd,...xa,...yb,...xc,...yd->...xy", ctx.frame.riemann, E, E, E, E)
+    assert np.max(np.abs(ctx.sectional - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+
+def test_value_only_context_reads_metric_values():
+    # a value-only context builds no metric jet until a curvature asks for one
+    scn = build_twisted_torus((1, 1, 1))
+    pts = scn.sample(8, np.random.default_rng(25))
+    ctx = SplitContext(scn.chart, SplitStructure(scn.dims), pts,
+                       frame_values=np.broadcast_to(np.eye(3), (8, 3, 3)))
+    P = ctx.projectors()
+    assert ctx.frame._g is None
+    np.testing.assert_allclose(P.sum(axis=-3), np.broadcast_to(np.eye(3), (8, 3, 3)),
+                               atol=1e-12)
+    ctx.smix()
+    assert ctx.frame._g is not None
 
 
 def test_pair_predicates():
