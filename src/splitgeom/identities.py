@@ -50,10 +50,12 @@ these identities, the warped-product closed forms, propagation and
 umbilicity predicates, and the hypersurface checks.  Each row gives the
 report kind (pointwise, integral, predicate), the :class:`Tolerances` field
 of its gate, the scenarios it applies to and the geometry it reads (a
-``SplitContext``, a principal bundle or the quadrature nodes).  Name
-parsing, filters, the default lists and every check path read it, and
-:func:`run_checks` evaluates the rows that read one geometry from one
-geometry per chunk of points.
+``SplitContext``, a principal bundle or the quadrature nodes).  One
+resolver, :func:`select_checks`, turns report names into rows of it, and one
+evaluator, :func:`run_checks`, evaluates the rows that read one geometry
+from one geometry per chunk of points.  ``verify`` and the adapters
+:func:`pointwise_fields`, :func:`integral_checks_batch` and
+:func:`available_identities` read the table through them alone.
 """
 
 from __future__ import annotations
@@ -63,14 +65,13 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .chart import DEFAULT_CHUNK, GeometryError, map_batched, rectangle_rule
+from .chart import DEFAULT_CHUNK, NonClosedChartError, map_batched, rectangle_rule
 from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
                            principal_bundle, shape_data)
-from .scenarios import warped_checks
+from .scenarios import Scenario, warped_checks
 from .splitting import SplitContext, SubsetIndex, subsets
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "pointwise_fields",
     "integral_checks_batch",
     "available_identities",
-    "select_identities",
 ]
 
 
@@ -127,10 +127,6 @@ class CheckReport:
         out = asdict(self)
         del out["wall_time"]
         return out
-
-
-def _rset(k):
-    return sorted({1, k - 1})
 
 
 class _Evaluator:
@@ -173,7 +169,7 @@ class _Evaluator:
     def _main(self):
         ctx = self.ctx
         k = self.k
-        rset = _rset(k)
+        rset = sorted({1, k - 1})
         qs = [q for r in rset for q in subsets(r, k)]
         div = self.div_field([(1.0, q) for q in qs])
         smix = ctx.smix()
@@ -279,8 +275,6 @@ class _Evaluator:
             val = val + 0.5 * (d.h_norm2 - d.t_norm2)
         return {"residual": -val, "div": np.zeros_like(val), "rhs": val,
                 "max_term": np.abs(val)}
-
-
 
     # -- propagation of the mixed flags and the umbilic norm identity ------------
 
@@ -477,51 +471,10 @@ CHECKS = (
 )
 
 
-def _parse_identity(name, k, kind=None):
-    """The split-identity row of ``name`` for ``k`` distributions (of the
-    check ``kind`` if given) and the arguments of its run; raises
-    ``ValueError``."""
-    head, sep, rtxt = name.partition(":")
-    rows = [c for c in CHECKS
-            if c.name == head and c.geometry == CONTEXT and c.ranged == bool(sep)]
-    if not rows:
-        raise ValueError(f"unknown identity {name!r}")
-    args = ()
-    if rows[0].ranged:
-        try:
-            r = int(rtxt)
-        except ValueError:
-            raise ValueError(f"malformed identity name {name!r}")
-        if not 2 <= r <= k - 1:
-            raise ValueError(f"r out of range: need 2 <= r <= k-1, got r={r}, k={k}")
-        args = (r,)
-    elif not rows[0].names(k):
-        raise ValueError(f"identity {name!r} is not defined for k={k}")
-    if kind is not None:
-        rows = [c for c in rows if c.kind == kind]
-        if not rows:
-            raise ValueError(f"{name!r} has no {kind} check")
-    return rows[0], args
-
-
-def select_identities(k, kind, requested=None):
-    """Names of the ``kind`` split-identity checks for ``k`` distributions.
-
-    Without ``requested``, every default identity that has a ``kind`` check;
-    otherwise the requested names that have one, in their order (every
-    requested name is validated, whatever its kinds).
-    """
-    if requested is None:
-        return [name for c in CHECKS if c.geometry == CONTEXT and c.kind == kind
-                and c.default for name, _ in c.names(k)]
-    parsed = [(name, _parse_identity(name, k)[0].name) for name in requested]
-    return [name for name, head in parsed
-            if any(c.name == head and c.kind == kind for c in CHECKS)]
-
-
 def available_identities(k):
     """The pointwise identities checked by default for ``k`` distributions."""
-    return select_identities(k, POINTWISE)
+    return [name for c in CHECKS if c.kind == POINTWISE and c.geometry == CONTEXT
+            and c.default for name, _ in c.names(k)]
 
 
 def select_checks(scn, requested=None):
@@ -540,11 +493,10 @@ def select_checks(scn, requested=None):
     known = ", ".join(dict.fromkeys(row.name for row in rows))
     for name in requested:
         if not any(row.name == name for row in rows):
-            try:
-                _parse_identity(name, scn.k)
-                why = ""
-            except ValueError as e:
-                why = "" if str(e).startswith("unknown") else f"; {e}"
+            head, _, r = name.partition(":")
+            ranged = r.isdigit() and any(c.ranged and c.name == head for c in CHECKS)
+            why = (f"; r out of range: need 2 <= r <= k-1, got r={int(r)}, k={scn.k}"
+                   if ranged and not 2 <= int(r) <= scn.k - 1 else "")
             raise ValueError(f"unknown identity {name!r} for scenario {scn.name}; "
                              f"known: {known}{why}")
     if not requested:
@@ -666,21 +618,36 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, thre
     return [reports[row.name, row.check.kind] for row in rows], fields
 
 
+def _split_rows(chart, split, scenario, names, kind):
+    """A plain split scenario named ``scenario`` and the ``kind`` rows that
+    :func:`select_checks` resolves on it for ``names``, in their order;
+    raises ``ValueError`` for a name with no such row."""
+    scn = Scenario(name=scenario, kind="split", chart=chart, split=split)
+    rows = {row.name: row for row in select_checks(scn, names) if row.check.kind == kind}
+    for name in names:
+        if name not in rows:
+            raise ValueError(f"{name!r} has no {kind} check")
+    return scn, [rows[name] for name in names]
+
+
 def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1):
-    """Residual and term-scale arrays for the named identities at ``points``.
+    """The per-point values of the pointwise identities ``which`` at
+    ``points``: the rows :func:`select_checks` resolves on the split, as
+    :func:`run_checks` evaluates them.
 
     Returns ``{name: residual_array}`` plus ``{"max_term:" + name: array}``
     (and the ``div:`` and ``rhs:`` sides); evaluation shares one frame
     context per chunk across all identities.
     """
-    rows = [Row(name, *_parse_identity(name, split.k, POINTWISE)) for name in which]
-    eval_chunk = _chunk_values(SimpleNamespace(chart=chart, split=split), rows)
-    return map_batched(lambda p: eval_chunk(p)[0], points, chunk=chunk, threads=threads)
+    scn, rows = _split_rows(chart, split, chart.name, which, POINTWISE)
+    return run_checks(scn, rows, points, chunk=chunk, threads=threads)[1]
 
 
 def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
                           chunk=DEFAULT_CHUNK, threads=1):
-    """Quadrature of several identities' right-hand sides in one grid sweep.
+    """The reports of the integral identities ``identities`` on the closed
+    chart, in their order: the rows :func:`select_checks` resolves on the
+    split, as :func:`run_checks` evaluates them over ``grid``.
 
     Reports ``integral_ratio = |integral| / max(L1(rhs), L1(term scale))``
     (zero when the integrand vanishes identically) and the discrete Stokes
@@ -688,6 +655,7 @@ def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
     identities share one frame context per chunk, so adding identities to a
     sweep is nearly free.
     """
-    rows = [Row(name, *_parse_identity(name, split.k, INTEGRAL)) for name in identities]
-    scn = SimpleNamespace(chart=chart, split=split, name=scenario)
+    if not chart.closed:
+        raise NonClosedChartError("integration requires all axes periodic")
+    scn, rows = _split_rows(chart, split, scenario, identities, INTEGRAL)
     return run_checks(scn, rows, None, grid, tol, chunk, threads)[0]

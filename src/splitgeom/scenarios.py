@@ -117,11 +117,26 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
 def _check_expression(label, src, n):
     """Parse ``src`` and evaluate it at 64 seeded random points of the torus
     ``T^n``, so that an error names the expression (``label``), not a
-    metric or frame entry, and a domain error shows while the scenario is
-    built."""
-    pts = list(np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)))
+    metric or frame entry, and a domain error shows, with its point, while
+    the scenario is built."""
+    pts = np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)).T
     with _expression(label, src):
-        evaluate(parse_expr(src, n), pts)
+        ast = parse_expr(src, n)
+    _values_at(label, src, ast, pts)
+
+
+def _values_at(label, src, ast, pts):
+    """The values of ``ast`` at the points ``pts`` ``(N, n)``; an error names
+    the expression (``label``) and the first of ``pts`` where it fails."""
+    try:
+        return np.asarray(evaluate(ast, list(pts.T)), dtype=float)
+    except ExprError as e:
+        for p in pts:
+            try:
+                evaluate(ast, list(p[:, None]))
+            except ExprError:
+                raise ExprError(f"{e} in {label} {src!r} at {p.tolist()}") from e
+        raise ExprError(f"{e} in {label} {src!r}") from e
 
 
 def _check_periodic_distributions(chart, split):
@@ -202,10 +217,11 @@ def build_warped(spec, name="warped"):
     xs = hd.seed_jets(pts)
     grads = []
     for i, (src, ast) in enumerate(zip(spec.warps, warp_asts), start=1):
+        bad = np.flatnonzero(_values_at(f"warp {i}", src, ast, pts) <= 0.0)
+        if bad.size:
+            raise GeometryError(f"warp {src!r} is not positive on the chart "
+                                f"at {pts[bad[0]].tolist()}")
         with _expression(f"warp {i}", src):
-            vals = np.asarray(evaluate(ast, list(pts.T)), dtype=float)
-            if np.any(vals <= 0.0):
-                raise GeometryError(f"warp {src!r} is not positive on the chart")
             u = evaluate(ast, xs)
         if isinstance(u, hd.HyperDual):
             grads.append(u.grad[..., :n1])

@@ -30,7 +30,6 @@ scenarios with a 2-dimensional block).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,35 +143,9 @@ def gram_schmidt(g, vectors, points, blocks=()):
             raise GeometryError(f"spanning blocks {i} and {j} are not orthogonal "
                                 f"(inner product {ip:.2e})")
     M = np.tril(np.linalg.inv(_cholesky(gram, points)))
-    if not isinstance(g, hd.HyperDual):
-        return hd.einsum("...vw,...wa->...va", M, vectors)
-    # the jet rule runs on batches of points, to bound its temporaries
-    parts = [_frame_jet(_take(g, s), _take(vectors, s), M[s]) for s in _batches(M)]
-    return hd.HyperDual(*(np.concatenate([getattr(p, slot) for p in parts])
-                          for slot in ("val", "grad", "hess")))
-
-
-def _batches(M):
-    """Slices of the first batch axis of ``M`` ``(..., v, w)`` that hold
-    about 1024 points each."""
-    batch = M.shape[:-2]
-    if not batch:
-        return [Ellipsis]
-    step = max(1, 1024 // math.prod(batch[1:]))
-    return [slice(i, i + step) for i in range(0, batch[0], step)]
-
-
-def _take(x, s):
-    """The points ``s`` of a jet or of an array that has a batch axis."""
-    if isinstance(x, hd.HyperDual):
-        return hd.HyperDual(x.val[s], x.grad[s], x.hess[s])
-    return x[s] if x.ndim > 2 else x
-
-
-def _frame_jet(g, vectors, M):
-    """The frame ``E = K F'`` of :func:`gram_schmidt` as a jet, from the
-    values ``M`` of ``L^-1``."""
     frame = hd.einsum("...vw,...wa->...va", M, vectors)
+    if not isinstance(g, hd.HyperDual):
+        return frame
     K = _unit_inverse_factor(hd.einsum("...va,...ab,...wb->...vw", frame, g, frame))
     return hd.einsum("...vw,...wa->...va", K, frame)
 
@@ -217,7 +190,7 @@ def _unit_inverse_factor(H):
     n = H.val.shape[-1]
     phi = np.tril(np.ones((n, n))) - 0.5 * np.eye(n)
     Kx = H.grad * -phi[:, :, None]
-    # in place, to bound the (..., n, n, n, n) temporaries
+    # in place, to bound the (..., n, n, m, m) temporaries
     B = hd.einsum("...viy,...iwx->...vwxy", Kx, H.grad)
     S = H.hess
     S += B

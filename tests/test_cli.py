@@ -533,6 +533,28 @@ def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     assert message in err
 
 
+@pytest.mark.parametrize("spec, message, axis", [
+    ({"kind": "warped", "base_dim": 1, "fiber_dims": [1], "warps": ["2 + log(sin(x1))"]},
+     "log: log of non-positive value in warp 1 '2 + log(sin(x1))' at ", 0),
+    ({"kind": "warped", "base_dim": 1, "fiber_dims": [1], "warps": ["sin(x1)"]},
+     "warp 'sin(x1)' is not positive on the chart at ", 0),
+    ({"kind": "twisted_torus", "dims": [1, 1, 1], "twist": "sqrt(sin(x3))"},
+     "sqrt: sqrt of negative value in twist 'sqrt(sin(x3))' at ", 2),
+    ({"kind": "warped_twisted", "u": "2 + log(sin(x1))"},
+     "log: log of non-positive value in u '2 + log(sin(x1))' at ", 0),
+])
+def test_inline_expression_error_names_the_point(tmp_path, capsys, spec, message, axis):
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    assert "Traceback" not in err
+    assert message in err
+    # a point of the chart where each of these expressions fails: sin(x) <= 0
+    point = json.loads(err.split(message)[1])
+    assert len(point) == (2 if spec["kind"] == "warped" else 3)
+    assert np.sin(point[axis]) <= 0.0
+
+
 @pytest.mark.parametrize("twist", ["x3", "0.5*x3"])
 def test_twist_that_turns_periodic_distributions_passes(tmp_path, capsys, twist):
     # the frame turns by 2 pi or pi per period; each line field is periodic

@@ -20,7 +20,6 @@ from splitgeom.identities import (
     pointwise_fields,
     run_checks,
     select_checks,
-    select_identities,
 )
 from splitgeom.hypersurface import hypersurface_catalog
 from splitgeom.scenarios import build_twisted_torus, kproduct_catalog
@@ -279,18 +278,57 @@ def test_pointwise_check_report_shape():
 def test_available_identities():
     assert available_identities(2) == ["main", "smix_lemma"]
     assert available_identities(4) == ["main", "smix_lemma", "aux:2", "aux:3", "companion"]
-    assert select_identities(3, "integral") == ["main", "aux:2", "companion",
-                                                "ck2_k3_display"]
-    assert select_identities(4, "integral") == ["main", "aux:2", "aux:3", "companion"]
-    # a filter keeps its order and drops the names without a check of that kind
-    wanted = ["ck2_k3_display", "aux_printed:2", "smix_lemma", "main"]
-    assert select_identities(3, "pointwise", wanted) == ["aux_printed:2", "smix_lemma",
-                                                         "main"]
-    assert select_identities(3, "integral", wanted) == ["ck2_k3_display", "main"]
-    with pytest.raises(ValueError, match="not defined for k=2"):
-        select_identities(2, "integral", ["ck2_k3_display"])
-    with pytest.raises(ValueError, match="unknown identity"):
-        select_identities(3, "pointwise", ["aux"])
+    catalog = kproduct_catalog()
+    for name, integral in [("twisted_torus_k3", ["main", "aux:2", "companion",
+                                                 "ck2_k3_display"]),
+                           ("twisted_torus_k4", ["main", "aux:2", "aux:3", "companion"])]:
+        rows = select_checks(catalog[name]())
+        assert [row.name for row in rows if row.check.kind == INTEGRAL] == integral
+    # the k = 3 display is refused at k = 2 and k = 4, and a bare aux at any k
+    for name in ("warped_t2", "twisted_torus_k4"):
+        with pytest.raises(ValueError, match="unknown identity 'ck2_k3_display' for scenario"):
+            select_checks(catalog[name](), ["ck2_k3_display"])
+    with pytest.raises(ValueError, match="unknown identity 'aux' for scenario"):
+        select_checks(catalog["twisted_torus_k3"](), ["aux"])
+
+
+def test_adapters_refuse_names_without_a_check_of_their_kind():
+    scn = kproduct_catalog()["twisted_torus_k3"]()
+    pts = scn.sample(4, np.random.default_rng(27))
+    with pytest.raises(ValueError, match="'ck2_k3_display' has no pointwise check"):
+        pointwise_fields(scn.chart, scn.split, pts, ["ck2_k3_display"])
+    with pytest.raises(ValueError, match="'smix_lemma' has no integral check"):
+        integral_checks_batch(scn.chart, scn.split, 8, ["smix_lemma"])
+    for name in ("bogus", "aux"):
+        with pytest.raises(ValueError, match=f"unknown identity {name!r}"):
+            pointwise_fields(scn.chart, scn.split, pts, [name])
+        with pytest.raises(ValueError, match=f"unknown identity {name!r}"):
+            integral_checks_batch(scn.chart, scn.split, 8, [name])
+    k2 = kproduct_catalog()["warped_t2"]()
+    with pytest.raises(ValueError, match="unknown identity 'ck2_k3_display'"):
+        integral_checks_batch(k2.chart, k2.split, 8, ["ck2_k3_display"])
+
+
+@pytest.mark.parametrize("name", ["warped_t3_k3", "twisted_torus_k4"])
+def test_adapters_give_what_run_checks_gives(name):
+    scn = kproduct_catalog()[name]()
+    pts = scn.sample(16, np.random.default_rng(28))
+    grid = scn.meta["integral_grid"]
+    rows = select_checks(scn)
+    pointwise = [row for row in rows if row.check.kind == POINTWISE]
+    _, want = run_checks(scn, pointwise, pts)
+    got = pointwise_fields(scn.chart, scn.split, pts, [row.name for row in pointwise])
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+    integral = [row for row in rows if row.check.kind == INTEGRAL]
+    want = {r.identity: r.to_dict() for r in run_checks(scn, integral, None, grid)[0]}
+    got = integral_checks_batch(scn.chart, scn.split, grid, [row.name for row in integral],
+                                scenario=scn.name)
+    assert [r.to_dict() for r in got] == list(want.values())
+    # the reports come in the order asked for
+    got = integral_checks_batch(scn.chart, scn.split, grid, ["companion", "main"],
+                                scenario=scn.name)
+    assert [r.to_dict() for r in got] == [want["companion"], want["main"]]
 
 
 def test_deterministic_under_threads():
