@@ -14,7 +14,7 @@ Submodules:
 """
 
 from .chart import Axis, ChartManifold, integrate
-from .expr import DomainError, ExprError, ParseError, evaluate, parse_expr, to_source
+from .expr import DomainError, ExprError, ParseError, evaluate, parse_expr
 from .hyperdual import HyperDual, seed_jets, value_of
 from .identities import (
     CheckReport,
@@ -27,7 +27,6 @@ from .identities import (
 from .splitting import (
     SplitContext,
     SplitStructure,
-    SubsetIndex,
     coordinate_split,
     pair_predicates,
     subsets,
@@ -42,7 +41,6 @@ __all__ = [
     "ParseError",
     "evaluate",
     "parse_expr",
-    "to_source",
     "HyperDual",
     "seed_jets",
     "value_of",
@@ -54,7 +52,6 @@ __all__ = [
     "select_checks",
     "SplitContext",
     "SplitStructure",
-    "SubsetIndex",
     "coordinate_split",
     "pair_predicates",
     "subsets",

@@ -41,7 +41,6 @@ __all__ = [
     "evaluate",
     "variables",
     "diff",
-    "to_source",
 ]
 
 
@@ -353,7 +352,7 @@ def diff(node, i):
     Constant subtrees are folded, so derivatives of polynomials terminate in
     ``Num(0.0)``.  The result evaluates like any parsed AST (its domain is
     checked at evaluation: ``diff(sqrt(x1))`` raises :class:`DomainError` at
-    ``x1 = 0``) and round-trips through :func:`to_source`.
+    ``x1 = 0``).
     """
     if isinstance(node, Num):
         return Num(0.0)
@@ -380,19 +379,3 @@ def diff(node, i):
             return _bin("-", _bin("/", da, b), _bin("/", _bin("*", a, db), _pow(b, 2.0)))
     raise ExprError(f"unknown node {node!r}")
 
-
-# -- canonical printer -----------------------------------------------------
-
-def to_source(node):
-    """Canonical fully-parenthesized rendering; parses back to an equal AST."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Neg):
-        return f"(-{to_source(node.child)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({to_source(node.child)})"
-    if isinstance(node, Bin):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    raise ExprError(f"unknown node {node!r}")

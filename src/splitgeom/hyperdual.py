@@ -244,41 +244,43 @@ def as_jet(x, ref):
         return x
     return constant_like(ref, x)
 
-def _depth(items):
-    return 1 + _depth(items[0]) if isinstance(items, (list, tuple)) else 0
+def stack(items, ref=None):
+    """One jet from a (nested) sequence of jets or constants of one value shape.
 
-
-def stack(items, axis=-1, ref=None):
-    """One jet from a sequence of jets or constants of one value shape.
-
-    Like ``np.stack`` with the new axis at ``axis < 0``, counted from the end
-    of the value shape (so the batch shape is free).  Nested sequences give
-    one axis per level, in nesting order, the innermost at ``axis``: an
-    ``n x n`` nested list of scalar jets becomes a ``(..., n, n)`` jet.
-    Constants become constant jets like ``ref`` (default: the first jet
-    among the stacked items); with no jet at all the result is a plain
-    array.  The result has order 2 only if every jet has.
+    Like ``np.stack`` with one new axis per nesting level, in nesting order,
+    after the value shape (so the batch shape is free): an ``n x n`` nested
+    list of scalar jets becomes a ``(..., n, n)`` jet.  Constants get zero
+    derivatives and the slots and batch shape of ``ref`` (default: the first
+    jet among the items); with no jet at all the result is a plain array.
+    The result has order 2 only if every jet has.
     """
-    if axis >= 0:
-        raise ValueError("stack axis must be negative")
-    new = axis - (_depth(items) - 1)
-    parts = [stack(it, axis, ref) if isinstance(it, (list, tuple)) else it
-             for it in items]
+    shape, leaves = (), [items]
+    while isinstance(leaves[0], (list, tuple)):
+        shape += (len(leaves[0]),)
+        leaves = [x for seq in leaves for x in seq]
+    jets = [x for x in leaves if isinstance(x, HyperDual)]
+    if ref is None and not jets:
+        vals = np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in leaves])
+        return np.stack(vals, axis=-1).reshape(vals[0].shape + shape)
     if ref is None:
-        ref = next((p for p in parts if isinstance(p, HyperDual)), None)
-    if ref is None:
-        return np.stack(np.broadcast_arrays(*[np.asarray(p, dtype=float) for p in parts]),
-                        axis=new)
-    jets = [as_jet(p, ref) for p in parts]
-    shape = np.broadcast_shapes(*(j.val.shape for j in jets))
-    n = ref.dim
-    val = np.stack([np.broadcast_to(j.val, shape) for j in jets], axis=new)
-    grad = np.stack([np.broadcast_to(j.grad, shape + (n,)) for j in jets], axis=new - 1)
-    hess = None
-    if all(j.hess is not None for j in jets):
-        hess = np.stack([np.broadcast_to(j.hess, shape + (n, n)) for j in jets],
-                        axis=new - 2)
-    return HyperDual(val, grad, hess)
+        ref = jets[0]
+    if len(jets) < len(leaves):
+        jets.append(ref)  # the constants' order and batch shape
+    batch = np.broadcast_shapes(*(j.val.shape for j in jets))
+    m, L = ref.dim, len(leaves)
+    val = np.empty(batch + (L,))
+    grad = np.zeros(batch + (L, m))
+    hess = np.zeros(batch + (L, m, m)) if all(j.hess is not None for j in jets) else None
+    for i, x in enumerate(leaves):
+        if isinstance(x, HyperDual):
+            val[..., i] = x.val
+            grad[..., i, :] = x.grad
+            if hess is not None:
+                hess[..., i, :, :] = x.hess
+        else:
+            val[..., i] = x
+    return HyperDual(val.reshape(batch + shape), grad.reshape(batch + shape + (m,)),
+                     None if hess is None else hess.reshape(batch + shape + (m, m)))
 
 
 def einsum(spec, *ops):

@@ -29,6 +29,9 @@ independent routes then differentiate the principal data:
   jet.
 
 The checks compare the two, one batched evaluation over all sample points.
+The mixed-curvature check needs neither side: it reads the sectional
+curvatures of the eigenframe planes from the chart's Christoffel jet
+(:meth:`~splitgeom.chart.ChartFrame.sectional`), with no split context.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import Axis, ChartManifold, GeometryError, check_positive_definite
+from .chart import Axis, ChartFrame, ChartManifold, GeometryError, check_positive_definite
 from .expr import diff, evaluate, parse_expr
 from .hyperdual import HyperDual, seed_jets
 from .scenarios import Scenario
-from .splitting import SplitContext, SplitStructure
+from .splitting import SplitStructure, gram_schmidt
 
 __all__ = [
     "GapError",
@@ -55,7 +58,6 @@ __all__ = [
     "codazzi_checks",
     "hypersurface_identity",
     "dperp_integrability",
-    "k3_identity_rhs_constant",
     "build_torus_revolution",
     "build_clifford_torus",
     "build_graph_r4",
@@ -145,12 +147,12 @@ def principal_bundle(scn, points):
     Returns the :func:`shape_data` fields plus the ``points``, ``mu``
     (eigenvalues, ascending), ``Y`` (g-orthonormal eigenvector columns),
     ``mu_hat`` (the group means of ``mu`` as an order-2 ``(..., k)`` jet),
-    ``Y_jet`` (the frame as an order-1 jet), ``context``, the value-level
-    :class:`~splitgeom.splitting.SplitContext` of the eigen-splitting, and
-    ``frame``, its :class:`~splitgeom.chart.ChartFrame` on the closed-form
-    chart metric.  The checks below take
-    this bundle, so one sample set is solved and differentiated once.  Raises
-    :class:`GapError` naming the first point where the distinct-group
+    ``Y_jet`` (the frame as an order-1 jet), ``frame``, the
+    :class:`~splitgeom.chart.ChartFrame` of the closed-form chart metric,
+    and ``E``, the rows of ``Y^T`` re-orthonormalised in that metric
+    (:func:`~splitgeom.splitting.gram_schmidt`).  The checks below take this
+    bundle, so one sample set is solved and differentiated once.
+    Raises :class:`GapError` naming the first point where the distinct-group
     structure expected by the scenario is violated.
     """
     points = np.asarray(points, dtype=float)
@@ -163,8 +165,10 @@ def principal_bundle(scn, points):
     Y = np.where(top < 0.0, -Y, Y)
     _check_groups(scn, mu, points)
     mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.dims)
-    ctx = SplitContext(scn.chart, scn.split, points, frame_values=np.swapaxes(Y, -1, -2))
-    return {**data, "points": points, "context": ctx, "frame": ctx.frame,
+    g = scn.chart.metric_values(points)
+    check_positive_definite(g, points)
+    E = gram_schmidt(g, np.swapaxes(Y, -1, -2), points, scn.split.blocks)
+    return {**data, "points": points, "frame": ChartFrame(scn.chart, points), "E": E,
             "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
@@ -390,16 +394,6 @@ def hypersurface_identity(scn, b):
     rhs_printed = 0.5 * curv + grad_diag
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
             "residual_printed": lhs - rhs_printed}
-
-
-def k3_identity_rhs_constant(c, mu, dims=(1, 1, 1)):
-    """Right side of the three-curvature identity with constant curvatures
-    (all gradient terms zero): ``(1/2) sum_{i<j} n_i n_j (c + mu_i mu_j)``."""
-    rhs = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            rhs += 0.5 * dims[i] * dims[j] * (c + mu[i] * mu[j])
-    return rhs
 
 
 def dperp_integrability(scn, b):

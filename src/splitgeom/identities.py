@@ -50,12 +50,13 @@ these identities, the warped-product closed forms, propagation and
 umbilicity predicates, and the hypersurface checks.  Each row gives the
 report kind (pointwise, integral, predicate), the :class:`Tolerances` field
 of its gate, the scenarios it applies to and the geometry it reads (a
-``SplitContext``, a principal bundle or the quadrature nodes).  One
-resolver, :func:`select_checks`, turns report names into rows of it, and one
-evaluator, :func:`run_checks`, evaluates the rows that read one geometry
-from one geometry per chunk of points.  ``verify`` and the adapters
-:func:`pointwise_fields`, :func:`integral_checks_batch` and
-:func:`available_identities` read the table through them alone.
+``SplitContext``, a hypersurface's principal bundle, whose eigenframe needs
+no context, or the quadrature nodes).  One resolver, :func:`select_checks`,
+turns report names into rows of it, and one evaluator, :func:`run_checks`,
+evaluates the rows that read one geometry from one geometry per chunk of
+points.  ``verify`` and the adapters :func:`pointwise_fields`,
+:func:`integral_checks_batch` and :func:`available_identities` read the
+table through them alone.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .chart import DEFAULT_CHUNK, NonClosedChartError, map_batched, rectangle_ru
 from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
                            principal_bundle, shape_data)
 from .scenarios import Scenario, warped_checks
-from .splitting import SplitContext, SubsetIndex, subsets
+from .splitting import SplitContext, subsets
 
 __all__ = [
     "CheckReport",
@@ -159,7 +160,7 @@ class _Evaluator:
         return field
 
     def div_field(self, coef_qs):
-        return self.ctx.divergence_values(self.field_from(coef_qs))
+        return self.ctx.frame.divergence_of(self.field_from(coef_qs))
 
     # -- main identity -------------------------------------------------------
 
@@ -300,12 +301,13 @@ class _Evaluator:
         worst = np.zeros(ctx.points.shape[:-1])
         for q in (q for r in range(1, k) for q in subsets(r, k)):
             d = ctx.fundamental(q)
+            complement = [j for j in range(1, k + 1) if j not in q]
             rhs = np.zeros_like(worst)
             for i in q:
                 ni = ctx.split.dims[i - 1]
-                Hi = ctx.H_values(SubsetIndex((i,)))
+                Hi = ctx.H_values((i,))
                 proj = np.zeros_like(Hi)
-                for j in q.complement(k):
+                for j in complement:
                     proj += np.einsum("...ab,...b->...a", P[..., j - 1, :, :], Hi)
                 rhs = rhs - (ni - 1.0) / ni * ctx.inner_values(proj, proj)
             worst = np.maximum(worst, np.abs(d.h_norm2 - d.H_norm2 - rhs))
@@ -391,12 +393,13 @@ def _warped_form(key):
 
 
 def _kmix(scn, b):
-    # mixed curvature of each eigen pair against n_i n_j (c + mu_i mu_j)
-    ctx, mu, dims, c = b["context"], b["mu"], scn.dims, scn.ambient_curv
+    # the eigenframe-plane curvatures of each pair against n_i n_j (c + mu_i mu_j)
+    K, mu, dims, c = b["frame"].sectional(b["E"]), b["mu"], scn.dims, scn.ambient_curv
     worst = np.zeros(mu.shape[:-1])
     for i, j in itertools.combinations(range(1, scn.k + 1), 2):
+        mixed = sum(K[..., a, e] for a in scn.split.block(i) for e in scn.split.block(j))
         want = dims[i - 1] * dims[j - 1] * (c + mu[..., i - 1] * mu[..., j - 1])
-        worst = np.maximum(worst, np.abs(ctx.mixed_curvature(i, j) - want))
+        worst = np.maximum(worst, np.abs(mixed - want))
     return {"residual": worst}
 
 
@@ -643,11 +646,12 @@ def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1
     return run_checks(scn, rows, points, chunk=chunk, threads=threads)[1]
 
 
-def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
+def integral_checks_batch(chart, split, grid, identities, scenario=None, tol=None,
                           chunk=DEFAULT_CHUNK, threads=1):
     """The reports of the integral identities ``identities`` on the closed
     chart, in their order: the rows :func:`select_checks` resolves on the
-    split, as :func:`run_checks` evaluates them over ``grid``.
+    split, as :func:`run_checks` evaluates them over ``grid``.  Reports and
+    errors name the ``scenario`` (default: the chart's name).
 
     Reports ``integral_ratio = |integral| / max(L1(rhs), L1(term scale))``
     (zero when the integrand vanishes identically) and the discrete Stokes
@@ -657,5 +661,5 @@ def integral_checks_batch(chart, split, grid, identities, scenario="", tol=None,
     """
     if not chart.closed:
         raise NonClosedChartError("integration requires all axes periodic")
-    scn, rows = _split_rows(chart, split, scenario, identities, INTEGRAL)
+    scn, rows = _split_rows(chart, split, scenario or chart.name, identities, INTEGRAL)
     return run_checks(scn, rows, None, grid, tol, chunk, threads)[0]

@@ -37,7 +37,7 @@ import numpy as np
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
 from .expr import ExprError, evaluate, parse_expr
-from .splitting import SplitContext, SplitStructure, SubsetIndex, coordinate_split
+from .splitting import SplitStructure, coordinate_split, gram_schmidt
 
 __all__ = [
     "Scenario",
@@ -143,15 +143,18 @@ def _check_periodic_distributions(chart, split):
     """Raise :class:`GeometryError` unless each distribution of ``split`` is
     periodic along every periodic axis of ``chart``: its projector ``P_i``
     at the 16 sample points of :meth:`ChartManifold.validate` against
-    ``P_i`` one period along, with that method's tolerance.  The frame need
-    not be periodic: a turn by ``pi`` flips a vector, not its line."""
+    ``P_i`` one period along, with that method's tolerance.  ``P_i = E_i^T
+    E_i`` with ``E_i`` the rows of block ``i``, Euclidean-orthonormalised:
+    a distribution is the span of its rows, whatever the metric.  The frame
+    need not be periodic: a turn by ``pi`` flips a vector, not its line."""
     sample = sample_points(chart, 16, np.random.default_rng(0))
     axes = [a for a, ax in enumerate(chart.axes) if ax.periodic]
     eye = np.eye(chart.dim)
     pts = np.stack([sample] + [sample + chart.axes[a].period * eye[a] for a in axes])
     raw = hd.value_of(hd.stack(split.frame(list(np.moveaxis(pts, -1, 0)))))
-    P = SplitContext(chart, split, pts,
-                     frame_values=np.broadcast_to(raw, pts.shape + (chart.dim,))).projectors()
+    raw = np.broadcast_to(raw, pts.shape + (chart.dim,))
+    E = [gram_schmidt(eye, raw[..., block, :], pts) for block in split.blocks]
+    P = np.stack([np.einsum("...va,...vb->...ab", e, e) for e in E], axis=-3)
     scale = 1.0 + np.max(np.abs(P[0]))
     for a, shifted in zip(axes, P[1:]):
         moved = np.max(np.abs(shifted - P[0]), axis=(0, 2, 3))  # per distribution
@@ -290,10 +293,10 @@ def warped_checks(scenario, ctx):
     for fiber, (ast, ni) in enumerate(zip(warp_asts, scenario.dims[1:]), start=2):
         u = hd.as_jet(evaluate(ast, coords), coords[0])
         grad_log = ctx.frame.grad_field(hd.log(u))
-        data = ctx.fundamental(SubsetIndex((fiber,)))
+        data = ctx.fundamental((fiber,))
         res_H = np.maximum(res_H, np.max(np.abs(data.H.val + ni * grad_log.val), axis=-1))
 
-        div_H = ctx.divergence_values(data.H)
+        div_H = ctx.frame.divergence_of(data.H)
         # coordinate partials of u, first and second
         du = ctx.frame.differential(u)
         ddu = ctx.frame.scatter(du.grad)
@@ -304,8 +307,8 @@ def warped_checks(scenario, ctx):
 
         smix_expected = smix_expected + ni * (-lap_u) / u.val
 
-    base = ctx.fundamental(SubsetIndex((1,)))
-    pairs = [np.maximum(*ctx.cross_block_sup(SubsetIndex(q)))
+    base = ctx.fundamental((1,))
+    pairs = [np.maximum(*ctx.cross_block_sup(q))
              for q in itertools.combinations(range(1, ctx.k + 1), 2)]
     return {
         "mean_curvature": res_H,

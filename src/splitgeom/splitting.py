@@ -6,19 +6,26 @@ mutually orthogonal distributions together with a spanning frame field: an
 the frame vectors in block order (the first ``n_1`` spanning the first
 distribution, and so on).
 
-:class:`SplitContext` evaluates everything at a batch of points on a chart:
+:class:`SplitContext` differentiates that frame and evaluates everything at
+a batch of points on a chart:
 
-* the adapted orthonormal frame (Gram-Schmidt in fixed order, as one
+* the adapted orthonormal frame (:func:`gram_schmidt` in fixed order, as one
   Cholesky factorisation of the frame's Gram matrix, run on jets so frame
   derivatives are exact),
 * the frame components ``cov[a, b, c] = <nabla_{E_a} E_b, E_c>`` of the
   covariant derivatives of frame fields, as one order-1 jet,
-* for any index subset ``q``: the symmetric second fundamental form ``h_q``,
-  the skew integrability tensor ``T_q``, the mean curvature vector ``H_q``
-  (trace of ``h_q``, expanded in the orthogonal complement) and their squared
-  norms, summed over ordered orthonormal argument pairs,
-* the sectional curvature matrix of frame planes and its block sums,
-* divergences of vector jets.
+* for any subset ``q``, a strictly increasing tuple of labels as
+  :func:`subsets` gives them: the symmetric second fundamental form
+  ``h_q``, the skew integrability tensor ``T_q``, the mean curvature vector
+  ``H_q`` (trace of ``h_q``, expanded in the orthogonal complement) and
+  their squared norms, summed over ordered orthonormal argument pairs,
+* the sectional curvature matrix of frame planes and its block sums.
+
+Divergences of vector jets are the chart's
+(:meth:`~splitgeom.chart.ChartFrame.divergence_of`).  :func:`gram_schmidt`
+also orthonormalises plain arrays: a hypersurface's eigenframe, which has
+no expression matrix, and the frame rows of the periodicity check of the
+scenario builders.
 
 The squared-norm convention counts ordered pairs: ``|h_q|^2`` sums the
 squared frame components over all ordered pairs ``(a, b)`` of arguments and
@@ -38,7 +45,6 @@ from . import hyperdual as hd
 from .chart import ChartFrame, ExpressionMatrix, GeometryError, check_positive_definite
 
 __all__ = [
-    "SubsetIndex",
     "subsets",
     "SplitStructure",
     "SplitContext",
@@ -48,33 +54,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """Strictly increasing tuple of distribution labels from ``1..k``."""
-
-    q: tuple
-
-    def __post_init__(self):
-        if not self.q:
-            raise ValueError("subset must be non-empty")
-        if list(self.q) != sorted(set(self.q)):
-            raise ValueError(f"subset labels must be strictly increasing, got {self.q}")
-
-    def complement(self, k):
-        return SubsetIndex(tuple(i for i in range(1, k + 1) if i not in self.q))
-
-    def __iter__(self):
-        return iter(self.q)
-
-    def __contains__(self, i):
-        return i in self.q
-
-
 def subsets(r, k):
-    """All ``r``-element subsets of ``{1..k}`` in lexicographic order."""
+    """All ``r``-element subsets of ``{1..k}``, as strictly increasing
+    tuples in lexicographic order."""
     if not 1 <= r <= k:
         raise ValueError(f"r out of range: need 1 <= r <= k, got r={r}, k={k}")
-    return [SubsetIndex(c) for c in itertools.combinations(range(1, k + 1), r)]
+    return list(itertools.combinations(range(1, k + 1), r))
 
 
 class SplitStructure:
@@ -82,9 +67,10 @@ class SplitStructure:
 
     ``frame`` is an ``n x n`` nested list of expressions, one row per frame
     vector in block order (see :class:`~splitgeom.chart.ExpressionMatrix`),
-    or ``None`` for a split whose frame a :class:`SplitContext` receives as
-    values.  ``depends_on`` is the set of 0-based axes some frame entry
-    reads; every axis without a frame.
+    or ``None`` for a split without one (a hypersurface's eigen-split, whose
+    frame comes from the shape operator).  ``blocks`` are the frame index
+    ranges of the distributions in label order; ``depends_on`` is the set of
+    0-based axes some frame entry reads, every axis without a frame.
     """
 
     def __init__(self, dims, frame=None):
@@ -96,11 +82,11 @@ class SplitStructure:
         self.frame = None if frame is None else ExpressionMatrix(frame, self.n, "spanning frame")
         self.depends_on = self.frame.depends_on if self.frame else frozenset(range(self.n))
         starts = np.concatenate([[0], np.cumsum(self.dims)])
-        self._blocks = [range(starts[i], starts[i + 1]) for i in range(self.k)]
+        self.blocks = [range(starts[i], starts[i + 1]) for i in range(self.k)]
 
     def block(self, i):
         """Frame index range of distribution ``i`` (1-based label)."""
-        return self._blocks[i - 1]
+        return self.blocks[i - 1]
 
     def block_indices(self, q):
         out = []
@@ -212,7 +198,7 @@ class FundamentalData:
     gradients (differentiable once).
     """
 
-    q: SubsetIndex
+    q: tuple
     arg_idx: list
     perp_idx: list
     h_frame: np.ndarray
@@ -227,42 +213,32 @@ class FundamentalData:
 class SplitContext:
     """All split-dependent quantities of a scenario at a batch of points.
 
-    With a spanning frame, jets are differentiated only along the axes the
-    metric or the frame reads (``chart.depends_on | split.depends_on``; see
-    :class:`~splitgeom.chart.ChartFrame`); ``frame_values`` give a
-    value-only context on every axis.
+    Jets are differentiated only along the axes the metric or the spanning
+    frame reads (``chart.depends_on | split.depends_on``; see
+    :class:`~splitgeom.chart.ChartFrame`).
     """
 
-    def __init__(self, chart, split, points, frame_values=None):
+    def __init__(self, chart, split, points):
         if split.n != chart.dim:
             raise GeometryError(
                 f"split dimensions sum to {split.n}, chart dimension is {chart.dim}")
+        if split.frame is None:
+            raise GeometryError("split structure has no spanning frame")
         self.chart = chart
         self.split = split
-        axes = None if frame_values is not None else chart.depends_on | split.depends_on
-        self.frame = ChartFrame(chart, points, axes)
+        self.frame = ChartFrame(chart, points, chart.depends_on | split.depends_on)
         self.points = self.frame.points
         self.n = chart.dim
         self.k = split.k
-        self._value_only = frame_values is not None
         self._fund = {}
         self._cov = None
         self._K = None
-
-        if frame_values is not None:
-            raw = np.asarray(frame_values, dtype=float)
-            # the metric jet is built only when a curvature asks for it
-            g = self.g_val = chart.metric_values(self.points)
-        else:
-            if split.frame is None:
-                raise GeometryError("split structure has no spanning frame")
-            # a constant frame stays a plain array: its derivative terms vanish
-            raw = hd.stack(self.frame.entries(split.frame, "frame"))
-            g = self.frame.g
-            self.g_val = g.val
+        g = self.frame.g
+        self.g_val = g.val
         check_positive_definite(self.g_val, self.points)
-        self.E = gram_schmidt(g, raw, self.points,
-                              [split.block(i) for i in range(1, self.k + 1)])
+        # a constant frame stays a plain array: its derivative terms vanish
+        self.E = gram_schmidt(g, hd.stack(self.frame.entries(split.frame, "frame")),
+                              self.points, split.blocks)
 
     # -- frame-level data ---------------------------------------------------
 
@@ -285,8 +261,6 @@ class SplitContext:
     def cov(self):
         """``cov[..., a, b, c] = <nabla_{E_a} E_b, E_c>``: order-1 jet of the
         frame components of the covariant derivatives of frame fields."""
-        if self._value_only:
-            raise GeometryError("covariant derivatives need a jet-capable frame")
         if self._cov is None:
             fr, E = self.frame, self.E
             dE = fr.differential(E)  # (..., b, d, x) = d_x E_b^d
@@ -299,13 +273,16 @@ class SplitContext:
     # -- fundamental tensors -------------------------------------------------
 
     def fundamental(self, q):
-        """Fundamental data of the subset ``q`` (cached)."""
-        if isinstance(q, tuple):
-            q = SubsetIndex(q)
-        if q.q in self._fund:
-            return self._fund[q.q]
-        if max(q.q) > self.k:
-            raise ValueError(f"subset {q.q} exceeds k={self.k}")
+        """Fundamental data of the subset ``q``, a strictly increasing tuple
+        of labels from ``1..k`` (cached)."""
+        if q in self._fund:
+            return self._fund[q]
+        if not q:
+            raise ValueError("subset must be non-empty")
+        if list(q) != sorted(set(q)):
+            raise ValueError(f"subset labels must be strictly increasing, got {q}")
+        if q[-1] > self.k:
+            raise ValueError(f"subset {q} exceeds k={self.k}")
         arg_idx = self.split.block_indices(q)
         comp_labels = [i for i in range(1, self.k + 1) if i not in q]
         perp_idx = self.split.block_indices(comp_labels)
@@ -330,7 +307,7 @@ class SplitContext:
                                h_frame=h_frame, t_frame=t_frame, H_frame=H_frame,
                                H=H, h_norm2=h_norm2, t_norm2=t_norm2,
                                H_norm2=H_norm2)
-        self._fund[q.q] = data
+        self._fund[q] = data
         return data
 
     def H_values(self, q):
@@ -385,11 +362,6 @@ class SplitContext:
         block = self.split.block(i)
         return self._block_sum(block, [b for b in range(self.n) if b not in block])
 
-    # -- divergences ----------------------------------------------------------
-
-    def divergence_values(self, X):
-        return self.frame.divergence_of(X)
-
 
 def pair_predicates(ctx, i, j, tol=1e-9):
     """Mixed totally-geodesic / mixed-integrable flags for the pair ``(i, j)``.
@@ -401,7 +373,7 @@ def pair_predicates(ctx, i, j, tol=1e-9):
     if i == j:
         raise ValueError("pair predicates need two distinct distributions")
     sup_h, sup_t = (float(np.max(s, initial=0.0))
-                    for s in ctx.cross_block_sup(SubsetIndex(tuple(sorted((i, j))))))
+                    for s in ctx.cross_block_sup(tuple(sorted((i, j)))))
     return {
         "mixed_tg": sup_h <= tol,
         "mixed_int": sup_t <= tol,

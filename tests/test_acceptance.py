@@ -19,7 +19,6 @@ from splitgeom.hypersurface import (
     codazzi_checks,
     hypersurface_catalog,
     hypersurface_identity,
-    k3_identity_rhs_constant,
     principal_bundle,
 )
 from splitgeom.identities import (
@@ -28,13 +27,7 @@ from splitgeom.identities import (
     pointwise_fields,
 )
 from splitgeom.scenarios import kproduct_catalog, warped_checks
-from splitgeom.splitting import (
-    SplitContext,
-    SplitStructure,
-    SubsetIndex,
-    pair_predicates,
-    subsets,
-)
+from splitgeom.splitting import SplitContext, pair_predicates, subsets
 
 
 def report(criterion, passed, detail):
@@ -82,18 +75,19 @@ def test_criterion_3_smix_pair_split_lemma_everywhere():
         val = float(np.max(np.abs(2.0 * ctx.smix() - total)))
         if val > worst:
             worst, where = val, name
-    # hypersurface scenarios contribute through their eigen-frames
+    # hypersurface scenarios contribute through their eigen-frames: the
+    # sectional curvatures of the eigenframe planes, summed by block
     for name, builder in hypersurface_catalog().items():
         scn = builder()
         pts = scn.sample(15, rng)
         b = principal_bundle(scn, pts)
-        frames = np.swapaxes(b["Y"], -1, -2)
-        split = SplitStructure(scn.dims, frame=None)
-        ctx = SplitContext(scn.chart, split, pts, frame_values=frames)
-        total = np.zeros(pts.shape[0])
-        for i in range(1, scn.k + 1):
-            total = total + ctx.smix_pairsplit(i)
-        val = float(np.max(np.abs(2.0 * ctx.smix() - total)))
+        K = b["frame"].sectional(b["E"])
+        blocks = scn.split.blocks
+        smix = sum(K[..., a, c] for i, bi in enumerate(blocks) for bj in blocks[i + 1:]
+                   for a in bi for c in bj)
+        total = sum(K[..., a, c] for bi in blocks for a in bi
+                    for c in range(scn.chart.dim) if c not in bi)
+        val = float(np.max(np.abs(2.0 * smix - total)))
         if val > worst:
             worst, where = val, name
     report(3, worst <= 1e-10,
@@ -196,7 +190,11 @@ def test_criterion_8_hypersurface_checks():
     worst_k3 = float(np.max(np.abs(hypersurface_identity(graph, b)["residual"])))
 
     s3 = math.sqrt(3.0)
-    const_case = abs(k3_identity_rhs_constant(1.0, (s3, 0.0, -s3)))
+    # the three-curvature right side with constant curvatures (c = 1, all
+    # gradient terms zero): (1/2) sum_{i<j} (c + mu_i mu_j)
+    mu = (s3, 0.0, -s3)
+    const_case = abs(sum(0.5 * (1.0 + mu[i] * mu[j])
+                         for i in range(3) for j in range(i + 1, 3)))
     ok = (worst_t <= 1e-11 and worst_cod <= 1e-11 and worst_k3 <= 1e-11
           and const_case <= 1e-12)
     report(8, ok,
@@ -221,9 +219,9 @@ def test_criterion_9_combinatorics_projection_propagation():
                 Hq = ctx.H_values(q)
                 total = np.zeros_like(Hq)
                 for i in q:
-                    total += ctx.H_values(SubsetIndex((i,)))
+                    total += ctx.H_values((i,))
                 proj = np.zeros_like(Hq)
-                for j in q.complement(scn.k):
+                for j in [j for j in range(1, scn.k + 1) if j not in q]:
                     proj += np.einsum("...ab,...b->...a", P[..., j - 1, :, :], total)
                 worst_proj = max(worst_proj, float(np.max(np.abs(Hq - proj))))
 

@@ -5,9 +5,24 @@ import pytest
 
 from splitgeom import expr as ex
 from splitgeom import hyperdual as hd
-from splitgeom.expr import parse_expr, evaluate, to_source
+from splitgeom.expr import parse_expr, evaluate
 
 from test_hyperdual import fd_grad, fd_hess
+
+
+def to_source(node):
+    """Canonical fully-parenthesized rendering; parses back to an equal AST."""
+    if isinstance(node, ex.Num):
+        return repr(node.value)
+    if isinstance(node, ex.Var):
+        return f"x{node.index}"
+    if isinstance(node, ex.Neg):
+        return f"(-{to_source(node.child)})"
+    if isinstance(node, ex.Call):
+        return f"{node.fn}({to_source(node.child)})"
+    if isinstance(node, ex.Bin):
+        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
+    raise ex.ExprError(f"unknown node {node!r}")
 
 
 def jet_at(ast, p):

@@ -249,8 +249,9 @@ def test_stack_nested_and_along_an_axis():
     assert M.val.shape == (5, 2, 3) and M.hess.shape == (5, 2, 3, 3, 3)
     for a, b in np.ndindex(2, 3):
         _assert_entry(M, (a, b), hd.as_jet(rows[a][b], xs[0]))
-    # stacking row vectors along axis -2 gives the same matrix
-    V = hd.stack([hd.stack(r, ref=xs[0]) for r in rows], axis=-2)
+    # stacking the columns, then transposing, gives the same matrix
+    cols = [[rows[a][b] for a in range(2)] for b in range(3)]
+    V = hd.einsum("...ij->...ji", hd.stack(cols, ref=xs[0]))
     for slot in ("val", "grad", "hess"):
         np.testing.assert_array_equal(getattr(V, slot), getattr(M, slot))
     # one order-1 entry drops the Hessian of the whole stack

@@ -15,13 +15,12 @@ from splitgeom.hypersurface import (
     dperp_integrability,
     hypersurface_catalog,
     hypersurface_identity,
-    k3_identity_rhs_constant,
     principal_bundle,
     shape_data,
 )
 from splitgeom.identities import _Evaluator
 from splitgeom.scenarios import Scenario
-from splitgeom.splitting import SplitContext, SplitStructure, coordinate_split
+from splitgeom.splitting import SplitContext, coordinate_split
 
 TWO_PI = 2 * math.pi
 
@@ -107,13 +106,11 @@ def test_mixed_curvature_matches_shape_operator_product():
         scn = builder()
         pts = scn.sample(12, rng)
         b = principal_bundle(scn, pts)
-        frame_values = np.swapaxes(b["Y"], -1, -2)  # rows = frame vectors
-        split = SplitStructure(scn.dims, frame=None)
-        ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
+        K = b["frame"].sectional(b["E"])  # every curvature is simple
         k = scn.k
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
-                got = ctx.mixed_curvature(i, j)
+                got = K[..., i - 1, j - 1]
                 want = c + b["mu"][..., i - 1] * b["mu"][..., j - 1]
                 assert np.max(np.abs(got - want)) <= 1e-8, (scn.name, i, j)
 
@@ -122,13 +119,12 @@ def test_smix_lemma_on_hypersurface_eigen_frames():
     scn = build_graph_r4()
     pts = scn.sample(15, np.random.default_rng(4))
     b = principal_bundle(scn, pts)
-    frame_values = np.swapaxes(b["Y"], -1, -2)
-    split = SplitStructure((1, 1, 1), frame=None)
-    ctx = SplitContext(scn.chart, split, pts, frame_values=frame_values)
+    K = b["frame"].sectional(b["E"])  # three simple curvatures
+    smix = K[..., 0, 1] + K[..., 0, 2] + K[..., 1, 2]
     total = np.zeros(pts.shape[0])
-    for i in range(1, 4):
-        total = total + ctx.smix_pairsplit(i)
-    assert np.max(np.abs(2.0 * ctx.smix() - total)) <= 1e-10
+    for i in range(3):
+        total = total + sum(K[..., i, j] for j in range(3) if j != i)
+    assert np.max(np.abs(2.0 * smix - total)) <= 1e-10
 
 
 def test_codazzi_checks_torus_and_clifford():
@@ -205,6 +201,16 @@ def test_identity_k3_agrees_with_split_engine_on_cylinder():
     div_jets = ev.main()["div"]
     out = hypersurface_identity(scn, principal_bundle(scn, pts))
     assert np.max(np.abs(div_jets - 2.0 * out["lhs"])) <= 1e-12
+
+
+def k3_identity_rhs_constant(c, mu, dims=(1, 1, 1)):
+    """Right side of the three-curvature identity with constant curvatures
+    (all gradient terms zero): ``(1/2) sum_{i<j} n_i n_j (c + mu_i mu_j)``."""
+    rhs = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            rhs += 0.5 * dims[i] * dims[j] * (c + mu[i] * mu[j])
+    return rhs
 
 
 def test_constant_triple_arithmetic_case():
@@ -356,5 +362,8 @@ def test_hypersurface_scenario_reads_its_shape_from_split_and_chart():
     assert isinstance(scn, Scenario)
     assert (scn.kind, scn.k, scn.dims, scn.closed) == ("hypersurface", 3, (1, 1, 1), False)
     assert scn.split.frame is None
-    assert principal_bundle(scn, scn.sample(3, np.random.default_rng(0)))[
-        "context"].split is scn.split
+    b = principal_bundle(scn, scn.sample(3, np.random.default_rng(0)))
+    # the eigenframe, orthonormal in the chart metric, in the split's blocks
+    assert b["frame"].chart is scn.chart and b["E"].shape == (3, 3, 3)
+    gram = np.einsum("...va,...ab,...wb->...vw", b["E"], b["frame"].g.val, b["E"])
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-12

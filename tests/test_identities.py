@@ -23,8 +23,7 @@ from splitgeom.identities import (
 )
 from splitgeom.hypersurface import hypersurface_catalog
 from splitgeom.scenarios import build_twisted_torus, kproduct_catalog
-from splitgeom.splitting import (SplitContext, SplitStructure, SubsetIndex,
-                                 coordinate_split, subsets)
+from splitgeom.splitting import SplitContext, SplitStructure, coordinate_split, subsets
 
 TWO_PI = 2 * math.pi
 
@@ -80,7 +79,7 @@ def test_main_k2_is_the_two_distribution_identity_bit_for_bit():
     q1, q2 = subsets(1, 2)
     field = 1.0 * ctx.fundamental(q1).H
     field = field + 1.0 * ctx.fundamental(q2).H
-    div = ctx.divergence_values(field)
+    div = ctx.frame.divergence_of(field)
     rhs = 1 * ctx.smix()
     for q in (q1, q2):
         d = ctx.fundamental(q)
@@ -307,6 +306,15 @@ def test_adapters_refuse_names_without_a_check_of_their_kind():
     k2 = kproduct_catalog()["warped_t2"]()
     with pytest.raises(ValueError, match="unknown identity 'ck2_k3_display'"):
         integral_checks_batch(k2.chart, k2.split, 8, ["ck2_k3_display"])
+
+
+def test_integral_adapter_names_the_chart_by_default():
+    scn = kproduct_catalog()["warped_t2"]()
+    [rep] = integral_checks_batch(scn.chart, scn.split, 8, ["main"])
+    assert rep.scenario == scn.chart.name == "warped_t2"
+    with pytest.raises(ValueError, match="unknown identity 'ck2_k3_display' for scenario "
+                                         "warped_t2; known: main"):
+        integral_checks_batch(scn.chart, scn.split, 8, ["ck2_k3_display"])
 
 
 @pytest.mark.parametrize("name", ["warped_t3_k3", "twisted_torus_k4"])

@@ -20,7 +20,6 @@ from splitgeom.scenarios import (
 from splitgeom.splitting import (
     SplitContext,
     SplitStructure,
-    SubsetIndex,
     coordinate_split,
     gram_schmidt,
     pair_predicates,
@@ -34,9 +33,14 @@ def comb(k, r):
     return math.comb(k, r)
 
 
+def complement(q, k):
+    """The labels of ``1..k`` not in the subset ``q``."""
+    return tuple(i for i in range(1, k + 1) if i not in q)
+
+
 def test_subsets_counts_and_order():
-    assert [s.q for s in subsets(1, 3)] == [(1,), (2,), (3,)]
-    assert [s.q for s in subsets(2, 3)] == [(1, 2), (1, 3), (2, 3)]
+    assert subsets(1, 3) == [(1,), (2,), (3,)]
+    assert subsets(2, 3) == [(1, 2), (1, 3), (2, 3)]
     assert len(subsets(2, 3)) == 3  # the (k-1)-subsets of k=3 number k
     assert len(subsets(2, 5)) == 10
     for k in range(1, 9):
@@ -48,13 +52,23 @@ def test_subsets_counts_and_order():
         subsets(4, 3)
 
 
-def test_subset_index_validation():
-    with pytest.raises(ValueError):
-        SubsetIndex((2, 1))
-    with pytest.raises(ValueError):
-        SubsetIndex((1, 1))
-    q = SubsetIndex((1, 3))
-    assert q.complement(4).q == (2, 4)
+@pytest.mark.parametrize("q, message", [
+    ((), "subset must be non-empty"),
+    ((2, 1), r"subset labels must be strictly increasing, got \(2, 1\)"),
+    ((1, 1), r"subset labels must be strictly increasing, got \(1, 1\)"),
+    ((4,), r"subset \(4,\) exceeds k=3"),
+], ids=["empty", "decreasing", "repeated", "above_k"])
+def test_fundamental_refuses_bad_subsets(q, message):
+    scn = build_twisted_torus((1, 1, 1))
+    ctx = SplitContext(scn.chart, scn.split, scn.sample(4, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match=message):
+        ctx.fundamental(q)
+
+
+def test_split_context_needs_a_spanning_frame():
+    scn = build_twisted_torus((1, 1, 1))
+    with pytest.raises(GeometryError, match="^split structure has no spanning frame$"):
+        SplitContext(scn.chart, SplitStructure(scn.dims), scn.sample(4, np.random.default_rng(0)))
 
 
 def product_chart_3d():
@@ -121,10 +135,10 @@ def test_product_metric_fundamental_tensors_vanish():
     pts = sample_points(m, 20, np.random.default_rng(3))
     ctx = SplitContext(m, split, pts)
     for q in [(1,), (2,)]:
-        data = ctx.fundamental(SubsetIndex(q))
+        data = ctx.fundamental(q)
         # the (x1,x2) block is a warped surface: h_1 need not vanish; the
         # x3 block is parallel: everything vanishes
-    data = ctx.fundamental(SubsetIndex((2,)))
+    data = ctx.fundamental((2,))
     assert np.max(np.abs(data.h_frame)) <= 1e-13
     assert np.max(np.abs(data.t_frame)) <= 1e-13
     assert np.max(np.abs(data.H_frame)) <= 1e-13
@@ -184,8 +198,7 @@ def test_twisted_torus_against_bracket_oracle():
     ctx = SplitContext(scn.chart, scn.split, pts)
     # oracle fundamental tensors for q against engine values
     for q in [(1,), (3,), (1, 3), (2, 3)]:
-        qi = SubsetIndex(q)
-        data = ctx.fundamental(qi)
+        data = ctx.fundamental(q)
         arg = data.arg_idx
         perp = data.perp_idx
         for ia, a in enumerate(arg):
@@ -244,9 +257,9 @@ def test_projection_identity_for_subset_mean_curvature():
                 Hq = ctx.H_values(q)
                 total = np.zeros_like(Hq)
                 for i in q:
-                    total += ctx.H_values(SubsetIndex((i,)))
+                    total += ctx.H_values((i,))
                 proj = np.zeros_like(Hq)
-                for j in q.complement(k):
+                for j in complement(q, k):
                     proj += np.einsum("...ab,...b->...a", P[..., j - 1, :, :], total)
                 assert np.max(np.abs(Hq - proj)) <= 1e-10
 
@@ -327,13 +340,13 @@ def test_partial_divergence_consistency():
 
     ctx = SplitContext(m, split, pts)
     comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
-    full = partial_divergence(ctx, SubsetIndex((1, 2, 3)), comps)
+    full = partial_divergence(ctx, (1, 2, 3), comps)
     cf = ChartFrame(m, pts)
     coord_formula = cf.divergence_of(hd.stack(field(cf.coords), ref=cf.coords[0]))
     np.testing.assert_allclose(full, coord_formula, atol=1e-10)
 
-    part_a = partial_divergence(ctx, SubsetIndex((1,)), comps)
-    part_b = partial_divergence(ctx, SubsetIndex((2, 3)), comps)
+    part_a = partial_divergence(ctx, (1,), comps)
+    part_b = partial_divergence(ctx, (2, 3), comps)
     np.testing.assert_allclose(part_a + part_b, coord_formula, atol=1e-10)
 
 
@@ -344,10 +357,9 @@ def test_partial_divergence_mean_curvature_identity():
         pts = scn.sample(20, np.random.default_rng(12))
         ctx = SplitContext(scn.chart, scn.split, pts)
         for i in range(1, scn.k + 1):
-            q = SubsetIndex((i,))
-            data = ctx.fundamental(q)
-            div_full = ctx.divergence_values(data.H)
-            div_comp = partial_divergence(ctx, q.complement(scn.k), data.H)
+            data = ctx.fundamental((i,))
+            div_full = ctx.frame.divergence_of(data.H)
+            div_comp = partial_divergence(ctx, complement((i,), scn.k), data.H)
             np.testing.assert_allclose(div_comp, div_full + data.H_norm2, atol=1e-9)
 
 
@@ -368,39 +380,26 @@ def test_divergence_frame_independence():
             return out
 
         comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
-        frame_sum = partial_divergence(ctx, SubsetIndex((1, 2, 3)), comps)
-        coord = ctx.divergence_values(comps)
+        frame_sum = partial_divergence(ctx, (1, 2, 3), comps)
+        coord = ctx.frame.divergence_of(comps)
         assert np.max(np.abs(frame_sum - coord)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(kproduct_catalog()) + sorted(hypersurface_catalog()))
 def test_sectional_matches_the_curvature_tensor(name):
-    # the Christoffel-jet contraction against the full tensor, on split
-    # contexts and on the value-only contexts of hypersurface bundles
+    # the Christoffel-jet contraction against the full tensor, on the frames
+    # of split contexts and on the eigenframes of hypersurface bundles
     builders = {**kproduct_catalog(), **hypersurface_catalog()}
     scn = builders[name]()
     pts = scn.sample(16, np.random.default_rng(24))
     if scn.kind == "hypersurface":
-        ctx = principal_bundle(scn, pts)["context"]
+        b = principal_bundle(scn, pts)
+        frame, E, K = b["frame"], b["E"], b["frame"].sectional(b["E"])
     else:
         ctx = SplitContext(scn.chart, scn.split, pts)
-    E = ctx.E_val
-    want = np.einsum("...abcd,...xa,...yb,...xc,...yd->...xy", ctx.frame.riemann, E, E, E, E)
-    assert np.max(np.abs(ctx.sectional - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
-
-
-def test_value_only_context_reads_metric_values():
-    # a value-only context builds no metric jet until a curvature asks for one
-    scn = build_twisted_torus((1, 1, 1))
-    pts = scn.sample(8, np.random.default_rng(25))
-    ctx = SplitContext(scn.chart, SplitStructure(scn.dims), pts,
-                       frame_values=np.broadcast_to(np.eye(3), (8, 3, 3)))
-    P = ctx.projectors()
-    assert ctx.frame._g is None
-    np.testing.assert_allclose(P.sum(axis=-3), np.broadcast_to(np.eye(3), (8, 3, 3)),
-                               atol=1e-12)
-    ctx.smix()
-    assert ctx.frame._g is not None
+        frame, E, K = ctx.frame, ctx.E_val, ctx.sectional
+    want = np.einsum("...abcd,...xa,...yb,...xc,...yd->...xy", frame.riemann, E, E, E, E)
+    assert np.max(np.abs(K - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
 
 
 def test_pair_predicates():
@@ -455,7 +454,7 @@ def test_constant_warp_is_a_direct_product():
     pts = scn.sample(10, np.random.default_rng(20))
     ctx = SplitContext(scn.chart, scn.split, pts)
     for i in (1, 2):
-        assert np.max(np.abs(ctx.H_values(SubsetIndex((i,))))) == 0.0
+        assert np.max(np.abs(ctx.H_values((i,)))) == 0.0
     assert np.max(np.abs(ctx.smix())) == 0.0
 
 
@@ -563,7 +562,7 @@ def sequential_gram_schmidt(g, vectors, points):
             node = points.reshape(-1, points.shape[-1])[bad[0]]
             raise GeometryError(f"spanning frame is rank deficient at {node.tolist()}")
         out.append(hd.einsum("...,...a->...a", 1.0 / hd.sqrt(nrm2), w))
-    return hd.stack(out, axis=-2)
+    return hd.einsum("...av->...va", hd.stack(out))
 
 
 def random_field(rng, xs, shape):
