@@ -10,6 +10,9 @@ expressions.  All derived quantities come from exact jets of the metric:
   (:attr:`ChartFrame.riemann`) is their value-level reference,
 * divergences of jet-valued vector fields read the gradient slot directly.
 
+The jets of a :class:`ChartFrame`, its coordinate jets included, carry one
+derivative slot per axis it seeds.
+
 Curvature orientation: ``riemann[a,b,c,d]`` is normalised so that on a space
 form of curvature ``c`` it equals ``c*(g_ac g_bd - g_bc g_ad)``; equivalently
 the contraction with an orthonormal pair ``(E_a, E_b)`` in slots
@@ -122,7 +125,7 @@ class ChartManifold:
         asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
         if asym > 1e-12:
             raise GeometryError(f"metric not symmetric (max asymmetry {asym:.2e})")
-        check_positive_definite(g, pts)
+        cholesky(g, pts)
         sample = sample_points(self, 16, np.random.default_rng(0))
         g0 = self.metric_values(sample)
         scale = 1.0 + np.max(np.abs(g0))
@@ -193,18 +196,15 @@ class ChartFrame:
     that every identity evaluated at the same points reuses one set of
     metric derivatives.
 
-    The geometry's jets are differentiated only along ``axes`` (0-based;
-    default: every axis): derivative slot ``j`` of the metric, its inverse,
-    the Christoffel symbols and every jet built from them is the partial
-    along ``axes[j]``, and the partials along the other, unseeded axes are
-    zero and not stored.  Tensor indices stay coordinate indices of size
-    ``n``.  ``coords`` are seeded along every axis, so a field a caller
-    builds from them keeps all its partials, slot ``a`` along axis ``a``.
-    The frame maps slots back to coordinates: :meth:`differential` and
-    :meth:`scatter` put a derivative index onto all ``n`` axes, the
-    differential operators take fields by slot or by axis, and
-    :meth:`entries` refuses an expression matrix that moves along an
-    unseeded axis.
+    Every jet is differentiated only along ``axes`` (0-based; default:
+    every axis): the coordinate jets ``coords`` are seeded there, and
+    derivative slot ``j`` of the metric, its inverse, the Christoffel
+    symbols and every field built from ``coords`` is the partial along
+    ``axes[j]``; the partials along the other, unseeded axes are zero and
+    not stored.  Tensor indices stay coordinate indices of size ``n``:
+    :meth:`differential` and :meth:`scatter` put a derivative index onto
+    all ``n`` axes, and :meth:`entries` refuses an expression matrix that
+    reads an unseeded axis.
     """
 
     def __init__(self, chart, points, axes=None):
@@ -212,11 +212,7 @@ class ChartFrame:
         self.points = np.asarray(points, dtype=float)
         self.n = chart.dim
         self.axes = list(range(self.n)) if axes is None else sorted(axes)
-        self.coords = seed_jets(self.points)
-        m, batch = len(self.axes), self.points.shape[:-1]
-        # a jet on the seeded slots, for the constant entries of the metric
-        self._slot_ref = HyperDual(self.points[..., 0], np.zeros(batch + (m,)),
-                                   np.zeros(batch + (m, m)))
+        self.coords = seed_jets(self.points, self.axes)
         self._g = None
         self._ginv = None
         self._gamma = None
@@ -226,50 +222,23 @@ class ChartFrame:
         """The entries of the :class:`ExpressionMatrix` ``matrix`` at the
         points, as a nested list of jets on the seeded slots and constants.
 
-        With unseeded axes, raises :class:`GeometryError` naming the first
-        point where one of the entries (the ``what``) has a non-zero first
-        or second derivative along an unseeded axis, which the seeded slots
-        would silently drop.
+        Raises :class:`GeometryError` if an entry (the ``what``) reads an
+        unseeded axis, whose partials the seeded slots would drop.
         """
-        rows = matrix(self.coords)
-        if len(self.axes) == self.n:
-            return rows
-        jets = [e for row in rows for e in row if isinstance(e, HyperDual)]
-        flat = self.points.reshape(-1, self.n)
-        for a in range(self.n):
-            if a in self.axes:
-                continue
-            moved = np.zeros(len(flat), dtype=bool)
-            for j in jets:
-                moved |= ((j.grad[..., a] != 0.0)
-                          | np.any(j.hess[..., a, :] != 0.0, axis=-1)).reshape(-1)
-            bad = np.flatnonzero(moved)
-            if bad.size:
-                raise GeometryError(
-                    f"the {what} varies along axis {a + 1}, which neither the metric "
-                    f"nor the frame declares, at {flat[bad[0]].tolist()}")
-        ax = self.axes
-        return [[HyperDual(e.val, e.grad[..., ax], e.hess[..., ax, :][..., ax])
-                 if isinstance(e, HyperDual) else e for e in row] for row in rows]
-
-    def _by_axis(self, size):
-        """Whether a derivative index of ``size`` entries is by coordinate
-        axis (a field built from ``coords``) rather than by seeded slot."""
-        if size == self.n:
-            return True
-        if size != len(self.axes):
+        unseeded = sorted(matrix.depends_on - set(self.axes))
+        if unseeded:
             raise GeometryError(
-                f"a jet with {size} derivative slots is neither on the {self.n} axes "
-                f"nor on the {len(self.axes)} seeded ones")
-        return False
+                f"the {what} varies along axis {unseeded[0] + 1}, which neither the metric "
+                f"nor the frame declares")
+        return matrix(self.coords)
 
     def scatter(self, x, axis=-1):
-        """``x`` with its derivative axis ``axis`` indexed by coordinate: a
-        slot index is spread onto all ``n`` axes, zero along the unseeded
-        ones; an index already by axis is kept."""
-        axis %= x.ndim
-        if self._by_axis(x.shape[axis]):
+        """``x`` with its derivative axis ``axis``, one entry per seeded
+        slot, indexed by coordinate: spread onto all ``n`` axes, zero along
+        the unseeded ones (``x`` itself when every axis is seeded)."""
+        if len(self.axes) == self.n:
             return x
+        axis %= x.ndim
         out = np.zeros(x.shape[:axis] + (self.n,) + x.shape[axis + 1:])
         out[(slice(None),) * axis + (self.axes,)] = x
         return out
@@ -286,7 +255,7 @@ class ChartFrame:
         """Metric ``(..., a, b)`` jet."""
         if self._g is None:
             self._g = hd.stack(self.entries(self.chart.metric_at, "metric"),
-                               ref=self._slot_ref)
+                               ref=self.coords[0])
         return self._g
 
     @property
@@ -348,36 +317,50 @@ class ChartFrame:
 
     def divergence_of(self, X):
         """Divergence of a vector field given as a ``(..., a)`` jet (valid
-        grads), differentiated by slot or by axis (see :meth:`scatter`)."""
-        dX = X.grad if self._by_axis(X.grad.shape[-1]) else X.grad[..., self.axes, :]
+        grads) on the seeded slots."""
+        m = len(self.axes)
+        if X.grad.shape[-1] != m:
+            raise GeometryError(f"a jet with {X.grad.shape[-1]} derivative slots is not "
+                                f"on the {m} seeded axes")
+        dX = X.grad if m == self.n else X.grad[..., self.axes, :]
         return (np.einsum("...aa->...", dX)
                 + np.einsum("...aab,...b->...", self.gamma.val, X.val))
 
     def grad_field(self, f_jet):
         """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)``
-        jet with the derivative slots of ``f_jet``."""
-        df, ginv = self.differential(f_jet), self.ginv
-        if df.grad.shape[-1] != ginv.grad.shape[-1]:
-            # f is differentiated along every axis, the metric along fewer
-            ginv = HyperDual(ginv.val, self.scatter(ginv.grad))
-        return hd.einsum("...ab,...b->...a", ginv, df)
+        jet on the seeded slots."""
+        return hd.einsum("...ab,...b->...a", self.ginv, self.differential(f_jet))
 
 
-def check_positive_definite(g, points, what="metric not positive definite"):
-    """Raise :class:`GeometryError` ``"<what> at [x...]"`` naming the first of
-    ``points`` ``(..., n)`` where the metric values ``g`` ``(..., n, n)`` are
-    not positive definite."""
+def cholesky(G, points, what="metric not positive definite"):
+    """Cholesky factors ``L`` of the symmetric matrices ``G`` ``(..., v, v)``
+    at ``points`` ``(..., n)``.  Raises :class:`GeometryError` ``"<what> at
+    [x...]"`` naming the first point where ``G`` is not positive definite:
+    where the factorisation fails, or a squared pivot ``L_jj^2`` is at most
+    ``1e-24`` or at most ``1e-14 G_jj``.  ``L_jj^2`` is ``G_jj`` minus the
+    squared projection, so exactly dependent rows leave a roundoff of order
+    ``v eps G_jj`` there."""
+    v = G.shape[-1]
+    flat = G.reshape(-1, v, v)
+
+    def factor(Gp):
+        try:
+            return np.linalg.cholesky(Gp)
+        except np.linalg.LinAlgError:
+            return np.full_like(Gp, np.nan)
+
     try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        n = g.shape[-1]
-        for node, gp in zip(np.asarray(points, dtype=float).reshape(-1, n),
-                            g.reshape(-1, n, n)):
-            try:
-                np.linalg.cholesky(gp)
-            except np.linalg.LinAlgError:
-                raise GeometryError(f"{what} at {node.tolist()}") from None
-        raise
+        L = np.linalg.cholesky(flat)
+    except np.linalg.LinAlgError:  # NaN pivots where it fails
+        L = np.stack([factor(Gp) for Gp in flat])
+    pivot2 = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    ok = np.all(pivot2 > np.maximum(1e-24, 1e-14 * np.diagonal(flat, axis1=-2, axis2=-1)),
+                axis=-1)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        node = points.reshape(-1, points.shape[-1])[bad[0]]
+        raise GeometryError(f"{what} at {node.tolist()}")
+    return L.reshape(G.shape)
 
 
 def _volume_element(g, points):

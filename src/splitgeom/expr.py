@@ -270,8 +270,6 @@ def _evaluate(node, coords, memo):
         if node.op == "/":
             try:
                 if isinstance(a, HyperDual) or isinstance(b, HyperDual):
-                    if not isinstance(a, HyperDual):
-                        a = hd.as_jet(a, b)
                     return a / b
                 b_arr = np.asarray(b, dtype=float)
                 if np.any(b_arr == 0.0):

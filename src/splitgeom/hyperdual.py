@@ -85,6 +85,9 @@ def _outer(u, v):
 
 class HyperDual:
     __slots__ = ("val", "grad", "hess")
+    # numpy defers to the reflected operators (``array * jet`` is a jet)
+    # instead of building an object array of whole jets
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess=None):
         self.val = np.asarray(val, dtype=float)
@@ -110,6 +113,11 @@ class HyperDual:
         return HyperDual(self.val[idx], self.grad[idx + (slice(None),)],
                          None if self.hess is None
                          else self.hess[idx + (slice(None), slice(None))])
+
+    def __iter__(self):
+        # without this, Python would iterate through __getitem__, which
+        # refuses every integer index: a jet would read as an empty sequence
+        raise TypeError("a jet is not iterable; index its value axes with '...'")
 
     # -- arithmetic ------------------------------------------------------
 

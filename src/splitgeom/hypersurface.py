@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import Axis, ChartFrame, ChartManifold, GeometryError, check_positive_definite
+from .chart import Axis, ChartFrame, ChartManifold, GeometryError, cholesky
 from .expr import diff, evaluate, parse_expr
 from .hyperdual import HyperDual, seed_jets
 from .scenarios import Scenario
@@ -96,7 +96,8 @@ def shape_data(scn, points):
     """First and second fundamental data of the immersion at ``points`` ``(..., n)``.
 
     Values: ``F`` (ambient position), ``J`` (tangents ``d_a F``,
-    ``(..., n, m)``), ``g``, ``II``, ``A`` and the unit normal ``N``.  Jets:
+    ``(..., n, m)``), ``g`` and its Cholesky factor ``L``, ``II``, ``A`` and
+    the unit normal ``N``.  Jets:
     ``g_jet`` and ``II_jet`` (order 2), and ``DDF``, the order-2 jet of
     ``d_a d_b F^m`` laid out ``(..., m, a, b)``, whose gradient and Hessian
     are the third and fourth derivatives of the immersion.
@@ -118,7 +119,7 @@ def shape_data(scn, points):
     DF = HyperDual(F.grad, DDF.val, DDF.grad)
 
     g = hd.einsum("...ma,...mb->...ab", DF, DF)
-    check_positive_definite(g.val, points, "immersion loses rank")
+    L = cholesky(g.val, points, "immersion loses rank")
 
     rows = [DF[..., :, a] for a in range(n)]
     if scn.ambient_curv == 1:
@@ -135,7 +136,7 @@ def shape_data(scn, points):
     N = hd.einsum("...j,...->...j", N, hd.einsum("...j,...j->...", N, N) ** -0.5)
 
     II = hd.einsum("...mab,...m->...ab", DDF, N)
-    return {"F": F.val, "J": np.swapaxes(F.grad, -1, -2), "g": g.val, "II": II.val,
+    return {"F": F.val, "J": np.swapaxes(F.grad, -1, -2), "g": g.val, "L": L, "II": II.val,
             "A": np.linalg.solve(g.val, II.val), "N": N.val,
             "g_jet": g, "II_jet": II, "DDF": DDF}
 
@@ -158,7 +159,7 @@ def principal_bundle(scn, points):
     points = np.asarray(points, dtype=float)
     data = shape_data(scn, points)
     # Cholesky reduction g = L L^T of II v = mu g v to a standard eigenproblem
-    Linv_T = np.swapaxes(np.linalg.inv(np.linalg.cholesky(data["g"])), -1, -2)
+    Linv_T = np.swapaxes(np.linalg.inv(data["L"]), -1, -2)
     mu, U = np.linalg.eigh(np.swapaxes(Linv_T, -1, -2) @ data["II"] @ Linv_T)
     Y = Linv_T @ U
     top = np.take_along_axis(Y, np.argmax(np.abs(Y), axis=-2)[..., None, :], axis=-2)
@@ -166,7 +167,7 @@ def principal_bundle(scn, points):
     _check_groups(scn, mu, points)
     mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.dims)
     g = scn.chart.metric_values(points)
-    check_positive_definite(g, points)
+    cholesky(g, points)
     E = gram_schmidt(g, np.swapaxes(Y, -1, -2), points, scn.split.blocks)
     return {**data, "points": points, "frame": ChartFrame(scn.chart, points), "E": E,
             "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import ChartFrame, ExpressionMatrix, GeometryError, check_positive_definite
+from .chart import ChartFrame, ExpressionMatrix, GeometryError, cholesky
 
 __all__ = [
     "subsets",
@@ -116,53 +116,27 @@ def gram_schmidt(g, vectors, points, blocks=()):
     ``G = F g F^T = L L^T`` gives the frame ``E = L^-1 F``.  On jets,
     ``E = K F'``: ``F' = L^-1 F`` holds ``L`` at its values, and ``K`` is the
     inverse Cholesky factor of ``H = F' g F'^T``, whose value is the
-    identity.  Raises :class:`GeometryError` if rows of two different
-    ``blocks`` (index ranges) are not orthogonal, or naming the first of
-    ``points`` where the rows are linearly dependent.
+    identity.  Raises :class:`GeometryError` naming the first of ``points``
+    where rows of two different ``blocks`` (index ranges) are not
+    orthogonal, or where the rows are linearly dependent
+    (:func:`~splitgeom.chart.cholesky`).
     """
     fv, gv = hd.value_of(vectors), hd.value_of(g)
     gram = hd.einsum("...va,...ab,...wb->...vw", fv, gv, fv)
-    scale = 1.0 + np.max(np.abs(gv))
+    gate = 1e-9 * (1.0 + np.max(np.abs(gv)))
     for (i, bi), (j, bj) in itertools.combinations(enumerate(blocks, start=1), 2):
-        ip = np.max(np.abs(gram[..., bi, :][..., bj]))
-        if ip > 1e-9 * scale:
-            raise GeometryError(f"spanning blocks {i} and {j} are not orthogonal "
-                                f"(inner product {ip:.2e})")
-    M = np.tril(np.linalg.inv(_cholesky(gram, points)))
+        ip = np.max(np.abs(gram[..., bi, :][..., bj]), axis=(-2, -1)).reshape(-1)
+        bad = np.flatnonzero(ip > gate)
+        if bad.size:
+            node = points.reshape(-1, points.shape[-1])[bad[0]]
+            raise GeometryError(f"spanning blocks {i} and {j} are not orthogonal at "
+                                f"{node.tolist()} (inner product {ip[bad[0]]:.2e})")
+    M = np.tril(np.linalg.inv(cholesky(gram, points, "spanning frame is rank deficient")))
     frame = hd.einsum("...vw,...wa->...va", M, vectors)
     if not isinstance(g, hd.HyperDual):
         return frame
     K = _unit_inverse_factor(hd.einsum("...va,...ab,...wb->...vw", frame, g, frame))
     return hd.einsum("...vw,...wa->...va", K, frame)
-
-
-def _cholesky(gram, points):
-    """Cholesky factors of Gram matrices ``G`` ``(..., v, w)``.  The frame
-    is rank deficient at one of ``points`` where the factorisation fails or
-    a squared pivot ``L_jj^2`` is at most ``1e-24``, or at most ``1e-14 G_jj``:
-    ``L_jj^2`` is ``G_jj`` minus the squared projection, so exactly
-    dependent rows leave a roundoff of order ``n eps G_jj`` there."""
-    n = gram.shape[-1]
-    flat = gram.reshape(-1, n, n)
-
-    def factor(G):
-        try:
-            return np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            return np.full_like(G, np.nan)
-
-    try:
-        L = np.linalg.cholesky(flat)
-    except np.linalg.LinAlgError:  # NaN pivots where it fails
-        L = np.stack([factor(G) for G in flat])
-    pivot2 = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    ok = np.all(pivot2 > np.maximum(1e-24, 1e-14 * np.diagonal(flat, axis1=-2, axis2=-1)),
-                axis=-1)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        node = points.reshape(-1, points.shape[-1])[bad[0]]
-        raise GeometryError(f"spanning frame is rank deficient at {node.tolist()}")
-    return L.reshape(gram.shape)
 
 
 def _unit_inverse_factor(H):
@@ -235,7 +209,7 @@ class SplitContext:
         self._K = None
         g = self.frame.g
         self.g_val = g.val
-        check_positive_definite(self.g_val, self.points)
+        cholesky(self.g_val, self.points)
         # a constant frame stays a plain array: its derivative terms vanish
         self.E = gram_schmidt(g, hd.stack(self.frame.entries(split.frame, "frame")),
                               self.points, split.blocks)

@@ -21,6 +21,7 @@ from splitgeom.chart import (
     sample_points,
 )
 from splitgeom.chart import _repeated_fsum
+from splitgeom.splitting import SplitContext, SplitStructure
 
 TWO_PI = 2 * math.pi
 
@@ -221,31 +222,48 @@ def test_divergence_trivial_fields():
     np.testing.assert_allclose(frame.divergence_of(linear), 1.0, rtol=1e-14)
 
 
-def test_narrow_frame_takes_fields_by_axis_and_by_slot():
-    # the metric reads x1 only: the narrow frame seeds that one axis, but a
-    # field built from its coords keeps the partials along x2 and x3
+def test_narrow_frame_has_one_layout(monkeypatch):
+    # the metric reads x1 only: a frame seeded along that axis carries one
+    # derivative slot in every jet, its coordinate jets included
     m = ChartManifold([Axis(0.0, TWO_PI)] * 3,
                       [["1", "0", "0"], ["0", "(2 + sin(x1))^2", "0"], ["0", "0", "1"]])
     pts = sample_points(m, 9, np.random.default_rng(8))
     narrow, full = ChartFrame(m, pts, axes=[0]), ChartFrame(m, pts)
-    assert narrow.g.grad.shape[-1] == 1 and narrow.coords[1].grad.shape[-1] == 3
+    assert [x.dim for x in narrow.coords] == [1, 1, 1] and narrow.g.dim == 1
+    assert [x.dim for x in full.coords] == [3, 3, 3]
 
+    # on fields that move along the seeded axis only, the operators agree
     def field(x):
-        return hd.stack([hd.sin(x[1]) * hd.cos(x[2]), x[0] * hd.cos(x[1]), hd.sin(x[0] + x[2])])
+        return hd.stack([hd.sin(x[0]) * hd.cos(x[0]), x[0] * x[0], hd.sin(x[0])])
 
     np.testing.assert_allclose(narrow.divergence_of(field(narrow.coords)),
                                full.divergence_of(field(full.coords)), rtol=1e-14, atol=1e-14)
-    f = hd.sin(narrow.coords[1]) * narrow.coords[0]
-    got, want = narrow.grad_field(f), full.grad_field(hd.sin(full.coords[1]) * full.coords[0])
-    np.testing.assert_allclose(got.val, want.val, rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(got.grad, want.grad, rtol=1e-14, atol=1e-14)
-    # a field of the geometry's own jets is differentiated by slot
     got = narrow.divergence_of(narrow.grad_field(narrow.g[..., 1, 1]))
     want = full.divergence_of(full.grad_field(full.g[..., 1, 1]))
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
-    two = hd.stack(list(hd.seed_jets(pts, axes=[0, 1])))
-    with pytest.raises(GeometryError, match="2 derivative slots"):
-        narrow.divergence_of(two)
+    # a jet with another slot count, the full frame's included, is refused
+    for axes in ([0, 1], [0, 1, 2]):
+        with pytest.raises(GeometryError, match=f"{len(axes)} derivative slots"):
+            narrow.divergence_of(hd.stack(hd.seed_jets(pts, axes=axes)))
+
+    # a narrow split context seeds m = 1 slot and evaluates the metric and
+    # the frame once each, on jets with that one slot
+    seeded, evaluated = [], []
+    monkeypatch.setattr("splitgeom.chart.seed_jets", lambda points, axes=None: (
+        seeded.append(axes) or hd.seed_jets(points, axes)))
+    call = ExpressionMatrix.__call__
+
+    def counting(matrix, coords):
+        evaluated.append((matrix, {x.dim for x in coords}))
+        return call(matrix, coords)
+
+    monkeypatch.setattr(ExpressionMatrix, "__call__", counting)
+    split = SplitStructure((1, 2), [["1", "0", "0"], ["0", "cos(x1)", "sin(x1)"],
+                                    ["0", "-sin(x1)", "cos(x1)"]])
+    ctx = SplitContext(m, split, pts)
+    assert ctx.cov.grad.shape[-1] == 1 and ctx.E.hess.shape[-2:] == (1, 1)
+    assert seeded == [[0]]
+    assert evaluated == [(m.metric_at, {1}), (split.frame, {1})]
 
 
 def test_sphere_laplacian_l1_eigenfunction():

@@ -1,5 +1,6 @@
 import ast
 import math
+import operator
 import pathlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -259,6 +260,31 @@ def test_stack_nested_and_along_an_axis():
     assert hd.stack(rows).order == 1
     # without jets the result is a plain array
     np.testing.assert_array_equal(hd.stack([[1.0, 2.0], [3.0, 4.0]]), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_jets_refuse_iteration():
+    x = seed_jets(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    v = hd.stack(x)
+    with pytest.raises(TypeError, match="not iterable"):
+        list(v)
+    # a jet where a nested list is expected is named, not reshaped
+    with pytest.raises(TypeError, match="not iterable"):
+        hd.stack([[x[0], x[1]], v])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_numpy_left_operands_give_jets(op):
+    x, y = seed_jets(np.array([[0.5, 1.0], [1.5, -2.0], [2.0, 0.3], [-1.0, 0.7]]))
+    u = hd.sin(x) * y + 2.0
+    for left in (np.array([2.0, -3.0, 0.5, 4.0]), np.float64(1.5)):
+        got, want = op(left, u), op(hd.constant_like(u, left), u)
+        assert isinstance(got, HyperDual)
+        for slot in ("val", "grad", "hess"):
+            np.testing.assert_allclose(getattr(got, slot), getattr(want, slot),
+                                       rtol=1e-15, atol=0)
+    # numpy functions are refused, not applied to an object array of jets
+    with pytest.raises(TypeError):
+        np.sin(u)
 
 
 def test_einsum_matches_scalar_jet_loops():

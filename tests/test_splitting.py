@@ -315,15 +315,17 @@ def test_smix_lemma_pair_splits():
         assert np.max(np.abs(2.0 * ctx.smix() - total)) <= 1e-10
 
 
-def partial_divergence(ctx, q, X):
-    """``Div_q X`` of a ``(..., a)`` vector jet: the part of the divergence
-    along the frame blocks of the subset ``q``, summed over ``a`` in ``q`` of
-    ``<nabla_{E_a} X, E_a>``, at value level."""
+def partial_divergence(ctx, q, X, frame=None):
+    """``Div_q X`` of a ``(..., a)`` vector jet on the slots of ``frame`` (a
+    :class:`ChartFrame` at the context's points, default the context's): the
+    part of the divergence along the frame blocks of the subset ``q``,
+    summed over ``a`` in ``q`` of ``<nabla_{E_a} X, E_a>``, at value level."""
+    frame = frame or ctx.frame
     E = ctx.E_val[..., ctx.split.block_indices(q), :]
     # nabla[d, c] = d_c X^d + Gamma^d_ce X^e
-    nabla = (ctx.frame.scatter(X.grad)
-             + np.einsum("...dce,...e->...dc", ctx.frame.gamma.val, X.val))
-    return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, ctx.frame.g.val, E,
+    nabla = (frame.scatter(X.grad)
+             + np.einsum("...dce,...e->...dc", frame.gamma.val, X.val))
+    return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, frame.g.val, E,
                      optimize=True)
 
 
@@ -338,15 +340,16 @@ def test_partial_divergence_consistency():
                 hd.as_jet(1.0, coords[0]) + hd.sin(coords[2]),
                 hd.cos(coords[0]) * hd.cos(coords[2])]
 
+    # the field moves along every axis, the context's jets along x1 only
     ctx = SplitContext(m, split, pts)
-    comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
-    full = partial_divergence(ctx, (1, 2, 3), comps)
     cf = ChartFrame(m, pts)
-    coord_formula = cf.divergence_of(hd.stack(field(cf.coords), ref=cf.coords[0]))
+    comps = hd.stack(field(cf.coords), ref=cf.coords[0])
+    full = partial_divergence(ctx, (1, 2, 3), comps, cf)
+    coord_formula = cf.divergence_of(comps)
     np.testing.assert_allclose(full, coord_formula, atol=1e-10)
 
-    part_a = partial_divergence(ctx, (1,), comps)
-    part_b = partial_divergence(ctx, (2, 3), comps)
+    part_a = partial_divergence(ctx, (1,), comps, cf)
+    part_b = partial_divergence(ctx, (2, 3), comps, cf)
     np.testing.assert_allclose(part_a + part_b, coord_formula, atol=1e-10)
 
 
@@ -369,6 +372,7 @@ def test_divergence_frame_independence():
     rng = np.random.default_rng(13)
     pts = scn.sample(100, rng)
     ctx = SplitContext(scn.chart, scn.split, pts)
+    cf = ChartFrame(scn.chart, pts)  # the fields move along every axis
     coeff = rng.uniform(-1, 1, size=(100, 3, 4))
     for t in range(3):  # 3 fields x 100 points
         def field(coords, t=t):
@@ -379,9 +383,9 @@ def test_divergence_frame_independence():
                            + c[2] * hd.sin(coords[2]) + hd.as_jet(c[3], coords[0]))
             return out
 
-        comps = hd.stack(field(ctx.frame.coords), ref=ctx.frame.coords[0])
-        frame_sum = partial_divergence(ctx, (1, 2, 3), comps)
-        coord = ctx.frame.divergence_of(comps)
+        comps = hd.stack(field(cf.coords), ref=cf.coords[0])
+        frame_sum = partial_divergence(ctx, (1, 2, 3), comps, cf)
+        coord = cf.divergence_of(comps)
         assert np.max(np.abs(frame_sum - coord)) <= 1e-10
 
 
@@ -502,10 +506,17 @@ def test_nonorthogonal_blocks_rejected():
     flat = ChartManifold([Axis(0.0, TWO_PI)] * 3,
                          [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
-    skew = [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    with pytest.raises(GeometryError):
-        SplitContext(flat, SplitStructure((1, 1, 1), skew),
-                     sample_points(flat, 4, np.random.default_rng(17)))
+    # the first two vectors meet at the same angle everywhere, the second
+    # and the third only where sin(x1) != 0: not at the first point
+    skew = [["1", "0.5", "0"], ["0", "1", "0.5*sin(x1)"], ["0", "0", "1"]]
+    pts = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 0.5]])
+    message = r"spanning blocks 1 and 2 are not orthogonal at \[0\.0, 1\.0, 2\.0\] "
+    with pytest.raises(GeometryError, match=message + r"\(inner product 5\.00e-01\)"):
+        SplitContext(flat, SplitStructure((1, 1, 1), skew), pts)
+    skew[0][1] = "0"
+    with pytest.raises(GeometryError, match=r"spanning blocks 2 and 3 are not orthogonal "
+                                            r"at \[1\.0, 2\.0, 0\.5\]"):
+        SplitContext(flat, SplitStructure((1, 1, 1), skew), pts)
 
 
 def test_rank_deficient_frame_rejected():
