@@ -23,7 +23,6 @@ comes out at +1 (pinned by tests).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +174,10 @@ def map_batched(fn, points, chunk=DEFAULT_CHUNK, threads=1):
     flat = points.reshape(-1, points.shape[-1])
     chunks = [flat[i:i + chunk] for i in range(0, flat.shape[0], chunk)]
     if threads > 1 and len(chunks) > 1:
+        # imported here: concurrent.futures imports logging, which a
+        # single-threaded run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(fn, chunks))
     else:

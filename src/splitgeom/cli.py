@@ -35,7 +35,6 @@ import os
 import sys
 import zlib
 
-import jsonschema
 import numpy as np
 
 from .chart import Axis, ChartManifold, GeometryError
@@ -151,7 +150,10 @@ _INLINE_SCHEMAS = {
 @functools.cache
 def _validator(kind):
     # built on first use, so that its schema is checked against the
-    # metaschema (most of the cost of ``jsonschema.validate``) once
+    # metaschema (most of the cost of ``jsonschema.validate``) once; the
+    # import waits too, so that importing this module does not load it
+    import jsonschema
+
     schema = CONFIG_SCHEMA if kind is None else _INLINE_SCHEMAS[kind]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -159,12 +161,20 @@ def _validator(kind):
 
 
 def _validate(kind, instance):
-    """``jsonschema.validate`` of the config (``kind`` None) or of an inline
-    scenario of ``kind``: the same best-matching error, from a validator
-    built once."""
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(instance))
-    if error is not None:
-        raise error
+    """Validate the config (``kind`` None) or an inline scenario of ``kind``
+    against its schema, with a validator built once.  Raises
+    :class:`ConfigError` with the best-matching error, as
+    ``jsonschema.validate`` would pick it."""
+    validator = _validator(kind)
+    from jsonschema.exceptions import best_match
+
+    error = best_match(validator.iter_errors(instance))
+    if error is None:
+        return
+    if kind is not None:
+        raise ConfigError(f"invalid inline scenario: {error.message}")
+    where = f"{error.absolute_path[0]}: " if error.absolute_path else ""
+    raise ConfigError(f"config rejected: {where}{error.message}")
 
 
 def full_catalog():
@@ -178,10 +188,7 @@ def build_inline_scenario(spec):
     kind = spec.get("kind")
     if kind not in _INLINE_SCHEMAS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    try:
-        _validate(kind, spec)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"invalid inline scenario: {e.message}")
+    _validate(kind, spec)
     label = spec.get("name", kind)
     # an optional block count must agree with the block dimensions
     for k_key, dims_key in (("k", "dims"), ("expected_k", "expected_dims")):
@@ -332,11 +339,7 @@ def cmd_verify(args):
     if args.tol is not None:
         config.setdefault("tolerances", {}).update(pointwise=args.tol, integral=args.tol)
     # one validation of the file and flags together
-    try:
-        _validate(None, config)
-    except jsonschema.ValidationError as e:
-        where = f"{e.absolute_path[0]}: " if e.absolute_path else ""
-        raise ConfigError(f"config rejected: {where}{e.message}")
+    _validate(None, config)
 
     scenarios = resolve_scenarios(config.get("scenario"))
     samples = config.get("samples", DEFAULT_SAMPLES)

@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chart import DEFAULT_CHUNK, NonClosedChartError, map_batched, rectangle_rule
+from .chart import NonClosedChartError, map_batched, rectangle_rule
 from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
                            principal_bundle, shape_data)
 from .scenarios import Scenario, warped_checks
@@ -519,6 +519,20 @@ def _geometry(scn, geometry, pts):
     return pts, scn.chart.metric_values(pts)
 
 
+# doubles in each of the widest jets of one chunk's geometry: about 1 MiB
+BUDGET = 2 ** 17
+
+
+def _chunk_size(n, axes):
+    """Points per chunk on an ``n``-dimensional chart whose jets are seeded
+    along ``axes`` (None: every axis): ``BUDGET`` doubles over the
+    ``n * n * m * max(n, m)`` per point of the widest jets, the order-2
+    frame ``(..., n, n, m, m)`` and the order-1 connection
+    ``(..., n, n, n, m)``, for ``m`` seeded axes."""
+    m = n if axes is None else max(1, len(axes))
+    return max(1, BUDGET // (n * n * m * max(n, m)))
+
+
 def _key(name, key):
     return name if key == "residual" else f"{key}:{name}"
 
@@ -583,7 +597,7 @@ def _report(scenario, row, value, tols, points, grid, wall_time):
                        max_abs_residual=max_abs, max_rel_residual=max_rel, note=note)
 
 
-def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, threads=1):
+def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
     """The CheckReports of ``rows`` (from :func:`select_checks`) in their
     order, and the per-point values of the rows that read ``points``.
 
@@ -595,6 +609,10 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, thre
     context differentiates along those axes only, and raises where its
     metric or frame moves along another (see
     :meth:`~splitgeom.chart.ChartFrame.entries`).
+
+    A geometry holds ``chunk`` points (default: :func:`_chunk_size`, so
+    that its jets stay near ``BUDGET`` doubles); no value depends on
+    ``chunk`` or ``threads``.
     """
     tols = tol or Tolerances()
     groups = {}
@@ -604,14 +622,14 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=DEFAULT_CHUNK, thre
     for (integral, geometry), group in groups.items():
         t0 = time.perf_counter()
         eval_chunk = _chunk_values(scn, group)
+        axes = scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT else None
+        size = chunk or _chunk_size(scn.chart.dim, axes)
         if integral:
-            axes = (scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT
-                    else None)
             grid, values = rectangle_rule(scn.chart, grid, eval_chunk, map_batched,
-                                          chunk=chunk, threads=threads, axes=axes)
+                                          chunk=size, threads=threads, axes=axes)
         else:
             values = map_batched(lambda p: eval_chunk(p)[0], points,
-                                 chunk=chunk, threads=threads)
+                                 chunk=size, threads=threads)
             fields.update(values)
         share = (time.perf_counter() - t0) / len(group)
         for row in group:
@@ -633,7 +651,7 @@ def _split_rows(chart, split, scenario, names, kind):
     return scn, [rows[name] for name in names]
 
 
-def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1):
+def pointwise_fields(chart, split, points, which, chunk=None, threads=1):
     """The per-point values of the pointwise identities ``which`` at
     ``points``: the rows :func:`select_checks` resolves on the split, as
     :func:`run_checks` evaluates them.
@@ -647,7 +665,7 @@ def pointwise_fields(chart, split, points, which, chunk=DEFAULT_CHUNK, threads=1
 
 
 def integral_checks_batch(chart, split, grid, identities, scenario=None, tol=None,
-                          chunk=DEFAULT_CHUNK, threads=1):
+                          chunk=None, threads=1):
     """The reports of the integral identities ``identities`` on the closed
     chart, in their order: the rows :func:`select_checks` resolves on the
     split, as :func:`run_checks` evaluates them over ``grid``.  Reports and

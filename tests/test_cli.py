@@ -1,7 +1,10 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +294,24 @@ def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
     assert std.out == "" and not out.exists()
     assert "Traceback" not in std.err
     assert f"config error: config rejected: {message}" in std.err
+
+
+def test_importing_the_cli_loads_no_schema_validator_or_thread_pool(tmp_path):
+    # in a fresh interpreter: jsonschema loads on the first validation, the
+    # thread pool (with logging) on the first fan-out
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    probe = ("import sys, splitgeom.cli; "
+             "print(sorted({'jsonschema', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+    bad = subprocess.run([sys.executable, "-m", "splitgeom", "verify", "--scenario",
+                          "warped_t2", "--threads", "0", "--out", str(tmp_path / "r.json")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert ("config error: config rejected: threads: 0 is less than the minimum of 1"
+            in bad.stderr)
+    assert "Traceback" not in bad.stderr
 
 
 def test_seed_changes_sample_points(tmp_path):

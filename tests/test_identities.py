@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,7 +349,7 @@ def test_deterministic_under_threads():
     assert a.normalizer == b.normalizer
 
 
-def test_deterministic_across_chunks_and_threads():
+def test_deterministic_across_chunks_and_threads(monkeypatch):
     # the quadrature evaluates the 16 base nodes of warped_t3_k3: four chunks
     scn = kproduct_catalog()["warped_t3_k3"]()
     grid = [16, 4, 4]
@@ -355,6 +357,43 @@ def test_deterministic_across_chunks_and_threads():
     [b] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=4, threads=4)
     assert a.integral_value == b.integral_value
     assert a.normalizer == b.normalizer
+    # the default, budgeted chunk on a seeded twist that reads every axis
+    coef = np.random.default_rng(7).uniform(0.2, 0.6, size=(3, 2))
+    scn = build_twisted_torus((1, 1, 1), twist=" + ".join(
+        f"{s!r}*sin(x{a + 1}) + {c!r}*cos(x{a + 1})" for a, (s, c) in enumerate(coef.tolist())))
+    rows = [row for row in select_checks(scn) if row.check.kind == INTEGRAL]
+    built = []
+
+    def counting(chart, split, pts):
+        built.append(len(pts))
+        return SplitContext(chart, split, pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(identities, "SplitContext", counting)
+        default = run_checks(scn, rows, None, [12, 12, 12])[0]
+    assert len(built) >= 2 and sum(built) == 12 ** 3
+    chunked = run_checks(scn, rows, None, [12, 12, 12], chunk=64, threads=4)[0]
+    assert (json.dumps([r.to_dict() for r in default])
+            == json.dumps([r.to_dict() for r in chunked]))
+
+
+def test_default_chunks_bound_the_memory_of_a_frame_that_reads_every_axis():
+    # n = 5 and every axis seeded: about 45 KiB of jets per point, so one
+    # chunk of all 2048 points would peak near 92 MiB
+    scn = build_twisted_torus((1, 2, 2), twist="0.3*sin(x1) + 0.4*cos(x2) + "
+                              "0.5*sin(x3) + 0.2*cos(x4) + 0.6*sin(x5)")
+    pts = scn.sample(2048, np.random.default_rng(0))
+    names = available_identities(scn.k)
+    tracemalloc.start()
+    try:
+        fields = pointwise_fields(scn.chart, scn.split, pts, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    small = pointwise_fields(scn.chart, scn.split, pts, names, chunk=64)
+    assert fields.keys() == small.keys()
+    assert all(fields[key].tobytes() == small[key].tobytes() for key in fields)
 
 
 # per chart dimension, a grid whose repeat counts are not powers of two
