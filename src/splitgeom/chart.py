@@ -45,8 +45,6 @@ __all__ = [
     "map_batched",
 ]
 
-DEFAULT_CHUNK = 4096
-
 
 class GeometryError(RuntimeError):
     pass
@@ -163,7 +161,7 @@ def sample_points(m, count, rng, box=None):
     return np.stack(cols, axis=-1)
 
 
-def map_batched(fn, points, chunk=DEFAULT_CHUNK, threads=1):
+def map_batched(fn, points, chunk, threads=1):
     """Apply ``fn`` to chunks of points, concatenating results in chunk order.
 
     ``fn`` maps an ``(m, n)`` array to an ``(m,)`` array or a dict of such
@@ -381,8 +379,7 @@ def _volume_element(g, points):
     return np.sqrt(det)
 
 
-def rectangle_rule(m, grid, integrand, mapper, chunk=DEFAULT_CHUNK, threads=1,
-                   axes=None):
+def rectangle_rule(m, grid, integrand, mapper, chunk, threads=1, axes=None):
     """Rectangle-rule integrals over the closed chart ``m``.
 
     ``integrand`` maps an ``(N, n)`` chunk of nodes to ``(values, g)``:
@@ -450,7 +447,7 @@ def _repeated_fsum(v, count):
     return math.fsum((np.concatenate([hi, lo]) * float(count)).tolist())
 
 
-def integrate(m, f, grid, chunk=DEFAULT_CHUNK, threads=1):
+def integrate(m, f, grid, chunk, threads=1):
     """Integral of a scalar field over a closed chart (see :func:`rectangle_rule`).
 
     ``f`` maps a ``(N, n)`` point array to ``(N,)`` values, or to a dict of

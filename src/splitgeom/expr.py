@@ -10,6 +10,11 @@ then ``* /``, then ``+ -``):
     atom    := NUMBER | 'x'<k> | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := sin | cos | exp | log | sqrt
 
+This is Python's expression grammar with ``^`` for ``**``; Python's own
+parser reads it.  Input is ASCII only, a NUMBER is a decimal literal (not
+``007``, ``1_0`` or ``0x1``), and a tree is at most ``MAX_DEPTH`` (64)
+levels deep, root and leaves included.
+
 Coordinates are ``x1 .. xn`` (1-based, validated against the chart
 dimension at parse time).  Evaluation is generic over the scalar type:
 plain floats, numpy arrays of points, or :class:`~splitgeom.hyperdual.HyperDual`
@@ -19,8 +24,9 @@ and exact differentiation.
 
 from __future__ import annotations
 
+import ast
 import operator
-import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,126 +94,11 @@ class Bin:
     right: object
 
 
-_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(source):
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # skip over whitespace-only tail
-            rest = source[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {source[bad]!r}", bad)
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(source)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, dim):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim = dim
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", offset)
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, _, offset = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", offset)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                node = Bin(value, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                node = Bin(value, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            exponent = self.factor()
-            if variables(exponent):
-                raise ParseError("exponent must be a constant", offset)
-            return Bin("^", base, exponent)
-        return base
-
-    def atom(self):
-        kind, value, offset = self.advance()
-        if kind == "num":
-            return Num(value)
-        if kind == "name":
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                idx = int(m.group(1))
-                if not 1 <= idx <= self.dim:
-                    raise ParseError(
-                        f"coordinate x{idx} exceeds chart dimension {self.dim}", offset)
-                return Var(idx)
-            raise ParseError(f"unknown identifier {value!r}", offset)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError("expected a number, coordinate, function or '('", offset)
+_FN_IMPL = {"sin": hd.sin, "cos": hd.cos, "exp": hd.exp, "log": hd.log, "sqrt": hd.sqrt}
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# ASCII whitespace reads as a space, and '#' and NUL as '?', which Python refuses
+_BLANKS = str.maketrans("\t\n\v\f\r\x1c\x1d\x1e\x1f#\0", " " * 9 + "??")
+MAX_DEPTH = 64  # deepest tree parse_expr accepts, root and leaves included
 
 
 def variables(node):
@@ -225,13 +116,71 @@ def parse_expr(source, dim):
     """Parse ``source`` into an AST over coordinates ``x1..x<dim>``."""
     if not isinstance(source, str):
         raise ExprError(f"expression must be a string, got {type(source).__name__}")
-    return _Parser(_tokenize(source), dim).parse()
+    text = source.encode("ascii", "replace").decode().translate(_BLANKS)  # non-ASCII: "?"
+    if "**" in text:
+        raise ParseError("the power operator is '^', not '**'", text.index("**"))
+    body = text.lstrip()
+    py = body.replace("^", "**")
+
+    def fail(message, t):
+        # ``t`` counts characters of ``py``, in which each ``^`` is two
+        raise ParseError(message, len(text) - len(body) + t - py.count("**", 0, t))
+
+    def read(node, depth):
+        if depth > MAX_DEPTH:
+            fail(f"expression nested deeper than {MAX_DEPTH} levels", node.col_offset)
+        kind = type(node)
+        if kind is ast.Constant:
+            literal = py[node.col_offset:node.end_col_offset]
+            # a non-decimal literal keeps a letter or '_' inside (0x1, 1_0)
+            if type(node.value) in (int, float) and not literal.strip("0123456789.eE+-"):
+                return Num(float(literal))
+        elif kind is ast.Name:
+            if node.id[:1] == "x" and node.id[1:].isdigit():
+                idx = int(node.id[1:])
+                if not 1 <= idx <= dim:
+                    fail(f"coordinate x{idx} exceeds chart dimension {dim}", node.col_offset)
+                return Var(idx)
+            if node.id in _FN_IMPL:
+                fail("expected '('", node.end_col_offset)
+            fail(f"unknown identifier {node.id!r}", node.col_offset)
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return Neg(read(node.operand, depth + 1))
+        elif kind is ast.BinOp:
+            left = read(node.left, depth + 1)
+            op = _OPS.get(type(node.op))
+            op_at = len(py) - len(py[node.left.end_col_offset:].lstrip(") "))
+            if op is None:
+                fail("unsupported operator", op_at)
+            right = read(node.right, depth + 1)
+            if op == "^" and variables(right):
+                fail("exponent must be a constant", op_at)
+            return Bin(op, left, right)
+        elif kind is ast.Call:
+            fn, args = node.func, node.args
+            paren = py.index("(", fn.end_col_offset)
+            if (type(fn) is not ast.Name or fn.id not in _FN_IMPL
+                    or py[fn.end_col_offset:paren].strip()):
+                read(fn, depth + 1)  # names an unknown identifier or coordinate first
+                fail("unexpected '('", paren)
+            if (len(args) != 1 or node.keywords  # or a trailing comma, as in "sin(x1,)"
+                    or py[:node.end_col_offset - 1].rstrip(") ").endswith(",")):
+                fail(f"{fn.id} takes one argument", paren)
+            return Call(fn.id, read(args[0], depth + 1))
+        fail("unsupported syntax", node.col_offset)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. "invalid decimal literal" in "1if"
+            tree = ast.parse(py, mode="eval").body
+    except SyntaxError as e:
+        fail("invalid syntax", e.offset - 1 if e.offset else len(py))
+    except (RecursionError, MemoryError):  # how Python's parser refuses deep input
+        fail(f"expression nested deeper than {MAX_DEPTH} levels", 0)
+    return read(tree, 1)
 
 
 # -- evaluation ------------------------------------------------------------
-
-_FN_IMPL = {"sin": hd.sin, "cos": hd.cos, "exp": hd.exp, "log": hd.log, "sqrt": hd.sqrt}
-
 
 def evaluate(node, coords, memo=None):
     """Evaluate an AST at ``coords`` (sequence of scalars, arrays or jets).

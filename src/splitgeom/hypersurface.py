@@ -267,14 +267,17 @@ def _nabla_A(b):
 def _frame_tensors(b):
     """The two sides in the eigenframe ``X_i`` (columns of ``Y``):
     ``cal[i,j,l] = <(nabla_{X_i} A) X_j, X_l>`` from :func:`_nabla_A` and
-    ``conn[i,j,l] = <nabla_{X_i} X_j, X_l>`` from the frame jet."""
-    nabla, gamma = _nabla_A(b)
-    Y, g = b["Y"], b["g"]
-    cal = np.einsum("...ci,...cab,...bj,...ad,...dl->...ijl", Y, nabla, Y, g, Y,
-                    optimize=True)
-    DY = b["Y_jet"].grad + np.einsum("...acd,...dj->...ajc", gamma, Y)
-    conn = np.einsum("...ci,...ajc,...ae,...el->...ijl", Y, DY, g, Y, optimize=True)
-    return cal, conn
+    ``conn[i,j,l] = <nabla_{X_i} X_j, X_l>`` from the frame jet, kept in the
+    bundle ``b`` for the next check that reads them."""
+    if "cal" not in b:
+        nabla, gamma = _nabla_A(b)
+        Y, g = b["Y"], b["g"]
+        cal = np.einsum("...ci,...cab,...bj,...ad,...dl->...ijl", Y, nabla, Y, g, Y,
+                        optimize=True)
+        DY = b["Y_jet"].grad + np.einsum("...acd,...dj->...ajc", gamma, Y)
+        conn = np.einsum("...ci,...ajc,...ae,...el->...ijl", Y, DY, g, Y, optimize=True)
+        b["cal"], b["conn"] = cal, conn
+    return b["cal"], b["conn"]
 
 
 _TRIPLE = (-3, -2, -1)

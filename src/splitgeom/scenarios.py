@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
-from .expr import ExprError, evaluate, parse_expr
+from .expr import Bin, Call, ExprError, Neg, Num, evaluate, parse_expr
 from .splitting import SplitStructure, coordinate_split, gram_schmidt
 
 __all__ = [
@@ -103,10 +103,10 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
     if n < 3:
         raise GeometryError("twisted torus needs dimension >= 3")
     twist_src = twist.format(n=n)
-    _check_expression("twist", twist_src, n)
+    twist_ast = _check_expression("twist", twist_src, n)
     name = name or f"twisted_torus_k{len(dims)}"
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, _eye(n), name=name)
-    split = SplitStructure(dims, _rotated_frame(n, 0, twist_src))
+    split = SplitStructure(dims, _rotated_frame(n, 0, twist_ast))
     _check_periodic_distributions(chart, split)
     # quadrature resolves the axes the twist reads
     grid = [32 if a in split.depends_on else 4 for a in range(n)]
@@ -118,11 +118,12 @@ def _check_expression(label, src, n):
     """Parse ``src`` and evaluate it at 64 seeded random points of the torus
     ``T^n``, so that an error names the expression (``label``), not a
     metric or frame entry, and a domain error shows, with its point, while
-    the scenario is built."""
+    the scenario is built.  Returns the AST."""
     pts = np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)).T
     with _expression(label, src):
         ast = parse_expr(src, n)
     _values_at(label, src, ast, pts)
+    return ast
 
 
 def _values_at(label, src, ast, pts):
@@ -164,13 +165,13 @@ def _check_periodic_distributions(chart, split):
                                     f"|P_{i}(x+T)-P_{i}(x)| = {dp:.2e}")
 
 
-def _rotated_frame(n, a, twist_src):
+def _rotated_frame(n, a, twist):
     """Coordinate frame of ``T^n`` with the vectors ``a, a+1`` rotated in
-    their plane by the twist angle, as expression sources."""
-    c, s = f"cos({twist_src})", f"sin({twist_src})"
+    their plane by the twist angle (an AST), as expressions."""
+    c, s = Call("cos", twist), Call("sin", twist)
     rows = _eye(n)
     rows[a][a:a + 2] = [c, s]
-    rows[a + 1][a:a + 2] = [f"-{s}", c]
+    rows[a + 1][a:a + 2] = [Neg(s), c]
     return rows
 
 
@@ -206,9 +207,9 @@ def build_warped(spec, name="warped"):
 
     entries = _eye(n)
     col = n1
-    for u_src, d in zip(spec.warps, spec.fiber_dims):
+    for ast, d in zip(warp_asts, spec.fiber_dims):
         for _ in range(d):
-            entries[col][col] = f"({u_src})^2"
+            entries[col][col] = Bin("^", ast, Num(2.0))
             col += 1
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
 
@@ -251,13 +252,11 @@ def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
     """Torus ``dt^2 + u(t)^2 (dx^2 + dy^2)`` with the fiber plane split along a
     frame rotated by a twist angle; every identity term is non-zero."""
     n = 3
-    for label, src in (("u", u_src), ("twist", twist_src)):
-        _check_expression(label, src, n)
-    entries = [["1", "0", "0"],
-               ["0", f"({u_src})^2", "0"],
-               ["0", "0", f"({u_src})^2"]]
+    u2 = Bin("^", _check_expression("u", u_src, n), Num(2.0))
+    twist = _check_expression("twist", twist_src, n)
+    entries = [["1", "0", "0"], ["0", u2, "0"], ["0", "0", u2]]
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
-    split = SplitStructure((1, 1, 1), _rotated_frame(n, 1, twist_src))
+    split = SplitStructure((1, 1, 1), _rotated_frame(n, 1, twist))
     _check_periodic_distributions(chart, split)
     return Scenario(name=name, kind="warped_twisted", chart=chart, split=split,
                     meta={"integral_grid": [32, 4, 4]})

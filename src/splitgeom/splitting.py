@@ -207,6 +207,7 @@ class SplitContext:
         self._fund = {}
         self._cov = None
         self._K = None
+        self._smix = None
         g = self.frame.g
         self.g_val = g.val
         cholesky(self.g_val, self.points)
@@ -325,11 +326,12 @@ class SplitContext:
         return self._block_sum(self.split.block(i), self.split.block(j))
 
     def smix(self):
-        total = np.zeros(self.points.shape[:-1])
-        for i in range(1, self.k + 1):
-            for j in range(i + 1, self.k + 1):
-                total = total + self.mixed_curvature(i, j)
-        return total
+        """Mixed scalar curvature: the mixed sums of all pairs ``i < j`` (cached)."""
+        if self._smix is None:
+            pairs = itertools.combinations(range(1, self.k + 1), 2)
+            self._smix = sum((self.mixed_curvature(i, j) for i, j in pairs),
+                             np.zeros(self.points.shape[:-1]))
+        return self._smix
 
     def smix_pairsplit(self, i):
         """Mixed scalar curvature of the 2-split ``(D_i, D_i^perp)``."""

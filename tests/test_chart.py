@@ -281,22 +281,22 @@ def test_integrate_unit_volume():
     m = flat_torus(3)
     m_unit = ChartManifold([Axis(0.0, 1.0)] * 3,
                            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    vol = integrate(m_unit, lambda p: np.ones(p.shape[0]), 8)
+    vol = integrate(m_unit, lambda p: np.ones(p.shape[0]), 8, chunk=4096)
     assert abs(vol - 1.0) <= 1e-14
-    vol2 = integrate(m, lambda p: np.ones(p.shape[0]), 6)
+    vol2 = integrate(m, lambda p: np.ones(p.shape[0]), 6, chunk=4096)
     assert abs(vol2 - TWO_PI ** 3) <= 1e-10 * TWO_PI ** 3
 
 
 def test_integrate_oscillation_cancels():
     m = flat_torus(3)
-    val = integrate(m, lambda p: np.sin(p[..., 0]), 8)
+    val = integrate(m, lambda p: np.sin(p[..., 0]), 8, chunk=4096)
     assert abs(val) <= 1e-13 * TWO_PI ** 3
 
 
 def test_integrate_warped_volume():
     # oracle: independent 1-d quadrature of the volume density
     m = revolution_chart()
-    vol = integrate(m, lambda p: np.ones(p.shape[0]), 32)
+    vol = integrate(m, lambda p: np.ones(p.shape[0]), 32, chunk=4096)
     one_d, _ = scipy.integrate.quad(lambda t: 2 + math.sin(t), 0, TWO_PI)
     expected = TWO_PI * one_d  # = 8 pi^2
     assert abs(expected - 8 * math.pi ** 2) <= 1e-10
@@ -305,9 +305,9 @@ def test_integrate_warped_volume():
 
 def test_integrate_requires_closed_chart():
     with pytest.raises(NonClosedChartError):
-        integrate(sphere_chart(), lambda p: np.ones(p.shape[0]), 8)
+        integrate(sphere_chart(), lambda p: np.ones(p.shape[0]), 8, chunk=4096)
     with pytest.raises(GeometryError):
-        integrate(flat_torus(2), lambda p: np.ones(p.shape[0]), 3)
+        integrate(flat_torus(2), lambda p: np.ones(p.shape[0]), 3, chunk=4096)
 
 
 def test_quadrature_spectral_convergence():
@@ -321,7 +321,7 @@ def test_quadrature_spectral_convergence():
     for f, exact in cases:
         errs = []
         for res in (4, 8, 16, 32):
-            errs.append(abs(integrate(m1, f, [res]) - exact))
+            errs.append(abs(integrate(m1, f, [res], chunk=4096) - exact))
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= 0.5 * hi or lo <= 1e-14 * abs(exact)
         assert errs[-1] <= 1e-12 * abs(exact)
@@ -336,7 +336,8 @@ def test_integration_deterministic_under_threads():
     # a dict-valued integrand gives the same integrals from one sweep
     both = integrate(m, lambda p: {"f": f(p), "one": np.ones(p.shape[0])}, 16,
                      chunk=64, threads=4)
-    assert both == {"f": a, "one": integrate(m, lambda p: np.ones(p.shape[0]), 16)}
+    one = integrate(m, lambda p: np.ones(p.shape[0]), 16, chunk=4096)
+    assert both == {"f": a, "one": one}
 
 
 def test_depends_on_is_the_union_of_metric_axes():
@@ -373,8 +374,9 @@ def test_rectangle_rule_over_declared_axes_gives_the_full_grid_bits():
         seen.append(len(p))
         return np.exp(np.sin(p[..., 0])), m.metric_values(p)
 
-    full = rectangle_rule(m, [24, 6], integrand, map_batched)
-    reduced = rectangle_rule(m, [24, 6], integrand, map_batched, axes={0})
+    full = rectangle_rule(m, [24, 6], integrand, map_batched, chunk=4096)
+    reduced = rectangle_rule(m, [24, 6], integrand, map_batched, chunk=4096,
+                             axes={0})
     assert reduced == full and reduced[0] == [24, 6]
     assert seen == [144, 24]
 
@@ -406,7 +408,7 @@ def test_integrate_rejects_non_positive_volume_element():
     # det g = sin(x1) vanishes at the first node and is negative on half the grid
     m = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["sin(x1)", "0"], ["0", "1"]])
     with pytest.raises(GeometryError, match=r"not positive at \[0\.0, 0\.0\]"):
-        integrate(m, lambda p: np.ones(p.shape[0]), 8)
+        integrate(m, lambda p: np.ones(p.shape[0]), 8, chunk=4096)
 
 
 def test_grid_points_shape():

@@ -11,6 +11,7 @@ import pytest
 
 from splitgeom import cli, hyperdual, identities, splitting
 from splitgeom.cli import main
+from splitgeom.expr import MAX_DEPTH
 
 
 def run(argv):
@@ -571,6 +572,45 @@ def test_inline_expression_error_names_the_point(tmp_path, capsys, spec, message
     point = json.loads(err.split(message)[1])
     assert len(point) == (2 if spec["kind"] == "warped" else 3)
     assert np.sin(point[axis]) <= 0.0
+
+
+# -- deep expressions: refused with a config error; at the depth limit they run --
+
+@pytest.mark.parametrize("warp", [
+    "(" * 600 + "sin(x1)" + ")" * 600,
+    "2 + sin(x1)" + " + 0*x1" * 700,
+    "-" * 1200 + "sin(x1)",
+])
+def test_deep_expression_exits_2_naming_it(tmp_path, capsys, warp):
+    spec = {"kind": "warped", "base_dim": 1, "fiber_dims": [1], "warps": [warp]}
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "deep")
+    assert code == 2
+    assert report is None and out == ""
+    assert err.startswith("config error: scenario 'warped': ")
+    assert f" in warp 1 {warp!r}" in err and "Traceback" not in err
+
+
+def test_expression_at_the_depth_limit_runs(tmp_path, capsys):
+    # a left-deep sum: each "+ 0*x1" adds one level and changes no value
+    pad = " + 0*x1" * (MAX_DEPTH - 3)
+    warped = {"kind": "warped", "base_dim": 1, "fiber_dims": [1],
+              "warps": ["2 + sin(x1)" + pad]}  # 3 levels before the padding
+    code, report, _, err = verify_config(tmp_path, capsys, {"scenario": warped}, "warp")
+    assert code == 0, err
+    assert all(r["verdict"] == "pass" for r in json.loads(report))
+    warped["warps"] = [warped["warps"][0] + " + 0*x1"]
+    code, _, _, err = verify_config(tmp_path, capsys, {"scenario": warped}, "over")
+    assert code == 2 and f"nested deeper than {MAX_DEPTH} levels" in err
+
+    # as an immersion, whose entries are differentiated twice
+    plain = verify_config(tmp_path, capsys, {"scenario": TUBE}, "plain")
+    immersion = TUBE["immersion"][:3] + ["sin(x1)" + " + 0*x1" * (MAX_DEPTH - 2)]
+    deep = verify_config(tmp_path, capsys, {"scenario": {**TUBE, "immersion": immersion}},
+                         "deep")
+    assert deep[0] == plain[0] == 0, deep[3]
+    verdicts = [[(r["identity"], r["verdict"]) for r in json.loads(run[1])]
+                for run in (plain, deep)]
+    assert verdicts[0] == verdicts[1] and verdicts[0]
 
 
 @pytest.mark.parametrize("twist", ["x3", "0.5*x3"])

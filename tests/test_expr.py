@@ -1,10 +1,14 @@
+import collections
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from splitgeom import expr as ex
 from splitgeom import hyperdual as hd
+from splitgeom.cli import main
 from splitgeom.expr import parse_expr, evaluate
 
 from test_hyperdual import fd_grad, fd_hess
@@ -84,6 +88,90 @@ def test_parse_errors_carry_offsets():
 
     with pytest.raises(ex.ParseError):
         parse_expr("x1 ^ x2", 2)  # variable exponent rejected
+
+
+# -- the grammar's edges ------------------------------------------------------
+
+Num, Var, Neg, Call, Bin = ex.Num, ex.Var, ex.Neg, ex.Call, ex.Bin
+
+
+@pytest.mark.parametrize("source, tree", [
+    (" \tx1 +\n  x2\t", Bin("+", Var(1), Var(2))),
+    ("\t sin (x1)\n^2", Bin("^", Call("sin", Var(1)), Num(2.0))),
+    ("-2 ^ 2", Neg(Bin("^", Num(2.0), Num(2.0)))),
+    ("2 ^ 3 ^ 2", Bin("^", Num(2.0), Bin("^", Num(3.0), Num(2.0)))),
+    ("2 * -3", Bin("*", Num(2.0), Neg(Num(3.0)))),
+    ("x1^-2", Bin("^", Var(1), Neg(Num(2.0)))),
+    (".5", Num(0.5)),
+    ("3.", Num(3.0)),
+    ("1e-3", Num(0.001)),
+])
+def test_grammar_edges_accepted(source, tree):
+    assert parse_expr(source, 3) == tree
+
+
+# every message parse_expr gives for these, none of them Python's own
+_OWN_MESSAGE = re.compile(r"(invalid syntax|unsupported syntax|unsupported operator"
+                          r"|the power operator is '\^', not '\*\*'|sin takes one argument)"
+                          r" \(byte offset \d+\)")
+
+
+@pytest.mark.parametrize("source", [
+    "+x1", "x1**2", "1_0", "0x1", "1j", "007", "x1 % 2", "x1 // 2", "x1[0]", "x1.real",
+    "'a'", "x1 if x2 else 1", "sin x1", "sin(x1, x2)", "sin(x=1)", "sin(x1,)", "2 x1",
+    "x1 # comment", "x1\x00", "x\uff11", "\uff53in(x1)", "\uff12", "x1\u00a0+ 1",
+])
+def test_grammar_edges_refused(source):
+    with pytest.raises(ex.ParseError) as e:
+        parse_expr(source, 3)
+    assert 0 <= e.value.offset < len(source)
+    assert _OWN_MESSAGE.fullmatch(str(e.value)), str(e.value)
+
+
+def test_non_ascii_is_refused_at_its_offset():
+    for source, offset in (("x\uff11", 1), ("\uff53in(x1)", 0), ("x1 + \u0663", 5)):
+        with pytest.raises(ex.ParseError) as e:
+            parse_expr(source, 3)
+        assert e.value.offset == offset
+
+
+def test_coordinate_call_names_the_coordinate():
+    with pytest.raises(ex.ParseError, match="x4 exceeds chart dimension 3"):
+        parse_expr("x4(1)", 3)
+
+
+def _depth(node):
+    if isinstance(node, (Num, Var)):
+        return 1
+    if isinstance(node, (Neg, Call)):
+        return 1 + _depth(node.child)
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
+@pytest.mark.parametrize("deep", [
+    lambda k: "sin(" * (k - 1) + "x1" + ")" * (k - 1),
+    lambda k: "-" * (k - 1) + "x1",
+    lambda k: "x1" + " + x2" * (k - 1),
+    lambda k: "(" * (k - 1) + "x1" + " ^ 2)" * (k - 1),
+])
+def test_depth_limit(deep):
+    assert _depth(parse_expr(deep(ex.MAX_DEPTH), 2)) == ex.MAX_DEPTH
+    with pytest.raises(ex.ParseError, match=f"nested deeper than {ex.MAX_DEPTH} levels"):
+        parse_expr(deep(ex.MAX_DEPTH + 1), 2)
+    # far beyond, Python's parser refuses it itself, still as a ParseError
+    with pytest.raises(ex.ParseError, match="nested deeper|invalid syntax"):
+        parse_expr(deep(5000), 2)
+
+
+def test_second_derivatives_at_the_depth_limit_evaluate():
+    # a quotient nested in the denominator deepens each derivative the most
+    # (about 5 levels per level after two rounds); evaluating the second
+    # derivative takes two frames per level, inside the default limit
+    k = ex.MAX_DEPTH - 2
+    ast = parse_expr("x1/(" * k + "x1*x2" + ")" * k, 2)
+    d2 = ex.diff(ex.diff(ast, 1), 2)
+    assert _depth(d2) > 3 * ex.MAX_DEPTH
+    assert math.isfinite(evaluate(d2, [0.7, 1.3]))
 
 
 def test_eval_jet_examples():
@@ -193,6 +281,39 @@ def test_print_parse_round_trip():
         dim = int(rng.integers(1, 4))
         ast = random_ast(rng, dim, depth=4)
         assert parse_expr(to_source(ast), dim) == ast
+
+
+# spliced into inline expressions: refused input of every kind, deep input too
+_JUNK = ["**", "^", "(", ")", ",", "%", "#", "x9", "foo", "007", "0x1", "1_0", "1j", "sin",
+         "\u00a0", "\uff12", "\x00", "-" * 300, "(" * 250, " + 0*x1" * 80, "sin(" * 70]
+
+
+def test_inline_expressions_end_in_an_exit_code(tmp_path, capsys):
+    # random warps and twists, periodic on the torus, half of them with junk
+    # spliced in, through the CLI: every run ends with exit 0, 1 or 2
+    rng = np.random.default_rng(2226)
+    codes = collections.Counter()
+    for i in range(100):
+        src = to_source(random_ast(rng, 1, depth=int(rng.integers(1, 5))))
+        if i % 2:
+            spec = {"kind": "twisted_torus", "dims": [1, 1, 1],
+                    "twist": f"x3 + 0.5*sin({src.replace('x1', 'sin(x3)')})"}
+            key = "twist"
+        else:
+            spec = {"kind": "warped", "base_dim": 1, "fiber_dims": [1],
+                    "warps": f"3 + sin({src.replace('x1', 'sin(x1)')})"}
+            key = "warps"
+        if rng.random() < 0.5:
+            at = int(rng.integers(0, len(spec[key]) + 1))
+            spec[key] = spec[key][:at] + _JUNK[rng.integers(len(_JUNK))] + spec[key][at:]
+        if key == "warps":
+            spec[key] = [spec[key]]
+        cfg = tmp_path / "fuzz.json"
+        cfg.write_text(json.dumps({"scenario": spec, "samples": 2,
+                                   "out": str(tmp_path / "fuzz_report.json")}))
+        codes[main(["verify", "--scenario", str(cfg)])] += 1
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2} and codes[0] and codes[2], codes
 
 
 # -- symbolic differentiation ------------------------------------------------

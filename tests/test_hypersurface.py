@@ -254,8 +254,8 @@ def test_gauss_bonnet_on_torus():
     def k_field(pts):
         return np.linalg.det(shape_data(scn, pts)["A"])
 
-    total = integrate(scn.chart, k_field, [48, 8])
-    area = integrate(scn.chart, lambda p: np.ones(p.shape[0]), [48, 8])
+    total = integrate(scn.chart, k_field, [48, 8], chunk=4096)
+    area = integrate(scn.chart, lambda p: np.ones(p.shape[0]), [48, 8], chunk=4096)
     assert abs(total) <= 1e-12 * area
 
 
