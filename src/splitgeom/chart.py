@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .expr import evaluate, parse_expr, variables
+from .expr import evaluate, labelled, parse_expr, variables
 from .hyperdual import HyperDual, seed_jets
 
 __all__ = [
@@ -74,8 +74,9 @@ class ExpressionMatrix:
     """
 
     def __init__(self, entries, n, what):
-        self.rows = [[parse_expr(e, n) if isinstance(e, str) else e for e in row]
-                     for row in entries]
+        self.rows = [[_parsed(e, n, f"{what} entry ({a}, {b})")
+                      for b, e in enumerate(row, start=1)]
+                     for a, row in enumerate(entries, start=1)]
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise GeometryError(f"{what} must be an n x n matrix")
         self.depends_on = frozenset().union(*(variables(e) for row in self.rows
@@ -84,6 +85,13 @@ class ExpressionMatrix:
     def __call__(self, coords):
         memo = {}
         return [[evaluate(e, coords, memo) for e in row] for row in self.rows]
+
+
+def _parsed(entry, n, label):
+    if not isinstance(entry, str):
+        return entry
+    with labelled(label, entry):
+        return parse_expr(entry, n)
 
 
 class ChartManifold:

@@ -37,18 +37,11 @@ import zlib
 
 import numpy as np
 
-from .chart import Axis, ChartManifold, GeometryError
-from .expr import ExprError, parse_expr
-from .hypersurface import GapError, HypersurfaceScenario, hypersurface_catalog
+from .chart import Axis, GeometryError
+from .expr import ExprError
+from .hypersurface import GapError, build_hypersurface, hypersurface_catalog
 from .identities import INTEGRAL, POINTWISE, Tolerances, run_checks, select_checks
-from .scenarios import (
-    WarpedSpec,
-    build_twisted_torus,
-    build_warped,
-    build_warped_twisted,
-    kproduct_catalog,
-)
-from .splitting import SplitStructure
+from .scenarios import build_twisted_torus, build_warped, build_warped_twisted, kproduct_catalog
 
 DEFAULT_SAMPLES = 100
 HYPERSURFACE_SAMPLE_CAP = 20
@@ -205,33 +198,20 @@ def build_inline_scenario(spec):
 
 def _build_inline(kind, spec):
     if kind == "twisted_torus":
-        return build_twisted_torus(tuple(spec["dims"]),
-                                   twist=spec.get("twist", "sin(x{n})"),
+        return build_twisted_torus(spec["dims"], twist=spec.get("twist", "sin(x{n})"),
                                    name=spec.get("name"))
     if kind == "warped":
-        return build_warped(WarpedSpec(spec["base_dim"], tuple(spec["fiber_dims"]),
-                                       tuple(spec["warps"])),
+        return build_warped(spec["base_dim"], spec["fiber_dims"], spec["warps"],
                             name=spec.get("name", "warped"))
     if kind == "warped_twisted":
-        kwargs = {}
-        if "u" in spec:
-            kwargs["u_src"] = spec["u"]
-        if "twist" in spec:
-            kwargs["twist_src"] = spec["twist"]
-        return build_warped_twisted(name=spec.get("name", "warped_twisted"), **kwargs)
-    # hypersurface
-    axes = [Axis(a["lo"], a["hi"], a.get("periodic", True)) for a in spec["axes"]]
-    n = len(axes)
-    chart = ChartManifold(axes, spec["metric"], name=spec.get("name", "hypersurface"))
-    immersion = [parse_expr(src, n) for src in spec["immersion"]]
-    return HypersurfaceScenario(
-        name=spec.get("name", "hypersurface"), chart=chart, immersion=immersion,
-        ambient_curv=spec["ambient_curv"],
-        split=SplitStructure(spec["expected_dims"]),
-        normal_flip=spec.get("normal_flip", False),
-        sample_box=[tuple(b) for b in spec["sample_box"]] if "sample_box" in spec else None,
-        gap_threshold=spec.get("gap_threshold"),
-    )
+        return build_warped_twisted(name=spec.get("name", "warped_twisted"),
+                                    **{key: spec[key] for key in ("u", "twist") if key in spec})
+    return build_hypersurface(
+        spec.get("name", "hypersurface"),
+        [Axis(a["lo"], a["hi"], a.get("periodic", True)) for a in spec["axes"]],
+        spec["metric"], spec["immersion"], spec["ambient_curv"], spec["expected_dims"],
+        normal_flip=spec.get("normal_flip", False), sample_box=spec.get("sample_box"),
+        gap_threshold=spec.get("gap_threshold"))
 
 
 def resolve_scenarios(entry):

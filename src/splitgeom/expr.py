@@ -25,6 +25,7 @@ and exact differentiation.
 from __future__ import annotations
 
 import ast
+import contextlib
 import operator
 import warnings
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ __all__ = [
     "Bin",
     "Neg",
     "parse_expr",
+    "labelled",
     "evaluate",
     "variables",
     "diff",
@@ -64,27 +66,51 @@ class DomainError(ExprError):
     pass
 
 
+@contextlib.contextmanager
+def labelled(label, src):
+    """Name the expression ``src`` (``label``) in an :class:`ExprError`
+    raised inside the block."""
+    try:
+        yield
+    except ExprError as e:
+        raise ExprError(f"{e} in {label} {src!r}") from e
+
+
 # -- AST -------------------------------------------------------------------
+
+def _hash(node):
+    # computed once per node: a memo lookup would otherwise rehash the subtree
+    try:
+        return node._hash
+    except AttributeError:
+        h = hash((type(node), *node.__dict__.values()))
+        object.__setattr__(node, "_hash", h)
+        return h
+
 
 @dataclass(frozen=True)
 class Num:
     value: float
+    __hash__ = _hash
 
 
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based coordinate index
+    __hash__ = _hash
 
 
 @dataclass(frozen=True)
 class Neg:
     child: object
+    __hash__ = _hash
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     child: object
+    __hash__ = _hash
 
 
 @dataclass(frozen=True)
@@ -92,6 +118,7 @@ class Bin:
     op: str
     left: object
     right: object
+    __hash__ = _hash
 
 
 _FN_IMPL = {"sin": hd.sin, "cos": hd.cos, "exp": hd.exp, "log": hd.log, "sqrt": hd.sqrt}
@@ -185,14 +212,16 @@ def parse_expr(source, dim):
 def evaluate(node, coords, memo=None):
     """Evaluate an AST at ``coords`` (sequence of scalars, arrays or jets).
 
-    Calls that share a ``memo`` dict at the same ``coords`` evaluate each
-    distinct subexpression once (the twist inside ``cos(t)`` and ``sin(t)``).
+    Each distinct subexpression is evaluated once, also across calls that
+    share a ``memo`` dict at the same ``coords`` (the twist inside ``cos(t)``
+    and ``sin(t)``); ``memo`` None starts a fresh one.
     """
     if memo is None:
-        return _evaluate(node, coords, None)
-    if node not in memo:
-        memo[node] = _evaluate(node, coords, memo)
-    return memo[node]
+        memo = {}
+    value = memo.get(node, memo)  # the memo itself marks a miss
+    if value is memo:
+        value = memo[node] = _evaluate(node, coords, memo)
+    return value
 
 
 def _evaluate(node, coords, memo):
@@ -227,7 +256,7 @@ def _evaluate(node, coords, memo):
             except JetDomainError as e:
                 raise DomainError(str(e)) from e
         if node.op == "^":
-            p = float(evaluate(node.right, ()))
+            p = float(b)  # the parser admits only constant exponents
             if p < 0.0 and np.any(hd.value_of(a) == 0.0):
                 raise DomainError("negative power of a zero base")
             try:

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import Axis, ChartFrame, ChartManifold, GeometryError, cholesky
-from .expr import diff, evaluate, parse_expr
+from .chart import Axis, ChartFrame, ChartManifold, GeometryError, cholesky, sample_points
+from .expr import diff, evaluate
 from .hyperdual import HyperDual, seed_jets
-from .scenarios import Scenario
+from .scenarios import Scenario, _check_expression
 from .splitting import SplitStructure, gram_schmidt
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "codazzi_checks",
     "hypersurface_identity",
     "dperp_integrability",
+    "build_hypersurface",
     "build_torus_revolution",
     "build_clifford_torus",
     "build_graph_r4",
@@ -106,13 +107,14 @@ def shape_data(scn, points):
     n = scn.chart.dim
     m = len(scn.immersion)
     xs = seed_jets(points)
-    F = hd.stack([evaluate(f, xs) for f in scn.immersion], ref=xs[0])
+    memo = {}  # one for F and all its second derivatives, which share subtrees
+    F = hd.stack([evaluate(f, xs, memo) for f in scn.immersion], ref=xs[0])
     ddf = {}
     for j, f in enumerate(scn.immersion):
         for a in range(n):
             df = diff(f, a + 1)
             for b in range(a, n):
-                ddf[j, a, b] = ddf[j, b, a] = evaluate(diff(df, b + 1), xs)
+                ddf[j, a, b] = ddf[j, b, a] = evaluate(diff(df, b + 1), xs, memo)
     DDF = hd.stack([[[ddf[j, a, b] for b in range(n)] for a in range(n)]
                     for j in range(m)], ref=xs[0])
     # jet of d_a F^m: gradient d_a d_c F^m, Hessian d_a d_c d_d F^m
@@ -433,104 +435,76 @@ def dperp_integrability(scn, b):
 TWO_PI = 2 * math.pi
 
 
-def build_torus_revolution(R=2.0, r=1.0, name="torus_revolution"):
-    """Torus of revolution in flat 3-space; curvatures ``cos t/(R + r cos t)``
-    and ``1/r`` along the tube."""
-    chart = ChartManifold(
-        [Axis(0.0, TWO_PI), Axis(0.0, TWO_PI)],
-        [[f"{r * r}", "0"], ["0", f"({R} + {r}*cos(x1))^2"]],
-        name=name,
-    )
-    immersion = [
-        parse_expr(f"({R} + {r}*cos(x1))*cos(x2)", 2),
-        parse_expr(f"({R} + {r}*cos(x1))*sin(x2)", 2),
-        parse_expr(f"{r}*sin(x1)", 2),
-    ]
+def build_hypersurface(name, axes, metric, immersion, ambient_curv, dims, normal_flip=False,
+                       sample_box=None, gap_threshold=None, grid=None):
+    """The scenario ``name``: the chart on ``axes`` with the closed-form
+    induced ``metric``, immersed by the expression sources ``immersion``
+    into flat space (``ambient_curv`` 0) or the unit sphere (1) and split by
+    principal curvature into blocks of the expected multiplicities ``dims``.
+    ``grid`` is the quadrature grid (16 per axis if None).  Each immersion
+    entry is evaluated at 64 seeded points of the sample box, so that a
+    domain error names the entry and its point while the scenario is built.
+    """
+    chart = ChartManifold(axes, metric, name=name)
+    pts = sample_points(chart, 64, np.random.default_rng(1234), box=sample_box)
+    asts = [_check_expression(f"immersion entry {j}", src, pts)
+            for j, src in enumerate(immersion, start=1)]
     return HypersurfaceScenario(
-        name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1)), meta={"integral_grid": [48, 4]},
-    )
+        name=name, chart=chart, immersion=asts, ambient_curv=ambient_curv,
+        split=SplitStructure(dims), normal_flip=normal_flip, sample_box=sample_box,
+        gap_threshold=gap_threshold, meta={} if grid is None else {"integral_grid": grid})
 
 
-def build_clifford_torus(name="clifford_torus"):
+def build_torus_revolution():
+    """Torus of revolution in flat 3-space; curvatures ``cos t/(2 + cos t)``
+    and 1 along the tube."""
+    return build_hypersurface(
+        "torus_revolution", [Axis(0.0, TWO_PI)] * 2,
+        [["1.0", "0"], ["0", "(2.0 + 1.0*cos(x1))^2"]],
+        ["(2.0 + 1.0*cos(x1))*cos(x2)", "(2.0 + 1.0*cos(x1))*sin(x2)", "1.0*sin(x1)"],
+        0, (1, 1), grid=[48, 4])
+
+
+def build_clifford_torus():
     """Minimal flat torus in the unit 3-sphere; curvatures -1 and +1."""
-    s = 1.0 / math.sqrt(2.0)
-    chart = ChartManifold(
-        [Axis(0.0, TWO_PI), Axis(0.0, TWO_PI)],
-        [["0.5", "0"], ["0", "0.5"]],
-        name=name,
-    )
-    immersion = [
-        parse_expr(f"{s!r}*cos(x1)", 2),
-        parse_expr(f"{s!r}*sin(x1)", 2),
-        parse_expr(f"{s!r}*cos(x2)", 2),
-        parse_expr(f"{s!r}*sin(x2)", 2),
-    ]
-    return HypersurfaceScenario(
-        name=name, chart=chart, immersion=immersion, ambient_curv=1,
-        split=SplitStructure((1, 1)), meta={"integral_grid": [8, 8]},
-    )
+    s = "0.7071067811865475"  # 1/sqrt(2)
+    return build_hypersurface(
+        "clifford_torus", [Axis(0.0, TWO_PI)] * 2, [["0.5", "0"], ["0", "0.5"]],
+        [f"{s}*cos(x1)", f"{s}*sin(x1)", f"{s}*cos(x2)", f"{s}*sin(x2)"],
+        1, (1, 1), grid=[8, 8])
 
 
-def build_graph_r4(name="graph_r4"):
+def build_graph_r4():
     """Graph hypersurface ``w = 0.3 x^2 + 0.2 y^2 + 0.1 z^2 + 0.05 xyz`` in
     flat 4-space near the origin: three simple principal curvatures."""
-    f = "0.3*x1^2 + 0.2*x2^2 + 0.1*x3^2 + 0.05*x1*x2*x3"
-    fx = "(0.6*x1 + 0.05*x2*x3)"
-    fy = "(0.4*x2 + 0.05*x1*x3)"
-    fz = "(0.2*x3 + 0.05*x1*x2)"
-    grads = [fx, fy, fz]
-    entries = [[f"{'1' if a == b else '0'} + {grads[a]}*{grads[b]}"
-                for b in range(3)] for a in range(3)]
-    lo, hi = -0.15, 0.15
-    chart = ChartManifold([Axis(lo, hi, periodic=False)] * 3, entries, name=name)
-    immersion = [parse_expr("x1", 3), parse_expr("x2", 3), parse_expr("x3", 3),
-                 parse_expr(f, 3)]
-    return HypersurfaceScenario(
-        name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1, 1)), normal_flip=True,
-        gap_threshold=0.05,
-    )
+    grads = ["(0.6*x1 + 0.05*x2*x3)", "(0.4*x2 + 0.05*x1*x3)", "(0.2*x3 + 0.05*x1*x2)"]
+    metric = [[f"{'1' if a == b else '0'} + {grads[a]}*{grads[b]}" for b in range(3)]
+              for a in range(3)]
+    return build_hypersurface(
+        "graph_r4", [Axis(-0.15, 0.15, periodic=False)] * 3, metric,
+        ["x1", "x2", "x3", "0.3*x1^2 + 0.2*x2^2 + 0.1*x3^2 + 0.05*x1*x2*x3"],
+        0, (1, 1, 1), normal_flip=True, gap_threshold=0.05)
 
 
-def build_torus_cylinder(name="torus_cylinder_k3"):
+def build_torus_cylinder():
     """Product of a torus of revolution with a line in flat 4-space; three
     simple curvatures (one of them zero) on the outer tube region."""
-    R = 2.0
-    chart = ChartManifold(
+    return build_hypersurface(
+        "torus_cylinder_k3",
         [Axis(-1.0, 1.0, periodic=False), Axis(0.0, TWO_PI), Axis(0.0, TWO_PI)],
-        [["1", "0", "0"], ["0", f"({R} + cos(x1))^2", "0"], ["0", "0", "1"]],
-        name=name,
-    )
-    immersion = [
-        parse_expr(f"({R} + cos(x1))*cos(x2)", 3),
-        parse_expr(f"({R} + cos(x1))*sin(x2)", 3),
-        parse_expr("sin(x1)", 3),
-        parse_expr("x3", 3),
-    ]
-    return HypersurfaceScenario(
-        name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1, 1)),
-        sample_box=[(-0.9, 0.9), (0.0, TWO_PI), (0.0, TWO_PI)],
-    )
+        [["1", "0", "0"], ["0", "(2.0 + cos(x1))^2", "0"], ["0", "0", "1"]],
+        ["(2.0 + cos(x1))*cos(x2)", "(2.0 + cos(x1))*sin(x2)", "sin(x1)", "x3"],
+        0, (1, 1, 1), sample_box=[(-0.9, 0.9), (0.0, TWO_PI), (0.0, TWO_PI)])
 
 
-def build_round_sphere(radius=1.5, name="round_sphere"):
-    """Round sphere: all curvatures equal; rejected by any k >= 2 grouping."""
-    chart = ChartManifold(
-        [Axis(0.4, math.pi - 0.4, periodic=False), Axis(0.0, TWO_PI)],
-        [[f"{radius * radius}", "0"], ["0", f"{radius * radius}*sin(x1)^2"]],
-        name=name,
-    )
-    immersion = [
-        parse_expr(f"{radius}*sin(x1)*cos(x2)", 2),
-        parse_expr(f"{radius}*sin(x1)*sin(x2)", 2),
-        parse_expr(f"{radius}*cos(x1)", 2),
-    ]
-    return HypersurfaceScenario(
-        name=name, chart=chart, immersion=immersion, ambient_curv=0,
-        split=SplitStructure((1, 1)), normal_flip=True,
-    )
+def build_round_sphere():
+    """Round sphere of radius 1.5: all curvatures equal; rejected by any
+    k >= 2 grouping."""
+    return build_hypersurface(
+        "round_sphere", [Axis(0.4, math.pi - 0.4, periodic=False), Axis(0.0, TWO_PI)],
+        [["2.25", "0"], ["0", "2.25*sin(x1)^2"]],
+        ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
+        0, (1, 1), normal_flip=True)
 
 
 def hypersurface_catalog():

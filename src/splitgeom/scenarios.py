@@ -27,7 +27,6 @@ cross term); scenarios record whether they hold exactly in
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,12 +35,11 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
-from .expr import Bin, Call, ExprError, Neg, Num, evaluate, parse_expr
+from .expr import Bin, Call, ExprError, Neg, Num, evaluate, labelled, parse_expr
 from .splitting import SplitStructure, coordinate_split, gram_schmidt
 
 __all__ = [
     "Scenario",
-    "WarpedSpec",
     "build_twisted_torus",
     "build_warped",
     "build_warped_twisted",
@@ -79,16 +77,6 @@ class Scenario:
         return sample_points(self.chart, count, rng, box=self.sample_box)
 
 
-@contextlib.contextmanager
-def _expression(label, src):
-    """Name the expression ``src`` (``label``) in an :class:`ExprError` raised
-    inside the block."""
-    try:
-        yield
-    except ExprError as e:
-        raise ExprError(f"{e} in {label} {src!r}") from e
-
-
 # -- twisted flat torus ------------------------------------------------------
 
 def build_twisted_torus(dims, twist="sin(x{n})", name=None):
@@ -103,7 +91,7 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
     if n < 3:
         raise GeometryError("twisted torus needs dimension >= 3")
     twist_src = twist.format(n=n)
-    twist_ast = _check_expression("twist", twist_src, n)
+    twist_ast = _check_expression("twist", twist_src, _torus_points(n))
     name = name or f"twisted_torus_k{len(dims)}"
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, _eye(n), name=name)
     split = SplitStructure(dims, _rotated_frame(n, 0, twist_ast))
@@ -114,16 +102,20 @@ def build_twisted_torus(dims, twist="sin(x{n})", name=None):
                     meta={"twist": twist_src, "integral_grid": grid})
 
 
-def _check_expression(label, src, n):
-    """Parse ``src`` and evaluate it at 64 seeded random points of the torus
-    ``T^n``, so that an error names the expression (``label``), not a
-    metric or frame entry, and a domain error shows, with its point, while
-    the scenario is built.  Returns the AST."""
-    pts = np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)).T
-    with _expression(label, src):
-        ast = parse_expr(src, n)
+def _check_expression(label, src, pts):
+    """Parse ``src`` over the coordinates of the points ``pts`` ``(N, n)``
+    and evaluate it there, so that an error names the expression
+    (``label``), not a metric or frame entry, and a domain error shows,
+    with its point, while the scenario is built.  Returns the AST."""
+    with labelled(label, src):
+        ast = parse_expr(src, pts.shape[-1])
     _values_at(label, src, ast, pts)
     return ast
+
+
+def _torus_points(n):
+    """64 seeded random points of the torus ``T^n``."""
+    return np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)).T
 
 
 def _values_at(label, src, ast, pts):
@@ -181,33 +173,25 @@ def _eye(n):
 
 # -- multiply warped products -------------------------------------------------
 
-@dataclass
-class WarpedSpec:
-    """Base dimension, fiber dimensions and warp expressions over the base."""
-
-    base_dim: int
-    fiber_dims: tuple
-    warps: tuple  # expression sources over the base coordinates x1..x{base_dim}
-
-    def __post_init__(self):
-        if len(self.warps) != len(self.fiber_dims):
-            raise GeometryError("one warp expression per fiber is required")
-        if self.base_dim < 1 or any(d < 1 for d in self.fiber_dims):
-            raise GeometryError("dimensions must be positive")
-
-
-def build_warped(spec, name="warped"):
-    """Multiply warped product over a flat periodic base with flat fibers."""
-    n1 = spec.base_dim
-    n = n1 + sum(spec.fiber_dims)
+def build_warped(base_dim, fiber_dims, warps, name="warped", grid=None):
+    """Multiply warped product over a flat periodic base with flat fibers:
+    ``warps`` are expression sources over the base coordinates
+    ``x1..x<base_dim>``, one per fiber.  ``grid`` is the quadrature grid,
+    by default 24 points per base axis and 4 per fiber axis."""
+    if len(warps) != len(fiber_dims):
+        raise GeometryError("one warp expression per fiber is required")
+    if base_dim < 1 or any(d < 1 for d in fiber_dims):
+        raise GeometryError("dimensions must be positive")
+    n1 = base_dim
+    n = n1 + sum(fiber_dims)
     warp_asts = []
-    for i, src in enumerate(spec.warps, start=1):
-        with _expression(f"warp {i}", src):
+    for i, src in enumerate(warps, start=1):
+        with labelled(f"warp {i}", src):
             warp_asts.append(parse_expr(src, n1))  # raises if a fiber coordinate appears
 
     entries = _eye(n)
     col = n1
-    for ast, d in zip(warp_asts, spec.fiber_dims):
+    for ast, d in zip(warp_asts, fiber_dims):
         for _ in range(d):
             entries[col][col] = Bin("^", ast, Num(2.0))
             col += 1
@@ -220,19 +204,19 @@ def build_warped(spec, name="warped"):
     pts = sample_points(chart, 64, rng)
     xs = hd.seed_jets(pts)
     grads = []
-    for i, (src, ast) in enumerate(zip(spec.warps, warp_asts), start=1):
+    for i, (src, ast) in enumerate(zip(warps, warp_asts), start=1):
         bad = np.flatnonzero(_values_at(f"warp {i}", src, ast, pts) <= 0.0)
         if bad.size:
             raise GeometryError(f"warp {src!r} is not positive on the chart "
                                 f"at {pts[bad[0]].tolist()}")
-        with _expression(f"warp {i}", src):
+        with labelled(f"warp {i}", src):
             u = evaluate(ast, xs)
         if isinstance(u, hd.HyperDual):
             grads.append(u.grad[..., :n1])
         else:
             grads.append(np.zeros(pts.shape[:-1] + (n1,)))
 
-    split = coordinate_split((n1,) + tuple(spec.fiber_dims))
+    split = coordinate_split((n1,) + tuple(fiber_dims))
     sec2 = True
     for i in range(len(grads)):
         for j in range(i + 1, len(grads)):
@@ -241,22 +225,23 @@ def build_warped(spec, name="warped"):
 
     # quadrature only needs resolution along axes the data depends on; warps
     # live on the base, everything else is constant on its axis
-    grid = [24] * n1 + [4] * sum(spec.fiber_dims)
+    if grid is None:
+        grid = [24] * n1 + [4] * sum(fiber_dims)
     return Scenario(name=name, kind="warped", chart=chart, split=split,
                     meta={"warp_asts": warp_asts, "sec2_exact": sec2,
                           "integral_grid": grid})
 
 
-def build_warped_twisted(u_src="2 + 0.5*sin(x1)", twist_src="x1 + sin(x1)",
+def build_warped_twisted(u="2 + 0.5*sin(x1)", twist="x1 + sin(x1)",
                          name="warped_twisted_t3"):
     """Torus ``dt^2 + u(t)^2 (dx^2 + dy^2)`` with the fiber plane split along a
     frame rotated by a twist angle; every identity term is non-zero."""
     n = 3
-    u2 = Bin("^", _check_expression("u", u_src, n), Num(2.0))
-    twist = _check_expression("twist", twist_src, n)
+    u2 = Bin("^", _check_expression("u", u, _torus_points(n)), Num(2.0))
+    twist_ast = _check_expression("twist", twist, _torus_points(n))
     entries = [["1", "0", "0"], ["0", u2, "0"], ["0", "0", u2]]
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
-    split = SplitStructure((1, 1, 1), _rotated_frame(n, 1, twist))
+    split = SplitStructure((1, 1, 1), _rotated_frame(n, 1, twist_ast))
     _check_periodic_distributions(chart, split)
     return Scenario(name=name, kind="warped_twisted", chart=chart, split=split,
                     meta={"integral_grid": [32, 4, 4]})
@@ -321,44 +306,31 @@ def warped_checks(scenario, ctx):
 
 # -- catalog ------------------------------------------------------------------
 
-def _build_conv_scenario():
-    # rational warp: the weighted integrands have a genuine spectral tail,
-    # so quadrature convergence is observable (unlike trig-polynomial cases)
-    scn = build_warped(WarpedSpec(1, (1, 1), ("2 + sin(x1)", "1/(2 + cos(x1))")),
-                       name="warped_t3_conv")
-    scn.meta["integral_grid"] = [32, 4, 4]
-    return scn
-
-
-def _build_multi_scenario():
-    # two-dimensional base and a two-dimensional fiber: exercises the
-    # multiplicity factors, and the only k=3 integrals with a 2-dim fiber block
-    scn = build_warped(WarpedSpec(2, (2, 1), ("2 + sin(x1)", "2 + cos(x2)")),
-                       name="warped_t5_k3_multi")
-    scn.meta["integral_grid"] = [16, 16, 4, 4, 4]
-    return scn
-
-
 def kproduct_catalog():
     """Builders for the torus-based scenarios, keyed by name."""
     return {
         "twisted_torus_k2": lambda: build_twisted_torus((1, 2)),
         "twisted_torus_k3": lambda: build_twisted_torus((1, 1, 1)),
         "twisted_torus_k4": lambda: build_twisted_torus((1, 1, 1, 1)),
-        "warped_t2": lambda: build_warped(
-            WarpedSpec(1, (1,), ("2 + sin(x1)",)), name="warped_t2"),
-        "warped_t3_fiber2": lambda: build_warped(
-            WarpedSpec(1, (2,), ("2 + sin(x1)",)), name="warped_t3_fiber2"),
-        "warped_t3_k3": lambda: build_warped(
-            WarpedSpec(1, (1, 1), ("2 + sin(x1)", "2 + cos(x1)")), name="warped_t3_k3"),
+        "warped_t2": lambda: build_warped(1, (1,), ("2 + sin(x1)",), name="warped_t2"),
+        "warped_t3_fiber2": lambda: build_warped(1, (2,), ("2 + sin(x1)",),
+                                                 name="warped_t3_fiber2"),
+        "warped_t3_k3": lambda: build_warped(1, (1, 1), ("2 + sin(x1)", "2 + cos(x1)"),
+                                             name="warped_t3_k3"),
         "warped_t4_k4": lambda: build_warped(
-            WarpedSpec(1, (1, 1, 1),
-                       ("2 + sin(x1)", "2 + cos(x1)", "2 + 0.5*sin(2*x1)")),
+            1, (1, 1, 1), ("2 + sin(x1)", "2 + cos(x1)", "2 + 0.5*sin(2*x1)"),
             name="warped_t4_k4"),
-        "warped_t3_conv": _build_conv_scenario,
+        # rational warp: the weighted integrands have a genuine spectral tail,
+        # so quadrature convergence is observable (unlike trig-polynomial cases)
+        "warped_t3_conv": lambda: build_warped(
+            1, (1, 1), ("2 + sin(x1)", "1/(2 + cos(x1))"), name="warped_t3_conv",
+            grid=[32, 4, 4]),
         "warped_t4_k3_ortho": lambda: build_warped(
-            WarpedSpec(2, (1, 1), ("2 + sin(x1)", "2 + cos(x2)")),
-            name="warped_t4_k3_ortho"),
-        "warped_t5_k3_multi": _build_multi_scenario,
+            2, (1, 1), ("2 + sin(x1)", "2 + cos(x2)"), name="warped_t4_k3_ortho"),
+        # two-dimensional base and a two-dimensional fiber: exercises the
+        # multiplicity factors, and the only k=3 integrals with a 2-dim fiber block
+        "warped_t5_k3_multi": lambda: build_warped(
+            2, (2, 1), ("2 + sin(x1)", "2 + cos(x2)"), name="warped_t5_k3_multi",
+            grid=[16, 16, 4, 4, 4]),
         "warped_twisted_t3": build_warped_twisted,
     }

@@ -339,20 +339,20 @@ class SplitContext:
         return self._block_sum(block, [b for b in range(self.n) if b not in block])
 
 
-def pair_predicates(ctx, i, j, tol=1e-9):
+def pair_predicates(ctx, i, j):
     """Mixed totally-geodesic / mixed-integrable flags for the pair ``(i, j)``.
 
     Returns sup norms of the cross-block components of ``h_{ij}`` and
     ``T_{ij}`` over the points of the :class:`SplitContext` ``ctx`` and
-    booleans against ``tol``.
+    booleans against 1e-9.
     """
     if i == j:
         raise ValueError("pair predicates need two distinct distributions")
     sup_h, sup_t = (float(np.max(s, initial=0.0))
                     for s in ctx.cross_block_sup(tuple(sorted((i, j)))))
     return {
-        "mixed_tg": sup_h <= tol,
-        "mixed_int": sup_t <= tol,
+        "mixed_tg": sup_h <= 1e-9,
+        "mixed_int": sup_t <= 1e-9,
         "sup_h_cross": sup_h,
         "sup_t_cross": sup_t,
     }

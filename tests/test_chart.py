@@ -345,6 +345,18 @@ def test_depends_on_is_the_union_of_metric_axes():
     assert flat_torus(3).depends_on == frozenset()
 
 
+def test_expression_matrix_names_the_entry_it_cannot_parse():
+    rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    rows[0][1] = "x4"
+    with pytest.raises(ex.ExprError) as err:
+        ExpressionMatrix(rows, 3, "metric")
+    assert str(err.value) == ("coordinate x4 exceeds chart dimension 3 (byte offset 0) "
+                              "in metric entry (1, 2) 'x4'")
+    rows[0][1], rows[2][0] = "0", "sin(x1"
+    with pytest.raises(ex.ExprError, match=r" in spanning frame entry \(3, 1\) 'sin\(x1'$"):
+        ExpressionMatrix(rows, 3, "spanning frame")
+
+
 def test_expression_matrix_evaluates_a_repeated_subexpression_once(monkeypatch):
     # a rotation by sin(x1): the inner sin(x1) is evaluated once for all four
     # entries, the outer sin once for two, and the values keep their bits

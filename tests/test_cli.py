@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -572,6 +573,85 @@ def test_inline_expression_error_names_the_point(tmp_path, capsys, spec, message
     point = json.loads(err.split(message)[1])
     assert len(point) == (2 if spec["kind"] == "warped" else 3)
     assert np.sin(point[axis]) <= 0.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"metric": [["1", "x4", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+     "coordinate x4 exceeds chart dimension 3 (byte offset 0) in metric entry (1, 2) 'x4'"),
+    ({"immersion": TUBE["immersion"][:3] + ["sin(x5)"]},
+     "coordinate x5 exceeds chart dimension 3 (byte offset 4) in immersion entry 4 'sin(x5)'"),
+], ids=["metric", "immersion"])
+def test_inline_hypersurface_parse_error_names_the_entry(tmp_path, capsys, change, message):
+    code, report, out, err = verify_config(tmp_path, capsys,
+                                           {"scenario": {**TUBE, **change}}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    assert err == f"config error: scenario 'tube_s2': {message}\n"
+
+
+def test_inline_immersion_domain_error_names_the_entry_and_point(tmp_path, capsys):
+    # the immersion is evaluated while the scenario is built, not mid-run
+    spec = {**TUBE, "immersion": TUBE["immersion"][:3] + ["log(x1 - 5)"]}
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    head = ("config error: scenario 'tube_s2': log: log of non-positive value "
+            "in immersion entry 4 'log(x1 - 5)' at ")
+    assert err.startswith(head)
+    point = json.loads(err[len(head):])
+    assert all(a["lo"] <= x <= a["hi"] for a, x in zip(TUBE["axes"], point, strict=True))
+
+
+def test_inline_warped_needs_one_warp_per_fiber(tmp_path, capsys):
+    spec = {"kind": "warped", "base_dim": 1, "fiber_dims": [1, 1], "warps": ["2 + sin(x1)"]}
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    assert err == "config error: scenario 'warped': one warp expression per fiber is required\n"
+
+
+# each catalog hypersurface as an inline config: its name, chart, immersion
+# and options, with the catalog's quadrature grid as the config grid
+GRAPH_GRADS = ["(0.6*x1 + 0.05*x2*x3)", "(0.4*x2 + 0.05*x1*x3)", "(0.2*x3 + 0.05*x1*x2)"]
+CATALOG_AS_INLINE = {
+    "torus_revolution": ({
+        "axes": [{"lo": 0.0, "hi": 2 * math.pi}] * 2,
+        "metric": [["1.0", "0"], ["0", "(2.0 + 1.0*cos(x1))^2"]],
+        "immersion": ["(2.0 + 1.0*cos(x1))*cos(x2)", "(2.0 + 1.0*cos(x1))*sin(x2)",
+                      "1.0*sin(x1)"],
+        "ambient_curv": 0, "expected_dims": [1, 1]}, [48, 4]),
+    "clifford_torus": ({
+        "axes": [{"lo": 0.0, "hi": 2 * math.pi}] * 2,
+        "metric": [["0.5", "0"], ["0", "0.5"]],
+        "immersion": [f"{1 / math.sqrt(2)!r}*{f}(x{a})" for a in (1, 2) for f in ("cos", "sin")],
+        "ambient_curv": 1, "expected_dims": [1, 1]}, [8, 8]),
+    "graph_r4": ({
+        "axes": [{"lo": -0.15, "hi": 0.15, "periodic": False}] * 3,
+        "metric": [[f"{int(a == b)} + {GRAPH_GRADS[a]}*{GRAPH_GRADS[b]}" for b in range(3)]
+                   for a in range(3)],
+        "immersion": ["x1", "x2", "x3", "0.3*x1^2 + 0.2*x2^2 + 0.1*x3^2 + 0.05*x1*x2*x3"],
+        "ambient_curv": 0, "expected_dims": [1, 1, 1], "normal_flip": True,
+        "gap_threshold": 0.05}, None),
+    "torus_cylinder_k3": ({
+        "axes": [{"lo": -1.0, "hi": 1.0, "periodic": False},
+                 {"lo": 0.0, "hi": 2 * math.pi}, {"lo": 0.0, "hi": 2 * math.pi}],
+        "metric": [["1", "0", "0"], ["0", "(2.0 + cos(x1))^2", "0"], ["0", "0", "1"]],
+        "immersion": ["(2.0 + cos(x1))*cos(x2)", "(2.0 + cos(x1))*sin(x2)", "sin(x1)", "x3"],
+        "ambient_curv": 0, "expected_dims": [1, 1, 1],
+        "sample_box": [[-0.9, 0.9], [0.0, 2 * math.pi], [0.0, 2 * math.pi]]}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_AS_INLINE))
+def test_catalog_hypersurface_as_inline_config_gives_the_same_reports(tmp_path, capsys, name):
+    spec, grid = CATALOG_AS_INLINE[name]
+    inline = {"scenario": {"kind": "hypersurface", "name": name, **spec}}
+    if grid is not None:
+        inline["grid"] = grid
+    catalog = verify_config(tmp_path, capsys, {"scenario": name}, "catalog")
+    built = verify_config(tmp_path, capsys, inline, "inline")
+    assert catalog[0] == 0 and catalog[1]
+    assert built == catalog
 
 
 # -- deep expressions: refused with a config error; at the depth limit they run --

@@ -174,6 +174,31 @@ def test_second_derivatives_at_the_depth_limit_evaluate():
     assert math.isfinite(evaluate(d2, [0.7, 1.3]))
 
 
+def _subtrees(node, seen):
+    """Add every distinct subtree of ``node`` to the set ``seen``."""
+    if node not in seen:
+        seen.add(node)
+        for child in ([node.child] if isinstance(node, (Neg, Call)) else
+                      [node.left, node.right] if isinstance(node, Bin) else []):
+            _subtrees(child, seen)
+    return seen
+
+
+def test_second_derivative_evaluates_each_distinct_subtree_once(monkeypatch):
+    # diff shares some subtrees by identity and builds equal copies of
+    # others; evaluation visits each distinct one once, at any depth
+    k = 20
+    ast = parse_expr("x1/(" * k + "x1*x2" + ")" * k, 2)
+    d2 = ex.diff(ex.diff(ast, 1), 2)
+    distinct = len(_subtrees(d2, set()))
+    calls = []
+    inner = ex._evaluate
+    monkeypatch.setattr(ex, "_evaluate", lambda *args: calls.append(1) or inner(*args))
+    xs = hd.seed_jets(np.array([[0.7, 1.3], [0.4, 0.9]]))
+    assert np.all(np.isfinite(evaluate(d2, xs).val))
+    assert len(calls) <= distinct
+
+
 def test_eval_jet_examples():
     j = jet_at(parse_expr("sin(x1)", 1), [0.0])
     assert j.val == 0.0 and j.grad[0] == 1.0 and j.hess[0, 0] == 0.0

@@ -10,7 +10,6 @@ from splitgeom.expr import evaluate, parse_expr, variables
 from splitgeom.hypersurface import hypersurface_catalog, principal_bundle
 from splitgeom.identities import pointwise_fields
 from splitgeom.scenarios import (
-    WarpedSpec,
     build_twisted_torus,
     build_warped,
     build_warped_twisted,
@@ -450,11 +449,11 @@ def test_nonperiodic_twist_rejected():
     with pytest.raises(GeometryError, match="distribution 1 not periodic along axis 3"):
         build_twisted_torus((1, 1, 1), twist="0.25*x3")
     with pytest.raises(GeometryError, match="distribution 2 not periodic along axis 1"):
-        build_warped_twisted(twist_src="0.25*x1")
+        build_warped_twisted(twist="0.25*x1")
 
 
 def test_constant_warp_is_a_direct_product():
-    scn = build_warped(WarpedSpec(1, (1,), ("2",)), name="warped_const")
+    scn = build_warped(1, (1,), ("2",), name="warped_const")
     pts = scn.sample(10, np.random.default_rng(20))
     ctx = SplitContext(scn.chart, scn.split, pts)
     for i in (1, 2):
@@ -473,7 +472,7 @@ def test_split_depends_on_is_derived_from_the_frame():
     assert coordinate_split((1, 2)).depends_on == frozenset()
     assert SplitStructure((1, 1), [["1", "0"], ["0", "2 + sin(x2)"]]).depends_on == {1}
     assert build_twisted_torus((1, 1, 1), twist="sin(x1)*cos(x2)").split.depends_on == {0, 1}
-    assert build_warped_twisted(twist_src="x1 + sin(x3)").split.depends_on == {0, 2}
+    assert build_warped_twisted(twist="x1 + sin(x3)").split.depends_on == {0, 2}
     # a split without a frame reads every axis
     assert SplitStructure((1, 2)).depends_on == {0, 1, 2}
 
@@ -499,7 +498,7 @@ def test_twisted_torus_grid_resolves_the_axes_the_twist_reads(twist, grid):
 
 def test_nonpositive_warp_rejected():
     with pytest.raises(GeometryError, match="not positive"):
-        build_warped(WarpedSpec(1, (1,), ("sin(x1)",)))
+        build_warped(1, (1,), ("sin(x1)",))
 
 
 def test_nonorthogonal_blocks_rejected():
