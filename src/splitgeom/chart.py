@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .expr import evaluate, labelled, parse_expr, variables
+from .expr import ExprError, evaluate, evaluate_at, labelled, parse_expr, variables
 from .hyperdual import HyperDual, seed_jets
 
 __all__ = [
@@ -74,17 +74,27 @@ class ExpressionMatrix:
     """
 
     def __init__(self, entries, n, what):
+        self.what = what
         self.rows = [[_parsed(e, n, f"{what} entry ({a}, {b})")
                       for b, e in enumerate(row, start=1)]
                      for a, row in enumerate(entries, start=1)]
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise GeometryError(f"{what} must be an n x n matrix")
+        self.sources = [[e if isinstance(e, str) else None for e in row] for row in entries]
         self.depends_on = frozenset().union(*(variables(e) for row in self.rows
                                               for e in row))
 
     def __call__(self, coords):
         memo = {}
         return [[evaluate(e, coords, memo) for e in row] for row in self.rows]
+
+    def locate(self, points):
+        """Evaluate entry by entry at ``points`` ``(N, n)``, raising the
+        :class:`~splitgeom.expr.ExprError` of the first entry that fails,
+        named with its source and the first of ``points`` where it does."""
+        for a, (row, sources) in enumerate(zip(self.rows, self.sources), start=1):
+            for b, (node, src) in enumerate(zip(row, sources), start=1):
+                evaluate_at(f"{self.what} entry ({a}, {b})", src, node, points)
 
 
 def _parsed(entry, n, label):
@@ -126,7 +136,12 @@ class ChartManifold:
     def validate(self):
         """Check SPD on a 5-per-axis lattice and periodicity at 16 seeded points."""
         pts = grid_points(self, [5] * self.dim, inset=1e-3)
-        g = self.metric_values(pts)
+        try:
+            g = self.metric_values(pts)
+        except ExprError:
+            # only after a failure: name the entry and the lattice point
+            self.metric_at.locate(pts.reshape(-1, self.dim))
+            raise
         asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
         if asym > 1e-12:
             raise GeometryError(f"metric not symmetric (max asymmetry {asym:.2e})")
@@ -173,12 +188,18 @@ def map_batched(fn, points, chunk, threads=1):
     """Apply ``fn`` to chunks of points, concatenating results in chunk order.
 
     ``fn`` maps an ``(m, n)`` array to an ``(m,)`` array or a dict of such
-    arrays.  Reduction order is fixed by chunk index, so the result is
+    arrays.  The chunks hold at most ``chunk`` points and differ in size by
+    at most one; with ``threads > 1`` their count is a multiple of
+    ``threads`` (or one chunk per point), so no worker idles on a short
+    last chunk.  Reduction order is fixed by chunk index, so the result is
     independent of the worker count.
     """
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, points.shape[-1])
-    chunks = [flat[i:i + chunk] for i in range(0, flat.shape[0], chunk)]
+    count = -(-flat.shape[0] // chunk)
+    if threads > 1:
+        count = min(flat.shape[0], -(-count // threads) * threads)
+    chunks = np.array_split(flat, count)
     if threads > 1 and len(chunks) > 1:
         # imported here: concurrent.futures imports logging, which a
         # single-threaded run never needs
@@ -273,8 +294,7 @@ class ChartFrame:
         if self._ginv is None:
             inv = np.linalg.inv(self.g.val)
             self._ginv = HyperDual(
-                inv, -np.einsum("...ab,...bcz,...cd->...adz", inv, self.g.grad, inv,
-                                optimize=True))
+                inv, -hd.einsum("...ab,...bcz,...cd->...adz", inv, self.g.grad, inv))
         return self._ginv
 
     @property

@@ -47,6 +47,7 @@ __all__ = [
     "parse_expr",
     "labelled",
     "evaluate",
+    "evaluate_at",
     "variables",
     "diff",
 ]
@@ -222,6 +223,22 @@ def evaluate(node, coords, memo=None):
     if value is memo:
         value = memo[node] = _evaluate(node, coords, memo)
     return value
+
+
+def evaluate_at(label, src, node, points):
+    """The values of ``node`` at the points ``points`` ``(N, n)``; an error
+    names the expression ``src`` (``label``; ``src`` None for an AST given
+    without one) and the first of ``points`` where it fails."""
+    try:
+        return np.asarray(evaluate(node, list(points.T)), dtype=float)
+    except ExprError as e:
+        name = label if src is None else f"{label} {src!r}"
+        for p in points:
+            try:
+                evaluate(node, list(p[:, None]))
+            except ExprError:
+                raise ExprError(f"{e} in {name} at {p.tolist()}") from e
+        raise ExprError(f"{e} in {name}") from e
 
 
 def _evaluate(node, coords, memo):

@@ -129,10 +129,13 @@ def shape_data(scn, points):
         if np.max(np.abs(radius - 1.0)) > 1e-12:
             raise GeometryError("sphere immersion does not lie on the unit sphere")
         rows.append(F)
-    # generalized cross product: N_j = eps_{j k_1 .. k_{m-1}} r_1^{k_1} .. r_{m-1}^{k_{m-1}}
+    # generalized cross product: N_j = eps_{j k_1 .. k_{m-1}} r_1^{k_1} .. r_{m-1}^{k_{m-1}};
+    # eps carries the batch axes, so that no product folds the points into
+    # one matrix, whose BLAS edge blocks would make N depend on the chunk
     idx = string.ascii_lowercase[:m]
-    N = hd.einsum(f"{idx},{','.join('...' + c for c in idx[1:])}->...{idx[0]}",
-                  _levi_civita(m), *rows)
+    eps = np.broadcast_to(_levi_civita(m), points.shape[:-1] + (m,) * m)
+    N = hd.einsum(f"...{idx},{','.join('...' + c for c in idx[1:])}->...{idx[0]}",
+                  eps, *rows)
     if scn.normal_flip:
         N = -N
     N = hd.einsum("...j,...->...j", N, hd.einsum("...j,...j->...", N, N) ** -0.5)
@@ -274,10 +277,9 @@ def _frame_tensors(b):
     if "cal" not in b:
         nabla, gamma = _nabla_A(b)
         Y, g = b["Y"], b["g"]
-        cal = np.einsum("...ci,...cab,...bj,...ad,...dl->...ijl", Y, nabla, Y, g, Y,
-                        optimize=True)
+        cal = hd.einsum("...ci,...cab,...bj,...ad,...dl->...ijl", Y, nabla, Y, g, Y)
         DY = b["Y_jet"].grad + np.einsum("...acd,...dj->...ajc", gamma, Y)
-        conn = np.einsum("...ci,...ajc,...ae,...el->...ijl", Y, DY, g, Y, optimize=True)
+        conn = hd.einsum("...ci,...ajc,...ae,...el->...ijl", Y, DY, g, Y)
         b["cal"], b["conn"] = cal, conn
     return b["cal"], b["conn"]
 

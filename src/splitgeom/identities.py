@@ -65,7 +65,7 @@ import itertools
 import math
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,9 +124,10 @@ class CheckReport:
     wall_time: float = 0.0
 
     def to_dict(self):
-        """The report body: every field but the wall time."""
-        out = asdict(self)
-        del out["wall_time"]
+        """The report body: every field but the wall time, ``grid`` copied."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
+        if self.grid is not None:
+            out["grid"] = list(self.grid)
         return out
 
 
@@ -519,18 +520,21 @@ def _geometry(scn, geometry, pts):
     return pts, scn.chart.metric_values(pts)
 
 
-# doubles in each of the widest jets of one chunk's geometry: about 1 MiB
+# doubles in each of the widest jets of the geometries that a run's workers
+# hold at once: about 1 MiB
 BUDGET = 2 ** 17
 
 
-def _chunk_size(n, axes):
+def _chunk_size(n, axes, threads):
     """Points per chunk on an ``n``-dimensional chart whose jets are seeded
-    along ``axes`` (None: every axis): ``BUDGET`` doubles over the
-    ``n * n * m * max(n, m)`` per point of the widest jets, the order-2
-    frame ``(..., n, n, m, m)`` and the order-1 connection
-    ``(..., n, n, n, m)``, for ``m`` seeded axes."""
+    along ``axes`` (None: every axis), for ``threads`` workers that each
+    hold one chunk's geometry: ``BUDGET`` doubles over ``threads`` times
+    the ``n * n * m * max(n, m)`` per point of the widest jets, the
+    order-2 frame ``(..., n, n, m, m)`` and the order-1 connection
+    ``(..., n, n, n, m)``, for ``m`` seeded axes.  So the run's memory does
+    not grow with ``threads``; its chunks shrink instead."""
     m = n if axes is None else max(1, len(axes))
-    return max(1, BUDGET // (n * n * m * max(n, m)))
+    return max(1, BUDGET // (threads * n * n * m * max(n, m)))
 
 
 def _key(name, key):
@@ -610,33 +614,34 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
     metric or frame moves along another (see
     :meth:`~splitgeom.chart.ChartFrame.entries`).
 
-    A geometry holds ``chunk`` points (default: :func:`_chunk_size`, so
-    that its jets stay near ``BUDGET`` doubles); no value depends on
-    ``chunk`` or ``threads``.
+    A geometry holds at most ``chunk`` points (default:
+    :func:`_chunk_size`, so that the jets of the ``threads`` geometries
+    held at once stay near ``BUDGET`` doubles together); no value depends
+    on ``chunk`` or ``threads``.
     """
     tols = tol or Tolerances()
     groups = {}
     for row in rows:
         groups.setdefault((row.check.kind == INTEGRAL, row.check.geometry), []).append(row)
-    reports, fields = {}, {}
+    reports, per_point = {}, {}
     for (integral, geometry), group in groups.items():
         t0 = time.perf_counter()
         eval_chunk = _chunk_values(scn, group)
         axes = scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT else None
-        size = chunk or _chunk_size(scn.chart.dim, axes)
+        size = chunk or _chunk_size(scn.chart.dim, axes, threads)
         if integral:
             grid, values = rectangle_rule(scn.chart, grid, eval_chunk, map_batched,
                                           chunk=size, threads=threads, axes=axes)
         else:
             values = map_batched(lambda p: eval_chunk(p)[0], points,
                                  chunk=size, threads=threads)
-            fields.update(values)
+            per_point.update(values)
         share = (time.perf_counter() - t0) / len(group)
         for row in group:
             reports[row.name, row.check.kind] = _report(
                 scn.name, row, lambda key: values.get(_key(row.name, key)), tols,
                 points, grid, share)
-    return [reports[row.name, row.check.kind] for row in rows], fields
+    return [reports[row.name, row.check.kind] for row in rows], per_point
 
 
 def _split_rows(chart, split, scenario, names, kind):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
-from .expr import Bin, Call, ExprError, Neg, Num, evaluate, labelled, parse_expr
+from .expr import Bin, Call, Neg, Num, evaluate, evaluate_at, labelled, parse_expr
 from .splitting import SplitStructure, coordinate_split, gram_schmidt
 
 __all__ = [
@@ -109,27 +109,13 @@ def _check_expression(label, src, pts):
     with its point, while the scenario is built.  Returns the AST."""
     with labelled(label, src):
         ast = parse_expr(src, pts.shape[-1])
-    _values_at(label, src, ast, pts)
+    evaluate_at(label, src, ast, pts)
     return ast
 
 
 def _torus_points(n):
     """64 seeded random points of the torus ``T^n``."""
     return np.random.default_rng(1234).uniform(0.0, TWO_PI, size=(n, 64)).T
-
-
-def _values_at(label, src, ast, pts):
-    """The values of ``ast`` at the points ``pts`` ``(N, n)``; an error names
-    the expression (``label``) and the first of ``pts`` where it fails."""
-    try:
-        return np.asarray(evaluate(ast, list(pts.T)), dtype=float)
-    except ExprError as e:
-        for p in pts:
-            try:
-                evaluate(ast, list(p[:, None]))
-            except ExprError:
-                raise ExprError(f"{e} in {label} {src!r} at {p.tolist()}") from e
-        raise ExprError(f"{e} in {label} {src!r}") from e
 
 
 def _check_periodic_distributions(chart, split):
@@ -205,7 +191,7 @@ def build_warped(base_dim, fiber_dims, warps, name="warped", grid=None):
     xs = hd.seed_jets(pts)
     grads = []
     for i, (src, ast) in enumerate(zip(warps, warp_asts), start=1):
-        bad = np.flatnonzero(_values_at(f"warp {i}", src, ast, pts) <= 0.0)
+        bad = np.flatnonzero(evaluate_at(f"warp {i}", src, ast, pts) <= 0.0)
         if bad.size:
             raise GeometryError(f"warp {src!r} is not positive on the chart "
                                 f"at {pts[bad[0]].tolist()}")

@@ -114,12 +114,12 @@ def gram_schmidt(g, vectors, points, blocks=()):
 
     One Cholesky factorisation of the values of the Gram matrix
     ``G = F g F^T = L L^T`` gives the frame ``E = L^-1 F``.  On jets,
-    ``E = K F'``: ``F' = L^-1 F`` holds ``L`` at its values, and ``K`` is the
-    inverse Cholesky factor of ``H = F' g F'^T``, whose value is the
-    identity.  Raises :class:`GeometryError` naming the first of ``points``
-    where rows of two different ``blocks`` (index ranges) are not
-    orthogonal, or where the rows are linearly dependent
-    (:func:`~splitgeom.chart.cholesky`).
+    ``E = K F' = F' + (K - I) F'``: ``F' = L^-1 F`` holds ``L`` at its
+    values, and ``K`` is the inverse Cholesky factor of ``H = F' g F'^T``,
+    whose value is the identity, so ``K - I`` has value zero.  Raises
+    :class:`GeometryError` naming the first of ``points`` where rows of two
+    different ``blocks`` (index ranges) are not orthogonal, or where the
+    rows are linearly dependent (:func:`~splitgeom.chart.cholesky`).
     """
     fv, gv = hd.value_of(vectors), hd.value_of(g)
     gram = hd.einsum("...va,...ab,...wb->...vw", fv, gv, fv)
@@ -135,18 +135,21 @@ def gram_schmidt(g, vectors, points, blocks=()):
     frame = hd.einsum("...vw,...wa->...va", M, vectors)
     if not isinstance(g, hd.HyperDual):
         return frame
-    K = _unit_inverse_factor(hd.einsum("...va,...ab,...wb->...vw", frame, g, frame))
-    return hd.einsum("...vw,...wa->...va", K, frame)
+    # F' g once, then against F'^T: two pairwise contractions, where the
+    # three-operand product rule would recompute F' g in each of its terms
+    H = hd.einsum("...vb,...wb->...vw", hd.einsum("...va,...ab->...vb", frame, g), frame)
+    D = _unit_inverse_factor(H)
+    return frame + hd.einsum("...vw,...wa->...va", D, frame)
 
 
 def _unit_inverse_factor(H):
-    """The jet of ``K = L^-1`` for an order-2 Gram matrix jet ``H = L L^T``
-    whose value is the identity, by the forward rule of the Cholesky factor
-    (Murray, arXiv:1602.07527) at ``L = I``: with ``Phi`` the lower triangle
-    with a halved diagonal, ``K_x = -Phi(H_x)`` and
-    ``K_xy = -Phi(B + B^T + H_xy) - Phi(H_x) K_y``, where ``B = K_y H_x``.
-    Along an axis ``H`` does not move, ``K_x`` and ``K_xy`` are exactly
-    zero.  Overwrites ``H.hess``."""
+    """The jet of ``K - I``, ``K = L^-1``, for an order-2 Gram matrix jet
+    ``H = L L^T`` whose value is the identity, by the forward rule of the
+    Cholesky factor (Murray, arXiv:1602.07527) at ``L = I``: value zero and,
+    with ``Phi`` the lower triangle with a halved diagonal,
+    ``K_x = -Phi(H_x)`` and ``K_xy = -Phi(B + B^T + H_xy) - Phi(H_x) K_y``,
+    where ``B = K_y H_x``.  Along an axis ``H`` does not move, ``K_x`` and
+    ``K_xy`` are exactly zero.  Overwrites ``H.hess``."""
     n = H.val.shape[-1]
     phi = np.tril(np.ones((n, n))) - 0.5 * np.eye(n)
     Kx = H.grad * -phi[:, :, None]
@@ -158,7 +161,7 @@ def _unit_inverse_factor(H):
     del B
     S *= -phi[:, :, None, None]
     S += hd.einsum("...vix,...iwy->...vwxy", Kx, Kx)
-    return hd.HyperDual(np.broadcast_to(np.eye(n), H.val.shape), Kx, S)
+    return hd.HyperDual(np.zeros(H.val.shape), Kx, S)
 
 
 @dataclass

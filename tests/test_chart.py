@@ -393,6 +393,26 @@ def test_rectangle_rule_over_declared_axes_gives_the_full_grid_bits():
     assert seen == [144, 24]
 
 
+@pytest.mark.parametrize("count, chunk, threads", [
+    (10, 4, 1), (10, 4, 2), (10, 4, 3), (576, 512, 2), (13824, 809, 2), (13824, 539, 3),
+    (5, 1000, 3), (2, 1000, 3), (1, 1, 2)])
+def test_map_batched_balances_its_chunks_over_the_workers(count, chunk, threads):
+    pts = np.arange(2.0 * count).reshape(count, 2)
+    sizes = []
+
+    def fn(p):
+        sizes.append(len(p))  # list.append is atomic across the workers
+        return p[:, 0] - 2.0 * p[:, 1]
+
+    out = map_batched(fn, pts, chunk=chunk, threads=threads)
+    assert np.array_equal(out, pts[:, 0] - 2.0 * pts[:, 1])
+    assert sum(sizes) == count and max(sizes) <= chunk
+    assert max(sizes) - min(sizes) <= 1
+    if threads > 1:
+        # a multiple of the workers, unless there are fewer points than workers
+        assert len(sizes) % threads == 0 or len(sizes) == count < threads
+
+
 @pytest.mark.parametrize("count", [1, 3, 6, 150, 4097])
 def test_repeated_sum_has_the_bits_of_the_repeated_values(count):
     rng = np.random.default_rng(count)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -248,6 +249,23 @@ def test_full_catalog_reports_identical_at_one_and_two_threads(tmp_path, monkeyp
         assert run(["verify", "--all", "--seed", "12345", "--threads", threads,
                     "--out", str(outs[-1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_report_dicts_are_the_dataclass_fields_but_the_wall_time(tmp_path, monkeypatch):
+    written = []
+    write = cli.write_reports
+    monkeypatch.setattr(cli, "write_reports",
+                        lambda reports, path: (written.extend(reports), write(reports, path)))
+    out = tmp_path / "all.json"
+    assert run(["verify", "--all", "--seed", "1", "--out", str(out)]) == 0
+    want = [{key: v for key, v in dataclasses.asdict(r).items() if key != "wall_time"}
+            for r in written]
+    assert [r.to_dict() for r in written] == want
+    assert out.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
+    # the grid is the dict's own
+    r = next(r for r in written if r.grid is not None)
+    r.to_dict()["grid"].append(0)
+    assert r.to_dict() == next(w for w, x in zip(want, written) if x is r)
 
 
 def test_split_context_jets_carry_one_slot_per_axis_read(tmp_path, monkeypatch):
@@ -599,6 +617,22 @@ def test_inline_immersion_domain_error_names_the_entry_and_point(tmp_path, capsy
             "in immersion entry 4 'log(x1 - 5)' at ")
     assert err.startswith(head)
     point = json.loads(err[len(head):])
+    assert all(a["lo"] <= x <= a["hi"] for a, x in zip(TUBE["axes"], point, strict=True))
+
+
+def test_inline_metric_domain_error_names_the_entry_and_point(tmp_path, capsys):
+    # the metric is evaluated on the validation lattice, entry by entry
+    # only after that fails
+    metric = [["sqrt(x1)"] + TUBE["metric"][0][1:]] + TUBE["metric"][1:]
+    code, report, out, err = verify_config(tmp_path, capsys,
+                                           {"scenario": {**TUBE, "metric": metric}}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    head = ("config error: scenario 'tube_s2': sqrt: sqrt of negative value "
+            "in metric entry (1, 1) 'sqrt(x1)' at ")
+    assert err.startswith(head)
+    point = json.loads(err[len(head):])
+    assert point[0] < 0.0
     assert all(a["lo"] <= x <= a["hi"] for a, x in zip(TUBE["axes"], point, strict=True))
 
 

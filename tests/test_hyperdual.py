@@ -464,3 +464,16 @@ def test_no_module_imports_numpy_internals():
             bad = [m for m in names if any(m == i or m.startswith(i + ".") for i in internal)]
             assert not bad, f"{path.name}:{node.lineno} uses {bad}"
 
+
+def test_no_module_plans_numpy_einsum_on_every_call():
+    # np.einsum(..., optimize=...) runs np.einsum_path on each call;
+    # hd.einsum plans a contraction once per spec and operand layout
+    src = pathlib.Path(hd.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")):
+                assert not any(kw.arg == "optimize" for kw in node.keywords), (
+                    f"{path.name}:{node.lineno} calls np.einsum with optimize=; "
+                    f"use hd.einsum")

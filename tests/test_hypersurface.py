@@ -18,7 +18,7 @@ from splitgeom.hypersurface import (
     principal_bundle,
     shape_data,
 )
-from splitgeom.identities import _Evaluator
+from splitgeom.identities import INTEGRAL, _Evaluator, run_checks, select_checks
 from splitgeom.scenarios import Scenario
 from splitgeom.splitting import SplitContext, coordinate_split
 
@@ -367,3 +367,15 @@ def test_hypersurface_scenario_reads_its_shape_from_split_and_chart():
     assert b["frame"].chart is scn.chart and b["E"].shape == (3, 3, 3)
     gram = np.einsum("...va,...ab,...wb->...vw", b["E"], b["frame"].g.val, b["E"])
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(hypersurface_catalog()))
+def test_hypersurface_values_do_not_depend_on_the_chunk(name):
+    # each point's values are its own, however the points are cut
+    scn = hypersurface_catalog()[name]()
+    rows = [row for row in select_checks(scn) if row.check.kind != INTEGRAL]
+    pts = scn.sample(20, np.random.default_rng(3))
+    whole = run_checks(scn, rows, pts, chunk=20)[1]
+    for chunk in (1, 7, 13):
+        part = run_checks(scn, rows, pts, chunk=chunk)[1]
+        assert [key for key in whole if whole[key].tobytes() != part[key].tobytes()] == [], chunk

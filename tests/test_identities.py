@@ -349,6 +349,14 @@ def test_deterministic_under_threads():
     assert a.normalizer == b.normalizer
 
 
+def seeded_twist():
+    """A twisted 3-torus whose twist, a trig polynomial with seeded
+    coefficients, reads every axis."""
+    coef = np.random.default_rng(7).uniform(0.2, 0.6, size=(3, 2))
+    return build_twisted_torus((1, 1, 1), twist=" + ".join(
+        f"{s!r}*sin(x{a + 1}) + {c!r}*cos(x{a + 1})" for a, (s, c) in enumerate(coef.tolist())))
+
+
 def test_deterministic_across_chunks_and_threads(monkeypatch):
     # the quadrature evaluates the 16 base nodes of warped_t3_k3: four chunks
     scn = kproduct_catalog()["warped_t3_k3"]()
@@ -358,9 +366,7 @@ def test_deterministic_across_chunks_and_threads(monkeypatch):
     assert a.integral_value == b.integral_value
     assert a.normalizer == b.normalizer
     # the default, budgeted chunk on a seeded twist that reads every axis
-    coef = np.random.default_rng(7).uniform(0.2, 0.6, size=(3, 2))
-    scn = build_twisted_torus((1, 1, 1), twist=" + ".join(
-        f"{s!r}*sin(x{a + 1}) + {c!r}*cos(x{a + 1})" for a, (s, c) in enumerate(coef.tolist())))
+    scn = seeded_twist()
     rows = [row for row in select_checks(scn) if row.check.kind == INTEGRAL]
     built = []
 
@@ -372,9 +378,29 @@ def test_deterministic_across_chunks_and_threads(monkeypatch):
         m.setattr(identities, "SplitContext", counting)
         default = run_checks(scn, rows, None, [12, 12, 12])[0]
     assert len(built) >= 2 and sum(built) == 12 ** 3
+    body = json.dumps([r.to_dict() for r in default])
     chunked = run_checks(scn, rows, None, [12, 12, 12], chunk=64, threads=4)[0]
-    assert (json.dumps([r.to_dict() for r in default])
-            == json.dumps([r.to_dict() for r in chunked]))
+    assert body == json.dumps([r.to_dict() for r in chunked])
+    # the default chunks shrink with the worker count
+    for threads in (2, 3):
+        reports = run_checks(scn, rows, None, [12, 12, 12], threads=threads)[0]
+        assert body == json.dumps([r.to_dict() for r in reports]), threads
+
+
+def test_default_chunks_bound_the_memory_of_a_run_whatever_its_workers():
+    # one budget for the chunks that all the workers hold at once: two
+    # workers hold two chunks of half the size
+    scn = seeded_twist()
+    rows = [row for row in select_checks(scn) if row.check.kind == INTEGRAL]
+    peaks = []
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            run_checks(scn, rows, None, [16, 16, 16], threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], [p / 2 ** 20 for p in peaks]
 
 
 def test_default_chunks_bound_the_memory_of_a_frame_that_reads_every_axis():
