@@ -290,9 +290,13 @@ class ChartFrame:
 
     @property
     def ginv(self):
-        """Inverse metric ``(..., a, b)`` jet, from ``d(g^-1) = -g^-1 dg g^-1``."""
+        """Inverse metric ``(..., a, b)`` jet, ``g^-1 = L^-T L^-1`` from the
+        Cholesky factor ``g = L L^T`` and ``d(g^-1) = -g^-1 dg g^-1``.
+        Raises :class:`GeometryError` naming the first point where the
+        metric is not positive definite (:func:`cholesky`)."""
         if self._ginv is None:
-            inv = np.linalg.inv(self.g.val)
+            Linv = lower_inverse(cholesky(self.g.val, self.points))
+            inv = np.einsum("...ca,...cb->...ab", Linv, Linv)
             self._ginv = HyperDual(
                 inv, -hd.einsum("...ab,...bcz,...cd->...adz", inv, self.g.grad, inv))
         return self._ginv
@@ -390,6 +394,20 @@ def cholesky(G, points, what="metric not positive definite"):
         node = points.reshape(-1, points.shape[-1])[bad[0]]
         raise GeometryError(f"{what} at {node.tolist()}")
     return L.reshape(G.shape)
+
+
+def lower_inverse(L):
+    """Inverses of the lower-triangular matrices ``L`` ``(..., v, v)`` with a
+    non-zero diagonal, by forward substitution over the whole batch, one row
+    at a time; the upper triangle of the result is exactly zero."""
+    v = L.shape[-1]
+    X = np.zeros(L.shape)
+    for i in range(v):
+        pivot = 1.0 / L[..., i, i]
+        X[..., i, :i] = -np.einsum("...j,...jk->...k", L[..., i, :i],
+                                   X[..., :i, :i]) * pivot[..., None]
+        X[..., i, i] = pivot
+    return X
 
 
 def _volume_element(g, points):

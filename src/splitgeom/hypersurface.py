@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import Axis, ChartFrame, ChartManifold, GeometryError, cholesky, sample_points
+from .chart import (Axis, ChartFrame, ChartManifold, GeometryError, cholesky, lower_inverse,
+                    sample_points)
 from .expr import diff, evaluate
 from .hyperdual import HyperDual, seed_jets
 from .scenarios import Scenario, _check_expression
@@ -164,7 +165,7 @@ def principal_bundle(scn, points):
     points = np.asarray(points, dtype=float)
     data = shape_data(scn, points)
     # Cholesky reduction g = L L^T of II v = mu g v to a standard eigenproblem
-    Linv_T = np.swapaxes(np.linalg.inv(data["L"]), -1, -2)
+    Linv_T = np.swapaxes(lower_inverse(data["L"]), -1, -2)
     mu, U = np.linalg.eigh(np.swapaxes(Linv_T, -1, -2) @ data["II"] @ Linv_T)
     Y = Linv_T @ U
     top = np.take_along_axis(Y, np.argmax(np.abs(Y), axis=-2)[..., None, :], axis=-2)

@@ -1,9 +1,11 @@
 """The divergence identities of an orthogonal k-splitting, as checks.
 
 Every identity is evaluated as a residual LHS - RHS in which both sides run
-through independent machinery: the left side differentiates an assembled
-mean-curvature field exactly (jets), the right side sums curvature and
-fundamental-tensor terms in the adapted frame.
+through independent machinery: the left side ``Div(sum_q c_q H_q)`` is the
+coefficient sum ``sum_q c_q Div H_q`` of the exact (jet-differentiated)
+mean-curvature divergences of the subsets (``FundamentalData.div_H``), the
+right side sums curvature and fundamental-tensor values in the adapted
+frame.
 
 Implemented identities (``k`` distributions, ``S(r, k)`` the r-subsets):
 
@@ -135,9 +137,9 @@ class _Evaluator:
     """Identity terms over one shared :class:`SplitContext` (memoized).
 
     Every identity method returns ``{"residual", "div", "rhs", "max_term"}``
-    arrays: ``div`` the jet-differentiated left side, ``rhs`` the frame-tensor
-    right side, ``residual = div - rhs`` and ``max_term`` the largest
-    constituent term at each point.
+    arrays: ``div`` the left side from the subsets' ``div_H``, ``rhs`` the
+    frame-tensor right side, ``residual = div - rhs`` and ``max_term`` the
+    largest constituent term at each point.
     """
 
     def __init__(self, ctx):
@@ -152,16 +154,13 @@ class _Evaluator:
 
     # -- building blocks ---------------------------------------------------
 
-    def field_from(self, coef_qs):
-        """Coordinate vector jet of ``sum coef * H_q``."""
-        field = None
-        for coef, q in coef_qs:
-            term = coef * self.ctx.fundamental(q).H
-            field = term if field is None else field + term
-        return field
-
     def div_field(self, coef_qs):
-        return self.ctx.frame.divergence_of(self.field_from(coef_qs))
+        """``Div(sum coef * H_q)`` as ``sum coef * Div H_q``, in the listed order."""
+        div = None
+        for coef, q in coef_qs:
+            term = coef * self.ctx.fundamental(q).div_H
+            div = term if div is None else div + term
+        return div
 
     # -- main identity -------------------------------------------------------
 
@@ -530,9 +529,9 @@ def _chunk_size(n, axes, threads):
     along ``axes`` (None: every axis), for ``threads`` workers that each
     hold one chunk's geometry: ``BUDGET`` doubles over ``threads`` times
     the ``n * n * m * max(n, m)`` per point of the widest jets, the
-    order-2 frame ``(..., n, n, m, m)`` and the order-1 connection
-    ``(..., n, n, n, m)``, for ``m`` seeded axes.  So the run's memory does
-    not grow with ``threads``; its chunks shrink instead."""
+    order-2 frame ``(..., n, n, m, m)`` and the order-1 Christoffel
+    symbols ``(..., n, n, n, m)``, for ``m`` seeded axes.  So the run's
+    memory does not grow with ``threads``; its chunks shrink instead."""
     m = n if axes is None else max(1, len(axes))
     return max(1, BUDGET // (threads * n * n * m * max(n, m)))
 
@@ -593,9 +592,10 @@ def _report(scenario, row, value, tols, points, grid, wall_time):
     max_abs = float(np.max(np.abs(res)))
     measure, max_rel, note = max_abs, None, ""
     if value("max_term") is not None:
-        measure = max_rel = float(np.max(np.abs(res) / (1.0 + value("max_term"))))
-        flat = points.reshape(-1, points.shape[-1])
-        note = f"worst point {flat[int(np.argmax(np.abs(res)))].tolist()}"
+        rel = np.abs(res) / (1.0 + value("max_term"))
+        worst = int(np.argmax(rel))
+        measure = max_rel = float(rel[worst])
+        note = f"worst point {points.reshape(-1, points.shape[-1])[worst].tolist()}"
     return CheckReport(**common, n_points=int(res.size),
                        verdict="pass" if measure <= tol else "fail",
                        max_abs_residual=max_abs, max_rel_residual=max_rel, note=note)

@@ -264,16 +264,15 @@ def warped_checks(scenario, ctx):
         u = hd.as_jet(evaluate(ast, coords), coords[0])
         grad_log = ctx.frame.grad_field(hd.log(u))
         data = ctx.fundamental((fiber,))
-        res_H = np.maximum(res_H, np.max(np.abs(data.H.val + ni * grad_log.val), axis=-1))
+        res_H = np.maximum(res_H, np.max(np.abs(data.H + ni * grad_log.val), axis=-1))
 
-        div_H = ctx.frame.divergence_of(data.H)
         # coordinate partials of u, first and second
         du = ctx.frame.differential(u)
         ddu = ctx.frame.scatter(du.grad)
         lap_u = np.sum(np.stack([ddu[..., a, a] for a in range(n1)], axis=-1), axis=-1)
         grad_u2 = np.sum(du.val[..., :n1] ** 2, axis=-1)
         rhs = -ni * lap_u / u.val - (ni * ni - ni) * grad_u2 / (u.val * u.val)
-        res_div = np.maximum(res_div, np.abs(div_H - rhs))
+        res_div = np.maximum(res_div, np.abs(data.div_H - rhs))
 
         smix_expected = smix_expected + ni * (-lap_u) / u.val
 

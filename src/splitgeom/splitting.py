@@ -13,19 +13,24 @@ a batch of points on a chart:
   Cholesky factorisation of the frame's Gram matrix, run on jets so frame
   derivatives are exact),
 * the frame components ``cov[a, b, c] = <nabla_{E_a} E_b, E_c>`` of the
-  covariant derivatives of frame fields, as one order-1 jet,
+  covariant derivatives of frame fields, as values; only the diagonal
+  ``D[a, c] = cov[a, a, c]`` is differentiated, into the per-point table
+  ``divY[a, c] = E_c(D_ac) + D_ac Div E_c``,
 * for any subset ``q``, a strictly increasing tuple of labels as
   :func:`subsets` gives them: the symmetric second fundamental form
   ``h_q``, the skew integrability tensor ``T_q``, the mean curvature vector
-  ``H_q`` (trace of ``h_q``, expanded in the orthogonal complement) and
-  their squared norms, summed over ordered orthonormal argument pairs,
+  ``H_q = sum_{a in q, c not in q} D_ac E_c`` (trace of ``h_q``, expanded
+  in the orthogonal complement), its divergence ``Div H_q``, the sum of
+  ``divY`` over the same pairs, and the squared norms, summed over ordered
+  orthonormal argument pairs,
 * the sectional curvature matrix of frame planes and its block sums.
 
-Divergences of vector jets are the chart's
-(:meth:`~splitgeom.chart.ChartFrame.divergence_of`).  :func:`gram_schmidt`
-also orthonormalises plain arrays: a hypersurface's eigenframe, which has
-no expression matrix, and the frame rows of the periodicity check of the
-scenario builders.
+The divergence identities read ``Div H_q`` for their left sides and the
+connection values and sectional curvatures for their right sides, so the
+two sides share the frame but no derivative of the connection.
+:func:`gram_schmidt` also orthonormalises plain arrays: a hypersurface's
+eigenframe, which has no expression matrix, and the frame rows of the
+periodicity check of the scenario builders.
 
 The squared-norm convention counts ordered pairs: ``|h_q|^2`` sums the
 squared frame components over all ordered pairs ``(a, b)`` of arguments and
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import ChartFrame, ExpressionMatrix, GeometryError, cholesky
+from .chart import ChartFrame, ExpressionMatrix, GeometryError, cholesky, lower_inverse
 
 __all__ = [
     "subsets",
@@ -116,7 +121,8 @@ def gram_schmidt(g, vectors, points, blocks=()):
     ``G = F g F^T = L L^T`` gives the frame ``E = L^-1 F``.  On jets,
     ``E = K F' = F' + (K - I) F'``: ``F' = L^-1 F`` holds ``L`` at its
     values, and ``K`` is the inverse Cholesky factor of ``H = F' g F'^T``,
-    whose value is the identity, so ``K - I`` has value zero.  Raises
+    whose value is the identity, so ``K - I`` has value zero and adds only
+    its derivative terms.  Raises
     :class:`GeometryError` naming the first of ``points`` where rows of two
     different ``blocks`` (index ranges) are not orthogonal, or where the
     rows are linearly dependent (:func:`~splitgeom.chart.cholesky`).
@@ -131,7 +137,7 @@ def gram_schmidt(g, vectors, points, blocks=()):
             node = points.reshape(-1, points.shape[-1])[bad[0]]
             raise GeometryError(f"spanning blocks {i} and {j} are not orthogonal at "
                                 f"{node.tolist()} (inner product {ip[bad[0]]:.2e})")
-    M = np.tril(np.linalg.inv(cholesky(gram, points, "spanning frame is rank deficient")))
+    M = lower_inverse(cholesky(gram, points, "spanning frame is rank deficient"))
     frame = hd.einsum("...vw,...wa->...va", M, vectors)
     if not isinstance(g, hd.HyperDual):
         return frame
@@ -139,7 +145,16 @@ def gram_schmidt(g, vectors, points, blocks=()):
     # three-operand product rule would recompute F' g in each of its terms
     H = hd.einsum("...vb,...wb->...vw", hd.einsum("...va,...ab->...vb", frame, g), frame)
     D = _unit_inverse_factor(H)
-    return frame + hd.einsum("...vw,...wa->...va", D, frame)
+    if not isinstance(frame, hd.HyperDual):
+        return frame + hd.einsum("...vw,...wa->...va", D, frame)
+    # D has value zero: of the product rule of D F' only the terms that
+    # differentiate D remain
+    grad = hd.einsum("...vwx,...wa->...vax", D.grad, frame.val)
+    hess = hd.einsum("...vwxy,...wa->...vaxy", D.hess, frame.val)
+    cross = hd.einsum("...vwx,...way->...vaxy", D.grad, frame.grad)
+    hess += cross
+    hess += np.swapaxes(cross, -1, -2)
+    return hd.HyperDual(frame.val, frame.grad + grad, frame.hess + hess)
 
 
 def _unit_inverse_factor(H):
@@ -171,8 +186,10 @@ class FundamentalData:
     ``h_frame``/``t_frame`` have shape ``batch + (nq, nq, nc)``: component of
     ``h_q(E_a, E_b)`` (resp. ``T_q``) along the complement frame vector
     ``E_c``.  ``H_frame`` has shape ``batch + (nc,)``; ``H`` is the mean
-    curvature vector in coordinates, a ``batch + (n,)`` jet with exact
-    gradients (differentiable once).
+    curvature vector in coordinates, ``batch + (n,)``.  Every field is a
+    value.  ``div_H`` is ``Div H_q``, the sum of ``divY[a, c]`` over ``a``
+    in ``q`` and ``c`` in the complement (see :attr:`SplitContext.cov`):
+    the left sides of the identities are sums of it.
     """
 
     q: tuple
@@ -181,7 +198,8 @@ class FundamentalData:
     h_frame: np.ndarray
     t_frame: np.ndarray
     H_frame: np.ndarray
-    H: hd.HyperDual
+    H: np.ndarray
+    div_H: np.ndarray
     h_norm2: np.ndarray
     t_norm2: np.ndarray
     H_norm2: np.ndarray
@@ -209,12 +227,13 @@ class SplitContext:
         self.k = split.k
         self._fund = {}
         self._cov = None
+        self._diag = None
+        self._divY = None
         self._K = None
         self._smix = None
         g = self.frame.g
         self.g_val = g.val
-        cholesky(self.g_val, self.points)
-        # a constant frame stays a plain array: its derivative terms vanish
+        self.frame.ginv  # refuses a metric that is not positive definite, naming the point
         self.E = gram_schmidt(g, hd.stack(self.frame.entries(split.frame, "frame")),
                               self.points, split.blocks)
 
@@ -237,15 +256,29 @@ class SplitContext:
 
     @property
     def cov(self):
-        """``cov[..., a, b, c] = <nabla_{E_a} E_b, E_c>``: order-1 jet of the
-        frame components of the covariant derivatives of frame fields."""
+        """``cov[..., a, b, c] = <nabla_{E_a} E_b, E_c>``: the frame components
+        of the covariant derivatives of frame fields, as values (cached).
+
+        The same step differentiates only the diagonal
+        ``D[a, c] = cov[a, a, c]``, an order-1 jet (``_diag``), and from it
+        builds the per-point table ``divY[a, c] = E_c(D_ac) + D_ac Div E_c``
+        (``_divY``), the divergence of the field ``D_ac E_c``.  Every
+        mean-curvature divergence is a sum of its entries
+        (:meth:`fundamental`); no right side reads them."""
         if self._cov is None:
             fr, E = self.frame, self.E
-            dE = fr.differential(E)  # (..., b, d, x) = d_x E_b^d
-            # coordinate components (..., a, b, d) of nabla_{E_a} E_b
-            nabla = (hd.einsum("...ax,...bdx->...abd", E, dE)
-                     + hd.einsum("...dxy,...ax,...by->...abd", fr.gamma, E, E))
-            self._cov = hd.einsum("...abd,...de,...ce->...abc", nabla, fr.g, E)
+            # DG[b, d, x] = d_x E_b^d + Gamma^d_xy E_b^y: the coordinate
+            # components of nabla_{E_a} E_b are E_a^x DG[b, d, x]
+            DG = fr.differential(E) + hd.einsum("...dxy,...by->...bdx", fr.gamma, E)
+            # the lowered frame F[c, d] = E_c^e g_ed, differentiated once
+            F = hd.einsum("...ce,...ed->...cd", hd.HyperDual(E.val, E.grad),
+                          hd.HyperDual(fr.g.val, fr.g.grad))
+            self._cov = hd.einsum("...ax,...bdx,...cd->...abc", E.val, DG.val, F.val)
+            D = hd.einsum("...ad,...cd->...ac", hd.einsum("...ax,...adx->...ad", E, DG), F)
+            div_E = np.einsum("...cxx->...c", DG.val)  # d_x E_c^x + Gamma^x_xy E_c^y
+            self._diag = D
+            self._divY = (np.einsum("...acs,...cs->...ac", D.grad, E.val[..., fr.axes])
+                          + D.val * div_E[..., None, :])
         return self._cov
 
     # -- fundamental tensors -------------------------------------------------
@@ -266,15 +299,14 @@ class SplitContext:
         perp_idx = self.split.block_indices(comp_labels)
         # d[a, b, c] = <nabla_{E_a} E_b, E_c>, arguments a, b in q, c in the complement
         d = self.cov[(Ellipsis,) + np.ix_(arg_idx, arg_idx, perp_idx)]
-        dT = np.swapaxes(d.val, -3, -2)
-        h_frame = 0.5 * (d.val + dT)
-        t_frame = 0.5 * (d.val - dT)
-        # the trace of h_q, expanded in the complement frame; d has order 1,
-        # so the complement frame's Hessian is not read
-        E = self.E
-        perp = hd.HyperDual(E.val[..., perp_idx, :], E.grad[..., perp_idx, :, :])
-        H = hd.einsum("...aac,...cd->...d", d, perp)
-        H_frame = np.einsum("...aac->...c", d.val)
+        dT = np.swapaxes(d, -3, -2)
+        h_frame = 0.5 * (d + dT)
+        t_frame = 0.5 * (d - dT)
+        # the trace of h_q, expanded in the complement frame, and its
+        # divergence: the sum of divY[a, c] over a in q, c in the complement
+        H_frame = np.einsum("...aac->...c", d)
+        H = np.einsum("...c,...cd->...d", H_frame, self.E_val[..., perp_idx, :])
+        div_H = np.sum(self._divY[(Ellipsis,) + np.ix_(arg_idx, perp_idx)], axis=(-2, -1))
 
         # ordered-pair norm convention
         h_norm2 = np.sum(h_frame ** 2, axis=(-3, -2, -1))
@@ -283,13 +315,13 @@ class SplitContext:
 
         data = FundamentalData(q=q, arg_idx=arg_idx, perp_idx=perp_idx,
                                h_frame=h_frame, t_frame=t_frame, H_frame=H_frame,
-                               H=H, h_norm2=h_norm2, t_norm2=t_norm2,
+                               H=H, div_H=div_H, h_norm2=h_norm2, t_norm2=t_norm2,
                                H_norm2=H_norm2)
         self._fund[q] = data
         return data
 
     def H_values(self, q):
-        return self.fundamental(q).H.val
+        return self.fundamental(q).H
 
     def inner_values(self, u_vals, v_vals):
         return np.einsum("...ab,...a,...b->...", self.g_val, u_vals, v_vals)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from splitgeom.chart import (
     NonClosedChartError,
     grid_points,
     integrate,
+    lower_inverse,
     map_batched,
     rectangle_rule,
     sample_points,
@@ -261,9 +264,45 @@ def test_narrow_frame_has_one_layout(monkeypatch):
     split = SplitStructure((1, 2), [["1", "0", "0"], ["0", "cos(x1)", "sin(x1)"],
                                     ["0", "-sin(x1)", "cos(x1)"]])
     ctx = SplitContext(m, split, pts)
-    assert ctx.cov.grad.shape[-1] == 1 and ctx.E.hess.shape[-2:] == (1, 1)
+    ctx.cov  # builds the diagonal jet of the connection
+    assert ctx.E.grad.shape[-1] == 1 and ctx.E.hess.shape[-2:] == (1, 1)
+    assert ctx._diag.grad.shape[-1] == 1
     assert seeded == [[0]]
     assert evaluated == [(m.metric_at, {1}), (split.frame, {1})]
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
+def test_lower_inverse_matches_the_general_inverse(v):
+    # batched Cholesky factors of random SPD matrices
+    rng = np.random.default_rng(40 + v)
+    A = rng.standard_normal((6, 7, v, v))
+    L = np.linalg.cholesky(A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(v))
+    got, want = lower_inverse(L), np.linalg.inv(L)
+    assert np.all(np.triu(got, 1) == 0.0)
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+    assert np.max(np.abs(got @ L - np.eye(v))) <= 1e-12
+
+
+def test_no_module_calls_the_general_inverse():
+    # metrics, frames and immersions are inverted through their Cholesky
+    # factors (lower_inverse), whose triangle np.linalg.inv would ignore
+    src = pathlib.Path(hd.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                raise AssertionError(f"{path.name}:{node.lineno} calls np.linalg.inv; "
+                                     f"use chart.lower_inverse of a Cholesky factor")
+
+
+def test_inverse_metric_refuses_an_indefinite_metric_and_names_the_point():
+    m = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["1", "0"], ["0", "cos(x1)"]])
+    pts = np.array([[0.5, 1.0], [2.0, 0.25], [3.0, 1.0]])
+    with pytest.raises(GeometryError, match=r"metric not positive definite at \[2\.0, 0\.25\]"):
+        ChartFrame(m, pts).ginv
+    np.testing.assert_allclose(ChartFrame(m, pts[:1]).ginv.val[0],
+                               [[1.0, 0.0], [0.0, 1.0 / math.cos(0.5)]], rtol=1e-15)
 
 
 def test_sphere_laplacian_l1_eigenfunction():

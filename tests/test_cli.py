@@ -269,18 +269,19 @@ def test_report_dicts_are_the_dataclass_fields_but_the_wall_time(tmp_path, monke
 
 
 def test_split_context_jets_carry_one_slot_per_axis_read(tmp_path, monkeypatch):
-    pending, narrow = [], []
+    pending, narrow, diagonals = [], [], []
 
     def check(ctx):
-        # every jet a context built, after the checks that read it
+        # every jet a context built, after the checks that read it; the
+        # connection is differentiated only on its diagonal
         m = len(ctx.chart.depends_on | ctx.split.depends_on)
         fr = ctx.frame
-        jets = [fr._g, fr._ginv, fr._gamma, ctx.E, ctx._cov] + [
-            d.H for d in ctx._fund.values()]
+        jets = [fr._g, fr._ginv, fr._gamma, ctx.E, ctx._diag]
         for jet in jets:
             if isinstance(jet, hyperdual.HyperDual):
                 assert jet.grad.shape[-1] <= m
         narrow.append(m < ctx.n)
+        diagonals.append(isinstance(ctx._diag, hyperdual.HyperDual))
 
     init = splitting.SplitContext.__init__
 
@@ -294,7 +295,7 @@ def test_split_context_jets_carry_one_slot_per_axis_read(tmp_path, monkeypatch):
     assert run(["verify", "--all", "--seed", "1", "--out", str(tmp_path / "all.json")]) == 0
     while pending:
         check(pending.pop())
-    assert any(narrow)
+    assert any(narrow) and any(diagonals)
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -78,15 +78,28 @@ def test_main_k2_is_the_two_distribution_identity_bit_for_bit():
 
     # classical form, replicated with the same primitives and summation order
     q1, q2 = subsets(1, 2)
-    field = 1.0 * ctx.fundamental(q1).H
-    field = field + 1.0 * ctx.fundamental(q2).H
-    div = ctx.frame.divergence_of(field)
+    div = 1.0 * ctx.fundamental(q1).div_H
+    div = div + 1.0 * ctx.fundamental(q2).div_H
     rhs = 1 * ctx.smix()
     for q in (q1, q2):
         d = ctx.fundamental(q)
         rhs = rhs + d.h_norm2 - d.H_norm2 - d.t_norm2
     walczak = div - rhs
     assert np.array_equal(got["residual"], walczak)
+
+
+def test_pointwise_note_names_the_point_that_sets_the_relative_residual():
+    # the largest |residual| sits where the term scale is large; the verdict
+    # reads the residual relative to 1 + the term scale, and so does the note
+    check = next(c for c in CHECKS if c.name == "main" and c.kind == POINTWISE)
+    values = {"residual": np.array([1e-9, -4e-9, 2e-9]),
+              "max_term": np.array([0.0, 9.0, 0.5])}
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    report = identities._report("flat", identities.Row("main", check, ()), values.get,
+                                Tolerances(), points, None, 0.0)
+    assert report.max_abs_residual == 4e-9
+    assert report.max_rel_residual == 2e-9 / 1.5
+    assert report.note == "worst point [2.0, 2.0, 2.0]"
 
 
 def test_aux_residuals_all_required_cases():

@@ -352,6 +352,59 @@ def test_partial_divergence_consistency():
     np.testing.assert_allclose(part_a + part_b, coord_formula, atol=1e-10)
 
 
+def connection_jet(ctx):
+    """``<nabla_{E_a} E_b, E_c>`` as one order-1 ``(..., a, b, c)`` jet: every
+    entry differentiated, where the context differentiates only the
+    diagonal ``b = a``."""
+    fr, E = ctx.frame, ctx.E
+    dE = fr.differential(E)  # (..., b, d, x) = d_x E_b^d
+    nabla = (hd.einsum("...ax,...bdx->...abd", E, dE)
+             + hd.einsum("...dxy,...ax,...by->...abd", fr.gamma, E, E))
+    return hd.einsum("...abd,...de,...ce->...abc", nabla, fr.g, E)
+
+
+def mean_curvature_jet(ctx, q):
+    """``H_q`` in coordinates as an order-1 ``(..., d)`` jet, from the full
+    connection jet and the complement frame's gradient."""
+    arg_idx = ctx.split.block_indices(q)
+    perp_idx = ctx.split.block_indices(complement(q, ctx.k))
+    d = connection_jet(ctx)[(Ellipsis,) + np.ix_(arg_idx, arg_idx, perp_idx)]
+    E = ctx.E
+    perp = hd.HyperDual(E.val[..., perp_idx, :], E.grad[..., perp_idx, :, :])
+    return hd.einsum("...aac,...cd->...d", d, perp)
+
+
+ORACLE_SCENARIOS = {
+    **kproduct_catalog(),
+    # twists that read an axis of the turning plane: H_q is not zero
+    "twisted_x1": lambda: build_twisted_torus((1, 1, 1), twist="x1"),
+    "twisted_mixed": lambda: build_twisted_torus(
+        (1, 1, 1), twist="0.3*sin(x1) + 0.5*cos(x2) + 0.4*sin(x3)"),
+    "warped_twisted_x2": lambda: build_warped_twisted(twist="x2 + sin(x1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_div_H_matches_the_divergence_of_the_mean_curvature_jet(name):
+    # oracle: the full connection jet, the H_q jet from it, then the
+    # chart's divergence, against the diagonal-only divY sums
+    scn = ORACLE_SCENARIOS[name]()
+    pts = scn.sample(64, np.random.default_rng(27))
+    ctx = SplitContext(scn.chart, scn.split, pts)
+    moved = 0.0
+    for r in range(1, scn.k):
+        for q in subsets(r, scn.k):
+            H = mean_curvature_jet(ctx, q)
+            want = ctx.frame.divergence_of(H)
+            data = ctx.fundamental(q)
+            scale = 1.0 + np.abs(want)
+            assert np.max(np.abs(data.div_H - want) / scale) <= 1e-13, q
+            assert np.max(np.abs(data.H - H.val) / scale[..., None]) <= 1e-13, q
+            moved = max(moved, float(np.max(np.abs(want))))
+    if name in ("twisted_x1", "twisted_mixed", "warped_twisted_x2"):
+        assert moved > 0.1  # the comparison is not 0 = 0
+
+
 def test_partial_divergence_mean_curvature_identity():
     # Div restricted to the complement of block i equals Div H_i + |H_i|^2
     for name in ["warped_t3_k3", "warped_twisted_t3", "twisted_torus_k3"]:
@@ -360,9 +413,11 @@ def test_partial_divergence_mean_curvature_identity():
         ctx = SplitContext(scn.chart, scn.split, pts)
         for i in range(1, scn.k + 1):
             data = ctx.fundamental((i,))
-            div_full = ctx.frame.divergence_of(data.H)
-            div_comp = partial_divergence(ctx, complement((i,), scn.k), data.H)
+            H = mean_curvature_jet(ctx, (i,))
+            div_full = ctx.frame.divergence_of(H)
+            div_comp = partial_divergence(ctx, complement((i,), scn.k), H)
             np.testing.assert_allclose(div_comp, div_full + data.H_norm2, atol=1e-9)
+            np.testing.assert_allclose(div_comp, data.div_H + data.H_norm2, atol=1e-9)
 
 
 def test_divergence_frame_independence():
