@@ -112,8 +112,7 @@ _INLINE_SCHEMAS = {
     "hypersurface": {
         "type": "object",
         "additionalProperties": False,
-        "required": ["kind", "axes", "immersion", "metric", "ambient_curv",
-                     "expected_dims"],
+        "required": ["kind", "axes", "immersion", "expected_dims"],
         "properties": {
             "kind": {"const": "hypersurface"},
             "name": {"type": "string"},
@@ -125,9 +124,6 @@ _INLINE_SCHEMAS = {
                                "periodic": {"type": "boolean"}},
             }},
             "immersion": {"type": "array", "items": {"type": "string"}},
-            "metric": {"type": "array",
-                       "items": {"type": "array", "items": {"type": "string"}}},
-            "ambient_curv": {"type": "integer", "enum": [0, 1]},
             "expected_k": {"type": "integer", "minimum": 1},
             "expected_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "normal_flip": {"type": "boolean"},
@@ -209,7 +205,7 @@ def _build_inline(kind, spec):
     return build_hypersurface(
         spec.get("name", "hypersurface"),
         [Axis(a["lo"], a["hi"], a.get("periodic", True)) for a in spec["axes"]],
-        spec["metric"], spec["immersion"], spec["ambient_curv"], spec["expected_dims"],
+        spec["immersion"], spec["expected_dims"],
         normal_flip=spec.get("normal_flip", False), sample_box=spec.get("sample_box"),
         gap_threshold=spec.get("gap_threshold"))
 

@@ -1,11 +1,10 @@
 """Hypersurfaces in space forms split by principal curvature.
 
-A hypersurface scenario carries an immersion of an ``n``-chart into
-``R^{n+1}`` (ambient curvature ``c = 0``) or into the unit sphere of
-``R^{n+2}`` (``c = 1``), together with closed-form expressions for the
-induced metric (used for Christoffel symbols via exact jets; consistency of
-the two metric sources is a test).  The shape operator is assembled from
-immersion jets:
+A hypersurface scenario is an immersion of an ``n``-chart into ``R^{n+1}``
+(ambient curvature ``c = 0``) or into the unit sphere of ``R^{n+2}`` (``c =
+1``), as its entry count says.  Its chart carries the induced metric, whose
+expressions :func:`build_hypersurface` derives, for Christoffel symbols via
+exact jets.  The shape operator is assembled from immersion jets:
 
     g_ab = <d_a F, d_b F>,   II_ab = <d_a d_b F, N>,   A = g^{-1} II,
 
@@ -44,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .chart import (Axis, ChartFrame, ChartManifold, GeometryError, cholesky, lower_inverse,
-                    sample_points)
-from .expr import diff, evaluate
+from .chart import (Axis, ChartFrame, ChartManifold, GeometryError, _parsed, cholesky,
+                    lower_inverse, sample_points)
+from .expr import Num, _bin, diff, evaluate, evaluate_at
 from .hyperdual import HyperDual, seed_jets
-from .scenarios import Scenario, _check_expression
+from .scenarios import Scenario
 from .splitting import SplitStructure, gram_schmidt
 
 __all__ = [
@@ -81,7 +80,7 @@ class HypersurfaceScenario(Scenario):
 
     kind: str = "hypersurface"
     immersion: list                 # parsed component expressions, length m
-    ambient_curv: int               # 0 (flat) or 1 (unit sphere)
+    ambient_curv: int               # 0 (flat) or 1 (unit sphere), from the entry count
     normal_flip: bool = False
     gap_threshold: float | None = None
 
@@ -126,9 +125,10 @@ def shape_data(scn, points):
 
     rows = [DF[..., :, a] for a in range(n)]
     if scn.ambient_curv == 1:
-        radius = np.sqrt(np.sum(F.val * F.val, axis=-1))
-        if np.max(np.abs(radius - 1.0)) > 1e-12:
-            raise GeometryError("sphere immersion does not lie on the unit sphere")
+        off = np.flatnonzero(np.abs(np.sqrt(np.sum(F.val * F.val, axis=-1)) - 1.0) > 1e-12)
+        if off.size:
+            raise GeometryError(f"sphere immersion does not lie on the unit sphere at "
+                                f"{points.reshape(-1, n)[off[0]].tolist()}")
         rows.append(F)
     # generalized cross product: N_j = eps_{j k_1 .. k_{m-1}} r_1^{k_1} .. r_{m-1}^{k_{m-1}};
     # eps carries the batch axes, so that no product folds the points into
@@ -155,14 +155,16 @@ def principal_bundle(scn, points):
     (eigenvalues, ascending), ``Y`` (g-orthonormal eigenvector columns),
     ``mu_hat`` (the group means of ``mu`` as an order-2 ``(..., k)`` jet),
     ``Y_jet`` (the frame as an order-1 jet), ``frame``, the
-    :class:`~splitgeom.chart.ChartFrame` of the closed-form chart metric,
-    and ``E``, the rows of ``Y^T`` re-orthonormalised in that metric
+    :class:`~splitgeom.chart.ChartFrame` of the chart's induced metric,
+    and ``E``, the rows of ``Y^T`` re-orthonormalised in its values
     (:func:`~splitgeom.splitting.gram_schmidt`).  The checks below take this
     bundle, so one sample set is solved and differentiated once.
     Raises :class:`GapError` naming the first point where the distinct-group
-    structure expected by the scenario is violated.
+    structure expected by the scenario is violated (and ``frame.ginv`` one
+    where the metric is not positive definite).
     """
     points = np.asarray(points, dtype=float)
+    frame = ChartFrame(scn.chart, points)
     data = shape_data(scn, points)
     # Cholesky reduction g = L L^T of II v = mu g v to a standard eigenproblem
     Linv_T = np.swapaxes(lower_inverse(data["L"]), -1, -2)
@@ -172,18 +174,15 @@ def principal_bundle(scn, points):
     Y = np.where(top < 0.0, -Y, Y)
     _check_groups(scn, mu, points)
     mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.dims)
-    g = scn.chart.metric_values(points)
-    cholesky(g, points)
-    E = gram_schmidt(g, np.swapaxes(Y, -1, -2), points, scn.split.blocks)
-    return {**data, "points": points, "frame": ChartFrame(scn.chart, points), "E": E,
+    frame.ginv  # refuses a metric that is not positive definite, naming the point
+    E = gram_schmidt(frame.g.val, np.swapaxes(Y, -1, -2), points, scn.split.blocks)
+    return {**data, "points": points, "frame": frame, "E": E,
             "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
 def _check_groups(scn, mu, points):
     dims = scn.dims
     n = mu.shape[-1]
-    if sum(dims) != n:
-        raise GapError("expected multiplicities do not sum to the chart dimension")
     thresh = scn.gap_threshold
     if thresh is None:
         thresh = 1e-3 * max(1e-8, float(np.max(np.abs(mu))))
@@ -251,19 +250,16 @@ def _nabla_A(b):
     bundle ``b``, never the eigen-side jets: ``d_c II_ab = <F_abc, N> -
     A^d_c <F_ab, F_d>`` (from ``d_c N = -A^d_c F_d``, which also holds in the
     unit sphere) and ``d_c g_ab = <F_ac, F_b> + <F_a, F_bc>``; ``Gamma`` is
-    that of the closed-form chart metric.  Returns ``(nabla, gamma)``.
+    that of the chart's induced metric.  Returns ``(nabla, gamma)``.
     """
-    cf = b["frame"]
     g, A, J, N = b["g"], b["A"], b["J"], b["N"]
-    if np.max(np.abs(cf.g.val - g)) > 1e-9 * (1.0 + np.max(np.abs(g))):
-        raise GeometryError("closed-form metric disagrees with the immersion metric")
     F2, F3 = b["DDF"].val, b["DDF"].grad
     dII = (np.einsum("...mabc,...m->...cab", F3, N)
            - np.einsum("...dc,...mab,...dm->...cab", A, F2, J))
     dg = np.einsum("...mac,...bm->...cab", F2, J)
     dg = dg + np.swapaxes(dg, -1, -2)
     dA = np.linalg.solve(g[..., None, :, :], dII - dg @ A[..., None, :, :])
-    gamma = cf.gamma.val
+    gamma = b["frame"].gamma.val
     nabla = (dA
              + np.einsum("...acd,...db->...cab", gamma, A)
              - np.einsum("...dcb,...ad->...cab", gamma, A))
@@ -438,22 +434,35 @@ def dperp_integrability(scn, b):
 TWO_PI = 2 * math.pi
 
 
-def build_hypersurface(name, axes, metric, immersion, ambient_curv, dims, normal_flip=False,
-                       sample_box=None, gap_threshold=None, grid=None):
-    """The scenario ``name``: the chart on ``axes`` with the closed-form
-    induced ``metric``, immersed by the expression sources ``immersion``
-    into flat space (``ambient_curv`` 0) or the unit sphere (1) and split by
-    principal curvature into blocks of the expected multiplicities ``dims``.
-    ``grid`` is the quadrature grid (16 per axis if None).  Each immersion
-    entry is evaluated at 64 seeded points of the sample box, so that a
-    domain error names the entry and its point while the scenario is built.
+def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_box=None,
+                       gap_threshold=None, grid=None):
+    """The scenario ``name``: the chart on ``axes`` immersed by the ``n + 1``
+    (flat space) or ``n + 2`` (unit sphere) expression sources ``immersion``,
+    with the induced metric ``g_ab = sum_m d_a F^m d_b F^m`` (constants
+    folded as :func:`~splitgeom.expr.diff` folds them), split by principal
+    curvature into blocks of the expected multiplicities ``dims``.  ``grid``
+    is the quadrature grid (16 per axis if None).  Each immersion entry is
+    evaluated at 64 seeded points of the sample box, so that a domain error
+    names the entry and its point while the scenario is built.
     """
+    n, count = len(axes), len(immersion)
+    if count not in (n + 1, n + 2):
+        raise GeometryError(f"an immersion of {n} axes has {n + 1} or {n + 2} entries, "
+                            f"not {count}")
+    if sum(dims) != n:
+        raise GeometryError("expected multiplicities do not sum to the chart dimension")
+    asts = [_parsed(src, n, f"immersion entry {j}") for j, src in enumerate(immersion, start=1)]
+    dF = [[diff(f, a) for f in asts] for a in range(1, n + 1)]
+    metric = [[Num(0.0)] * n for _ in range(n)]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        for u, v in zip(dF[a], dF[b]):
+            metric[a][b] = metric[b][a] = _bin("+", metric[a][b], _bin("*", u, v))
     chart = ChartManifold(axes, metric, name=name)
     pts = sample_points(chart, 64, np.random.default_rng(1234), box=sample_box)
-    asts = [_check_expression(f"immersion entry {j}", src, pts)
-            for j, src in enumerate(immersion, start=1)]
+    for j, (src, f) in enumerate(zip(immersion, asts), start=1):
+        evaluate_at(f"immersion entry {j}", src, f, pts)
     return HypersurfaceScenario(
-        name=name, chart=chart, immersion=asts, ambient_curv=ambient_curv,
+        name=name, chart=chart, immersion=asts, ambient_curv=count - n - 1,
         split=SplitStructure(dims), normal_flip=normal_flip, sample_box=sample_box,
         gap_threshold=gap_threshold, meta={} if grid is None else {"integral_grid": grid})
 
@@ -463,30 +472,26 @@ def build_torus_revolution():
     and 1 along the tube."""
     return build_hypersurface(
         "torus_revolution", [Axis(0.0, TWO_PI)] * 2,
-        [["1.0", "0"], ["0", "(2.0 + 1.0*cos(x1))^2"]],
         ["(2.0 + 1.0*cos(x1))*cos(x2)", "(2.0 + 1.0*cos(x1))*sin(x2)", "1.0*sin(x1)"],
-        0, (1, 1), grid=[48, 4])
+        (1, 1), grid=[48, 4])
 
 
 def build_clifford_torus():
     """Minimal flat torus in the unit 3-sphere; curvatures -1 and +1."""
     s = "0.7071067811865475"  # 1/sqrt(2)
     return build_hypersurface(
-        "clifford_torus", [Axis(0.0, TWO_PI)] * 2, [["0.5", "0"], ["0", "0.5"]],
+        "clifford_torus", [Axis(0.0, TWO_PI)] * 2,
         [f"{s}*cos(x1)", f"{s}*sin(x1)", f"{s}*cos(x2)", f"{s}*sin(x2)"],
-        1, (1, 1), grid=[8, 8])
+        (1, 1), grid=[8, 8])
 
 
 def build_graph_r4():
     """Graph hypersurface ``w = 0.3 x^2 + 0.2 y^2 + 0.1 z^2 + 0.05 xyz`` in
     flat 4-space near the origin: three simple principal curvatures."""
-    grads = ["(0.6*x1 + 0.05*x2*x3)", "(0.4*x2 + 0.05*x1*x3)", "(0.2*x3 + 0.05*x1*x2)"]
-    metric = [[f"{'1' if a == b else '0'} + {grads[a]}*{grads[b]}" for b in range(3)]
-              for a in range(3)]
     return build_hypersurface(
-        "graph_r4", [Axis(-0.15, 0.15, periodic=False)] * 3, metric,
+        "graph_r4", [Axis(-0.15, 0.15, periodic=False)] * 3,
         ["x1", "x2", "x3", "0.3*x1^2 + 0.2*x2^2 + 0.1*x3^2 + 0.05*x1*x2*x3"],
-        0, (1, 1, 1), normal_flip=True, gap_threshold=0.05)
+        (1, 1, 1), normal_flip=True, gap_threshold=0.05)
 
 
 def build_torus_cylinder():
@@ -495,9 +500,8 @@ def build_torus_cylinder():
     return build_hypersurface(
         "torus_cylinder_k3",
         [Axis(-1.0, 1.0, periodic=False), Axis(0.0, TWO_PI), Axis(0.0, TWO_PI)],
-        [["1", "0", "0"], ["0", "(2.0 + cos(x1))^2", "0"], ["0", "0", "1"]],
         ["(2.0 + cos(x1))*cos(x2)", "(2.0 + cos(x1))*sin(x2)", "sin(x1)", "x3"],
-        0, (1, 1, 1), sample_box=[(-0.9, 0.9), (0.0, TWO_PI), (0.0, TWO_PI)])
+        (1, 1, 1), sample_box=[(-0.9, 0.9), (0.0, TWO_PI), (0.0, TWO_PI)])
 
 
 def build_round_sphere():
@@ -505,9 +509,8 @@ def build_round_sphere():
     k >= 2 grouping."""
     return build_hypersurface(
         "round_sphere", [Axis(0.4, math.pi - 0.4, periodic=False), Axis(0.0, TWO_PI)],
-        [["2.25", "0"], ["0", "2.25*sin(x1)^2"]],
         ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
-        0, (1, 1), normal_flip=True)
+        (1, 1), normal_flip=True)
 
 
 def hypersurface_catalog():

@@ -396,6 +396,21 @@ def test_expression_matrix_names_the_entry_it_cannot_parse():
         ExpressionMatrix(rows, 3, "spanning frame")
 
 
+def test_validate_names_the_metric_entry_and_lattice_point_of_a_domain_error():
+    # the lattice is evaluated whole, and entry by entry (ExpressionMatrix.locate)
+    # only after that fails
+    axes = [Axis(-1.0, 1.0, periodic=False), Axis(0.4, 2.74, periodic=False),
+            Axis(0.0, TWO_PI)]
+    chart = ChartManifold(axes, [["sqrt(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    with pytest.raises(ex.ExprError) as err:
+        chart.validate()
+    head = "sqrt: sqrt of negative value in metric entry (1, 1) 'sqrt(x1)' at "
+    assert str(err.value).startswith(head)
+    point = ast.literal_eval(str(err.value)[len(head):])
+    lattice = grid_points(chart, [5] * 3, inset=1e-3).reshape(-1, 3).tolist()
+    assert point in lattice and point[0] < 0.0
+
+
 def test_expression_matrix_evaluates_a_repeated_subexpression_once(monkeypatch):
     # a rotation by sin(x1): the inner sin(x1) is evaluated once for all four
     # entries, the outer sin once for two, and the values keep their bits

@@ -357,8 +357,7 @@ def test_colliding_curvatures_name_their_point(tmp_path, capsys):
         "axes": [{"lo": 0.4, "hi": 2.7, "periodic": False},
                  {"lo": 0.0, "hi": 6.283185307179586}],
         "immersion": ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
-        "metric": [["2.25", "0"], ["0", "2.25*sin(x1)^2"]],
-        "ambient_curv": 0, "expected_k": 2, "expected_dims": [1, 1],
+        "expected_k": 2, "expected_dims": [1, 1],
     }
     cfg = tmp_path / "sphere.json"
     cfg.write_text(json.dumps({"scenario": spec, "samples": 5, "seed": 4}))
@@ -509,10 +508,13 @@ TUBE = {
              {"lo": 0, "hi": 6.283185307179586}],
     "immersion": ["(2 + cos(x1))*sin(x2)*cos(x3)", "(2 + cos(x1))*sin(x2)*sin(x3)",
                   "(2 + cos(x1))*cos(x2)", "sin(x1)"],
-    "metric": [["1", "0", "0"], ["0", "(2 + cos(x1))^2", "0"],
-               ["0", "0", "(2 + cos(x1))^2*sin(x2)^2"]],
-    "ambient_curv": 0, "expected_k": 2, "expected_dims": [1, 2],
+    "expected_k": 2, "expected_dims": [1, 2],
 }
+# a torus of revolution in R^3: an immersion of a 2-chart
+TORUS = {"kind": "hypersurface", "name": "torus",
+         "axes": [{"lo": 0.0, "hi": 2 * math.pi}] * 2,
+         "immersion": ["(2 + cos(x1))*cos(x2)", "(2 + cos(x1))*sin(x2)", "sin(x1)"],
+         "expected_dims": [1, 1]}
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -563,6 +565,21 @@ TUBE = {
     # the distributions of a warped twisted torus are checked too
     ({"kind": "warped_twisted", "twist": "0.25*x1"},
      "scenario 'warped_twisted': distribution 2 not periodic along axis 1"),
+    # a hypersurface is its immersion: the induced metric and, by the entry
+    # count, the ambient space form are not inputs
+    ({**TUBE, "metric": [["1", "0", "0"], ["0", "(2 + cos(x1))^2", "0"],
+                         ["0", "0", "(2 + cos(x1))^2*sin(x2)^2"]]},
+     "invalid inline scenario: Additional properties are not allowed ('metric' was unexpected)"),
+    ({**TUBE, "ambient_curv": 0},
+     "invalid inline scenario: Additional properties are not allowed "
+     "('ambient_curv' was unexpected)"),
+    # a malformed hypersurface is refused while it is built
+    ({**TORUS, "immersion": TORUS["immersion"][:2]},
+     "scenario 'torus': an immersion of 2 axes has 3 or 4 entries, not 2"),
+    ({**TORUS, "immersion": TORUS["immersion"] + ["0", "0"]},
+     "scenario 'torus': an immersion of 2 axes has 3 or 4 entries, not 5"),
+    ({**TUBE, "expected_dims": [1, 1], "expected_k": 2},
+     "scenario 'tube_s2': expected multiplicities do not sum to the chart dimension"),
 ])
 def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
@@ -595,11 +612,9 @@ def test_inline_expression_error_names_the_point(tmp_path, capsys, spec, message
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"metric": [["1", "x4", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
-     "coordinate x4 exceeds chart dimension 3 (byte offset 0) in metric entry (1, 2) 'x4'"),
     ({"immersion": TUBE["immersion"][:3] + ["sin(x5)"]},
      "coordinate x5 exceeds chart dimension 3 (byte offset 4) in immersion entry 4 'sin(x5)'"),
-], ids=["metric", "immersion"])
+], ids=["immersion"])
 def test_inline_hypersurface_parse_error_names_the_entry(tmp_path, capsys, change, message):
     code, report, out, err = verify_config(tmp_path, capsys,
                                            {"scenario": {**TUBE, **change}}, "bad")
@@ -621,20 +636,16 @@ def test_inline_immersion_domain_error_names_the_entry_and_point(tmp_path, capsy
     assert all(a["lo"] <= x <= a["hi"] for a, x in zip(TUBE["axes"], point, strict=True))
 
 
-def test_inline_metric_domain_error_names_the_entry_and_point(tmp_path, capsys):
-    # the metric is evaluated on the validation lattice, entry by entry
-    # only after that fails
-    metric = [["sqrt(x1)"] + TUBE["metric"][0][1:]] + TUBE["metric"][1:]
+def test_sphere_immersion_off_the_unit_sphere_names_its_point(tmp_path, capsys):
+    # four entries immerse a 2-chart into the unit 3-sphere; this torus has |F| = sqrt(2)
+    spec = {**TORUS, "immersion": ["cos(x1)", "sin(x1)", "cos(x2)", "sin(x2)"]}
     code, report, out, err = verify_config(tmp_path, capsys,
-                                           {"scenario": {**TUBE, "metric": metric}}, "bad")
+                                           {"scenario": spec, "samples": 5, "seed": 4}, "off")
     assert code == 2
     assert report is None and out == ""
-    head = ("config error: scenario 'tube_s2': sqrt: sqrt of negative value "
-            "in metric entry (1, 1) 'sqrt(x1)' at ")
-    assert err.startswith(head)
-    point = json.loads(err[len(head):])
-    assert point[0] < 0.0
-    assert all(a["lo"] <= x <= a["hi"] for a, x in zip(TUBE["axes"], point, strict=True))
+    scn = cli.build_inline_scenario(spec)
+    first = scn.sample(5, cli.scenario_rng(4, scn.name))[0]
+    assert err == f"error: sphere immersion does not lie on the unit sphere at {first.tolist()}\n"
 
 
 def test_inline_warped_needs_one_warp_per_fiber(tmp_path, capsys):
@@ -647,32 +658,26 @@ def test_inline_warped_needs_one_warp_per_fiber(tmp_path, capsys):
 
 # each catalog hypersurface as an inline config: its name, chart, immersion
 # and options, with the catalog's quadrature grid as the config grid
-GRAPH_GRADS = ["(0.6*x1 + 0.05*x2*x3)", "(0.4*x2 + 0.05*x1*x3)", "(0.2*x3 + 0.05*x1*x2)"]
 CATALOG_AS_INLINE = {
     "torus_revolution": ({
         "axes": [{"lo": 0.0, "hi": 2 * math.pi}] * 2,
-        "metric": [["1.0", "0"], ["0", "(2.0 + 1.0*cos(x1))^2"]],
         "immersion": ["(2.0 + 1.0*cos(x1))*cos(x2)", "(2.0 + 1.0*cos(x1))*sin(x2)",
                       "1.0*sin(x1)"],
-        "ambient_curv": 0, "expected_dims": [1, 1]}, [48, 4]),
+        "expected_dims": [1, 1]}, [48, 4]),
     "clifford_torus": ({
         "axes": [{"lo": 0.0, "hi": 2 * math.pi}] * 2,
-        "metric": [["0.5", "0"], ["0", "0.5"]],
         "immersion": [f"{1 / math.sqrt(2)!r}*{f}(x{a})" for a in (1, 2) for f in ("cos", "sin")],
-        "ambient_curv": 1, "expected_dims": [1, 1]}, [8, 8]),
+        "expected_dims": [1, 1]}, [8, 8]),
     "graph_r4": ({
         "axes": [{"lo": -0.15, "hi": 0.15, "periodic": False}] * 3,
-        "metric": [[f"{int(a == b)} + {GRAPH_GRADS[a]}*{GRAPH_GRADS[b]}" for b in range(3)]
-                   for a in range(3)],
         "immersion": ["x1", "x2", "x3", "0.3*x1^2 + 0.2*x2^2 + 0.1*x3^2 + 0.05*x1*x2*x3"],
-        "ambient_curv": 0, "expected_dims": [1, 1, 1], "normal_flip": True,
+        "expected_dims": [1, 1, 1], "normal_flip": True,
         "gap_threshold": 0.05}, None),
     "torus_cylinder_k3": ({
         "axes": [{"lo": -1.0, "hi": 1.0, "periodic": False},
                  {"lo": 0.0, "hi": 2 * math.pi}, {"lo": 0.0, "hi": 2 * math.pi}],
-        "metric": [["1", "0", "0"], ["0", "(2.0 + cos(x1))^2", "0"], ["0", "0", "1"]],
         "immersion": ["(2.0 + cos(x1))*cos(x2)", "(2.0 + cos(x1))*sin(x2)", "sin(x1)", "x3"],
-        "ambient_curv": 0, "expected_dims": [1, 1, 1],
+        "expected_dims": [1, 1, 1],
         "sample_box": [[-0.9, 0.9], [0.0, 2 * math.pi], [0.0, 2 * math.pi]]}, None),
 }
 
@@ -788,8 +793,7 @@ def test_scenario_without_applicable_check_exits_2(tmp_path, capsys):
         "axes": [{"lo": 0.4, "hi": 2.7, "periodic": False},
                  {"lo": 0.0, "hi": 6.283185307179586}],
         "immersion": ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
-        "metric": [["2.25", "0"], ["0", "2.25*sin(x1)^2"]],
-        "ambient_curv": 0, "expected_k": 1, "expected_dims": [2],
+        "expected_k": 1, "expected_dims": [2],
     }
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": sphere}, "one")
     assert code == 2

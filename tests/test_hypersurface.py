@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from splitgeom.chart import ChartFrame, GeometryError, integrate
+from splitgeom.chart import Axis, ChartFrame, GeometryError, integrate
 from splitgeom.hypersurface import (
     GapError,
     build_clifford_torus,
+    build_hypersurface,
     build_graph_r4,
     build_round_sphere,
     build_torus_cylinder,
@@ -74,6 +75,8 @@ def test_shape_operator_self_adjoint_and_metric_consistency():
         data = shape_data(scn, pts)
         gA = np.einsum("...ab,...bc->...ac", data["g"], data["A"])
         assert np.max(np.abs(gA - np.swapaxes(gA, -1, -2))) <= 1e-10, name
+        # the chart's metric expressions, from expr.diff, against the
+        # forward-mode jets of the immersion
         g_chart = scn.chart.metric_values(pts)
         scale = 1.0 + np.max(np.abs(g_chart))
         assert np.max(np.abs(g_chart - data["g"])) <= 1e-12 * scale, name
@@ -348,6 +351,56 @@ def test_graph_shape_operator_derivatives_match_symbolic_oracle():
             d2mu = d2l * u_q + np.outer(dl, ux) + np.outer(ux, dl) + lam_q * uxx
             np.testing.assert_allclose(b["mu_hat"].grad[idx, i], dmu, atol=1e-12)
             np.testing.assert_allclose(b["mu_hat"].hess[idx, i], d2mu, atol=1e-12)
+
+
+# the immersion sources of each catalog hypersurface, and of a tube of radius 1
+# around a 2-sphere of radius 2 in R^4 (curvatures of multiplicities 1 and 2)
+IMMERSIONS = {
+    "torus_revolution": ["(2.0 + 1.0*cos(x1))*cos(x2)", "(2.0 + 1.0*cos(x1))*sin(x2)",
+                         "1.0*sin(x1)"],
+    "clifford_torus": [f"0.7071067811865475*{f}(x{a})" for a in (1, 2) for f in ("cos", "sin")],
+    "graph_r4": ["x1", "x2", "x3", "0.3*x1^2 + 0.2*x2^2 + 0.1*x3^2 + 0.05*x1*x2*x3"],
+    "torus_cylinder_k3": ["(2.0 + cos(x1))*cos(x2)", "(2.0 + cos(x1))*sin(x2)", "sin(x1)", "x3"],
+    "tube_s2": ["(2 + cos(x1))*sin(x2)*cos(x3)", "(2 + cos(x1))*sin(x2)*sin(x3)",
+                "(2 + cos(x1))*cos(x2)", "sin(x1)"],
+}
+
+
+def test_induced_metric_and_curvatures_match_a_symbolic_oracle():
+    # independent oracle from the immersion sources alone: sympy differentiates
+    # F, and then g = J^T J, II along the unit normal (the generalized cross
+    # product of the tangents, and of F itself in the unit sphere) and mu,
+    # the generalized eigenvalues of (II, g), come from numpy and LAPACK;
+    # no engine code is used
+    sp = pytest.importorskip("sympy")
+    import scipy.linalg
+
+    scenarios = [builder() for builder in hypersurface_catalog().values()]
+    scenarios.append(build_hypersurface(
+        "tube_s2", [Axis(-1.0, 1.0, periodic=False), Axis(0.4, 2.74, periodic=False),
+                    Axis(0.0, TWO_PI)], IMMERSIONS["tube_s2"], (1, 2)))
+    assert sorted(scn.name for scn in scenarios) == sorted(IMMERSIONS)
+    for scn in scenarios:
+        n, m = scn.chart.dim, len(scn.immersion)
+        x = sp.symbols(f"x1:{n + 1}")
+        F = sp.Matrix([sp.sympify(src.replace("^", "**")) for src in IMMERSIONS[scn.name]])
+        geom = sp.lambdify([x], [F, F.jacobian(x), [sp.hessian(f, x) for f in F]], cse=True)
+        pts = scn.sample(16, np.random.default_rng(16))
+        g_want, mu_want = [], []
+        for q in pts:
+            Fq, J, H = (np.array(t, dtype=float) for t in geom(q))
+            rows = list(J.T) + ([Fq[:, 0]] if m == n + 2 else [])
+            N = np.array([np.linalg.det(np.stack([np.eye(m)[j]] + rows)) for j in range(m)])
+            N = (-N if scn.normal_flip else N) / np.linalg.norm(N)
+            g = J.T @ J
+            g_want.append(g)
+            mu_want.append(scipy.linalg.eigh(np.einsum("mab,m->ab", H, N), g,
+                                             eigvals_only=True))
+        g_want, mu_want = np.array(g_want), np.array(mu_want)
+        for got in (scn.chart.metric_values(pts), shape_data(scn, pts)["g"]):
+            assert np.max(np.abs(got - g_want)) <= 1e-13 * np.max(np.abs(g_want)), scn.name
+        mu = principal_bundle(scn, pts)["mu"]
+        assert np.max(np.abs(mu - mu_want)) <= 1e-13 * np.max(np.abs(mu_want)), scn.name
 
 
 def test_rank_loss_names_its_point():
