@@ -11,7 +11,10 @@ expressions.  All derived quantities come from exact jets of the metric:
 * divergences of jet-valued vector fields read the gradient slot directly.
 
 The jets of a :class:`ChartFrame`, its coordinate jets included, carry one
-derivative slot per axis it seeds.
+derivative slot per axis it seeds.  A metric that reads no axis
+(``depends_on`` empty) is a constant, inactive in forward mode: its
+:class:`ChartFrame` holds the metric and its inverse as plain arrays, and
+its Christoffel symbols and curvature are exact zeros, not computed.
 
 Curvature orientation: ``riemann[a,b,c,d]`` is normalised so that on a space
 form of curvature ``c`` it equals ``c*(g_ac g_bd - g_bc g_ad)``; equivalently
@@ -226,6 +229,11 @@ class ChartFrame:
     that every identity evaluated at the same points reuses one set of
     metric derivatives.
 
+    On a ``flat`` chart, whose metric reads no axis, ``g`` and ``ginv`` are
+    plain ``(..., n, n)`` arrays, and ``gamma``, ``riemann`` and
+    :meth:`sectional` are plain arrays of exact zeros: no metric derivative
+    is formed, and consumers take the constant metric as it is.
+
     Every jet is differentiated only along ``axes`` (0-based; default:
     every axis): the coordinate jets ``coords`` are seeded there, and
     derivative slot ``j`` of the metric, its inverse, the Christoffel
@@ -243,6 +251,7 @@ class ChartFrame:
         self.n = chart.dim
         self.axes = list(range(self.n)) if axes is None else sorted(axes)
         self.coords = seed_jets(self.points, self.axes)
+        self.flat = not chart.depends_on
         self._g = None
         self._ginv = None
         self._gamma = None
@@ -282,30 +291,39 @@ class ChartFrame:
 
     @property
     def g(self):
-        """Metric ``(..., a, b)`` jet."""
+        """Metric ``(..., a, b)`` jet; the value array on a flat chart."""
         if self._g is None:
-            self._g = hd.stack(self.entries(self.chart.metric_at, "metric"),
-                               ref=self.coords[0])
+            if self.flat:
+                self._g = self.chart.metric_values(self.points)
+            else:
+                self._g = hd.stack(self.entries(self.chart.metric_at, "metric"),
+                                   ref=self.coords[0])
         return self._g
 
     @property
     def ginv(self):
         """Inverse metric ``(..., a, b)`` jet, ``g^-1 = L^-T L^-1`` from the
-        Cholesky factor ``g = L L^T`` and ``d(g^-1) = -g^-1 dg g^-1``.
-        Raises :class:`GeometryError` naming the first point where the
-        metric is not positive definite (:func:`cholesky`)."""
+        Cholesky factor ``g = L L^T`` and ``d(g^-1) = -g^-1 dg g^-1``; the
+        value array on a flat chart.  Raises :class:`GeometryError` naming
+        the first point where the metric is not positive definite
+        (:func:`cholesky`)."""
         if self._ginv is None:
-            Linv = lower_inverse(cholesky(self.g.val, self.points))
+            g = self.g
+            Linv = lower_inverse(cholesky(hd.value_of(g), self.points))
             inv = np.einsum("...ca,...cb->...ab", Linv, Linv)
-            self._ginv = HyperDual(
-                inv, -hd.einsum("...ab,...bcz,...cd->...adz", inv, self.g.grad, inv))
+            self._ginv = inv if self.flat else HyperDual(
+                inv, -hd.einsum("...ab,...bcz,...cd->...adz", inv, g.grad, inv))
         return self._ginv
 
     @property
     def gamma(self):
         """Christoffel symbols of the second kind, ``(..., c, a, b)`` jet:
-        ``Gamma^c_ab = g^cd (d_a g_bd + d_b g_ad - d_d g_ab) / 2``."""
+        ``Gamma^c_ab = g^cd (d_a g_bd + d_b g_ad - d_d g_ab) / 2``; exact
+        zeros on a flat chart."""
         if self._gamma is None:
+            if self.flat:
+                self._gamma = np.zeros(self.points.shape[:-1] + (self.n,) * 3)
+                return self._gamma
             dg = self.differential(self.g)  # (..., a, b, d) = d_d g_ab
             combo = (hd.einsum("...bda->...abd", dg) + hd.einsum("...adb->...abd", dg)
                      - dg)
@@ -316,8 +334,12 @@ class ChartFrame:
     def riemann(self):
         """Curvature values ``(..., a, b, c, d)`` in the space-form-positive
         orientation: contraction with orthonormal ``E_a, E_b`` in slots
-        ``(a,b,a,b)`` gives the sectional curvature of their plane."""
+        ``(a,b,a,b)`` gives the sectional curvature of their plane; exact
+        zeros on a flat chart."""
         if self._riemann is None:
+            if self.flat:
+                self._riemann = np.zeros(self.points.shape[:-1] + (self.n,) * 4)
+                return self._riemann
             gam = self.gamma
             # half[e,c,a,b] = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc; the
             # curvature endomorphism is half minus half with a and b swapped
@@ -334,7 +356,10 @@ class ChartFrame:
         ``F = E g``, ``P[u,v,e] = Gamma^e_bc E_u^b E_v^c``, ``Q[x,y,f] =
         Gamma^e_af E_x^a F_ye`` and ``A[s,u,v,w] = d_s Gamma^e_bc E_u^b E_v^c
         F_we`` (``s`` a seeded slot), ``-K[x,y] = E_x^s A[s,y,x,y] - E_y^s
-        A[s,x,x,y] + Q[x,y,f] P[y,x,f] - Q[y,y,f] P[x,x,f]``."""
+        A[s,x,x,y] + Q[x,y,f] P[y,x,f] - Q[y,y,f] P[x,x,f]``.  Exact zeros
+        on a flat chart."""
+        if self.flat:
+            return np.zeros(E.shape[:-1] + E.shape[-2:-1])
         gam = self.gamma
         F = hd.einsum("...va,...ab->...vb", E, self.g.val)
         P = hd.einsum("...ebc,...ub,...vc->...uve", gam.val, E, E)
@@ -357,7 +382,7 @@ class ChartFrame:
                                 f"on the {m} seeded axes")
         dX = X.grad if m == self.n else X.grad[..., self.axes, :]
         return (np.einsum("...aa->...", dX)
-                + np.einsum("...aab,...b->...", self.gamma.val, X.val))
+                + np.einsum("...aab,...b->...", hd.value_of(self.gamma), X.val))
 
     def grad_field(self, f_jet):
         """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)``

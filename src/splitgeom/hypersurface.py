@@ -44,7 +44,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import (Axis, ChartFrame, ChartManifold, GeometryError, _parsed, cholesky,
-                    lower_inverse, sample_points)
+                    grid_points, lower_inverse, sample_points)
 from .expr import Num, _bin, diff, evaluate, evaluate_at
 from .hyperdual import HyperDual, seed_jets
 from .scenarios import Scenario
@@ -442,8 +442,10 @@ def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_bo
     folded as :func:`~splitgeom.expr.diff` folds them), split by principal
     curvature into blocks of the expected multiplicities ``dims``.  ``grid``
     is the quadrature grid (16 per axis if None).  Each immersion entry is
-    evaluated at 64 seeded points of the sample box, so that a domain error
-    names the entry and its point while the scenario is built.
+    evaluated at 64 seeded points of the sample box and on the lattice of
+    :meth:`~splitgeom.chart.ChartManifold.validate`, so that a domain error
+    names the entry and its point while the scenario is built, and a sphere
+    immersion is refused at the first sample point off the unit sphere.
     """
     n, count = len(axes), len(immersion)
     if count not in (n + 1, n + 2):
@@ -459,8 +461,13 @@ def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_bo
             metric[a][b] = metric[b][a] = _bin("+", metric[a][b], _bin("*", u, v))
     chart = ChartManifold(axes, metric, name=name)
     pts = sample_points(chart, 64, np.random.default_rng(1234), box=sample_box)
-    for j, (src, f) in enumerate(zip(immersion, asts), start=1):
-        evaluate_at(f"immersion entry {j}", src, f, pts)
+    nodes = np.concatenate([pts, grid_points(chart, [5] * n, inset=1e-3).reshape(-1, n)])
+    F = np.stack([np.broadcast_to(evaluate_at(f"immersion entry {j}", src, f, nodes), len(nodes))
+                  for j, (src, f) in enumerate(zip(immersion, asts), start=1)], axis=-1)
+    off = np.flatnonzero(np.abs(np.sqrt(np.sum(F * F, axis=-1)[:len(pts)]) - 1.0) > 1e-12)
+    if count == n + 2 and off.size:
+        raise GeometryError(f"sphere immersion does not lie on the unit sphere at "
+                            f"{pts[off[0]].tolist()}")
     return HypersurfaceScenario(
         name=name, chart=chart, immersion=asts, ambient_curv=count - n - 1,
         split=SplitStructure(dims), normal_flip=normal_flip, sample_box=sample_box,

@@ -122,7 +122,8 @@ def gram_schmidt(g, vectors, points, blocks=()):
     ``E = K F' = F' + (K - I) F'``: ``F' = L^-1 F`` holds ``L`` at its
     values, and ``K`` is the inverse Cholesky factor of ``H = F' g F'^T``,
     whose value is the identity, so ``K - I`` has value zero and adds only
-    its derivative terms.  Raises
+    its derivative terms.  A plain ``g`` (a constant metric) adds no
+    product-rule terms to ``H``; with plain ``vectors`` too, ``K = I``.  Raises
     :class:`GeometryError` naming the first of ``points`` where rows of two
     different ``blocks`` (index ranges) are not orthogonal, or where the
     rows are linearly dependent (:func:`~splitgeom.chart.cholesky`).
@@ -139,7 +140,7 @@ def gram_schmidt(g, vectors, points, blocks=()):
                                 f"{node.tolist()} (inner product {ip[bad[0]]:.2e})")
     M = lower_inverse(cholesky(gram, points, "spanning frame is rank deficient"))
     frame = hd.einsum("...vw,...wa->...va", M, vectors)
-    if not isinstance(g, hd.HyperDual):
+    if not isinstance(g, hd.HyperDual) and not isinstance(frame, hd.HyperDual):
         return frame
     # F' g once, then against F'^T: two pairwise contractions, where the
     # three-operand product rule would recompute F' g in each of its terms
@@ -232,7 +233,7 @@ class SplitContext:
         self._K = None
         self._smix = None
         g = self.frame.g
-        self.g_val = g.val
+        self.g_val = hd.value_of(g)
         self.frame.ginv  # refuses a metric that is not positive definite, naming the point
         self.E = gram_schmidt(g, hd.stack(self.frame.entries(split.frame, "frame")),
                               self.points, split.blocks)
@@ -264,15 +265,24 @@ class SplitContext:
         builds the per-point table ``divY[a, c] = E_c(D_ac) + D_ac Div E_c``
         (``_divY``), the divergence of the field ``D_ac E_c``.  Every
         mean-curvature divergence is a sum of its entries
-        (:meth:`fundamental`); no right side reads them."""
+        (:meth:`fundamental`); no right side reads them.  On a flat chart
+        the Christoffel term drops; a constant frame there (a plain ``E``)
+        is parallel, and both tables are zero."""
         if self._cov is None:
-            fr, E = self.frame, self.E
+            fr, E, g = self.frame, self.E, self.frame.g
+            if not isinstance(E, hd.HyperDual):
+                shape = self.points.shape[:-1] + (self.n, self.n)
+                self._divY = np.zeros(shape)
+                self._cov = np.zeros(shape + (self.n,))
+                return self._cov
             # DG[b, d, x] = d_x E_b^d + Gamma^d_xy E_b^y: the coordinate
             # components of nabla_{E_a} E_b are E_a^x DG[b, d, x]
-            DG = fr.differential(E) + hd.einsum("...dxy,...by->...bdx", fr.gamma, E)
+            DG = fr.differential(E)
+            if not fr.flat:
+                DG = DG + hd.einsum("...dxy,...by->...bdx", fr.gamma, E)
+                g = hd.HyperDual(g.val, g.grad)
             # the lowered frame F[c, d] = E_c^e g_ed, differentiated once
-            F = hd.einsum("...ce,...ed->...cd", hd.HyperDual(E.val, E.grad),
-                          hd.HyperDual(fr.g.val, fr.g.grad))
+            F = hd.einsum("...ce,...ed->...cd", hd.HyperDual(E.val, E.grad), g)
             self._cov = hd.einsum("...ax,...bdx,...cd->...abc", E.val, DG.val, F.val)
             D = hd.einsum("...ad,...cd->...ac", hd.einsum("...ax,...adx->...ad", E, DG), F)
             div_E = np.einsum("...cxx->...c", DG.val)  # d_x E_c^x + Gamma^x_xy E_c^y

@@ -56,7 +56,10 @@ def test_flat_chart_connection_vanishes():
     rng = np.random.default_rng(0)
     pts = sample_points(m, 20, rng)
     data = ChartFrame(m, pts)
-    assert np.max(np.abs(data.gamma.val)) <= 1e-12
+    # a metric that reads no axis is a plain array, its connection plain zeros
+    assert data.flat and not isinstance(data.g, hd.HyperDual)
+    assert data.gamma.shape == (20, 3, 3, 3)
+    assert np.max(np.abs(data.gamma)) <= 1e-12
     assert np.max(np.abs(data.riemann)) <= 1e-12
 
 
@@ -65,8 +68,10 @@ def test_constant_metric_flat():
     m = ChartManifold([Axis(0.0, TWO_PI)] * 3, g)
     pts = sample_points(m, 10, np.random.default_rng(1))
     data = ChartFrame(m, pts)
-    assert np.max(np.abs(data.gamma.val)) <= 1e-12
+    assert np.max(np.abs(data.gamma)) <= 1e-12
     assert np.max(np.abs(data.riemann)) <= 1e-12
+    np.testing.assert_allclose(data.ginv @ data.g, np.broadcast_to(np.eye(3), (10, 3, 3)),
+                               rtol=0, atol=1e-15)
 
 
 def test_sphere_sectional_curvature_is_plus_one():

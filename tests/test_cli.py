@@ -637,15 +637,33 @@ def test_inline_immersion_domain_error_names_the_entry_and_point(tmp_path, capsy
 
 
 def test_sphere_immersion_off_the_unit_sphere_names_its_point(tmp_path, capsys):
-    # four entries immerse a 2-chart into the unit 3-sphere; this torus has |F| = sqrt(2)
+    # four entries immerse a 2-chart into the unit 3-sphere; this torus has
+    # |F| = sqrt(2), refused while the config is read: the scenario listed
+    # before it never runs
     spec = {**TORUS, "immersion": ["cos(x1)", "sin(x1)", "cos(x2)", "sin(x2)"]}
-    code, report, out, err = verify_config(tmp_path, capsys,
-                                           {"scenario": spec, "samples": 5, "seed": 4}, "off")
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": ["twisted_torus_k3", spec], "samples": 5, "seed": 4},
+        "off")
     assert code == 2
     assert report is None and out == ""
-    scn = cli.build_inline_scenario(spec)
-    first = scn.sample(5, cli.scenario_rng(4, scn.name))[0]
-    assert err == f"error: sphere immersion does not lie on the unit sphere at {first.tolist()}\n"
+    head = "config error: scenario 'torus': sphere immersion does not lie on the unit sphere at "
+    assert err.startswith(head)
+    point = json.loads(err[len(head):])
+    assert len(point) == 2 and all(0.0 <= x <= 2 * math.pi for x in point)
+
+
+def test_immersion_domain_error_off_the_sample_box_names_the_entry(tmp_path, capsys):
+    # fine on the sample box, undefined at x1 < -0.95: found on the chart's
+    # validation lattice, under the entry's own name, not a derived metric entry
+    spec = {**TUBE, "immersion": TUBE["immersion"][:3] + ["sqrt(x1 + 0.95)"],
+            "sample_box": [[-0.9, 1.0], [0.4, 2.74], [0.0, 2 * math.pi]]}
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")
+    assert code == 2
+    assert report is None and out == ""
+    head = ("config error: scenario 'tube_s2': sqrt: sqrt of negative value "
+            "in immersion entry 4 'sqrt(x1 + 0.95)' at ")
+    assert err.startswith(head)
+    assert json.loads(err[len(head):])[0] < -0.95
 
 
 def test_inline_warped_needs_one_warp_per_fiber(tmp_path, capsys):

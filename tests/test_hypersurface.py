@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from splitgeom.chart import Axis, ChartFrame, GeometryError, integrate
+from splitgeom.expr import parse_expr
 from splitgeom.hypersurface import (
     GapError,
     build_clifford_torus,
@@ -60,6 +63,16 @@ def test_graph_r4_curvatures_and_gaps():
     np.testing.assert_allclose(mu0, [0.2, 0.4, 0.6], atol=1e-14)
     pts = scn.sample(50, np.random.default_rng(1))
     principal_bundle(scn, pts)  # group structure must hold on the box
+
+
+def test_shape_data_refuses_points_off_the_unit_sphere():
+    # the build checks the sample box; shape_data checks the points it is given
+    scn = build_clifford_torus()
+    torus = [parse_expr(src, 2) for src in ("cos(x1)", "sin(x1)", "cos(x2)", "sin(x2)")]
+    pts = scn.sample(3, np.random.default_rng(0))
+    with pytest.raises(GeometryError, match=re.escape(
+            f"sphere immersion does not lie on the unit sphere at {pts[0].tolist()}")):
+        shape_data(dataclasses.replace(scn, immersion=torus), pts)
 
 
 def test_round_sphere_rejected_as_two_groups():

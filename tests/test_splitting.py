@@ -8,8 +8,9 @@ from splitgeom import hyperdual as hd
 from splitgeom.chart import Axis, ChartFrame, ChartManifold, GeometryError, sample_points
 from splitgeom.expr import evaluate, parse_expr, variables
 from splitgeom.hypersurface import hypersurface_catalog, principal_bundle
-from splitgeom.identities import pointwise_fields
+from splitgeom.identities import available_identities, integral_checks_batch, pointwise_fields
 from splitgeom.scenarios import (
+    Scenario,
     build_twisted_torus,
     build_warped,
     build_warped_twisted,
@@ -90,7 +91,7 @@ def test_adapted_frame_euclidean_identity():
 def orthonormality_residual(ctx):
     """Largest entry of ``E g E^T - I`` over the points of ``ctx``."""
     E = ctx.E_val
-    gram = np.einsum("...va,...ab,...wb->...vw", E, ctx.frame.g.val, E)
+    gram = np.einsum("...va,...ab,...wb->...vw", E, hd.value_of(ctx.frame.g), E)
     return np.max(np.abs(gram - np.eye(ctx.n)))
 
 
@@ -323,8 +324,8 @@ def partial_divergence(ctx, q, X, frame=None):
     E = ctx.E_val[..., ctx.split.block_indices(q), :]
     # nabla[d, c] = d_c X^d + Gamma^d_ce X^e
     nabla = (frame.scatter(X.grad)
-             + np.einsum("...dce,...e->...dc", frame.gamma.val, X.val))
-    return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, frame.g.val, E,
+             + np.einsum("...dce,...e->...dc", hd.value_of(frame.gamma), X.val))
+    return np.einsum("...ac,...dc,...de,...ae->...", E, nabla, hd.value_of(frame.g), E,
                      optimize=True)
 
 
@@ -443,11 +444,24 @@ def test_divergence_frame_independence():
         assert np.max(np.abs(frame_sum - coord)) <= 1e-10
 
 
-@pytest.mark.parametrize("name", sorted(kproduct_catalog()) + sorted(hypersurface_catalog()))
+def curved_twisted_torus():
+    """The frame of ``twisted_torus_k3`` on the curved conformal metric
+    ``(2 + sin(x3)) delta``: a twisted frame whose sectional curvatures are
+    not all zero, unlike on the flat torus."""
+    flat = kproduct_catalog()["twisted_torus_k3"]()
+    metric = [["2 + sin(x3)" if a == b else "0" for b in range(3)] for a in range(3)]
+    return Scenario(name="curved_twisted_k3", kind="twisted_torus",
+                    chart=ChartManifold(flat.chart.axes, metric, name="curved_twisted_k3"),
+                    split=SplitStructure(flat.dims, flat.split.frame.rows))
+
+
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()) + sorted(hypersurface_catalog())
+                         + ["curved_twisted_k3"])
 def test_sectional_matches_the_curvature_tensor(name):
     # the Christoffel-jet contraction against the full tensor, on the frames
     # of split contexts and on the eigenframes of hypersurface bundles
-    builders = {**kproduct_catalog(), **hypersurface_catalog()}
+    builders = {**kproduct_catalog(), **hypersurface_catalog(),
+                "curved_twisted_k3": curved_twisted_torus}
     scn = builders[name]()
     pts = scn.sample(16, np.random.default_rng(24))
     if scn.kind == "hypersurface":
@@ -458,6 +472,79 @@ def test_sectional_matches_the_curvature_tensor(name):
         frame, E, K = ctx.frame, ctx.E_val, ctx.sectional
     want = np.einsum("...abcd,...xa,...yb,...xc,...yd->...xy", frame.riemann, E, E, E, E)
     assert np.max(np.abs(K - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+    if name == "curved_twisted_k3":
+        assert np.max(np.abs(want)) > 1e-2
+
+
+def sweep_twist(seed=1):
+    """The seeded twist of the benchmark's integral sweep: a trigonometric
+    polynomial in every coordinate of ``T^3``."""
+    coef = np.random.default_rng(seed).uniform(0.2, 0.6, size=(3, 2))
+    return " + ".join(f"{s!r}*sin(x{a + 1}) + {c!r}*cos(x{a + 1})"
+                      for a, (s, c) in enumerate(coef.tolist()))
+
+
+@pytest.mark.parametrize("metric", [np.eye(3), np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2],
+                                                         [0.1, 0.2, 1.5]])],
+                         ids=["identity", "constant_spd"])
+def test_gram_schmidt_takes_a_plain_metric_as_a_constant_jet(metric):
+    scn = build_twisted_torus((1, 1, 1), twist=sweep_twist())
+    pts = scn.sample(16, np.random.default_rng(29))
+    frame = ChartFrame(scn.chart, pts)  # the twist reads every axis
+    vectors = hd.stack(frame.entries(scn.split.frame, "frame"))
+    g = np.array(np.broadcast_to(metric, (16, 3, 3)))
+    constant = hd.HyperDual(g, np.zeros(g.shape + (3,)), np.zeros(g.shape + (3, 3)))
+    got, want = gram_schmidt(g, vectors, pts), gram_schmidt(constant, vectors, pts)
+    for slot in ("val", "grad", "hess"):
+        assert np.max(np.abs(getattr(got, slot) - getattr(want, slot))) <= 1e-15, slot
+    gram = np.einsum("...va,...ab,...wb->...vw", got.val, g, got.val)
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-13
+
+
+def test_constant_frame_on_a_flat_chart_is_parallel():
+    # a constant metric and a constant frame: no jet, and a zero connection
+    for scn in (build_twisted_torus((1, 1, 1), twist="0"),
+                build_warped(1, (1, 1), ("2", "3"), name="warped_const")):
+        ctx = SplitContext(scn.chart, scn.split, scn.sample(8, np.random.default_rng(31)))
+        assert ctx.frame.axes == [] and not isinstance(ctx.E, hd.HyperDual)
+        assert np.all(ctx.cov == 0.0) and np.all(ctx.sectional == 0.0)
+        for r in range(1, ctx.k):
+            for q in subsets(r, ctx.k):
+                assert np.all(ctx.fundamental(q).div_H == 0.0)
+
+
+FLAT_ROUTE = {
+    **{name: kproduct_catalog()[name]
+       for name in ("twisted_torus_k2", "twisted_torus_k3", "twisted_torus_k4")},
+    "sweep_twisted_t3": lambda: build_twisted_torus((1, 1, 1), twist=sweep_twist(),
+                                                    name="sweep_twisted_t3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_ROUTE))
+def test_flat_chart_route_matches_the_jet_route(name):
+    flat_scn, jet_scn = FLAT_ROUTE[name](), FLAT_ROUTE[name]()
+    # the same constant metric, differentiated as if it read the frame's axes
+    jet_scn.chart.depends_on = jet_scn.split.depends_on
+    pts = flat_scn.sample(16, np.random.default_rng(30))
+    flat = SplitContext(flat_scn.chart, flat_scn.split, pts)
+    jet = SplitContext(jet_scn.chart, jet_scn.split, pts)
+    assert flat.frame.axes == jet.frame.axes
+    assert not isinstance(flat.frame.g, hd.HyperDual)
+    assert isinstance(jet.frame.g, hd.HyperDual)
+    for slot in ("val", "grad", "hess"):
+        assert np.max(np.abs(getattr(flat.E, slot) - getattr(jet.E, slot))) <= 1e-15, slot
+    assert np.max(np.abs(flat.cov - jet.cov)) <= 1e-15
+    for r in range(1, flat.k):
+        for q in subsets(r, flat.k):
+            assert np.max(np.abs(flat.fundamental(q).div_H - jet.fundamental(q).div_H)) <= 1e-15
+    assert np.max(np.abs(flat.sectional - jet.sectional)) <= 1e-15
+    # the integral reports, field for field
+    idents = [i for i in available_identities(flat.k) if i != "smix_lemma"]
+    grid = [8 if a in flat_scn.split.depends_on else 4 for a in range(flat.n)]
+    reports = [[r.to_dict() for r in integral_checks_batch(s.chart, s.split, grid, idents)]
+               for s in (flat_scn, jet_scn)]
+    assert reports[0] == reports[1]
 
 
 def test_pair_predicates():
@@ -675,7 +762,8 @@ def test_frame_jet_is_exactly_zero_along_held_axes(name):
     m = len(seeded)
     assert ctx.frame.axes == seeded
     assert ctx.E.grad.shape[-1] == m and ctx.E.hess.shape[-2:] == (m, m)
-    assert ctx.frame.g.grad.shape[-1] == m
+    g = ctx.frame.g
+    assert g.grad.shape[-1] == m if scn.chart.depends_on else not isinstance(g, hd.HyperDual)
     # differentiated along every axis, the frame does not move along the held ones
     full = ChartFrame(scn.chart, pts)
     E = gram_schmidt(full.g, hd.stack(scn.split.frame(full.coords)), pts)
