@@ -42,6 +42,7 @@ __all__ = [
     "GeometryError",
     "NonClosedChartError",
     "integrate",
+    "Quadrature",
     "rectangle_rule",
     "grid_points",
     "sample_points",
@@ -71,15 +72,25 @@ class Axis:
 class ExpressionMatrix:
     """An ``n x n`` matrix of closed-form expressions on an ``n``-dimensional
     chart, given as a nested list of ASTs or source strings: a metric, or a
-    spanning frame with one row per vector.  ``depends_on`` is the set of
-    0-based axes some entry reads.  Called at coordinates (jets, arrays or
-    floats), it returns the nested list of entry values.
+    spanning frame with one row per vector.  Each distinct source is parsed
+    once, at its first entry, and its entries share the tree.
+    ``depends_on`` is the set of 0-based axes some entry reads.  Called at
+    coordinates (jets, arrays or floats), it returns the nested list of
+    entry values.
     """
 
     def __init__(self, entries, n, what):
         self.what = what
-        self.rows = [[_parsed(e, n, f"{what} entry ({a}, {b})")
-                      for b, e in enumerate(row, start=1)]
+        parsed = {}  # source -> tree
+
+        def tree(e, label):
+            if not isinstance(e, str):
+                return e
+            if e not in parsed:
+                parsed[e] = _parsed(e, n, label)
+            return parsed[e]
+
+        self.rows = [[tree(e, f"{what} entry ({a}, {b})") for b, e in enumerate(row, start=1)]
                      for a, row in enumerate(entries, start=1)]
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise GeometryError(f"{what} must be an n x n matrix")
@@ -303,16 +314,24 @@ class ChartFrame:
     @property
     def ginv(self):
         """Inverse metric ``(..., a, b)`` jet, ``g^-1 = L^-T L^-1`` from the
-        Cholesky factor ``g = L L^T`` and ``d(g^-1) = -g^-1 dg g^-1``; the
-        value array on a flat chart.  Raises :class:`GeometryError` naming
-        the first point where the metric is not positive definite
-        (:func:`cholesky`)."""
+        Cholesky factor ``g = L L^T`` and ``d(g^-1) = -g^-1 dg g^-1``.  On a
+        flat chart it is a value array: the constant metric is factored
+        once, at the first point, and read at every point.  Raises
+        :class:`GeometryError` naming the first point where the metric is
+        not positive definite (:func:`cholesky`)."""
         if self._ginv is None:
             g = self.g
-            Linv = lower_inverse(cholesky(hd.value_of(g), self.points))
+            if self.flat:
+                # a batch of one point, factored as every batch is
+                first = self.points.reshape(-1, self.n)[:1]
+                Linv = lower_inverse(cholesky(g.reshape(-1, self.n, self.n)[:1], first))
+                self._ginv = np.broadcast_to(
+                    np.einsum("...ca,...cb->...ab", Linv, Linv)[0], g.shape)
+                return self._ginv
+            Linv = lower_inverse(cholesky(g.val, self.points))
             inv = np.einsum("...ca,...cb->...ab", Linv, Linv)
-            self._ginv = inv if self.flat else HyperDual(
-                inv, -hd.einsum("...ab,...bcz,...cd->...adz", inv, g.grad, inv))
+            self._ginv = HyperDual(inv, -hd.einsum("...ab,...bcz,...cd->...adz",
+                                                   inv, g.grad, inv))
         return self._ginv
 
     @property
@@ -450,23 +469,44 @@ def _volume_element(g, points):
     return np.sqrt(det)
 
 
-def rectangle_rule(m, grid, integrand, mapper, chunk, threads=1, axes=None):
-    """Rectangle-rule integrals over the closed chart ``m``.
+@dataclass(frozen=True)
+class Quadrature:
+    """The rectangle rule of a closed chart on a grid, as data.
 
-    ``integrand`` maps an ``(N, n)`` chunk of nodes to ``(values, g)``:
-    ``values`` an ``(N,)`` array or a dict of them, ``g`` the metric values
-    ``(N, n, n)`` at the nodes.  ``mapper`` is :func:`map_batched` as bound by
-    the caller's module.  The rule is spectrally accurate for analytic
-    periodic integrands; each integral is a compensated sum in fixed node
-    order, so it does not depend on ``chunk`` or ``threads``.  Returns the
-    per-axis grid and the integral (or dict of integrals).
+    ``grid`` is the resolution per axis and ``cell`` the coordinate volume
+    of one grid cell.  ``nodes`` ``(N, n)`` are the nodes to evaluate, in
+    lattice order: every node along the axes the integrand may vary along,
+    every other axis pinned at its first node.  Each evaluated node stands
+    for ``count`` nodes of the grid.
+    """
+
+    grid: list
+    nodes: np.ndarray
+    count: int
+    cell: float
+
+    def integrals(self, values, volume):
+        """The integral of each ``(N,)`` array of the dict ``values`` at the
+        nodes, where the volume element ``sqrt(det g)`` is ``volume``
+        (:func:`_volume_element`): each weighted value taken ``count``
+        times through exact products (see :func:`_repeated_fsum`), not one
+        rounded product, summed exactly in node order, times ``cell``.  So
+        an integrand that is constant along the pinned axes gives the full
+        grid's bits."""
+        return {key: _repeated_fsum(np.asarray(v, dtype=float) * volume, self.count)
+                * self.cell for key, v in values.items()}
+
+
+def rectangle_rule(m, grid, axes=None):
+    """The :class:`Quadrature` of the closed chart ``m`` on ``grid`` (an
+    int per axis, or one for every axis, each at least 4), spectrally
+    accurate for analytic periodic integrands.
 
     ``axes`` (default: every axis) are the 0-based axes the integrand may
-    vary along.  Only their nodes are evaluated, every other axis pinned at
-    its first node, and each value counts once per node it stands for: the
-    exact sum takes it that many times through exact products (see
-    :func:`_repeated_fsum`), not one rounded product, so an integrand that
-    is constant along the other axes gives the full grid's bits.
+    vary along; only their nodes are evaluated, every other axis pinned at
+    its first node.  The caller evaluates the nodes, in chunks or at once,
+    alone or after other points, and hands the values to
+    :meth:`Quadrature.integrals`.
     """
     if not m.closed:
         raise NonClosedChartError("integration requires all axes periodic")
@@ -474,26 +514,13 @@ def rectangle_rule(m, grid, integrand, mapper, chunk, threads=1, axes=None):
         grid = [int(grid)] * m.dim
     if len(grid) != m.dim or any(res < 4 for res in grid):
         raise GeometryError(f"grid {list(grid)} needs {m.dim} resolutions of at least 4")
-    cell = math.prod(ax.period / res for ax, res in zip(m.axes, grid))
     axes = range(m.dim) if axes is None else axes
     # on a periodic axis the one-node lattice is the first node
     evaluated = [res if a in axes else 1 for a, res in enumerate(grid)]
-    count = math.prod(grid) // math.prod(evaluated)
-
-    def weighted(nodes):
-        values, g = integrand(nodes)
-        w = _volume_element(g, nodes)
-        if isinstance(values, dict):
-            return {key: np.asarray(v, dtype=float) * w for key, v in values.items()}
-        return np.asarray(values, dtype=float) * w
-
-    def total(v):
-        return _repeated_fsum(v, count) * cell
-
-    acc = mapper(weighted, grid_points(m, evaluated), chunk=chunk, threads=threads)
-    if isinstance(acc, dict):
-        return grid, {key: total(v) for key, v in acc.items()}
-    return grid, total(acc)
+    return Quadrature(
+        grid=grid, nodes=grid_points(m, evaluated).reshape(-1, m.dim),
+        count=math.prod(grid) // math.prod(evaluated),
+        cell=math.prod(ax.period / res for ax, res in zip(m.axes, grid)))
 
 
 def _repeated_fsum(v, count):
@@ -524,5 +551,9 @@ def integrate(m, f, grid, chunk, threads=1):
     ``f`` maps a ``(N, n)`` point array to ``(N,)`` values, or to a dict of
     such arrays; a dict gives a dict of integrals from one sweep of the grid.
     """
-    return rectangle_rule(m, grid, lambda p: (f(p), m.metric_values(p)),
-                          map_batched, chunk=chunk, threads=threads)[1]
+    quad = rectangle_rule(m, grid)
+    values = map_batched(f, quad.nodes, chunk=chunk, threads=threads)
+    volume = _volume_element(m.metric_values(quad.nodes), quad.nodes)
+    if isinstance(values, dict):
+        return quad.integrals(values, volume)
+    return quad.integrals({None: values}, volume)[None]

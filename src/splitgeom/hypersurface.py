@@ -80,6 +80,7 @@ class HypersurfaceScenario(Scenario):
 
     kind: str = "hypersurface"
     immersion: list                 # parsed component expressions, length m
+    second_derivatives: list        # [j][a][b]: the tree of d_a d_b of entry j
     ambient_curv: int               # 0 (flat) or 1 (unit sphere), from the entry count
     normal_flip: bool = False
     gap_threshold: float | None = None
@@ -109,14 +110,8 @@ def shape_data(scn, points):
     xs = seed_jets(points)
     memo = {}  # one for F and all its second derivatives, which share subtrees
     F = hd.stack([evaluate(f, xs, memo) for f in scn.immersion], ref=xs[0])
-    ddf = {}
-    for j, f in enumerate(scn.immersion):
-        for a in range(n):
-            df = diff(f, a + 1)
-            for b in range(a, n):
-                ddf[j, a, b] = ddf[j, b, a] = evaluate(diff(df, b + 1), xs, memo)
-    DDF = hd.stack([[[ddf[j, a, b] for b in range(n)] for a in range(n)]
-                    for j in range(m)], ref=xs[0])
+    DDF = hd.stack([[[evaluate(d, xs, memo) for d in row] for row in entry]
+                    for entry in scn.second_derivatives], ref=xs[0])
     # jet of d_a F^m: gradient d_a d_c F^m, Hessian d_a d_c d_d F^m
     DF = HyperDual(F.grad, DDF.val, DDF.grad)
 
@@ -440,7 +435,9 @@ def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_bo
     (flat space) or ``n + 2`` (unit sphere) expression sources ``immersion``,
     with the induced metric ``g_ab = sum_m d_a F^m d_b F^m`` (constants
     folded as :func:`~splitgeom.expr.diff` folds them), split by principal
-    curvature into blocks of the expected multiplicities ``dims``.  ``grid``
+    curvature into blocks of the expected multiplicities ``dims``.  The
+    second derivatives ``d_a d_b F^j`` that :func:`shape_data` evaluates
+    are taken here, once per scenario.  ``grid``
     is the quadrature grid (16 per axis if None).  Each immersion entry is
     evaluated at 64 seeded points of the sample box and on the lattice of
     :meth:`~splitgeom.chart.ChartManifold.validate`, so that a domain error
@@ -456,9 +453,11 @@ def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_bo
     asts = [_parsed(src, n, f"immersion entry {j}") for j, src in enumerate(immersion, start=1)]
     dF = [[diff(f, a) for f in asts] for a in range(1, n + 1)]
     metric = [[Num(0.0)] * n for _ in range(n)]
+    ddF = [[[None] * n for _ in range(n)] for _ in asts]
     for a, b in itertools.combinations_with_replacement(range(n), 2):
-        for u, v in zip(dF[a], dF[b]):
+        for j, (u, v) in enumerate(zip(dF[a], dF[b])):
             metric[a][b] = metric[b][a] = _bin("+", metric[a][b], _bin("*", u, v))
+            ddF[j][a][b] = ddF[j][b][a] = diff(u, b + 1)
     chart = ChartManifold(axes, metric, name=name)
     pts = sample_points(chart, 64, np.random.default_rng(1234), box=sample_box)
     nodes = np.concatenate([pts, grid_points(chart, [5] * n, inset=1e-3).reshape(-1, n)])
@@ -469,7 +468,8 @@ def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_bo
         raise GeometryError(f"sphere immersion does not lie on the unit sphere at "
                             f"{pts[off[0]].tolist()}")
     return HypersurfaceScenario(
-        name=name, chart=chart, immersion=asts, ambient_curv=count - n - 1,
+        name=name, chart=chart, immersion=asts, second_derivatives=ddF,
+        ambient_curv=count - n - 1,
         split=SplitStructure(dims), normal_flip=normal_flip, sample_box=sample_box,
         gap_threshold=gap_threshold, meta={} if grid is None else {"integral_grid": grid})
 

@@ -55,8 +55,9 @@ of its gate, the scenarios it applies to and the geometry it reads (a
 ``SplitContext``, a hypersurface's principal bundle, whose eigenframe needs
 no context, or the quadrature nodes).  One resolver, :func:`select_checks`,
 turns report names into rows of it, and one evaluator, :func:`run_checks`,
-evaluates the rows that read one geometry from one geometry per chunk of
-points.  ``verify`` and the adapters :func:`pointwise_fields`,
+evaluates the rows that read one geometry, of every kind, from one
+geometry per chunk of one point set: the sample points and the quadrature
+nodes.  ``verify`` and the adapters :func:`pointwise_fields`,
 :func:`integral_checks_batch` and :func:`available_identities` read the
 table through them alone.
 """
@@ -71,7 +72,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chart import NonClosedChartError, map_batched, rectangle_rule
+from .chart import NonClosedChartError, _volume_element, map_batched, rectangle_rule
 from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
                            principal_bundle, shape_data)
 from .scenarios import Scenario, warped_checks
@@ -320,8 +321,8 @@ POINTWISE = "pointwise"
 INTEGRAL = "integral"
 PREDICATE = "predicate"
 
-# the geometry a check reads, built once per chunk of sample points or of
-# quadrature nodes (integral checks read the nodes of a grid)
+# the geometry a check reads, built once per chunk of a scenario's points:
+# its samples, then the quadrature nodes of its grid (see run_checks)
 CONTEXT = "context"   # an _Evaluator over a SplitContext
 BUNDLE = "bundle"     # a hypersurface principal_bundle
 GRID = "grid"         # the quadrature nodes themselves
@@ -540,21 +541,25 @@ def _key(name, key):
     return name if key == "residual" else f"{key}:{name}"
 
 
-def _chunk_values(scn, rows):
-    """Chunk function: one geometry for the chunk, then the values of every
-    row (keyed by :func:`_key`) and the metric values at the chunk."""
+def _chunk_values(scn, rows, volume):
+    """Chunk function of the point set of one geometry: one geometry for
+    the chunk, then the values of every row at every point of the chunk,
+    keyed ``(name, kind, key)``, and, with ``volume``, the volume element
+    ``sqrt(det g)`` under ``"volume"``.  The set may hold sample points,
+    quadrature nodes or both, and so may one chunk; :func:`run_checks`
+    picks the values each report reads."""
     geometry = rows[0].check.geometry
 
     def eval_chunk(pts):
         geom, g = _geometry(scn, geometry, pts)
-        out = {}
+        out = {"volume": _volume_element(g, pts)} if volume else {}
         for name, check, args in rows:
             data = check.run(scn, geom, *args)
             if check.kind == INTEGRAL:
                 data = {key: data[key] for key in ("rhs", "max_term", "div") if key in data}
                 data["abs_rhs"] = np.abs(data["rhs"])
-            out.update((_key(name, key), v) for key, v in data.items())
-        return out, g
+            out.update(((name, check.kind, key), v) for key, v in data.items())
+        return out
 
     return eval_chunk
 
@@ -605,9 +610,14 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
     """The CheckReports of ``rows`` (from :func:`select_checks`) in their
     order, and the per-point values of the rows that read ``points``.
 
-    Rows that read one geometry share it: one geometry per chunk of the
-    sample ``points`` for the pointwise and predicate rows, one per chunk of
-    the quadrature ``grid`` for the integral rows.  Integral rows on a
+    Rows that read one geometry share it, whatever their kind: each
+    geometry evaluates one point set, the sample ``points`` (when a
+    pointwise or predicate row reads it) followed by the distinct nodes of
+    the quadrature on ``grid`` (when an integral row reads it; see
+    :func:`~splitgeom.chart.rectangle_rule`), in chunks of one geometry
+    each.  The pointwise and predicate reports read the values at the
+    samples, the integral reports the integrals of the values at the nodes
+    (:meth:`~splitgeom.chart.Quadrature.integrals`).  Integral rows on a
     context evaluate only the nodes along the axes the metric or the frame
     reads (``depends_on``) and hold the others at their first node.  The
     context differentiates along those axes only, and raises where its
@@ -617,30 +627,37 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
     A geometry holds at most ``chunk`` points (default:
     :func:`_chunk_size`, so that the jets of the ``threads`` geometries
     held at once stay near ``BUDGET`` doubles together); no value depends
-    on ``chunk`` or ``threads``.
+    on ``chunk`` or ``threads``, or on which other points share a chunk.
     """
     tols = tol or Tolerances()
+    n = scn.chart.dim
     groups = {}
     for row in rows:
-        groups.setdefault((row.check.kind == INTEGRAL, row.check.geometry), []).append(row)
+        groups.setdefault(row.check.geometry, []).append(row)
     reports, per_point = {}, {}
-    for (integral, geometry), group in groups.items():
+    for geometry, group in groups.items():
         t0 = time.perf_counter()
-        eval_chunk = _chunk_values(scn, group)
         axes = scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT else None
-        size = chunk or _chunk_size(scn.chart.dim, axes, threads)
-        if integral:
-            grid, values = rectangle_rule(scn.chart, grid, eval_chunk, map_batched,
-                                          chunk=size, threads=threads, axes=axes)
-        else:
-            values = map_batched(lambda p: eval_chunk(p)[0], points,
-                                 chunk=size, threads=threads)
-            per_point.update(values)
+        kinds = {row.check.kind for row in group}
+        quad = rectangle_rule(scn.chart, grid, axes) if INTEGRAL in kinds else None
+        samples = (np.asarray(points, dtype=float).reshape(-1, n) if kinds - {INTEGRAL}
+                   else np.empty((0, n)))
+        nodes = quad.nodes if quad else np.empty((0, n))
+        values = map_batched(_chunk_values(scn, group, quad is not None),
+                             np.concatenate([samples, nodes]),
+                             chunk=chunk or _chunk_size(n, axes, threads), threads=threads)
+        P = len(samples)
+        volume = values.pop("volume", None)
+        read = {key: v[:P] for key, v in values.items() if key[1] != INTEGRAL}
+        per_point.update((_key(name, key), v) for (name, _, key), v in read.items())
+        if quad:
+            read.update(quad.integrals(
+                {key: v[P:] for key, v in values.items() if key[1] == INTEGRAL}, volume[P:]))
         share = (time.perf_counter() - t0) / len(group)
         for row in group:
             reports[row.name, row.check.kind] = _report(
-                scn.name, row, lambda key: values.get(_key(row.name, key)), tols,
-                points, grid, share)
+                scn.name, row, lambda key: read.get((row.name, row.check.kind, key)), tols,
+                points, quad.grid if quad else None, share)
     return [reports[row.name, row.check.kind] for row in rows], per_point
 
 

@@ -1,12 +1,14 @@
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
+from splitgeom import chart as chart_module
 from splitgeom import expr as ex
 from splitgeom import hyperdual as hd
 from splitgeom.chart import (
@@ -23,8 +25,8 @@ from splitgeom.chart import (
     rectangle_rule,
     sample_points,
 )
-from splitgeom.chart import _repeated_fsum
-from splitgeom.splitting import SplitContext, SplitStructure
+from splitgeom.chart import _repeated_fsum, _volume_element, cholesky
+from splitgeom.splitting import SplitContext, SplitStructure, coordinate_split
 
 TWO_PI = 2 * math.pi
 
@@ -72,6 +74,26 @@ def test_constant_metric_flat():
     assert np.max(np.abs(data.riemann)) <= 1e-12
     np.testing.assert_allclose(data.ginv @ data.g, np.broadcast_to(np.eye(3), (10, 3, 3)),
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("g", [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                               [["2", "0.3", "0"], ["0.3", "1", "0.2"], ["0", "0.2", "1.5"]]])
+def test_flat_inverse_metric_is_factored_once(g, monkeypatch):
+    # at the first point, with the bits of the factorisation at every point
+    m = ChartManifold([Axis(0.0, TWO_PI)] * 3, g)
+    pts = sample_points(m, 40, np.random.default_rng(2)).reshape(5, 8, 3)
+    Linv = lower_inverse(cholesky(m.metric_values(pts), pts))
+    want = np.einsum("...ca,...cb->...ab", Linv, Linv)
+    calls = []
+    monkeypatch.setattr(chart_module, "cholesky",
+                        lambda G, *a: calls.append(G.shape) or cholesky(G, *a))
+    got = ChartFrame(m, pts).ginv
+    assert calls == [(1, 3, 3)] and got.shape == (5, 8, 3, 3)
+    assert np.array_equal(got, want)
+    indefinite = ChartManifold([Axis(0.0, TWO_PI)] * 2, [["1", "0.5"], ["0.5", "-1"]])
+    with pytest.raises(GeometryError, match=re.escape(
+            f"metric not positive definite at {pts[0, 0, :2].tolist()}")):
+        ChartFrame(indefinite, pts[..., :2]).ginv
 
 
 def test_sphere_sectional_curvature_is_plus_one():
@@ -401,6 +423,20 @@ def test_expression_matrix_names_the_entry_it_cannot_parse():
         ExpressionMatrix(rows, 3, "spanning frame")
 
 
+def test_expression_matrix_parses_each_distinct_source_once(monkeypatch):
+    # a coordinate split's n^2 literals are two trees; a repeated bad source
+    # is named by its first entry
+    calls = []
+    parse = ex.parse_expr
+    monkeypatch.setattr(chart_module, "parse_expr", lambda *a: calls.append(a) or parse(*a))
+    rows = coordinate_split((1, 2, 2)).frame.rows
+    assert sorted(src for src, _ in calls) == ["0", "1"]
+    assert all(rows[a][b] is rows[0][0 if a == b else 1] for a in range(5) for b in range(5))
+    bad = [["1", "sin(x1", "0"], ["sin(x1", "1", "0"], ["0", "0", "sin(x1"]]
+    with pytest.raises(ex.ExprError, match=r" in metric entry \(1, 2\) 'sin\(x1'$"):
+        ExpressionMatrix(bad, 3, "metric")
+
+
 def test_validate_names_the_metric_entry_and_lattice_point_of_a_domain_error():
     # the lattice is evaluated whole, and entry by entry (ExpressionMatrix.locate)
     # only after that fails
@@ -439,17 +475,17 @@ def test_expression_matrix_evaluates_a_repeated_subexpression_once(monkeypatch):
 def test_rectangle_rule_over_declared_axes_gives_the_full_grid_bits():
     # the integrand and the metric read x1 only; 24 values, each counted 6 times
     m = revolution_chart()
-    seen = []
 
-    def integrand(p):
-        seen.append(len(p))
-        return np.exp(np.sin(p[..., 0])), m.metric_values(p)
+    def integral(quad):
+        p = quad.nodes
+        w = _volume_element(m.metric_values(p), p)
+        return quad.integrals({"f": np.exp(np.sin(p[..., 0]))}, w)["f"]
 
-    full = rectangle_rule(m, [24, 6], integrand, map_batched, chunk=4096)
-    reduced = rectangle_rule(m, [24, 6], integrand, map_batched, chunk=4096,
-                             axes={0})
-    assert reduced == full and reduced[0] == [24, 6]
-    assert seen == [144, 24]
+    full, reduced = rectangle_rule(m, [24, 6]), rectangle_rule(m, [24, 6], axes={0})
+    assert integral(reduced) == integral(full)
+    assert full.grid == reduced.grid == [24, 6] and full.cell == reduced.cell
+    assert (len(full.nodes), full.count, len(reduced.nodes), reduced.count) == (144, 1, 24, 6)
+    np.testing.assert_array_equal(reduced.nodes, full.nodes[::6])
 
 
 @pytest.mark.parametrize("count, chunk, threads", [

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitgeom import cli, hyperdual, identities, splitting
+from splitgeom import chart, cli, hyperdual, identities, splitting
 from splitgeom.cli import main
 from splitgeom.expr import MAX_DEPTH
 
@@ -296,6 +296,27 @@ def test_split_context_jets_carry_one_slot_per_axis_read(tmp_path, monkeypatch):
     while pending:
         check(pending.pop())
     assert any(narrow) and any(diagonals)
+
+
+def test_verify_all_builds_one_context_per_split_scenario(tmp_path, monkeypatch):
+    # the sample points and the quadrature nodes of a scenario are one
+    # point set, whose chunks each build one geometry: 11 split scenarios,
+    # 4 hypersurface bundles
+    built = {splitting.SplitContext: 0, chart.ChartFrame: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    for cls in built:
+        counting(cls)
+    assert run(["verify", "--all", "--seed", "1", "--out", str(tmp_path / "all.json")]) == 0
+    assert list(built.values()) == [11, 15]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from splitgeom import hypersurface
 from splitgeom.chart import Axis, ChartFrame, GeometryError, integrate
-from splitgeom.expr import parse_expr
+from splitgeom.expr import diff, parse_expr
 from splitgeom.hypersurface import (
     GapError,
     build_clifford_torus,
@@ -73,6 +74,20 @@ def test_shape_data_refuses_points_off_the_unit_sphere():
     with pytest.raises(GeometryError, match=re.escape(
             f"sphere immersion does not lie on the unit sphere at {pts[0].tolist()}")):
         shape_data(dataclasses.replace(scn, immersion=torus), pts)
+
+
+def test_shape_data_takes_no_derivative_of_the_immersion(monkeypatch):
+    # build_hypersurface forms every d_a d_b F^j once; shape_data evaluates them
+    scn = build_torus_cylinder()
+    n = scn.chart.dim
+    for f, d2 in zip(scn.immersion, scn.second_derivatives):
+        assert d2 == [[diff(diff(f, a), b) for b in range(1, n + 1)] for a in range(1, n + 1)]
+    pts = scn.sample(8, np.random.default_rng(3))
+    want = shape_data(scn, pts)["DDF"]
+    monkeypatch.setattr(hypersurface, "diff", None)
+    got = shape_data(scn, pts)["DDF"]
+    for part in ("val", "grad", "hess"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_round_sphere_rejected_as_two_groups():

@@ -353,6 +353,43 @@ def test_adapters_give_what_run_checks_gives(name):
     assert [r.to_dict() for r in got] == [want["companion"], want["main"]]
 
 
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()))
+def test_samples_and_nodes_in_one_point_set_give_each_kind_alone(name, monkeypatch):
+    # one context per chunk of the samples followed by the quadrature nodes;
+    # with chunk=7 some chunk holds samples and nodes alike
+    scn = kproduct_catalog()[name]()
+    pts = scn.sample(16, np.random.default_rng(30))
+    grid = scn.meta["integral_grid"]
+    rows = select_checks(scn)
+    sampled = [row for row in rows if row.check.kind != INTEGRAL]
+    integral = [row for row in rows if row.check.kind == INTEGRAL]
+    assert {row.check.kind for row in sampled} >= {POINTWISE} and integral
+    alone, fields = run_checks(scn, sampled, pts)
+    alone += run_checks(scn, integral, None, grid)[0]
+    want = {(r.identity, r.kind): r.to_dict() for r in alone}
+    for chunk in (None, 7):
+        built = []
+
+        def counting(chart, split, pts):
+            built.append(len(pts))
+            return SplitContext(chart, split, pts)
+
+        with monkeypatch.context() as m:
+            m.setattr(identities, "SplitContext", counting)
+            reports, got = run_checks(scn, rows, pts, grid, chunk=chunk)
+        assert [r.to_dict() for r in reports] == [want[row.name, row.check.kind]
+                                                  for row in rows]
+        assert got.keys() == fields.keys()
+        assert all(got[key].tobytes() == fields[key].tobytes() for key in fields)
+        nodes = len(rectangle_rule(scn.chart, grid,
+                                   scn.chart.depends_on | scn.split.depends_on).nodes)
+        assert sum(built) == 16 + nodes
+        if chunk:
+            assert len(built) < -(-16 // chunk) + -(-nodes // chunk)  # a shared chunk
+        else:
+            assert len(built) == 1
+
+
 def test_deterministic_under_threads():
     scn = kproduct_catalog()["warped_t3_k3"]()
     grid = [16, 4, 4]
@@ -452,7 +489,7 @@ def test_reduced_quadrature_matches_full_grid(name, monkeypatch):
         with monkeypatch.context() as m:
             # every node of the grid, on contexts seeded along the same axes
             m.setattr(identities, "rectangle_rule",
-                      lambda *args, axes, **kw: rectangle_rule(*args, **kw))
+                      lambda chart, grid, axes: rectangle_rule(chart, grid))
             full = [r.to_dict() for r in run_checks(scn, rows, None, grid)[0]]
         assert reduced == full, grid
 
