@@ -7,45 +7,23 @@ mean-curvature divergences of the subsets (``FundamentalData.div_H``), the
 right side sums curvature and fundamental-tensor values in the adapted
 frame.
 
-Implemented identities (``k`` distributions, ``S(r, k)`` the r-subsets):
-
-* ``main``: with ``rset = {1, k-1}`` (as a set: for k = 2 the two values
-  coincide and are counted once),
-
-      Div( sum_{r in rset} sum_{q in S(r,k)} H_q )
-        = |rset| * S_mix + sum_{r in rset} sum_q (|h_q|^2 - |H_q|^2 - |T_q|^2).
-
-  For k = 2 this is exactly the classical two-distribution identity; the
-  coefficient on the mixed scalar curvature is 2 whenever k > 2.
-
-* ``aux:r`` for 2 <= r <= k-1: with ``C = binom(k-2, r-1)``,
-
-      Div( sum_{q in S(r,k)} H_q - C * sum_i H_i )
-        = C * sum_i |H_i|^2
-          + sum_q ( <sum_{i in q} H_i, sum_{j not in q} H_j>
-                    - |H_q|^2 - <H_q, sum_{j not in q} H_j> ).
-
-  The left-hand field vanishes identically (the subset mean-curvature
-  vectors satisfy ``sum_q H_q = C * sum_i H_i``), so the statement is that
-  the right side vanishes pointwise; both sides are still computed in full.
-  An alternative form of this right-hand side that is sometimes quoted
-  (``+|H_q|^2`` and a factor ``r`` on the ``H_q`` coupling, without the
-  ``C`` term) does not balance; it is exposed as ``aux_printed:r`` for
-  reference, checked only when a filter names it.
-
-* ``companion``: ``2 Div(sum_i H_i)`` against the main right side minus the
-  ``aux:k-1`` right side.
-
-* ``smix_lemma``: ``2 S_mix = sum_i S_mix(D_i, D_i^perp)``.
-
-* ``ck2_k3_display``: for k = 3, the rewriting of half the companion
-  integrand; it balances only after integration.
+Each split identity is one row of :data:`FORMULAS`, written next to its
+formula: ``main``, ``aux:r`` (and ``aux_printed:r``, a right side quoted for
+it that does not balance, checked only when a filter names it),
+``companion`` and the k = 3 display ``ck2_k3_display``, which balances
+only after integration.  A row is two coefficient lists, subsets for the
+left side and terms of :data:`TERMS` for the right side, and one evaluator,
+:meth:`_Evaluator.sides`, forms ``div``, ``rhs``, the residual and the term
+scale of every row.  ``smix_lemma`` (``2 S_mix = sum_i S_mix(D_i,
+D_i^perp)``) has no divergence side and is a method of its own.
 
 Integral checks quadrate the right-hand sides over closed charts; by the
 divergence theorem every integral vanishes.  Ratios are reported against
-``max(L1(integrand), L1(largest constituent term))`` so that integrands
-which cancel pointwise (the twisted flat tori) are judged against the size
-of what cancelled rather than against float noise.
+``max(L1(integrand), L1(term scale))``.  The term scale of a row is the
+largest of ``|Div|`` and its ``|c_t t|``, so that integrands which cancel
+pointwise (the twisted flat tori) are judged against the size of what
+cancelled rather than against float noise; only ``ck2_k3_display``'s is
+``|integrand|``.
 
 One table, :data:`CHECKS`, holds every report name ``verify`` can emit:
 these identities, the warped-product closed forms, propagation and
@@ -64,6 +42,7 @@ table through them alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -84,6 +63,9 @@ __all__ = [
     "POINTWISE",
     "INTEGRAL",
     "PREDICATE",
+    "Formula",
+    "TERMS",
+    "FORMULAS",
     "CHECKS",
     "Check",
     "Row",
@@ -134,14 +116,111 @@ class CheckReport:
         return out
 
 
-class _Evaluator:
-    """Identity terms over one shared :class:`SplitContext` (memoized).
+# -- the split identities as rows of coefficients -----------------------------------
 
-    Every identity method returns ``{"residual", "div", "rhs", "max_term"}``
-    arrays: ``div`` the left side from the subsets' ``div_H``, ``rhs`` the
-    frame-tensor right side, ``residual = div - rhs`` and ``max_term`` the
-    largest constituent term at each point.
-    """
+@dataclass(frozen=True)
+class Formula:
+    """One split identity ``sum_q c_q Div H_q = sum_t c_t t`` as two lists of
+    coefficients, each side summed from zero in its listed order: ``lhs``
+    holds ``(c_q, q)`` for subsets ``q``, ``rhs`` holds ``(c_t, t)`` for keys
+    ``t = (name, *args)`` of :data:`TERMS`, or for another formula, which
+    adds its right side and its term scale.  The term scale is the largest
+    of ``|Div|`` and every ``|c_t t|``."""
+
+    lhs: tuple
+    rhs: tuple
+    # the term scale is |rhs| instead: ck2_k3_display's, which FAILs the
+    # display where its integrand cancels pointwise (a twisted flat torus)
+    rhs_scale: bool = False
+
+
+def _split_sums(ctx, q):
+    """``V = sum_{i in q} H_i`` and ``W = sum_{j not in q} H_j``, as
+    ``sum_i H_i - V``."""
+    H = [ctx.H_values(s) for s in subsets(1, ctx.k)]
+    V = np.sum([H[i - 1] for i in q], axis=0)
+    return V, np.sum(H, axis=0) - V
+
+
+# the right-side terms of the split identities, by name, from an _Evaluator;
+# a key adds the arguments: ("h2", q) is |h_q|^2
+TERMS = {
+    "smix": lambda ev: ev.ctx.smix(),                               # S_mix
+    "h2": lambda ev, q: ev.ctx.fundamental(q).h_norm2,              # |h_q|^2
+    "H2": lambda ev, q: ev.ctx.fundamental(q).H_norm2,              # |H_q|^2
+    "T2": lambda ev, q: ev.ctx.fundamental(q).t_norm2,              # |T_q|^2
+    # |h_q|^2 - |T_q|^2
+    "h2-T2": lambda ev, q: ev.term(("h2", q)) - ev.term(("T2", q)),
+    # sum_i |H_i|^2 and <H_i, H_j>
+    "sumH2": lambda ev: np.sum([ev.term(("H2", q)) for q in subsets(1, ev.k)], axis=0),
+    "HiHj": lambda ev, i, j: ev.ctx.inner_values(ev.ctx.H_values((i,)), ev.ctx.H_values((j,))),
+    # <V, W> and <H_q, W> (see _split_sums)
+    "VW": lambda ev, q: ev.ctx.inner_values(*_split_sums(ev.ctx, q)),
+    "HqW": lambda ev, q: ev.ctx.inner_values(ev.ctx.H_values(q), _split_sums(ev.ctx, q)[1]),
+}
+
+
+def _each(qs, *terms):
+    """``(c, (name, q))`` for each subset ``q`` of ``qs`` and each
+    ``(c, name)`` of ``terms``, subset by subset."""
+    return tuple((c, (name, q)) for q in qs for c, name in terms)
+
+
+def _main(k):
+    # Div( sum_{r in rset} sum_{q in S(r,k)} H_q )
+    #   = |rset| S_mix + sum_{r in rset} sum_q (|h_q|^2 - |H_q|^2 - |T_q|^2),
+    # rset = {1, k-1} as a set: at k = 2 the classical two-distribution
+    # identity, with H_1, H_2 and S_mix once each
+    rset = sorted({1, k - 1})
+    qs = [q for r in rset for q in subsets(r, k)]
+    return Formula(tuple((1, q) for q in qs),
+                   ((len(rset), ("smix",)),) + _each(qs, (1, "h2"), (-1, "H2"), (-1, "T2")))
+
+
+def _aux(k, r):
+    # with C = binom(k-2, r-1), V = sum_{i in q} H_i, W = sum_{j not in q} H_j:
+    # Div( sum_{q in S(r,k)} H_q - C sum_i H_i )
+    #   = sum_q (<V, W> - |H_q|^2 - <H_q, W>) + C sum_i |H_i|^2.
+    # The left field vanishes (sum_q H_q = C sum_i H_i), so the statement is
+    # that the right side does; both are still computed in full.
+    C = math.comb(k - 2, r - 1)
+    qs = subsets(r, k)
+    return Formula(tuple((1, q) for q in qs) + tuple((-C, q) for q in subsets(1, k)),
+                   _each(qs, (1, "VW"), (-1, "H2"), (-1, "HqW")) + ((C, ("sumH2",)),))
+
+
+def _aux_printed(k, r):
+    # aux:r's left side against a right side sometimes quoted for it, which
+    # does not balance: sum_q (|H_q|^2 + <V, W> - r <H_q, W>)
+    return Formula(_aux(k, r).lhs, _each(subsets(r, k), (1, "H2"), (1, "VW"), (-r, "HqW")))
+
+
+def _companion(k):
+    # 2 Div(sum_i H_i) = main's right side - aux:k-1's, under both term scales
+    return Formula(tuple((2, q) for q in subsets(1, k)), ((1, _main(k)), (-1, _aux(k, k - 1))))
+
+
+def _ck2_k3_display(k):
+    # k = 3: half the companion integrand, rewritten; it balances only
+    # after integration, so its left side is 0:
+    # 0 = S_mix - sum_i |H_i|^2 - sum_{i<j} <H_i, H_j>
+    #     + (1/2) sum_{q in S(1,3), then S(2,3)} (|h_q|^2 - |T_q|^2)
+    return Formula((), ((1, ("smix",)),) + _each(subsets(1, 3), (-1, "H2"), (0.5, "h2-T2"))
+                   + tuple((-1, ("HiHj",) + q) for q in subsets(2, 3))
+                   + _each(subsets(2, 3), (0.5, "h2-T2")), rhs_scale=True)
+
+
+# every split identity with a divergence side: its row for k (and r)
+FORMULAS = {"main": _main, "aux": _aux, "aux_printed": _aux_printed,
+            "companion": _companion, "ck2_k3_display": _ck2_k3_display}
+
+# each row is built once, not once per chunk
+_formula = functools.cache(lambda name, k, *args: FORMULAS[name](k, *args))
+
+
+class _Evaluator:
+    """The split identities over one shared :class:`SplitContext`: one memo
+    of their terms and sides, and the predicates that read the context."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -153,92 +232,34 @@ class _Evaluator:
             self._memo[key] = fn()
         return self._memo[key]
 
-    # -- building blocks ---------------------------------------------------
+    def term(self, key):
+        """The per-point value of the :data:`TERMS` key ``(name, *args)``."""
+        return self._cached(key, lambda: TERMS[key[0]](self, *key[1:]))
 
-    def div_field(self, coef_qs):
-        """``Div(sum coef * H_q)`` as ``sum coef * Div H_q``, in the listed order."""
-        div = None
-        for coef, q in coef_qs:
-            term = coef * self.ctx.fundamental(q).div_H
-            div = term if div is None else div + term
-        return div
+    def identity(self, name, *args):
+        """The sides of the identity ``name`` (:data:`FORMULAS`) for ``args``."""
+        return self.sides(_formula(name, self.k, *args))
 
-    # -- main identity -------------------------------------------------------
+    def sides(self, row):
+        """``{"residual", "div", "rhs", "max_term"}`` of the :class:`Formula`
+        ``row`` at each point: ``div`` its left side from the subsets'
+        ``div_H``, ``rhs`` its right side from the terms, ``residual = div -
+        rhs`` and ``max_term`` its term scale."""
+        return self._cached(row, lambda: self._sides(row))
 
-    def main(self):
-        return self._cached("main", self._main)
-
-    def _main(self):
-        ctx = self.ctx
-        k = self.k
-        rset = sorted({1, k - 1})
-        qs = [q for r in rset for q in subsets(r, k)]
-        div = self.div_field([(1.0, q) for q in qs])
-        smix = ctx.smix()
-        rhs = len(rset) * smix
-        max_term = np.abs(rhs)
-        for q in qs:
-            d = ctx.fundamental(q)
-            rhs = rhs + d.h_norm2 - d.H_norm2 - d.t_norm2
-            for t in (d.h_norm2, d.H_norm2, d.t_norm2):
-                max_term = np.maximum(max_term, np.abs(t))
-        max_term = np.maximum(max_term, np.abs(div))
+    def _sides(self, row):
+        # the sums own their arrays, so they add in place
+        div = np.zeros(self.ctx.points.shape[:-1])
+        for c, q in row.lhs:
+            div += c * self.ctx.fundamental(q).div_H
+        rhs, sizes = np.zeros_like(div), [div]
+        for c, t in row.rhs:
+            part = self.sides(t) if isinstance(t, Formula) else None
+            value = c * (part["rhs"] if part else self.term(t))
+            rhs += value
+            sizes.append(abs(c) * part["max_term"] if part else value)
+        max_term = np.abs(rhs) if row.rhs_scale else np.max(np.abs(sizes), axis=0)
         return {"residual": div - rhs, "div": div, "rhs": rhs, "max_term": max_term}
-
-    # -- auxiliary identity and its as-printed variant ------------------------
-
-    def aux(self, r):
-        return self._cached(("aux", r), lambda: self._aux(r))[0]
-
-    def aux_printed(self, r):
-        return self._cached(("aux", r), lambda: self._aux(r))[1]
-
-    def _aux(self, r):
-        ctx = self.ctx
-        k = self.k
-        C = float(math.comb(k - 2, r - 1))
-        qs = subsets(r, k)
-        singles = subsets(1, k)
-        coef_qs = [(1.0, q) for q in qs] + [(-C, q) for q in singles]
-        div = self.div_field(coef_qs)
-
-        H_single = [ctx.H_values(q) for q in singles]
-        H_all = np.sum(H_single, axis=0)
-        rhs = np.zeros(ctx.points.shape[:-1])
-        rhs_printed = np.zeros_like(rhs)
-        max_term = np.abs(div).copy()
-        for q in qs:
-            d = ctx.fundamental(q)
-            Hq = ctx.H_values(q)
-            V = np.sum([H_single[i - 1] for i in q], axis=0)
-            W = H_all - V
-            ip_vw = ctx.inner_values(V, W)
-            ip_qw = ctx.inner_values(Hq, W)
-            rhs = rhs + ip_vw - d.H_norm2 - ip_qw
-            rhs_printed = rhs_printed + d.H_norm2 + ip_vw - r * ip_qw
-            for t in (ip_vw, d.H_norm2, ip_qw):
-                max_term = np.maximum(max_term, np.abs(t))
-        sum_h2 = np.sum([ctx.fundamental(q).H_norm2 for q in singles], axis=0)
-        rhs = rhs + C * sum_h2
-        max_term = np.maximum(max_term, C * np.abs(sum_h2))
-        return ({"residual": div - rhs, "div": div, "rhs": rhs, "max_term": max_term},
-                {"residual": div - rhs_printed, "div": div, "rhs": rhs_printed,
-                 "max_term": max_term})
-
-    # -- companion --------------------------------------------------------------
-
-    def companion(self):
-        return self._cached("companion", self._companion)
-
-    def _companion(self):
-        k = self.k
-        singles = subsets(1, k)
-        div2 = 2.0 * self.div_field([(1.0, q) for q in singles])
-        m = self.main()
-        a = self.aux(k - 1)
-        rhs = m["rhs"] - a["rhs"]
-        max_term = np.maximum(np.maximum(m["max_term"], a["max_term"]), np.abs(div2))
-        return {"residual": div2 - rhs, "div": div2, "rhs": rhs, "max_term": max_term}
 
     # -- lemma: pair-split decomposition of the mixed scalar curvature ----------
 
@@ -251,32 +272,6 @@ class _Evaluator:
         max_term = np.maximum(np.abs(smix2), np.abs(total))
         return {"residual": smix2 - total, "div": smix2, "rhs": total,
                 "max_term": max_term}
-
-    # -- k=3 display of the last integral corollary ------------------------------
-
-    def ck2_k3_display(self):
-        """The k=3 rewriting of the companion integrand (half scale),
-        S_mix - sum |H_i|^2 - sum_{i<j} <H_i, H_j>
-        + (1/2) sum (|h|^2 - |T|^2) over single and pair subsets, as ``rhs``.
-
-        Its left side is zero: the display holds only as an integral.
-        """
-        ctx = self.ctx
-        singles = subsets(1, 3)
-        pairs = subsets(2, 3)
-        val = ctx.smix()
-        for q in singles:
-            d = ctx.fundamental(q)
-            val = val - d.H_norm2 + 0.5 * (d.h_norm2 - d.t_norm2)
-        H = [ctx.H_values(q) for q in singles]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                val = val - ctx.inner_values(H[a], H[b])
-        for q in pairs:
-            d = ctx.fundamental(q)
-            val = val + 0.5 * (d.h_norm2 - d.t_norm2)
-        return {"residual": -val, "div": np.zeros_like(val), "rhs": val,
-                "max_term": np.abs(val)}
 
     # -- propagation of the mixed flags and the umbilic norm identity ------------
 
@@ -383,8 +378,8 @@ class Check:
 Row = namedtuple("Row", "name check args")
 
 
-def _identity(method):
-    return lambda scn, ev, *args: getattr(ev, method)(*args)
+def _identity(name):
+    return lambda scn, ev, *args: ev.identity(name, *args)
 
 
 def _warped_form(key):
@@ -441,7 +436,7 @@ _SIMPLE = {**_SURFACE, "applies": "hypersurface with simple curvatures"}
 # every report verify can emit, in report order
 CHECKS = (
     Check("main", run=_identity("main"), **_POINTWISE),
-    Check("smix_lemma", run=_identity("smix_lemma"), **_POINTWISE),
+    Check("smix_lemma", run=lambda scn, ev: ev.smix_lemma(), **_POINTWISE),
     Check("aux", run=_identity("aux"), ranged=True, **_POINTWISE),
     Check("companion", run=_identity("companion"), min_k=3, **_POINTWISE),
     # the alternative aux right-hand side, reported for reference only
@@ -460,8 +455,8 @@ CHECKS = (
     Check("warped_smix_warped", run=_warped_form("smix_warped"), **_SEC2),
     Check("warped_mixed_pairs", run=_warped_form("mixed_pairs"), **_WARPED),
     # k >= 4 is the only case with subsets of size 2 < r < k
-    Check("warped_propagation", run=_identity("propagation"), min_k=4, **_WARPED),
-    Check("warped_umbilicity", run=_identity("umbilicity"),
+    Check("warped_propagation", run=lambda scn, ev: ev.propagation(), min_k=4, **_WARPED),
+    Check("warped_umbilicity", run=lambda scn, ev: ev.umbilicity(),
           **{**_SEC2, "applies": "sec2_exact warped, a fiber of dim >= 2"}),
     Check("kmix_pairs", POINTWISE, tol="kmix", run=_kmix, **_SURFACE),
     Check("codazzi", POINTWISE, tol="codazzi", run=_codazzi, **_SIMPLE),

@@ -126,11 +126,13 @@ def gram_schmidt(g, vectors, points, blocks=()):
     product-rule terms to ``H``; with plain ``vectors`` too, ``K = I``.  Raises
     :class:`GeometryError` naming the first of ``points`` where rows of two
     different ``blocks`` (index ranges) are not orthogonal, or where the
-    rows are linearly dependent (:func:`~splitgeom.chart.cholesky`).
+    rows are linearly dependent (:func:`~splitgeom.chart.cholesky`).  The
+    orthogonality gate of a point is ``1e-9 * (1 + max |g|)`` at that point,
+    whatever other points share the batch.
     """
     fv, gv = hd.value_of(vectors), hd.value_of(g)
     gram = hd.einsum("...va,...ab,...wb->...vw", fv, gv, fv)
-    gate = 1e-9 * (1.0 + np.max(np.abs(gv)))
+    gate = 1e-9 * (1.0 + np.max(np.abs(gv), axis=(-2, -1)).reshape(-1))
     for (i, bi), (j, bj) in itertools.combinations(enumerate(blocks, start=1), 2):
         ip = np.max(np.abs(gram[..., bi, :][..., bj]), axis=(-2, -1)).reshape(-1)
         bad = np.flatnonzero(ip > gate)

@@ -138,9 +138,9 @@ def test_criterion_6_companion_identity_and_consistency():
         scn = kproduct_catalog()[name]()
         pts = scn.sample(100, rng)
         ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
-        comp = ev.companion()
-        main = ev.main()
-        aux = ev.aux(scn.k - 1)
+        comp = ev.identity("companion")
+        main = ev.identity("main")
+        aux = ev.identity("aux", scn.k - 1)
         worst = max(worst, float(np.max(np.abs(comp["residual"]))))
         combo = comp["residual"] - (main["residual"] - aux["residual"])
         worst_combo = max(worst_combo, float(np.max(np.abs(combo))))

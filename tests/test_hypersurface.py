@@ -229,7 +229,7 @@ def test_identity_k3_agrees_with_split_engine_on_cylinder():
     rng = np.random.default_rng(9)
     pts = scn.sample(5, rng)
     ev = _Evaluator(SplitContext(scn.chart, split, pts))
-    div_jets = ev.main()["div"]
+    div_jets = ev.identity("main")["div"]
     out = hypersurface_identity(scn, principal_bundle(scn, pts))
     assert np.max(np.abs(div_jets - 2.0 * out["lhs"])) <= 1e-12
 
@@ -297,7 +297,7 @@ def test_main_identity_on_torus_chart_agrees_with_fd_path():
     rng = np.random.default_rng(12)
     pts = scn.sample(6, rng)
     ev = _Evaluator(SplitContext(scn.chart, split, pts))
-    m = ev.main()
+    m = ev.identity("main")
     assert np.max(np.abs(m["residual"])) <= 1e-10
     out = hypersurface_identity(scn, principal_bundle(scn, pts))
     assert np.max(np.abs(m["div"] - out["lhs"])) <= 1e-12

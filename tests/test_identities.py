@@ -64,7 +64,7 @@ def test_main_residual_warped_twisted_everything_nonzero():
     scn = kproduct_catalog()["warped_twisted_t3"]()
     pts = scn.sample(50, np.random.default_rng(3))
     ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
-    m = ev.main()
+    m = ev.identity("main")
     assert np.max(np.abs(m["residual"])) <= 1e-8
     assert np.min(np.abs(m["div"])) > 1e-6  # the divergence itself is nonzero
 
@@ -74,7 +74,7 @@ def test_main_k2_is_the_two_distribution_identity_bit_for_bit():
     pts = scn.sample(30, np.random.default_rng(4))
     ctx = SplitContext(scn.chart, scn.split, pts)
     ev = _Evaluator(ctx)
-    got = ev.main()
+    got = ev.identity("main")
 
     # classical form, replicated with the same primitives and summation order
     q1, q2 = subsets(1, 2)
@@ -137,10 +137,10 @@ def test_companion_residual_and_linear_combination():
         scn = kproduct_catalog()[name]()
         pts = scn.sample(25, np.random.default_rng(8))
         ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
-        comp = ev.companion()
+        comp = ev.identity("companion")
         assert np.max(np.abs(comp["residual"])) <= 1e-8
-        main = ev.main()
-        aux = ev.aux(scn.k - 1)
+        main = ev.identity("main")
+        aux = ev.identity("aux", scn.k - 1)
         delta = comp["residual"] - (main["residual"] - aux["residual"])
         assert np.max(np.abs(delta)) <= 1e-9
 
@@ -168,7 +168,7 @@ def test_k3_display_equals_aux_rhs_and_vanishes():
             disp = disp + 2.0 * ctx.inner_values(H[i], H[j])
     for q in subsets(2, 3):
         disp = disp - ctx.fundamental(q).H_norm2
-    aux = ev.aux(2)
+    aux = ev.identity("aux", 2)
     scale = 1.0 + np.max(aux["max_term"])
     assert np.max(np.abs(disp - aux["rhs"])) <= 1e-12 * scale
     assert np.max(np.abs(disp)) <= 1e-12 * scale
@@ -189,7 +189,7 @@ def test_k4_display_with_exclusion_reading():
             if i not in q:
                 disp = disp + ctx.inner_values(H1[i - 1], Hq)
         disp = disp - ctx.fundamental(q).H_norm2
-    aux = ev.aux(2)
+    aux = ev.identity("aux", 2)
     scale = 1.0 + np.max(aux["max_term"])
     assert np.max(np.abs(disp - aux["rhs"])) <= 1e-12 * scale
 
@@ -201,11 +201,40 @@ def test_bm_rewriting_of_companion_k3():
         scn = kproduct_catalog()[name]()
         pts = scn.sample(25, np.random.default_rng(12))
         ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
-        bm = ev.ck2_k3_display()["rhs"]
-        m = ev.main()
-        a = ev.aux(2)
+        bm = ev.identity("ck2_k3_display")["rhs"]
+        m = ev.identity("main")
+        a = ev.identity("aux", 2)
         scale = 1.0 + np.max(m["max_term"])
         assert np.max(np.abs(bm - 0.5 * (m["rhs"] - a["rhs"]))) <= 1e-12 * scale
+
+
+def _coefficients(lhs):
+    out = {}
+    for c, q in lhs:
+        out[q] = out.get(q, 0) + c
+    return {q: c for q, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_companion_left_side_is_main_minus_aux(k):
+    main, aux, companion = (identities.FORMULAS[name](k, *args) for name, args in
+                            [("main", ()), ("aux", (k - 1,)), ("companion", ())])
+    assert _coefficients(companion.lhs) == {q: 2 for q in subsets(1, k)}
+    difference = _coefficients(main.lhs + tuple((-c, q) for c, q in aux.lhs))
+    assert _coefficients(companion.lhs) == difference
+
+
+def test_main_at_k2_counts_each_distribution_and_smix_once():
+    main = identities.FORMULAS["main"](2)
+    assert main.lhs == ((1, (1,)), (1, (2,)))
+    assert [c for c, t in main.rhs if t == ("smix",)] == [1]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_aux_single_subset_coefficient_is_minus_binomial(k):
+    for r in range(2, k):
+        lhs = _coefficients(identities.FORMULAS["aux"](k, r).lhs)
+        assert {lhs[q] for q in subsets(1, k)} == {-math.comb(k - 2, r - 1)}, (k, r)
 
 
 def test_integral_checks_product_exactly_zero():

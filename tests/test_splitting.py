@@ -660,6 +660,20 @@ def test_nonorthogonal_blocks_rejected():
         SplitContext(flat, SplitStructure((1, 1, 1), skew), pts)
 
 
+@pytest.mark.parametrize("order", ["alone", "first", "second"])
+def test_orthogonality_gate_judges_each_point_alone(order):
+    # g = I with a block inner product of 5e-9 (gate 2e-9) at [0.1, 0.2],
+    # next to an orthogonal point with g = 20 I, whose max |g| must not
+    # raise the gate of the other
+    bad = (np.eye(2), np.array([[1.0, 0.0], [5e-9, 1.0]]), [0.1, 0.2])
+    good = (20.0 * np.eye(2), np.eye(2), [0.3, 0.4])
+    batch = {"alone": [bad], "first": [bad, good], "second": [good, bad]}[order]
+    g, vectors, pts = (np.array(a) for a in zip(*batch))
+    with pytest.raises(GeometryError, match=r"spanning blocks 1 and 2 are not orthogonal at "
+                                            r"\[0\.1, 0\.2\] \(inner product 5\.00e-09\)"):
+        gram_schmidt(g, vectors, pts, [range(0, 1), range(1, 2)])
+
+
 def test_rank_deficient_frame_rejected():
     # two equal vectors in different blocks: rejected as non-orthogonal
     # blocks before Gram-Schmidt sees the rank deficiency
