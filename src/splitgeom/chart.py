@@ -403,11 +403,6 @@ class ChartFrame:
         return (np.einsum("...aa->...", dX)
                 + np.einsum("...aab,...b->...", hd.value_of(self.gamma), X.val))
 
-    def grad_field(self, f_jet):
-        """Contravariant gradient of a scalar jet, as an order-1 ``(..., a)``
-        jet on the seeded slots."""
-        return hd.einsum("...ab,...b->...a", self.ginv, self.differential(f_jet))
-
 
 def cholesky(G, points, what="metric not positive definite"):
     """Cholesky factors ``L`` of the symmetric matrices ``G`` ``(..., v, v)``

@@ -211,20 +211,24 @@ def _build_inline(kind, spec):
 
 
 def resolve_scenarios(entry):
-    if isinstance(entry, list):
-        out = []
-        for item in entry:
-            out.extend(resolve_scenarios(item))
-        return out
-    if isinstance(entry, str):
-        cat = full_catalog()
-        if entry not in cat:
-            raise ConfigError(
-                f"unknown scenario {entry!r}; catalog: {', '.join(sorted(cat))}")
-        return [cat[entry]()]
-    if isinstance(entry, dict):
-        return [build_inline_scenario(entry)]
-    raise ConfigError("scenario must be a name, an object, or a list of those")
+    """The scenarios of a config's ``scenario`` value: a catalog name, an
+    inline object, or a non-empty flat list of those."""
+    entries = entry if isinstance(entry, list) else [entry]
+    if not entries:
+        raise ConfigError("scenario list is empty")
+    cat = full_catalog()
+    out = []
+    for item in entries:
+        if isinstance(item, str):
+            if item not in cat:
+                raise ConfigError(
+                    f"unknown scenario {item!r}; catalog: {', '.join(sorted(cat))}")
+            out.append(cat[item]())
+        elif isinstance(item, dict):
+            out.append(build_inline_scenario(item))
+        else:
+            raise ConfigError("scenario must be a name, an object, or a list of those")
+    return out
 
 
 def scenario_rng(seed, name):
@@ -281,14 +285,20 @@ def write_csv(csv_rows, path):
 
 # -- entry points -----------------------------------------------------------------
 
-def load_config(path):
+def read_json(path, what):
+    """The JSON value in the file ``path``; a file that cannot be read or
+    holds no JSON raises :class:`ConfigError` naming the ``what`` and path."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except OSError as e:
-        raise ConfigError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}")
+        raise ConfigError(f"cannot read {what}: {e}")
+    except ValueError as e:  # not JSON, or not text
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {e}")
+
+
+def load_config(path):
+    config = read_json(path, "config")
     if not isinstance(config, dict):
         raise ConfigError("config rejected: it must be a JSON object")
     return config
@@ -348,10 +358,13 @@ def cmd_verify(args):
     except ValueError as e:
         raise ConfigError(str(e))
 
-    if config.get("out"):
-        write_reports(all_reports, config["out"])
-    if csv_rows is not None:
-        write_csv(csv_rows, config["csv"])
+    try:
+        if config.get("out"):
+            write_reports(all_reports, config["out"])
+        if csv_rows is not None:
+            write_csv(csv_rows, config["csv"])
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}")
 
     failed = [r for r in all_reports if r.verdict != "pass"]
     if failed:
@@ -375,12 +388,12 @@ def cmd_catalog(_args):
 def cmd_report(args):
     if not args.diff or len(args.diff) != 2:
         raise ConfigError("report needs --diff A.json B.json")
-
-    def load(path):
-        with open(path) as fh:
-            return json.load(fh)
-
-    a, b = load(args.diff[0]), load(args.diff[1])
+    a, b = (read_json(path, "report") for path in args.diff)
+    for path, reports in zip(args.diff, (a, b)):
+        if not (isinstance(reports, list) and all(
+                isinstance(r, dict) and {"scenario", "identity", "kind"} <= r.keys()
+                for r in reports)):
+            raise ConfigError(f"report {path!r} is not a list of reports")
     if a == b:
         print("reports identical")
         return 0

@@ -19,7 +19,10 @@ Coordinates are ``x1 .. xn`` (1-based, validated against the chart
 dimension at parse time).  Evaluation is generic over the scalar type:
 plain floats, numpy arrays of points, or :class:`~splitgeom.hyperdual.HyperDual`
 jets all work, so one parsed expression serves both fast value sampling
-and exact differentiation.
+and exact differentiation.  Evaluation checks the domain of every function,
+division and power on the values of its operands, for every scalar type
+alike (jets refuse ``sqrt`` at 0 too, where its derivative is undefined);
+the jet primitives of :mod:`~splitgeom.hyperdual` check none.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .hyperdual import HyperDual, JetDomainError
+from .hyperdual import HyperDual
 
 __all__ = [
     "ExprError",
@@ -249,10 +252,15 @@ def _evaluate(node, coords, memo):
     if isinstance(node, Neg):
         return -evaluate(node.child, coords, memo)
     if isinstance(node, Call):
-        try:
-            return _FN_IMPL[node.fn](evaluate(node.child, coords, memo))
-        except JetDomainError as e:
-            raise DomainError(f"{node.fn}: {e}") from e
+        x = evaluate(node.child, coords, memo)
+        v = hd.value_of(x)
+        if node.fn == "log" and np.any(v <= 0.0):
+            raise DomainError("log: log of non-positive value")
+        if node.fn == "sqrt" and isinstance(x, HyperDual) and np.any(v <= 0.0):
+            raise DomainError("sqrt: sqrt of non-positive value (jet derivative undefined at 0)")
+        if node.fn == "sqrt" and np.any(v < 0.0):
+            raise DomainError("sqrt: sqrt of negative value")
+        return _FN_IMPL[node.fn](x)
     if isinstance(node, Bin):
         a = evaluate(node.left, coords, memo)
         b = evaluate(node.right, coords, memo)
@@ -263,28 +271,17 @@ def _evaluate(node, coords, memo):
         if node.op == "*":
             return a * b
         if node.op == "/":
-            try:
-                if isinstance(a, HyperDual) or isinstance(b, HyperDual):
-                    return a / b
-                b_arr = np.asarray(b, dtype=float)
-                if np.any(b_arr == 0.0):
-                    raise DomainError("division by zero")
-                return a / b_arr
-            except JetDomainError as e:
-                raise DomainError(str(e)) from e
+            if np.any(hd.value_of(b) == 0.0):
+                raise DomainError("division by zero")
+            return a / b
         if node.op == "^":
             p = float(b)  # the parser admits only constant exponents
-            if p < 0.0 and np.any(hd.value_of(a) == 0.0):
+            v = hd.value_of(a)
+            if p < 0.0 and np.any(v == 0.0):
                 raise DomainError("negative power of a zero base")
-            try:
-                if isinstance(a, HyperDual):
-                    return a ** p
-                a_arr = np.asarray(a, dtype=float)
-                if not p.is_integer() and np.any(a_arr <= 0.0):
-                    raise DomainError("non-integer power of non-positive base")
-                return np.power(a_arr, p)
-            except JetDomainError as e:
-                raise DomainError(str(e)) from e
+            if not p.is_integer() and np.any(v <= 0.0):
+                raise DomainError("non-integer power of non-positive base")
+            return a ** p if isinstance(a, HyperDual) else np.power(a, p)
     raise ExprError(f"unknown node {node!r}")
 
 

@@ -35,6 +35,11 @@ because no rule reads an operand's Hessian to produce the value or gradient
 of the result; the result simply has order 1 as well.  Taking the
 differential of an order-1 jet raises: that would be a third metric
 derivative, which this engine never needs.
+
+The primitives (:func:`sin` ... :func:`sqrt`), division and powers are pure
+calculus: none checks its domain, so a zero divisor or the log of a
+negative value gives numpy's ``inf`` or ``nan``.  What an input expression
+may take is checked where it is evaluated, in :mod:`splitgeom.expr`.
 """
 
 from __future__ import annotations
@@ -61,16 +66,11 @@ __all__ = [
     "log",
     "sqrt",
     "JetOrderError",
-    "JetDomainError",
 ]
 
 
 class JetOrderError(RuntimeError):
     """Raised when a derivative beyond the tracked order is requested."""
-
-
-class JetDomainError(ValueError):
-    """Raised when a primitive is evaluated outside its domain."""
 
 
 _LETTERS = string.ascii_letters
@@ -175,10 +175,7 @@ class HyperDual:
         return self._reciprocal() * other
 
     def _reciprocal(self):
-        v = self.val
-        if np.any(v == 0.0):
-            raise JetDomainError("division by zero")
-        inv = 1.0 / v
+        inv = 1.0 / self.val
         d1 = -inv * inv
         d2 = 2.0 * inv * inv * inv
         return self._lift(inv, d1, d2)
@@ -199,9 +196,6 @@ class HyperDual:
             d1 = p * np.power(self.val, p - 1)
             d2 = p * (p - 1) * np.power(self.val, p - 2)
             return self._lift(v, d1, d2)
-        # real exponent: positive base only (avoids branch cuts)
-        if np.any(self.val <= 0.0):
-            raise JetDomainError("non-integer power of non-positive base")
         v = np.power(self.val, p)
         d1 = p * np.power(self.val, p - 1.0)
         d2 = p * (p - 1.0) * np.power(self.val, p - 2.0)
@@ -500,19 +494,11 @@ def exp(x):
 
 def log(x):
     if isinstance(x, HyperDual):
-        if np.any(x.val <= 0.0):
-            raise JetDomainError("log of non-positive value")
         return x._lift(np.log(x.val), 1.0 / x.val, -1.0 / (x.val * x.val))
-    if np.any(np.asarray(x) <= 0.0):
-        raise JetDomainError("log of non-positive value")
     return np.log(x)
 
 def sqrt(x):
     if isinstance(x, HyperDual):
-        if np.any(x.val <= 0.0):
-            raise JetDomainError("sqrt of non-positive value (jet derivative undefined at 0)")
         r = np.sqrt(x.val)
         return x._lift(r, 0.5 / r, -0.25 / (r * x.val))
-    if np.any(np.asarray(x) < 0.0):
-        raise JetDomainError("sqrt of negative value")
     return np.sqrt(x)

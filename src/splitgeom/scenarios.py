@@ -35,7 +35,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .chart import Axis, ChartManifold, GeometryError, sample_points
-from .expr import Bin, Call, Neg, Num, evaluate, evaluate_at, labelled, parse_expr
+from .expr import Bin, Call, Neg, Num, diff, evaluate, evaluate_at, labelled, parse_expr
 from .splitting import SplitStructure, coordinate_split, gram_schmidt
 
 __all__ = [
@@ -170,16 +170,21 @@ def build_warped(base_dim, fiber_dims, warps, name="warped", grid=None):
         raise GeometryError("dimensions must be positive")
     n1 = base_dim
     n = n1 + sum(fiber_dims)
-    warp_asts = []
+    trees = []  # u, its partials d_a u (zero along the fibers) and sum_a d_a d_a u
     for i, src in enumerate(warps, start=1):
         with labelled(f"warp {i}", src):
-            warp_asts.append(parse_expr(src, n1))  # raises if a fiber coordinate appears
+            u = parse_expr(src, n1)  # raises if a fiber coordinate appears
+        du = [diff(u, a) for a in range(1, n + 1)]
+        lap = diff(du[0], 1)
+        for a in range(2, n1 + 1):
+            lap = Bin("+", lap, diff(du[a - 1], a))
+        trees.append((u, du, lap))
 
     entries = _eye(n)
     col = n1
-    for ast, d in zip(warp_asts, fiber_dims):
+    for (u, _, _), d in zip(trees, fiber_dims):
         for _ in range(d):
-            entries[col][col] = Bin("^", ast, Num(2.0))
+            entries[col][col] = Bin("^", u, Num(2.0))
             col += 1
     chart = ChartManifold([Axis(0.0, TWO_PI)] * n, entries, name=name)
 
@@ -188,33 +193,23 @@ def build_warped(base_dim, fiber_dims, warps, name="warped", grid=None):
     # gradients
     rng = np.random.default_rng(1234)
     pts = sample_points(chart, 64, rng)
-    xs = hd.seed_jets(pts)
     grads = []
-    for i, (src, ast) in enumerate(zip(warps, warp_asts), start=1):
-        bad = np.flatnonzero(evaluate_at(f"warp {i}", src, ast, pts) <= 0.0)
+    for i, (src, (u, du, _)) in enumerate(zip(warps, trees), start=1):
+        bad = np.flatnonzero(evaluate_at(f"warp {i}", src, u, pts) <= 0.0)
         if bad.size:
             raise GeometryError(f"warp {src!r} is not positive on the chart "
                                 f"at {pts[bad[0]].tolist()}")
-        with labelled(f"warp {i}", src):
-            u = evaluate(ast, xs)
-        if isinstance(u, hd.HyperDual):
-            grads.append(u.grad[..., :n1])
-        else:
-            grads.append(np.zeros(pts.shape[:-1] + (n1,)))
-
+        grads.append([evaluate_at(f"warp {i}", src, d, pts) for d in du])
+    sec2 = all(np.max(np.abs(sum(a * b for a, b in zip(gi, gj)))) <= 1e-12
+               for gi, gj in itertools.combinations(grads, 2))
     split = coordinate_split((n1,) + tuple(fiber_dims))
-    sec2 = True
-    for i in range(len(grads)):
-        for j in range(i + 1, len(grads)):
-            if np.max(np.abs(np.sum(grads[i] * grads[j], axis=-1))) > 1e-12:
-                sec2 = False
 
     # quadrature only needs resolution along axes the data depends on; warps
     # live on the base, everything else is constant on its axis
     if grid is None:
         grid = [24] * n1 + [4] * sum(fiber_dims)
     return Scenario(name=name, kind="warped", chart=chart, split=split,
-                    meta={"warp_asts": warp_asts, "sec2_exact": sec2,
+                    meta={"warps": trees, "sec2_exact": sec2,
                           "integral_grid": grid})
 
 
@@ -250,31 +245,35 @@ def warped_checks(scenario, ctx):
       over all distribution pairs; it vanishes on every multiply warped
       product.
 
-    The second and third residuals are only meaningful when
-    ``meta["sec2_exact"]`` is true; otherwise the closed forms acquire
+    The closed forms read ``u_i``, its base partials and its base Laplacian
+    from :func:`~splitgeom.expr.diff` trees (``meta["warps"]``) evaluated on
+    plain point values, so they share no derivative code with the jets of
+    the split engine.  The second and third residuals are only meaningful
+    when ``meta["sec2_exact"]`` is true; otherwise the closed forms acquire
     warp-gradient cross terms and the raw residuals are still returned.
     """
     if scenario.kind != "warped":
         raise GeometryError("warped_checks needs a warped scenario")
-    warp_asts = scenario.meta["warp_asts"]
-    n1 = scenario.dims[0]
-    coords = ctx.frame.coords
-    res_H = res_div = smix_expected = np.zeros(ctx.points.shape[:-1])
-    for fiber, (ast, ni) in enumerate(zip(warp_asts, scenario.dims[1:]), start=2):
-        u = hd.as_jet(evaluate(ast, coords), coords[0])
-        grad_log = ctx.frame.grad_field(hd.log(u))
-        data = ctx.fundamental((fiber,))
-        res_H = np.maximum(res_H, np.max(np.abs(data.H + ni * grad_log.val), axis=-1))
+    shape = ctx.points.shape[:-1]
+    coords, memo = list(np.moveaxis(ctx.points, -1, 0)), {}
 
-        # coordinate partials of u, first and second
-        du = ctx.frame.differential(u)
-        ddu = ctx.frame.scatter(du.grad)
-        lap_u = np.sum(np.stack([ddu[..., a, a] for a in range(n1)], axis=-1), axis=-1)
-        grad_u2 = np.sum(du.val[..., :n1] ** 2, axis=-1)
-        rhs = -ni * lap_u / u.val - (ni * ni - ni) * grad_u2 / (u.val * u.val)
+    def at(tree):
+        return np.broadcast_to(evaluate(tree, coords, memo), shape)
+
+    res_H = res_div = smix_expected = np.zeros(shape)
+    for fiber, ((u, du, lap), ni) in enumerate(zip(scenario.meta["warps"], scenario.dims[1:]),
+                                               start=2):
+        u, lap_u = at(u), at(lap)
+        du = np.stack([at(d) for d in du], axis=-1)
+        grad_log = (1.0 / u)[..., None] * du  # on the flat base
+        data = ctx.fundamental((fiber,))
+        res_H = np.maximum(res_H, np.max(np.abs(data.H + ni * grad_log), axis=-1))
+
+        grad_u2 = np.sum(du ** 2, axis=-1)
+        rhs = -ni * lap_u / u - (ni * ni - ni) * grad_u2 / (u * u)
         res_div = np.maximum(res_div, np.abs(data.div_H - rhs))
 
-        smix_expected = smix_expected + ni * (-lap_u) / u.val
+        smix_expected = smix_expected + ni * (-lap_u) / u
 
     base = ctx.fundamental((1,))
     pairs = [np.maximum(*ctx.cross_block_sup(q))

@@ -192,6 +192,47 @@ def test_report_diff(tmp_path, capsys):
     assert "differs" in capsys.readouterr().out
 
 
+REPORT = [{"scenario": "warped_t2", "identity": "main", "kind": "pointwise", "verdict": "pass"}]
+
+
+@pytest.mark.parametrize("content", [None, "not json\n", '{"scenario": "warped_t2"}\n'],
+                         ids=["missing", "not_json", "not_reports"])
+def test_report_diff_refuses_a_file_that_holds_no_reports(tmp_path, capsys, content):
+    # exit 2 (1 means reports differ), one line naming the file, no traceback
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(REPORT))
+    if content is not None:
+        bad.write_text(content)
+    assert run(["report", "--diff", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_verify_refuses_an_output_path_in_a_missing_directory(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out"
+    assert run(["verify", "--scenario", "twisted_torus_k2", "--samples", "3",
+                flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ") and str(path) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ([], "scenario list is empty"),
+    ([["warped_t2"]], "scenario must be a name, an object, or a list of those"),
+], ids=["empty", "nested"])
+def test_a_scenario_list_is_flat_and_not_empty(tmp_path, capsys, scenario, message):
+    # an empty list is no silent pass of zero checks
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps({"scenario": scenario}))
+    assert run(["verify", "--scenario", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert "passed" not in captured.out
+
+
 def test_verify_hypersurface_scenario(capsys):
     assert run(["verify", "--scenario", "torus_revolution", "--samples", "6"]) == 0
     out = capsys.readouterr().out

@@ -60,6 +60,48 @@ def test_negative_power_of_zero_domain_error():
     np.testing.assert_array_equal(evaluate(ast, [np.array([2.0, -1.0])]), [0.25, 1.0])
 
 
+# source, values of x1, refusal on jets, refusal on plain values (None: accepted)
+DOMAIN_CASES = [
+    ("log(x1)", [1.0, -1.0], "log: log of non-positive value", "log: log of non-positive value"),
+    ("log(x1)", [1.0, 0.0], "log: log of non-positive value", "log: log of non-positive value"),
+    ("sqrt(x1)", [1.0, 0.0],
+     "sqrt: sqrt of non-positive value (jet derivative undefined at 0)", None),
+    ("sqrt(x1)", [1.0, -1.0],
+     "sqrt: sqrt of non-positive value (jet derivative undefined at 0)",
+     "sqrt: sqrt of negative value"),
+    ("x1^0.5", [1.0, -1.0], "non-integer power of non-positive base",
+     "non-integer power of non-positive base"),
+    ("x1^0.5", [1.0, 0.0], "non-integer power of non-positive base",
+     "non-integer power of non-positive base"),
+    ("x1^-2", [1.0, 0.0], "negative power of a zero base", "negative power of a zero base"),
+    ("x1^-1.5", [1.0, 0.0], "negative power of a zero base", "negative power of a zero base"),
+    ("1/x1", [1.0, 0.0], "division by zero", "division by zero"),
+    ("x1/0", [1.0, 2.0], "division by zero", "division by zero"),  # not inf, on jets
+]
+
+
+def test_domain_errors():
+    # expr owns every domain rule: jets and plain values are refused alike
+    # (but for sqrt at 0, whose jet derivative is undefined), with no numpy
+    # warning first
+    import warnings
+
+    for src, xs, on_jets, on_values in DOMAIN_CASES:
+        ast = parse_expr(src, 1)
+        values = np.array(xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ex.DomainError) as refused:
+                evaluate(ast, hd.seed_jets(values[:, None]))
+            assert str(refused.value) == on_jets, src
+            if on_values is None:
+                np.testing.assert_array_equal(evaluate(ast, [values]), np.sqrt(values))
+                continue
+            with pytest.raises(ex.DomainError) as refused:
+                evaluate(ast, [values])
+            assert str(refused.value) == on_values, src
+
+
 def test_precedence():
     assert evaluate(parse_expr("2 + 3 * 4", 1), [0.0]) == 14.0
     assert evaluate(parse_expr("2 * 3 ^ 2", 1), [0.0]) == 18.0

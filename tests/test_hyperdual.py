@@ -189,19 +189,6 @@ def test_batched_evaluation_matches_scalar():
         np.testing.assert_allclose(j.hess[i], ji.hess, rtol=1e-15)
 
 
-def test_domain_errors():
-    x = seed_jets(np.array([-1.0]))
-    with pytest.raises(hd.JetDomainError):
-        hd.log(x[0])
-    with pytest.raises(hd.JetDomainError):
-        hd.sqrt(x[0])
-    with pytest.raises(hd.JetDomainError):
-        x[0] ** 0.5
-    y = seed_jets(np.array([0.0]))
-    with pytest.raises(hd.JetDomainError):
-        1.0 / y[0]
-
-
 def test_integer_powers_including_negative():
     x = seed_jets(np.array([1.7]))[0]
     j = x ** (-2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitgeom import identities, splitting
+from splitgeom import expr, hyperdual, identities, splitting
 from splitgeom.chart import (Axis, ChartFrame, ChartManifold, GeometryError,
                              NonClosedChartError, rectangle_rule, sample_points)
 from splitgeom.identities import (
@@ -302,6 +302,24 @@ def test_umbilicity_identity_on_orthogonal_warped():
         pts = scn.sample(25, np.random.default_rng(14))
         ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
         assert np.max(ev.umbilicity()["residual"]) <= 1e-9, name
+
+
+def test_warped_closed_forms_catch_a_jet_sin_with_a_wrong_gradient(monkeypatch):
+    # the closed forms differentiate the warps with expr.diff trees on plain
+    # values, so a defect of the jet calculus shows instead of cancelling
+    scn = kproduct_catalog()["warped_t2"]()
+    pts = scn.sample(8, np.random.default_rng(0))
+
+    def sin(x):
+        y = hyperdual.sin(x)
+        if isinstance(y, hyperdual.HyperDual):
+            y = hyperdual.HyperDual(y.val, 1.001 * y.grad, y.hess)
+        return y
+
+    monkeypatch.setitem(expr._FN_IMPL, "sin", sin)
+    rows = [row for row in select_checks(scn) if row.name.startswith("warped_")]
+    verdicts = {rep.identity: rep.verdict for rep in run_checks(scn, rows, pts)[0]}
+    assert verdicts["warped_mean_curvature"] == "fail"
 
 
 def test_pointwise_check_report_shape():
