@@ -29,8 +29,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import json
+import math
 import os
 import sys
 import zlib
@@ -64,7 +66,7 @@ CONFIG_SCHEMA = {
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {f.name: {"type": "number"}
+            "properties": {f.name: {"type": "number", "minimum": 0}
                            for f in dataclasses.fields(Tolerances)},
         },
         "out": {"type": "string"},
@@ -149,6 +151,18 @@ def _validator(kind):
     return cls(schema)
 
 
+def _refuse_non_finite(value, path=()):
+    """Raise :class:`ConfigError` naming the key path of the first number
+    in the config ``value`` that is not finite: JSON reads ``NaN``,
+    ``Infinity`` and overflowing literals, and ``--tol`` reads ``inf``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config rejected: {'.'.join(map(str, path))}: {value} is not a "
+                          f"finite number")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _refuse_non_finite(item, path + (key,))
+
+
 def _validate(kind, instance):
     """Validate the config (``kind`` None) or an inline scenario of ``kind``
     against its schema, with a validator built once.  Raises
@@ -162,7 +176,7 @@ def _validate(kind, instance):
         return
     if kind is not None:
         raise ConfigError(f"invalid inline scenario: {error.message}")
-    where = f"{error.absolute_path[0]}: " if error.absolute_path else ""
+    where = f"{'.'.join(map(str, error.absolute_path))}: " if error.absolute_path else ""
     raise ConfigError(f"config rejected: {where}{error.message}")
 
 
@@ -325,7 +339,13 @@ def cmd_verify(args):
     if args.tol is not None:
         config.setdefault("tolerances", {}).update(pointwise=args.tol, integral=args.tol)
     # one validation of the file and flags together
+    _refuse_non_finite(config)
     _validate(None, config)
+    # an output path in a missing directory fails before the run
+    for path in (config.get("out"), config.get("csv")):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            raise ConfigError(f"cannot write output: {missing}")
 
     scenarios = resolve_scenarios(config.get("scenario"))
     samples = config.get("samples", DEFAULT_SAMPLES)

@@ -343,17 +343,12 @@ def hypersurface_identity(scn, b):
 
     with ``l`` the index complementary to ``(i, j)``.  The three-curvature
     form follows from halving the k=3 divergence identity on the
-    eigen-splitting and expanding every term in eigen data; an alternative
-    form that is sometimes quoted, with coefficient 1/2 on the curvature sum
-    and without the gradient cross term, does not balance (exposed as
-    ``residual_printed`` for reference; the cross term vanishes when the
-    curvature gradients are pairwise orthogonal in the complement direction,
-    which hides the discrepancy on the simplest examples).
+    eigen-splitting and expanding every term in eigen data.
 
     ``V = sum_i n_i sum_{j != i} P_j grad(mu_i) / (mu_i - mu_j)`` over the
     groups is built as an order-1 jet from the perturbation jets, and its
     divergence (``lhs``) read from the jet by the chart connection.  Returns
-    ``lhs``, ``rhs``, ``residual`` and ``residual_printed``.
+    ``lhs``, ``rhs`` and ``residual``.
     """
     dims = scn.dims
     k = len(dims)
@@ -379,8 +374,7 @@ def hypersurface_identity(scn, b):
         grad2 = proj2.sum(axis=-2)
         rhs = curv + (dims[0] * (1 - dims[0]) * grad2[..., 0]
                       + dims[1] * (1 - dims[1]) * grad2[..., 1]) / (mu[..., 1] - mu[..., 0]) ** 2
-        return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
-                "residual_printed": lhs - rhs}
+        return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}
 
     grad_diag = sum(dims[i] * (1 - dims[i]) * proj2[..., j, i] / (mu[..., i] - mu[..., j]) ** 2
                     for i in range(3) for j in range(3) if j != i)
@@ -391,9 +385,7 @@ def hypersurface_identity(scn, b):
         grad_cross = grad_cross - (dims[i] * dims[j] * cross
                                    / ((mu[..., i] - mu[..., l]) * (mu[..., j] - mu[..., l])))
     rhs = curv + grad_diag + grad_cross
-    rhs_printed = 0.5 * curv + grad_diag
-    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
-            "residual_printed": lhs - rhs_printed}
+    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}
 
 
 def dperp_integrability(scn, b):

@@ -8,14 +8,13 @@ right side sums curvature and fundamental-tensor values in the adapted
 frame.
 
 Each split identity is one row of :data:`FORMULAS`, written next to its
-formula: ``main``, ``aux:r`` (and ``aux_printed:r``, a right side quoted for
-it that does not balance, checked only when a filter names it),
-``companion`` and the k = 3 display ``ck2_k3_display``, which balances
-only after integration.  A row is two coefficient lists, subsets for the
-left side and terms of :data:`TERMS` for the right side, and one evaluator,
+formula: ``main``, ``aux:r``, ``companion``, and two rows with no
+divergence side: ``smix_lemma`` (``2 S_mix = sum_i S_mix(D_i, D_i^perp)``)
+and the k = 3 display ``ck2_k3_display``, which balances only after
+integration.  A row is two coefficient lists, subsets for the left side
+and terms of :data:`TERMS` for the right side, and one evaluator,
 :meth:`_Evaluator.sides`, forms ``div``, ``rhs``, the residual and the term
-scale of every row.  ``smix_lemma`` (``2 S_mix = sum_i S_mix(D_i,
-D_i^perp)``) has no divergence side and is a method of its own.
+scale of every row.
 
 Integral checks quadrate the right-hand sides over closed charts; by the
 divergence theorem every integral vanishes.  Ratios are reported against
@@ -157,6 +156,9 @@ TERMS = {
     # <V, W> and <H_q, W> (see _split_sums)
     "VW": lambda ev, q: ev.ctx.inner_values(*_split_sums(ev.ctx, q)),
     "HqW": lambda ev, q: ev.ctx.inner_values(ev.ctx.H_values(q), _split_sums(ev.ctx, q)[1]),
+    # sum_i S_mix(D_i, D_i^perp), summed from zero in label order
+    "pairsplits": lambda ev: sum((ev.ctx.smix_pairsplit(i) for i in range(1, ev.k + 1)),
+                                 np.zeros(ev.ctx.points.shape[:-1])),
 }
 
 
@@ -189,15 +191,15 @@ def _aux(k, r):
                    _each(qs, (1, "VW"), (-1, "H2"), (-1, "HqW")) + ((C, ("sumH2",)),))
 
 
-def _aux_printed(k, r):
-    # aux:r's left side against a right side sometimes quoted for it, which
-    # does not balance: sum_q (|H_q|^2 + <V, W> - r <H_q, W>)
-    return Formula(_aux(k, r).lhs, _each(subsets(r, k), (1, "H2"), (1, "VW"), (-r, "HqW")))
-
-
 def _companion(k):
     # 2 Div(sum_i H_i) = main's right side - aux:k-1's, under both term scales
     return Formula(tuple((2, q) for q in subsets(1, k)), ((1, _main(k)), (-1, _aux(k, k - 1))))
+
+
+def _smix_lemma(k):
+    # the pair-split decomposition of the mixed scalar curvature, with no
+    # divergence side: 0 = -2 S_mix + sum_i S_mix(D_i, D_i^perp)
+    return Formula((), ((-2, ("smix",)), (1, ("pairsplits",))))
 
 
 def _ck2_k3_display(k):
@@ -210,9 +212,9 @@ def _ck2_k3_display(k):
                    + _each(subsets(2, 3), (0.5, "h2-T2")), rhs_scale=True)
 
 
-# every split identity with a divergence side: its row for k (and r)
-FORMULAS = {"main": _main, "aux": _aux, "aux_printed": _aux_printed,
-            "companion": _companion, "ck2_k3_display": _ck2_k3_display}
+# every split identity: its row for k (and r)
+FORMULAS = {"main": _main, "smix_lemma": _smix_lemma, "aux": _aux, "companion": _companion,
+            "ck2_k3_display": _ck2_k3_display}
 
 # each row is built once, not once per chunk
 _formula = functools.cache(lambda name, k, *args: FORMULAS[name](k, *args))
@@ -260,18 +262,6 @@ class _Evaluator:
             sizes.append(abs(c) * part["max_term"] if part else value)
         max_term = np.abs(rhs) if row.rhs_scale else np.max(np.abs(sizes), axis=0)
         return {"residual": div - rhs, "div": div, "rhs": rhs, "max_term": max_term}
-
-    # -- lemma: pair-split decomposition of the mixed scalar curvature ----------
-
-    def smix_lemma(self):
-        ctx = self.ctx
-        total = np.zeros(ctx.points.shape[:-1])
-        for i in range(1, self.k + 1):
-            total = total + ctx.smix_pairsplit(i)
-        smix2 = 2.0 * ctx.smix()
-        max_term = np.maximum(np.abs(smix2), np.abs(total))
-        return {"residual": smix2 - total, "div": smix2, "rhs": total,
-                "max_term": max_term}
 
     # -- propagation of the mixed flags and the umbilic norm identity ------------
 
@@ -361,7 +351,6 @@ class Check:
     tol: str | None
     run: object
     applies: str = "split"
-    default: bool = True          # run when no identity filter is given
     ranged: bool = False
     min_k: int = 2
     max_k: int | None = None
@@ -436,12 +425,9 @@ _SIMPLE = {**_SURFACE, "applies": "hypersurface with simple curvatures"}
 # every report verify can emit, in report order
 CHECKS = (
     Check("main", run=_identity("main"), **_POINTWISE),
-    Check("smix_lemma", run=lambda scn, ev: ev.smix_lemma(), **_POINTWISE),
+    Check("smix_lemma", run=_identity("smix_lemma"), **_POINTWISE),
     Check("aux", run=_identity("aux"), ranged=True, **_POINTWISE),
     Check("companion", run=_identity("companion"), min_k=3, **_POINTWISE),
-    # the alternative aux right-hand side, reported for reference only
-    Check("aux_printed", run=_identity("aux_printed"), default=False, ranged=True,
-          **_POINTWISE),
     Check("main", run=_identity("main"), **_INTEGRAL),
     Check("aux", run=_identity("aux"), ranged=True, **_INTEGRAL),
     Check("companion", run=_identity("companion"), min_k=3, **_INTEGRAL),
@@ -471,21 +457,20 @@ CHECKS = (
 
 
 def available_identities(k):
-    """The pointwise identities checked by default for ``k`` distributions."""
+    """The pointwise split identities checked for ``k`` distributions."""
     return [name for c in CHECKS if c.kind == POINTWISE and c.geometry == CONTEXT
-            and c.default for name, _ in c.names(k)]
+            for name, _ in c.names(k)]
 
 
 def select_checks(scn, requested=None):
     """The :class:`Row` of every report to run on the scenario ``scn``, in
-    table order: the default rows that apply, or the applicable rows named
-    in ``requested``.  An unknown or inapplicable name, an empty
-    ``requested``, or a scenario to which no default check applies raises
+    table order: every row that applies, or the applicable rows named in
+    ``requested``.  An unknown or inapplicable name, an empty
+    ``requested``, or a scenario to which no check applies raises
     ``ValueError``."""
     rows = [Row(name, c, args) for c in CHECKS if APPLIES[c.applies](scn)
             for name, args in c.names(scn.k)]
     if requested is None:
-        rows = [row for row in rows if row.check.default]
         if not rows:
             raise ValueError(f"no check applies to scenario {scn.name}")
         return rows

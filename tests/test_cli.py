@@ -112,16 +112,14 @@ def test_verify_filter_runs_ck2_display_once_as_integral(tmp_path, scenario, wan
     assert {r["identity"] for r in reports} == set(wanted)
 
 
-def test_verify_filter_aux_printed_is_pointwise(tmp_path):
-    cfg = tmp_path / "printed.json"
-    out = tmp_path / "printed_report.json"
-    cfg.write_text(json.dumps({"scenario": "twisted_torus_k3",
-                               "identities": ["aux_printed:2"],
-                               "samples": 4, "out": str(out)}))
-    code = run(["verify", "--scenario", str(cfg)])
-    [rep] = json.loads(out.read_text())
-    assert (rep["identity"], rep["kind"], rep["n_points"]) == ("aux_printed:2", "pointwise", 4)
-    assert code == (0 if rep["verdict"] == "pass" else 1)
+def test_verify_filter_naming_aux_printed_exits_2(tmp_path, capsys):
+    # the as-printed aux right side is a test of its own, not a report
+    code, report, out, err = verify_config(
+        tmp_path, capsys, {"scenario": "twisted_torus_k3", "identities": ["aux_printed:2"]},
+        "printed")
+    assert (code, report, out) == (2, None, "")
+    assert err.startswith("config error: unknown identity 'aux_printed:2' for scenario "
+                          "twisted_torus_k3; known: ")
 
 
 def test_timing_sidecar_does_not_exceed_wall_time(tmp_path, monkeypatch):
@@ -214,9 +212,11 @@ def test_verify_refuses_an_output_path_in_a_missing_directory(tmp_path, capsys, 
     path = tmp_path / "missing" / "out"
     assert run(["verify", "--scenario", "twisted_torus_k2", "--samples", "3",
                 flag, str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: cannot write output: ") and str(path) in err
-    assert len(err.splitlines()) == 1
+    std = capsys.readouterr()
+    assert std.err.startswith("config error: cannot write output: ") and str(path) in std.err
+    assert len(std.err.splitlines()) == 1
+    # refused before the run: no check printed a verdict
+    assert std.out == ""
 
 
 @pytest.mark.parametrize("scenario, message", [
@@ -365,6 +365,11 @@ def test_verify_all_builds_one_context_per_split_scenario(tmp_path, monkeypatch)
     (["--grid", "0"], "grid: 0 is less than the minimum of 4"),
     (["--threads", "0"], "threads: 0 is less than the minimum of 1"),
     (["--threads", "-2"], "threads: -2 is less than the minimum of 1"),
+    # an infinite gate passes every check and a nan or negative one fails
+    # them, so either verdict would be about the flag, not the identities
+    (["--tol=inf"], "tolerances.pointwise: inf is not a finite number"),
+    (["--tol=nan"], "tolerances.pointwise: nan is not a finite number"),
+    (["--tol=-1"], "tolerances.pointwise: -1.0 is less than the minimum of 0"),
 ])
 def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
     # flags are validated with the config file they shadow
@@ -377,6 +382,42 @@ def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
     assert std.out == "" and not out.exists()
     assert "Traceback" not in std.err
     assert f"config error: config rejected: {message}" in std.err
+
+
+SPHERE = {"kind": "hypersurface", "name": "sphere",
+          "axes": [{"lo": 0.4, "hi": math.pi - 0.4, "periodic": False},
+                   {"lo": 0.0, "hi": 2 * math.pi}],
+          "immersion": ["1.5*sin(x1)*cos(x2)", "1.5*sin(x1)*sin(x2)", "1.5*cos(x1)"],
+          "expected_dims": [1, 1], "normal_flip": True}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"scenario": "warped_t2", "tolerances": {"predicate": -1e-9}},
+     "tolerances.predicate: -1e-09 is less than the minimum of 0"),
+    ({"scenario": "warped_t2", "tolerances": {"integral": math.inf}},
+     "tolerances.integral: inf is not a finite number"),
+    # json reads NaN: a nan gap threshold refuses no curvature collision
+    ({"scenario": {**SPHERE, "gap_threshold": math.nan}},
+     "scenario.gap_threshold: nan is not a finite number"),
+    ({"scenario": ["warped_t2", {**SPHERE, "axes": [{"lo": -math.inf, "hi": 1.0}] * 2}]},
+     "scenario.1.axes.0.lo: -inf is not a finite number"),
+], ids=["negative_tolerance", "infinite_tolerance", "nan_gap_threshold", "infinite_axis"])
+def test_a_config_number_that_is_not_finite_or_a_negative_tolerance_exits_2(
+        tmp_path, capsys, config, message):
+    code, report, out, err = verify_config(tmp_path, capsys, config, "numbers")
+    assert (code, report, out) == (2, None, "")
+    assert err == f"config error: config rejected: {message}\n"
+
+
+def test_report_diff_reads_reports_that_hold_infinity(tmp_path, capsys):
+    # an integral ratio over a zero normalizer is inf; the refusal of
+    # non-finite numbers is for configs only
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        path.write_text(json.dumps([{**REPORT[0], "integral_ratio": math.inf}]))
+    assert "Infinity" in a.read_text()
+    assert run(["report", "--diff", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "reports identical\n"
 
 
 def test_importing_the_cli_loads_no_schema_validator_or_thread_pool(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -114,13 +115,17 @@ def test_aux_residuals_all_required_cases():
 
 
 def test_aux_printed_variant_does_not_balance_on_warped():
-    # the as-printed right-hand side differs by O(1) once mean curvatures
-    # are non-zero; kept only as a reported diagnostic
+    # a right side sometimes quoted for aux:r, sum_q (|H_q|^2 + <V, W> -
+    # r <H_q, W>), misses by O(1) once mean curvatures are non-zero
     scn = kproduct_catalog()["warped_t4_k4"]()
     pts = scn.sample(30, np.random.default_rng(6))
-    fields = pointwise_fields(scn.chart, scn.split, pts, ["aux_printed:2", "aux:2"])
-    assert np.max(np.abs(fields["aux:2"])) <= 1e-12
-    assert np.max(np.abs(fields["aux_printed:2"])) > 1e-1
+    ev = _Evaluator(SplitContext(scn.chart, scn.split, pts))
+    aux = identities.FORMULAS["aux"](scn.k, 2)
+    terms = ((1, "H2"), (1, "VW"), (-2, "HqW"))   # r = 2
+    printed = identities.Formula(
+        aux.lhs, tuple((c, (name, q)) for q in subsets(2, scn.k) for c, name in terms))
+    assert np.max(np.abs(ev.sides(aux)["residual"])) <= 1e-12
+    assert np.max(np.abs(ev.sides(printed)["residual"])) > 1e-1
 
 
 def test_aux_r_out_of_range():
@@ -152,6 +157,23 @@ def test_smix_lemma_everywhere():
         pts = scn.sample(25, rng)
         [rep], _ = run_checks(scn, select_checks(scn, ["smix_lemma"]), pts)
         assert rep.max_abs_residual <= 1e-10, name
+
+
+def test_smix_lemma_row_keeps_the_bits_of_the_pair_split_sum():
+    # 0 - (-2 S_mix + sum_i S_mix(D_i, D_i^perp)) and the term scale
+    # max(0, |2 S_mix|, |sum|), with the sum taken from zero in label order
+    rng = np.random.default_rng(13)
+    for name, builder in kproduct_catalog().items():
+        scn = builder()
+        ev = _Evaluator(SplitContext(scn.chart, scn.split, scn.sample(20, rng)))
+        total = np.zeros(20)
+        for i in range(1, scn.k + 1):
+            total = total + ev.ctx.smix_pairsplit(i)
+        smix2 = 2.0 * ev.ctx.smix()
+        row = ev.identity("smix_lemma")
+        assert row["residual"].tobytes() == (smix2 - total).tobytes(), name
+        assert (row["max_term"].tobytes()
+                == np.maximum(np.abs(smix2), np.abs(total)).tobytes()), name
 
 
 def test_k3_display_equals_aux_rhs_and_vanishes():
@@ -235,6 +257,23 @@ def test_aux_single_subset_coefficient_is_minus_binomial(k):
     for r in range(2, k):
         lhs = _coefficients(identities.FORMULAS["aux"](k, r).lhs)
         assert {lhs[q] for q in subsets(1, k)} == {-math.comb(k - 2, r - 1)}, (k, r)
+
+
+def test_every_split_check_row_is_a_formula():
+    split_rows = {c.name for c in CHECKS
+                  if c.geometry == identities.CONTEXT and c.kind in (POINTWISE, INTEGRAL)}
+    assert split_rows == set(identities.FORMULAS)
+
+
+def test_every_check_and_formula_default_is_changed_by_some_row():
+    # a default that no row changes is a constant, not a per-row switch
+    formulas = [identities.FORMULAS[c.name](k, *args) for c in CHECKS if c.name in
+                identities.FORMULAS for k in range(2, 6) for _, args in c.names(k)]
+    unchanged = [f"{cls.__name__}.{f.name}"
+                 for cls, rows in ((identities.Check, CHECKS), (identities.Formula, formulas))
+                 for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+                 and all(getattr(row, f.name) == f.default for row in rows)]
+    assert not unchanged, f"defaults that no row changes: {unchanged}"
 
 
 def test_integral_checks_product_exactly_zero():
@@ -634,7 +673,7 @@ def test_pointwise_fields_refuse_a_frame_moving_along_an_unseeded_axis(twist):
 
 def test_readme_table_lists_every_report_name():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    head = "| name | kind | applies to | by default |"
+    head = "| name | kind | applies to |"
     lines = readme[readme.index(head):].splitlines()[2:]
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
