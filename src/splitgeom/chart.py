@@ -338,15 +338,28 @@ class ChartFrame:
     def gamma(self):
         """Christoffel symbols of the second kind, ``(..., c, a, b)`` jet:
         ``Gamma^c_ab = g^cd (d_a g_bd + d_b g_ad - d_d g_ab) / 2``; exact
-        zeros on a flat chart."""
+        zeros on a flat chart.
+
+        The lowered symbol is built from the metric's halved slot
+        derivatives: each seeded slot's gradient and Hessian entries are
+        added into the three index positions of its axis, every ``a`` term
+        first, then every ``b`` term, then the ``d`` terms subtracted, so
+        that each entry sums as ``(d_a g_bd + d_b g_ad) - d_d g_ab``."""
         if self._gamma is None:
             if self.flat:
                 self._gamma = np.zeros(self.points.shape[:-1] + (self.n,) * 3)
                 return self._gamma
-            dg = self.differential(self.g)  # (..., a, b, d) = d_d g_ab
-            combo = (hd.einsum("...bda->...abd", dg) + hd.einsum("...adb->...abd", dg)
-                     - dg)
-            self._gamma = 0.5 * hd.einsum("...cd,...abd->...cab", self.ginv, combo)
+            # halving the terms is exact, as is halving their sums
+            dg, ddg = 0.5 * self.g.grad, 0.5 * self.g.hess
+            val = np.zeros(self.points.shape[:-1] + (self.n,) * 3)  # (..., a, b, d)
+            grad = np.zeros(val.shape + (len(self.axes),))
+            for position, op in enumerate((np.add, np.add, np.subtract)):
+                # the differentiated index first, the other two in order
+                v, d = np.moveaxis(val, position - 3, -3), np.moveaxis(grad, position - 4, -4)
+                for s, axis in enumerate(self.axes):
+                    op(v[..., axis, :, :], dg[..., s], out=v[..., axis, :, :])
+                    op(d[..., axis, :, :, :], ddg[..., s, :], out=d[..., axis, :, :, :])
+            self._gamma = hd.einsum("...cd,...abd->...cab", self.ginv, HyperDual(val, grad))
         return self._gamma
 
     @property

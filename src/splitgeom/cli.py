@@ -167,17 +167,17 @@ def _validate(kind, instance):
     """Validate the config (``kind`` None) or an inline scenario of ``kind``
     against its schema, with a validator built once.  Raises
     :class:`ConfigError` with the best-matching error, as
-    ``jsonschema.validate`` would pick it."""
+    ``jsonschema.validate`` would pick it, after its key path in the
+    instance."""
     validator = _validator(kind)
     from jsonschema.exceptions import best_match
 
     error = best_match(validator.iter_errors(instance))
     if error is None:
         return
-    if kind is not None:
-        raise ConfigError(f"invalid inline scenario: {error.message}")
     where = f"{'.'.join(map(str, error.absolute_path))}: " if error.absolute_path else ""
-    raise ConfigError(f"config rejected: {where}{error.message}")
+    what = "config rejected" if kind is None else "invalid inline scenario"
+    raise ConfigError(f"{what}: {where}{error.message}")
 
 
 def full_catalog():
@@ -450,7 +450,7 @@ def build_parser():
     v.add_argument("--samples", type=int, help="random sample count")
     v.add_argument("--out", help="report JSON path")
     v.add_argument("--csv", help="per-point residual CSV path")
-    v.add_argument("--threads", type=int, help="worker threads (default 1)")
+    v.add_argument("--threads", type=int, help="worker threads (default 1; at most one per CPU)")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("catalog", help="list built-in scenarios")

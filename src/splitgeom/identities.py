@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -500,21 +501,43 @@ def _geometry(scn, geometry, pts):
     return pts, scn.chart.metric_values(pts)
 
 
-# doubles in each of the widest jets of the geometries that a run's workers
-# hold at once: about 1 MiB
-BUDGET = 2 ** 17
+# the live doubles that the chunks of all the workers of a run hold
+# together, their geometries and their rows' values: 8 MiB
+BUDGET = 2 ** 20
 
 
-def _chunk_size(n, axes, threads):
-    """Points per chunk on an ``n``-dimensional chart whose jets are seeded
-    along ``axes`` (None: every axis), for ``threads`` workers that each
-    hold one chunk's geometry: ``BUDGET`` doubles over ``threads`` times
-    the ``n * n * m * max(n, m)`` per point of the widest jets, the
-    order-2 frame ``(..., n, n, m, m)`` and the order-1 Christoffel
-    symbols ``(..., n, n, n, m)``, for ``m`` seeded axes.  So the run's
-    memory does not grow with ``threads``; its chunks shrink instead."""
-    m = n if axes is None else max(1, len(axes))
-    return max(1, BUDGET // (threads * n * n * m * max(n, m)))
+def _width(scn, geometry, axes):
+    """The doubles that one point of a chunk of ``geometry`` on ``scn``
+    keeps live at the chunk's peak: its jets, its rows' values and their
+    temporaries.  A model fitted to ``tracemalloc`` peaks of one
+    default-size chunk: ``7 n^3 (1 + m)`` for a context on an ``n``-chart
+    whose jets carry ``m = len(axes)`` slots (measured 6.2-8.7 times ``n^3
+    (1 + m)`` on the warped charts and on frames that read every axis,
+    3.8-4.9 times on twisted tori whose frame reads one), ``6 M n^2 (1 + n
+    + n^2)`` for a hypersurface bundle or grid whose immersion has ``M``
+    entries, the order-2 jets of its second derivatives (measured 4.0-5.9
+    times ``M n^2 (1 + n + n^2)``)."""
+    n = scn.chart.dim
+    if geometry == CONTEXT:
+        return 7 * n ** 3 * (1 + len(axes))
+    return 6 * len(scn.immersion) * n * n * (1 + n + n * n)
+
+
+def _chunk_size(width, threads):
+    """Points per chunk for ``threads`` workers that each hold one chunk of
+    ``width`` live doubles per point (:func:`_width`): ``BUDGET`` over both,
+    so the run's memory does not grow with ``threads``; its chunks shrink
+    instead."""
+    return max(1, BUDGET // (threads * width))
+
+
+def _workers(threads):
+    """``threads``, capped at the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus))
 
 
 def _key(name, key):
@@ -604,13 +627,16 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
     metric or frame moves along another (see
     :meth:`~splitgeom.chart.ChartFrame.entries`).
 
-    A geometry holds at most ``chunk`` points (default:
-    :func:`_chunk_size`, so that the jets of the ``threads`` geometries
-    held at once stay near ``BUDGET`` doubles together); no value depends
-    on ``chunk`` or ``threads``, or on which other points share a chunk.
+    ``threads`` workers evaluate the chunks, at most one per CPU the
+    process may run on.  A geometry holds at most ``chunk`` points
+    (default: :func:`_chunk_size` of its :func:`_width`, so that the
+    chunks the workers hold at once keep about ``BUDGET`` doubles live
+    together); no value depends on ``chunk`` or ``threads``, or on which
+    other points share a chunk.
     """
     tols = tol or Tolerances()
     n = scn.chart.dim
+    threads = _workers(threads)
     groups = {}
     for row in rows:
         groups.setdefault(row.check.geometry, []).append(row)
@@ -624,8 +650,8 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
                    else np.empty((0, n)))
         nodes = quad.nodes if quad else np.empty((0, n))
         values = map_batched(_chunk_values(scn, group, quad is not None),
-                             np.concatenate([samples, nodes]),
-                             chunk=chunk or _chunk_size(n, axes, threads), threads=threads)
+                             np.concatenate([samples, nodes]), threads=threads,
+                             chunk=chunk or _chunk_size(_width(scn, geometry, axes), threads))
         P = len(samples)
         volume = values.pop("volume", None)
         read = {key: v[:P] for key, v in values.items() if key[1] != INTEGRAL}

@@ -26,6 +26,7 @@ from splitgeom.chart import (
     sample_points,
 )
 from splitgeom.chart import _repeated_fsum, _volume_element, cholesky
+from splitgeom.scenarios import kproduct_catalog
 from splitgeom.splitting import SplitContext, SplitStructure, coordinate_split
 
 TWO_PI = 2 * math.pi
@@ -203,6 +204,41 @@ def test_christoffel_and_riemann_match_symbolic_oracle():
         E = rows[i]
         np.testing.assert_allclose(K[i], np.einsum("abcd,xa,yb,xc,yd->xy", want, E, E, E, E),
                                    rtol=0, atol=1e-12)
+
+
+def differential_gamma(frame):
+    """The Christoffel jet through the full-size coordinate differential of
+    the metric, summed as three transposed copies: the reference route."""
+    dg = frame.differential(frame.g)  # (..., a, b, d) = d_d g_ab
+    combo = hd.einsum("...bda->...abd", dg) + hd.einsum("...adb->...abd", dg) - dg
+    return 0.5 * hd.einsum("...cd,...abd->...cab", frame.ginv, combo)
+
+
+TWO_AXIS_METRIC = [["2 + sin(x1)", "0.3*cos(x3)", "0.2*sin(x1 + x3)"],
+                   ["0.3*cos(x3)", "(2 + cos(x1))^2", "0.1*sin(x3)"],
+                   ["0.2*sin(x1 + x3)", "0.1*sin(x3)", "3 + sin(x1)*cos(x3)"]]
+
+
+@pytest.mark.parametrize("name", sorted(kproduct_catalog()) + ["two seeded axes"])
+def test_christoffel_from_slot_derivatives_keeps_the_bits_of_the_differential(name):
+    if name == "two seeded axes":
+        # a, b and d each land on both seeded axes, 1 and 3, and on the unseeded 2
+        chart, split_axes = ChartManifold([Axis(0.0, TWO_PI)] * 3, TWO_AXIS_METRIC), set()
+    else:
+        scn = kproduct_catalog()[name]()
+        chart, split_axes = scn.chart, scn.split.depends_on
+    pts = sample_points(chart, 64, np.random.default_rng(8))
+    if not chart.depends_on:
+        # no metric derivative: exact zeros on either route
+        assert not np.any(ChartFrame(chart, pts, split_axes).gamma)
+        return
+    for axes in (sorted(chart.depends_on | split_axes), None):
+        frame = ChartFrame(chart, pts, axes)
+        want = differential_gamma(frame)
+        got = frame.gamma
+        assert got.hess is None and want.hess is None
+        assert got.val.tobytes() == want.val.tobytes(), axes
+        assert got.grad.tobytes() == want.grad.tobytes(), axes
 
 
 def test_sectional_on_seeded_axes_matches_every_axis():

@@ -269,7 +269,7 @@ def test_hypersurface_filter_uses_report_names(tmp_path, monkeypatch, scenario, 
     assert [r["identity"] for r in json.loads(out.read_text())] == [name]
 
 
-def test_threads_flag_never_changes_reports(tmp_path, monkeypatch):
+def test_threads_flag_never_changes_reports(tmp_path, monkeypatch, four_cpus):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     # the flag and the config are the only ways to set threads
@@ -281,7 +281,7 @@ def test_threads_flag_never_changes_reports(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()  # worker count never changes results
 
 
-def test_full_catalog_reports_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+def test_full_catalog_reports_identical_at_one_and_two_threads(tmp_path, monkeypatch, four_cpus):
     # the two workers plan and share einsum plans from an empty cache
     outs = []
     for threads in ("1", "2"):
@@ -683,6 +683,9 @@ TORUS = {"kind": "hypersurface", "name": "torus",
      "scenario 'torus': an immersion of 2 axes has 3 or 4 entries, not 5"),
     ({**TUBE, "expected_dims": [1, 1], "expected_k": 2},
      "scenario 'tube_s2': expected multiplicities do not sum to the chart dimension"),
+    # a schema error below the root names its key path
+    ({"kind": "warped", "base_dim": 1, "fiber_dims": [1], "warps": [2]},
+     "invalid inline scenario: warps.0: 2 is not of type 'string'"),
 ])
 def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "bad")

@@ -1,7 +1,9 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +13,12 @@ import pytest
 from splitgeom import expr, hyperdual, identities, splitting
 from splitgeom.chart import (Axis, ChartFrame, ChartManifold, GeometryError,
                              NonClosedChartError, rectangle_rule, sample_points)
+from splitgeom.cli import HYPERSURFACE_SAMPLE_CAP, full_catalog
 from splitgeom.identities import (
+    BUNDLE,
     CHECKS,
+    CONTEXT,
+    GRID,
     INTEGRAL,
     POINTWISE,
     Tolerances,
@@ -476,7 +482,7 @@ def test_samples_and_nodes_in_one_point_set_give_each_kind_alone(name, monkeypat
             assert len(built) == 1
 
 
-def test_deterministic_under_threads():
+def test_deterministic_under_threads(four_cpus):
     scn = kproduct_catalog()["warped_t3_k3"]()
     grid = [16, 4, 4]
     [a] = integral_checks_batch(scn.chart, scn.split, grid, ["main"], chunk=64, threads=1)
@@ -493,7 +499,7 @@ def seeded_twist():
         f"{s!r}*sin(x{a + 1}) + {c!r}*cos(x{a + 1})" for a, (s, c) in enumerate(coef.tolist())))
 
 
-def test_deterministic_across_chunks_and_threads(monkeypatch):
+def test_deterministic_across_chunks_and_threads(monkeypatch, four_cpus):
     # the quadrature evaluates the 16 base nodes of warped_t3_k3: four chunks
     scn = kproduct_catalog()["warped_t3_k3"]()
     grid = [16, 4, 4]
@@ -523,7 +529,7 @@ def test_deterministic_across_chunks_and_threads(monkeypatch):
         assert body == json.dumps([r.to_dict() for r in reports]), threads
 
 
-def test_default_chunks_bound_the_memory_of_a_run_whatever_its_workers():
+def test_default_chunks_bound_the_memory_of_a_run_whatever_its_workers(four_cpus):
     # one budget for the chunks that all the workers hold at once: two
     # workers hold two chunks of half the size
     scn = seeded_twist()
@@ -540,8 +546,8 @@ def test_default_chunks_bound_the_memory_of_a_run_whatever_its_workers():
 
 
 def test_default_chunks_bound_the_memory_of_a_frame_that_reads_every_axis():
-    # n = 5 and every axis seeded: about 45 KiB of jets per point, so one
-    # chunk of all 2048 points would peak near 92 MiB
+    # n = 5 and every axis seeded: about 4850 live doubles (38 KiB) per
+    # point, so one chunk of all 2048 points would peak near 76 MiB
     scn = build_twisted_torus((1, 2, 2), twist="0.3*sin(x1) + 0.4*cos(x2) + "
                               "0.5*sin(x3) + 0.2*cos(x4) + 0.6*sin(x5)")
     pts = scn.sample(2048, np.random.default_rng(0))
@@ -556,6 +562,70 @@ def test_default_chunks_bound_the_memory_of_a_frame_that_reads_every_axis():
     small = pointwise_fields(scn.chart, scn.split, pts, names, chunk=64)
     assert fields.keys() == small.keys()
     assert all(fields[key].tobytes() == small[key].tobytes() for key in fields)
+
+
+def test_default_chunks_hold_the_memory_they_were_sized_for():
+    # one default-size chunk of every geometry of the catalog, whose grid
+    # gets 4096 nodes so that its chunk is full, and of a twist that reads
+    # every axis: its traced peak against the live doubles of its width
+    ratios = {}
+    # keyed by catalog name: the seeded twist is also named twisted_torus_k3
+    for name, build in [*full_catalog().items(), ("seeded_twist", seeded_twist)]:
+        scn = build()
+        groups = {}
+        for row in select_checks(scn):
+            groups.setdefault(row.check.geometry, []).append(row)
+        for geometry, rows in groups.items():
+            axes = scn.chart.depends_on | scn.split.depends_on if geometry == CONTEXT else None
+            width = identities._width(scn, geometry, axes)
+            count = identities._chunk_size(width, 1)
+            if geometry == GRID:
+                pts = rectangle_rule(scn.chart, 64).nodes[:count]
+            else:
+                pts = scn.sample(count, np.random.default_rng(0)).reshape(-1, scn.chart.dim)
+            assert len(pts) == count
+            if geometry == BUNDLE:
+                # the samples of a hypersurface's checks are one chunk
+                assert count >= HYPERSURFACE_SAMPLE_CAP
+            chunk = identities._chunk_values(scn, rows, INTEGRAL in {r.check.kind for r in rows})
+            chunk(pts[:4])
+            tracemalloc.start()
+            try:
+                chunk(pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratios[name, geometry] = round(peak / (8 * width * count), 2)
+    assert all(0.5 <= ratio <= 1.5 for ratio in ratios.values()), ratios
+
+
+def test_workers_are_capped_at_the_cpus_the_process_may_use(monkeypatch):
+    # a million workers would size one-point chunks and start a thread each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pools = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
+    scn = kproduct_catalog()["warped_t4_k3_ortho"]()
+    rows = select_checks(scn)
+    pts = scn.sample(8, np.random.default_rng(4))
+    grid = scn.meta["integral_grid"]
+    capped = run_checks(scn, rows, pts, grid, threads=10 ** 6)[0]
+    assert pools == [3]
+    body = json.dumps([r.to_dict() for r in run_checks(scn, rows, pts, grid)[0]])
+    assert json.dumps([r.to_dict() for r in capped]) == body
 
 
 # per chart dimension, a grid whose repeat counts are not powers of two
