@@ -199,21 +199,16 @@ def sample_points(m, count, rng, box=None):
 
 
 def map_batched(fn, points, chunk, threads=1):
-    """Apply ``fn`` to chunks of points, concatenating results in chunk order.
+    """Apply ``fn`` to chunks of the ``(N, n)`` ``points``, concatenating
+    results in chunk order.
 
     ``fn`` maps an ``(m, n)`` array to an ``(m,)`` array or a dict of such
-    arrays.  The chunks hold at most ``chunk`` points and differ in size by
-    at most one; with ``threads > 1`` their count is a multiple of
-    ``threads`` (or one chunk per point), so no worker idles on a short
-    last chunk.  Reduction order is fixed by chunk index, so the result is
-    independent of the worker count.
+    arrays.  The points are cut into ``ceil(N / chunk)`` chunks that differ
+    in size by at most one, whatever ``threads``, and ``threads`` workers
+    evaluate them.  Reduction order is fixed by chunk index, so the result
+    is independent of the worker count.
     """
-    points = np.asarray(points, dtype=float)
-    flat = points.reshape(-1, points.shape[-1])
-    count = -(-flat.shape[0] // chunk)
-    if threads > 1:
-        count = min(flat.shape[0], -(-count // threads) * threads)
-    chunks = np.array_split(flat, count)
+    chunks = np.array_split(np.asarray(points, dtype=float), -(-len(points) // chunk))
     if threads > 1 and len(chunks) > 1:
         # imported here: concurrent.futures imports logging, which a
         # single-threaded run never needs

@@ -60,7 +60,7 @@ CONFIG_SCHEMA = {
         "scenario": {},
         "identities": {"type": "array", "items": {"type": "string"}},
         "samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "grid": {"anyOf": [{"type": "integer", "minimum": 4},
                            {"type": "array", "items": {"type": "integer", "minimum": 4}}]},
         "tolerances": {

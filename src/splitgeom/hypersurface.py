@@ -54,6 +54,8 @@ __all__ = [
     "GapError",
     "HypersurfaceScenario",
     "shape_data",
+    "principal_curvatures",
+    "default_gap_threshold",
     "principal_bundle",
     "codazzi_checks",
     "hypersurface_identity",
@@ -161,12 +163,7 @@ def principal_bundle(scn, points):
     points = np.asarray(points, dtype=float)
     frame = ChartFrame(scn.chart, points)
     data = shape_data(scn, points)
-    # Cholesky reduction g = L L^T of II v = mu g v to a standard eigenproblem
-    Linv_T = np.swapaxes(lower_inverse(data["L"]), -1, -2)
-    mu, U = np.linalg.eigh(np.swapaxes(Linv_T, -1, -2) @ data["II"] @ Linv_T)
-    Y = Linv_T @ U
-    top = np.take_along_axis(Y, np.argmax(np.abs(Y), axis=-2)[..., None, :], axis=-2)
-    Y = np.where(top < 0.0, -Y, Y)
+    mu, Y = principal_curvatures(data)
     _check_groups(scn, mu, points)
     mu_hat, Y_jet = _perturbation_jets(data, mu, Y, scn.dims)
     frame.ginv  # refuses a metric that is not positive definite, naming the point
@@ -175,12 +172,25 @@ def principal_bundle(scn, points):
             "mu": mu, "Y": Y, "mu_hat": mu_hat, "Y_jet": Y_jet}
 
 
+def principal_curvatures(data):
+    """``mu`` and ``Y`` of :func:`principal_bundle` from its :func:`shape_data`."""
+    # Cholesky reduction g = L L^T of II v = mu g v to a standard eigenproblem
+    Linv_T = np.swapaxes(lower_inverse(data["L"]), -1, -2)
+    mu, U = np.linalg.eigh(np.swapaxes(Linv_T, -1, -2) @ data["II"] @ Linv_T)
+    Y = Linv_T @ U
+    top = np.take_along_axis(Y, np.argmax(np.abs(Y), axis=-2)[..., None, :], axis=-2)
+    return mu, np.where(top < 0.0, -Y, Y)
+
+
+def default_gap_threshold(mu):
+    """``1e-3 max |mu|``, over the curvatures of all the samples of a run."""
+    return 1e-3 * max(1e-8, float(np.max(np.abs(mu))))
+
+
 def _check_groups(scn, mu, points):
     dims = scn.dims
     n = mu.shape[-1]
-    thresh = scn.gap_threshold
-    if thresh is None:
-        thresh = 1e-3 * max(1e-8, float(np.max(np.abs(mu))))
+    thresh = default_gap_threshold(mu) if scn.gap_threshold is None else scn.gap_threshold
     rows = mu.reshape(-1, n)
     ends = np.cumsum(dims)
     starts = ends - np.asarray(dims)
@@ -421,6 +431,25 @@ def dperp_integrability(scn, b):
 TWO_PI = 2 * math.pi
 
 
+def _check_box(axes, sample_box):
+    """Refuse an axis with ``lo >= hi``, and a ``sample_box`` that is not one
+    ``[lo, hi]`` with ``lo < hi`` per axis, inside the axis where it is not
+    periodic, naming the key."""
+    for a, ax in enumerate(axes, start=1):
+        if not ax.lo < ax.hi:
+            raise GeometryError(f"axes: axis {a} has lo {ax.lo} not below hi {ax.hi}")
+    if sample_box is None:
+        return
+    if len(sample_box) != len(axes):
+        raise GeometryError(f"sample_box: {len(sample_box)} intervals for {len(axes)} axes")
+    for a, ((lo, hi), ax) in enumerate(zip(sample_box, axes), start=1):
+        if not lo < hi:
+            raise GeometryError(f"sample_box: interval {a} has lo {lo} not below hi {hi}")
+        if not (ax.periodic or ax.lo <= lo and hi <= ax.hi):
+            raise GeometryError(f"sample_box: interval {a} [{lo}, {hi}] leaves the "
+                                f"non-periodic axis [{ax.lo}, {ax.hi}]")
+
+
 def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_box=None,
                        gap_threshold=None, grid=None):
     """The scenario ``name``: the chart on ``axes`` immersed by the ``n + 1``
@@ -442,6 +471,7 @@ def build_hypersurface(name, axes, immersion, dims, normal_flip=False, sample_bo
                             f"not {count}")
     if sum(dims) != n:
         raise GeometryError("expected multiplicities do not sum to the chart dimension")
+    _check_box(axes, sample_box)
     asts = [_parsed(src, n, f"immersion entry {j}") for j, src in enumerate(immersion, start=1)]
     dF = [[diff(f, a) for f in asts] for a in range(1, n + 1)]
     metric = [[Num(0.0)] * n for _ in range(n)]

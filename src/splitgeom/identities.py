@@ -47,13 +47,14 @@ import math
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .chart import NonClosedChartError, _volume_element, map_batched, rectangle_rule
-from .hypersurface import (codazzi_checks, dperp_integrability, hypersurface_identity,
-                           principal_bundle, shape_data)
+from .hypersurface import (codazzi_checks, default_gap_threshold, dperp_integrability,
+                           hypersurface_identity, principal_bundle, principal_curvatures,
+                           shape_data)
 from .scenarios import Scenario, warped_checks
 from .splitting import SplitContext, subsets
 
@@ -649,9 +650,13 @@ def run_checks(scn, rows, points, grid=None, tol=None, chunk=None, threads=1):
         samples = (np.asarray(points, dtype=float).reshape(-1, n) if kinds - {INTEGRAL}
                    else np.empty((0, n)))
         nodes = quad.nodes if quad else np.empty((0, n))
+        size = chunk or _chunk_size(_width(scn, geometry, axes), threads)
+        if geometry == BUNDLE and scn.gap_threshold is None and len(samples) > size:
+            mu = map_batched(lambda pts: principal_curvatures(shape_data(scn, pts))[0],
+                             samples, size, threads)
+            scn = replace(scn, gap_threshold=default_gap_threshold(mu))  # as one chunk would
         values = map_batched(_chunk_values(scn, group, quad is not None),
-                             np.concatenate([samples, nodes]), threads=threads,
-                             chunk=chunk or _chunk_size(_width(scn, geometry, axes), threads))
+                             np.concatenate([samples, nodes]), size, threads)
         P = len(samples)
         volume = values.pop("volume", None)
         read = {key: v[:P] for key, v in values.items() if key[1] != INTEGRAL}

@@ -370,6 +370,7 @@ def test_verify_all_builds_one_context_per_split_scenario(tmp_path, monkeypatch)
     (["--tol=inf"], "tolerances.pointwise: inf is not a finite number"),
     (["--tol=nan"], "tolerances.pointwise: nan is not a finite number"),
     (["--tol=-1"], "tolerances.pointwise: -1.0 is less than the minimum of 0"),
+    (["--seed", "-1"], "seed: -1 is less than the minimum of 0"),
 ])
 def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
     # flags are validated with the config file they shadow
@@ -693,6 +694,55 @@ def test_bad_inline_scenario_exits_2(tmp_path, capsys, spec, message):
     assert report is None and out == ""
     assert "Traceback" not in err
     assert message in err
+
+
+# a graph over a non-periodic square
+GRAPH = {"kind": "hypersurface", "name": "graph",
+         "axes": [{"lo": -0.15, "hi": 0.15, "periodic": False}] * 2,
+         "immersion": ["x1", "x2", "0.3*x1^2 + 0.1*x2^2"], "expected_dims": [1, 1]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sample_box": [[0, 0.1]]}, "sample_box: 1 intervals for 2 axes"),
+    ({"sample_box": [[0, 0.1], [0.1, -0.1]]},
+     "sample_box: interval 2 has lo 0.1 not below hi -0.1"),
+    ({"axes": [{"lo": 0.15, "hi": -0.15, "periodic": False}] * 2},
+     "axes: axis 1 has lo 0.15 not below hi -0.15"),
+    ({"sample_box": [[5, 6], [5, 6]]},
+     "sample_box: interval 1 [5, 6] leaves the non-periodic axis [-0.15, 0.15]"),
+])
+def test_bad_hypersurface_box_exits_2_before_any_scenario_runs(tmp_path, capsys, change,
+                                                               message):
+    config = {"scenario": ["warped_t2", {**GRAPH, **change}]}
+    code, report, out, err = verify_config(tmp_path, capsys, config, "box")
+    assert (code, report, out) == (2, None, "")
+    assert "Traceback" not in err
+    assert f"config error: scenario 'graph': {message}" in err
+
+
+def test_sample_box_may_wrap_a_periodic_axis(tmp_path, capsys):
+    spec = {**TORUS, "sample_box": [[5, 7], [-1, 1]]}
+    code, report, out, err = verify_config(tmp_path, capsys, {"scenario": spec}, "wrap")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("eps, seed", itertools.product([0.002, 0.006], [14, 15, 17]))
+def test_thread_count_never_changes_a_gap_refusal(tmp_path, capsys, four_cpus, eps, seed):
+    # near-gap curvatures: a threshold taken per chunk, or chunks cut per
+    # worker, gave these runs another exit code at two threads
+    spec = {"kind": "hypersurface",
+            "axes": [{"lo": -1, "hi": 1, "periodic": False},
+                     {"lo": -0.05, "hi": 0.05, "periodic": False}],
+            "immersion": ["x1", "x2", f"0.01*exp(2*x1)*(1 + {2 * (1 + eps)!r}*x2^2)"],
+            "expected_dims": [1, 1]}
+    cfg = tmp_path / "near_gap.json"
+    cfg.write_text(json.dumps({"scenario": spec}))
+    runs = []
+    for threads in ("1", "2"):
+        code = run(["verify", "--scenario", str(cfg), "--seed", str(seed),
+                    "--threads", threads])
+        runs.append((code, capsys.readouterr().err))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("spec, message, axis", [

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitgeom import expr, hyperdual, identities, splitting
+from splitgeom import cli, expr, hyperdual, identities, splitting
 from splitgeom.chart import (Axis, ChartFrame, ChartManifold, GeometryError,
                              NonClosedChartError, rectangle_rule, sample_points)
 from splitgeom.cli import HYPERSURFACE_SAMPLE_CAP, full_catalog
@@ -29,7 +32,7 @@ from splitgeom.identities import (
     run_checks,
     select_checks,
 )
-from splitgeom.hypersurface import hypersurface_catalog
+from splitgeom.hypersurface import GapError, hypersurface_catalog
 from splitgeom.scenarios import build_twisted_torus, kproduct_catalog
 from splitgeom.splitting import SplitContext, SplitStructure, coordinate_split, subsets
 
@@ -527,6 +530,55 @@ def test_deterministic_across_chunks_and_threads(monkeypatch, four_cpus):
     for threads in (2, 3):
         reports = run_checks(scn, rows, None, [12, 12, 12], threads=threads)[0]
         assert body == json.dumps([r.to_dict() for r in reports]), threads
+
+
+def near_gap(eps):
+    """A graph whose two principal curvatures come within ``1e-3 max |mu|``
+    of each other at some samples, the closer the smaller ``eps``."""
+    return cli.build_inline_scenario({
+        "kind": "hypersurface",
+        "axes": [{"lo": -1, "hi": 1, "periodic": False},
+                 {"lo": -0.05, "hi": 0.05, "periodic": False}],
+        "immersion": ["x1", "x2", f"0.01*exp(2*x1)*(1 + {2 * (1 + eps)!r}*x2^2)"],
+        "expected_dims": [1, 1]})
+
+
+# (scenario, seed): two small split scenarios, and near-gap graphs at seeds
+# whose samples straddle the gap threshold
+OUTCOME_CASES = [("warped_t2", 1), ("twisted_torus_k3", 2), *(
+    (eps, seed) for eps in (0.002, 0.006) for seed in (14, 15, 17))]
+
+
+@functools.cache
+def outcome(case, chunk, threads):
+    """The report bodies of every check of the ``case``, or the message of
+    its :class:`GapError`, at ``chunk`` and ``threads``."""
+    name, seed = case
+    scn = full_catalog()[name]() if isinstance(name, str) else near_gap(name)
+    count = 6 if scn.kind == "split" else HYPERSURFACE_SAMPLE_CAP
+    pts = scn.sample(count, cli.scenario_rng(seed, scn.name))
+    try:
+        reports = run_checks(scn, select_checks(scn), pts, 4, chunk=chunk, threads=threads)[0]
+    except GapError as e:
+        return f"GapError: {e}"
+    return json.dumps([r.to_dict() for r in reports])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(OUTCOME_CASES), st.sampled_from([1, 2, 7, 10, None]),
+       st.sampled_from([1, 2]))
+def test_no_outcome_depends_on_the_chunk_or_the_workers(case, chunk, threads):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert outcome(case, chunk, threads) == outcome(case, None, 1)
+
+
+def test_a_near_gap_refusal_is_one_message_at_every_chunk():
+    # ε = 0.002 at seed 15: only the default chunk refused when the gap
+    # threshold was taken over each chunk
+    messages = {outcome((0.002, 15), chunk, 1) for chunk in (1, 2, 7, 10, None)}
+    assert len(messages) == 1
+    assert messages.pop().startswith("GapError: principal curvature groups closer than")
 
 
 def test_default_chunks_bound_the_memory_of_a_run_whatever_its_workers(four_cpus):
